@@ -4,10 +4,10 @@
 
 namespace ipfs::scenario {
 
-// The period data lives in the builtin scenario catalogue
-// (scenario_spec.cpp) so the compiled presets and the checked-in
-// scenarios/*.json files share one source of truth; these accessors are
-// compatibility wrappers.
+// The period data lives in the checked-in scenarios/*.json files, which
+// the build compiles in as the builtin scenarios (scenario_spec.hpp), so
+// the presets and the files share one source of truth; these accessors
+// are compatibility wrappers.
 
 // .value() turns a renamed/removed builtin into a loud
 // std::bad_optional_access instead of undefined behaviour.

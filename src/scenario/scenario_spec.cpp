@@ -1,17 +1,27 @@
 #include "scenario/scenario_spec.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 namespace ipfs::scenario {
 
+/// The checked-in scenarios/*.json files as (file name, contents) pairs in
+/// file-name order.  The build generates the definition from the files
+/// themselves (cmake/embed_scenarios.cmake).
+std::span<const std::pair<std::string_view, std::string_view>>
+embedded_scenario_files();
+
 using common::JsonValue;
 using common::JsonWriter;
-using common::kDay;
-using common::kHour;
-using common::kMinute;
-using common::kSecond;
 using common::SimDuration;
 
 namespace {
@@ -28,750 +38,825 @@ ParseError expect_object(const JsonValue& value, const std::string& path) {
   return path + ": expected an object, got " + std::string(value.type_name());
 }
 
-/// Strict schemas: any member not in `allowed` is an error, so typos fail
-/// `ipfs_sim validate` instead of being silently ignored.
-ParseError check_keys(const JsonValue& value, const std::string& path,
-                      std::initializer_list<std::string_view> allowed) {
-  for (const JsonValue::Member& member : value.as_object()) {
-    bool known = false;
-    for (const std::string_view key : allowed) {
-      if (member.first == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return path + ": unknown field '" + member.first + "'";
-  }
+// ---- scalar fields ----------------------------------------------------------
+// One reader per member type, so a field list dispatches on the type of the
+// member it names.  `SimDuration` members are integer milliseconds (the
+// library's SimTime unit), so specs round-trip without floating-point drift.
+
+ParseError read(const JsonValue& value, const std::string& path, bool& out) {
+  if (!value.is_bool()) return path + ": expected true or false";
+  out = value.as_bool();
   return std::nullopt;
 }
 
-ParseError get_bool(const JsonValue& object, std::string_view key,
-                    const std::string& path, bool& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  if (!value->is_bool()) {
-    return join(path, key) + ": expected true or false";
-  }
-  out = value->as_bool();
+ParseError read(const JsonValue& value, const std::string& path, double& out) {
+  if (!value.is_number()) return path + ": expected a number";
+  out = value.as_double();
   return std::nullopt;
 }
 
-ParseError get_double(const JsonValue& object, std::string_view key,
-                      const std::string& path, double& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  if (!value->is_number()) return join(path, key) + ": expected a number";
-  out = value->as_double();
+ParseError read(const JsonValue& value, const std::string& path, std::string& out) {
+  if (!value.is_string()) return path + ": expected a string";
+  out = value.as_string();
   return std::nullopt;
 }
 
-ParseError get_string(const JsonValue& object, std::string_view key,
-                      const std::string& path, std::string& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  if (!value->is_string()) return join(path, key) + ": expected a string";
-  out = value->as_string();
-  return std::nullopt;
-}
-
-ParseError get_u64(const JsonValue& object, std::string_view key,
-                   const std::string& path, std::uint64_t& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  const auto parsed = value->as_uint64();
-  if (!parsed) return join(path, key) + ": expected a non-negative integer";
+ParseError read(const JsonValue& value, const std::string& path,
+                std::uint64_t& out) {
+  const auto parsed = value.as_uint64();
+  if (!parsed) return path + ": expected a non-negative integer";
   out = *parsed;
   return std::nullopt;
 }
 
-ParseError get_u32(const JsonValue& object, std::string_view key,
-                   const std::string& path, std::uint32_t& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  const auto parsed = value->as_uint64();
+ParseError read(const JsonValue& value, const std::string& path,
+                std::uint32_t& out) {
+  const auto parsed = value.as_uint64();
   if (!parsed || *parsed > 0xffffffffULL) {
-    return join(path, key) + ": expected an integer in [0, 2^32)";
+    return path + ": expected an integer in [0, 2^32)";
   }
   out = static_cast<std::uint32_t>(*parsed);
   return std::nullopt;
 }
 
-ParseError get_int(const JsonValue& object, std::string_view key,
-                   const std::string& path, int& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  const auto parsed = value->as_int64();
+ParseError read(const JsonValue& value, const std::string& path, int& out) {
+  const auto parsed = value.as_int64();
   if (!parsed || *parsed < std::numeric_limits<int>::min() ||
       *parsed > std::numeric_limits<int>::max()) {
-    return join(path, key) + ": expected an integer";
+    return path + ": expected an integer";
   }
   out = static_cast<int>(*parsed);
   return std::nullopt;
 }
 
-/// Durations are integer milliseconds (the library's SimTime unit), so
-/// specs round-trip without floating-point drift.
-ParseError get_duration_ms(const JsonValue& object, std::string_view key,
-                           const std::string& path, SimDuration& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  const auto parsed = value->as_int64();
-  if (!parsed) {
-    return join(path, key) + ": expected an integer number of milliseconds";
-  }
+ParseError read(const JsonValue& value, const std::string& path,
+                SimDuration& out) {
+  const auto parsed = value.as_int64();
+  if (!parsed) return path + ": expected an integer number of milliseconds";
   out = *parsed;
   return std::nullopt;
 }
 
-// ---- section parsers --------------------------------------------------------
+template <class V>
+void write(JsonWriter& writer, const V& value) {
+  if constexpr (std::is_same_v<V, std::uint32_t>) {
+    writer.value(static_cast<std::uint64_t>(value));
+  } else {
+    writer.value(value);
+  }
+}
 
-ParseError parse_go_ipfs(const JsonValue& value, const std::string& path,
-                         PeriodSpec& period) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"present", "mode", "low_water", "high_water"})) {
-    return error;
-  }
-  if (auto error = get_bool(value, "present", path, period.go_ipfs_present)) {
-    return error;
-  }
-  std::string mode;
-  if (auto error = get_string(value, "mode", path, mode)) return error;
-  if (!mode.empty()) {
-    if (mode == "server") {
-      period.go_ipfs_mode = dht::Mode::kServer;
-    } else if (mode == "client") {
-      period.go_ipfs_mode = dht::Mode::kClient;
-    } else {
-      return join(path, "mode") + ": expected \"server\" or \"client\"";
+// ---- field lists ------------------------------------------------------------
+// Each record's schema is written once, as a list of (key, member) pairs in
+// schema order.  That one list drives the strict key check, parsing and
+// `to_json`, so the three cannot drift apart.
+
+/// A field with its own reader and writer: enums with bespoke messages,
+/// sub-objects, arrays and per-category maps.
+template <class T>
+struct Custom {
+  ParseError (*read)(const JsonValue& value, const std::string& path, T& out);
+  /// Writes the key and value, or nothing for a field left unset.
+  void (*write)(JsonWriter& writer, std::string_view key, const T& in);
+};
+
+template <class T>
+struct Field {
+  using Owner = T;
+  std::string_view key;
+  std::variant<bool T::*, int T::*, std::uint32_t T::*, std::uint64_t T::*,
+               double T::*, std::string T::*, SimDuration T::*, Custom<T>>
+      member;
+};
+
+template <class T>
+using Fields = std::span<const Field<T>>;
+
+/// A record read and written by hand: one whose field list depends on a
+/// discriminator ("kind", "mode"), or that checks rules across fields.
+template <class T>
+struct Codec {
+  ParseError (*read)(const JsonValue& value, const std::string& path, T& out);
+  void (*write)(JsonWriter& writer, const T& in);
+};
+
+/// Strict schemas: a member not in `fields`, or one given twice, is an
+/// error — typos fail `ipfs_sim validate` instead of being ignored, and a
+/// repeated key cannot silently shadow the other.
+template <class T>
+ParseError check_fields(const JsonValue& value, const std::string& path,
+                        std::type_identity_t<Fields<T>> fields) {
+  const JsonValue::Object& members = value.as_object();
+  for (auto member = members.begin(); member != members.end(); ++member) {
+    const std::string& name = member->first;
+    if (std::ranges::none_of(
+            fields, [&](const Field<T>& field) { return field.key == name; })) {
+      return path + ": unknown field '" + name + "'";
+    }
+    if (std::any_of(members.begin(), member, [&](const JsonValue::Member& earlier) {
+          return earlier.first == name;
+        })) {
+      return path + ": duplicate field '" + name + "'";
     }
   }
-  if (auto error = get_int(value, "low_water", path, period.go_low_water)) {
-    return error;
-  }
-  if (auto error = get_int(value, "high_water", path, period.go_high_water)) {
-    return error;
+  return std::nullopt;
+}
+
+/// Reads the present `fields` of an already-checked object, in list order.
+template <class T>
+ParseError read_fields(const JsonValue& value, const std::string& path,
+                       std::type_identity_t<Fields<T>> fields, T& out) {
+  for (const Field<T>& field : fields) {
+    const JsonValue* member = value.find(field.key);
+    if (member == nullptr) continue;
+    const std::string field_path = join(path, field.key);
+    ParseError error = std::visit(
+        [&]<class M>(const M& m) -> ParseError {
+          if constexpr (std::is_same_v<M, Custom<T>>) {
+            return m.read(*member, field_path, out);
+          } else {
+            return read(*member, field_path, out.*m);
+          }
+        },
+        field.member);
+    if (error) return error;
   }
   return std::nullopt;
 }
 
-ParseError parse_hydra(const JsonValue& value, const std::string& path,
-                       PeriodSpec& period) {
+template <class T>
+ParseError read_record(const JsonValue& value, const std::string& path,
+                       std::type_identity_t<Fields<T>> fields, T& out) {
   if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path, {"heads", "low_water", "high_water"})) {
-    return error;
-  }
-  if (auto error = get_int(value, "heads", path, period.hydra_heads)) return error;
-  if (auto error = get_int(value, "low_water", path, period.hydra_low_water)) {
-    return error;
-  }
-  if (auto error = get_int(value, "high_water", path, period.hydra_high_water)) {
-    return error;
-  }
-  return std::nullopt;
+  if (auto error = check_fields<T>(value, path, fields)) return error;
+  return read_fields<T>(value, path, fields, out);
 }
 
-ParseError parse_period(const JsonValue& value, const std::string& path,
-                        PeriodSpec& period) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"name", "dates", "duration_ms", "go_ipfs", "hydra"})) {
-    return error;
+template <class T>
+void write_record(JsonWriter& writer, std::type_identity_t<Fields<T>> fields,
+                  const T& in) {
+  writer.begin_object();
+  for (const Field<T>& field : fields) {
+    std::visit(
+        [&]<class M>(const M& m) {
+          if constexpr (std::is_same_v<M, Custom<T>>) {
+            m.write(writer, field.key, in);
+          } else {
+            writer.key(field.key);
+            write(writer, in.*m);
+          }
+        },
+        field.member);
   }
-  if (auto error = get_string(value, "name", path, period.name)) return error;
-  if (auto error = get_string(value, "dates", path, period.dates)) return error;
-  if (auto error = get_duration_ms(value, "duration_ms", path, period.duration)) {
-    return error;
-  }
-  if (const JsonValue* go = value.find("go_ipfs")) {
-    if (auto error = parse_go_ipfs(*go, join(path, "go_ipfs"), period)) return error;
-  }
-  if (const JsonValue* hydra = value.find("hydra")) {
-    if (auto error = parse_hydra(*hydra, join(path, "hydra"), period)) return error;
-  }
-  return std::nullopt;
+  writer.end_object();
 }
 
-ParseError parse_counts(const JsonValue& value, const std::string& path,
-                        PopulationCounts& counts) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(
-          value, path,
-          {"hydra_heads", "core_servers", "core_clients", "normal_users",
-           "light_servers", "disguised_storm", "light_clients", "crawlers",
-           "one_time_per_day", "ephemeral_per_day", "rotating_pids_per_day",
-           "ethereum_nodes", "nat_groups", "nat_group_min", "nat_group_max"})) {
-    return error;
-  }
-  if (auto e = get_u32(value, "hydra_heads", path, counts.hydra_heads)) return e;
-  if (auto e = get_u32(value, "core_servers", path, counts.core_servers)) return e;
-  if (auto e = get_u32(value, "core_clients", path, counts.core_clients)) return e;
-  if (auto e = get_u32(value, "normal_users", path, counts.normal_users)) return e;
-  if (auto e = get_u32(value, "light_servers", path, counts.light_servers)) return e;
-  if (auto e = get_u32(value, "disguised_storm", path, counts.disguised_storm)) {
-    return e;
-  }
-  if (auto e = get_u32(value, "light_clients", path, counts.light_clients)) return e;
-  if (auto e = get_u32(value, "crawlers", path, counts.crawlers)) return e;
-  if (auto e = get_u32(value, "one_time_per_day", path, counts.one_time_per_day)) {
-    return e;
-  }
-  if (auto e = get_u32(value, "ephemeral_per_day", path, counts.ephemeral_per_day)) {
-    return e;
-  }
-  if (auto e = get_u32(value, "rotating_pids_per_day", path,
-                       counts.rotating_pids_per_day)) {
-    return e;
-  }
-  if (auto e = get_u32(value, "ethereum_nodes", path, counts.ethereum_nodes)) {
-    return e;
-  }
-  if (auto e = get_u32(value, "nat_groups", path, counts.nat_groups)) return e;
-  if (auto e = get_u32(value, "nat_group_min", path, counts.nat_group_min)) return e;
-  if (auto e = get_u32(value, "nat_group_max", path, counts.nat_group_max)) return e;
-  return std::nullopt;
+/// Concatenates field lists, for variant records whose kinds share fields.
+template <class T, std::size_t... N>
+constexpr std::array<Field<T>, (N + ...)> concat(const Field<T> (&... lists)[N]) {
+  std::array<Field<T>, (N + ...)> all{};
+  auto next = all.begin();
+  ((next = std::ranges::copy(lists, next).out), ...);
+  return all;
 }
 
-ParseError parse_category_params(const JsonValue& value, const std::string& path,
-                                 Category category, CategoryParams& params) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(
-          value, path,
-          {"session", "mean_session_ms", "mean_gap_ms", "dht_server",
-           "maintain_probability", "retention_mean_ms", "queries_per_hour",
-           "query_duration_median_ms", "reconnect_after_trim",
-           "reconnect_backoff_mean_ms", "crawl_visibility"})) {
-    return error;
+// A schema is a field list or a Codec.
+template <const auto& kSchema, class T>
+ParseError read_schema(const JsonValue& value, const std::string& path, T& out) {
+  if constexpr (requires { kSchema.read; }) {
+    return kSchema.read(value, path, out);
+  } else {
+    return read_record<T>(value, path, kSchema, out);
   }
-  params = default_params(category);  // absent fields keep the calibrated value
-  std::string session;
-  if (auto error = get_string(value, "session", path, session)) return error;
-  if (!session.empty()) {
-    const auto kind = session_kind_from_string(session);
-    if (!kind) {
-      return join(path, "session") +
-             ": expected \"always-on\", \"recurring\" or \"one-shot\"";
+}
+
+template <const auto& kSchema, class T>
+void write_schema(JsonWriter& writer, const T& in) {
+  if constexpr (requires { kSchema.write; }) {
+    kSchema.write(writer, in);
+  } else {
+    write_record<T>(writer, kSchema, in);
+  }
+}
+
+template <class M>
+struct MemberOf;
+template <class C, class V>
+struct MemberOf<V C::*> {
+  using Owner = C;
+  using Value = V;
+};
+
+/// `"key": {...}` stored in the member `kMember`.
+template <auto kMember, const auto& kSchema>
+constexpr auto sub_object() {
+  using Owner = typename MemberOf<decltype(kMember)>::Owner;
+  return Custom<Owner>{
+      [](const JsonValue& value, const std::string& path, Owner& out) {
+        return read_schema<kSchema>(value, path, out.*kMember);
+      },
+      [](JsonWriter& writer, std::string_view key, const Owner& in) {
+        writer.key(key);
+        write_schema<kSchema>(writer, in.*kMember);
+      }};
+}
+
+/// An optional section: present engages it, and an unengaged one is not
+/// written, so files without it round-trip byte-identically.
+template <auto kMember, const auto& kSchema>
+constexpr auto optional_sub_object() {
+  using Owner = typename MemberOf<decltype(kMember)>::Owner;
+  return Custom<Owner>{
+      [](const JsonValue& value, const std::string& path, Owner& out) {
+        return read_schema<kSchema>(value, path, (out.*kMember).emplace());
+      },
+      [](JsonWriter& writer, std::string_view key, const Owner& in) {
+        if (!(in.*kMember)) return;
+        writer.key(key);
+        write_schema<kSchema>(writer, *(in.*kMember));
+      }};
+}
+
+/// `"key": [{...}, ...]` stored in the vector member `kMember`.
+template <auto kMember, const auto& kSchema>
+constexpr auto object_array() {
+  using Owner = typename MemberOf<decltype(kMember)>::Owner;
+  using Element = typename MemberOf<decltype(kMember)>::Value::value_type;
+  return Custom<Owner>{
+      [](const JsonValue& value, const std::string& path, Owner& out) -> ParseError {
+        if (!value.is_array()) return path + ": expected an array";
+        for (std::size_t i = 0; i < value.as_array().size(); ++i) {
+          Element element;
+          if (auto error = read_schema<kSchema>(
+                  value.as_array()[i], path + "[" + std::to_string(i) + "]",
+                  element)) {
+            return error;
+          }
+          (out.*kMember).push_back(std::move(element));
+        }
+        return std::nullopt;
+      },
+      [](JsonWriter& writer, std::string_view key, const Owner& in) {
+        writer.key(key);
+        writer.begin_array();
+        for (const Element& element : in.*kMember) {
+          write_schema<kSchema>(writer, element);
+        }
+        writer.end_array();
+      }};
+}
+
+/// A sub-object whose fields are members of the enclosing record itself
+/// (period.go_ipfs, campaign.crawler).
+template <const auto& kFields>
+constexpr auto nested() {
+  using Owner = typename std::remove_cvref_t<decltype(kFields[0])>::Owner;
+  return Custom<Owner>{
+      [](const JsonValue& value, const std::string& path, Owner& out) {
+        return read_record<Owner>(value, path, kFields, out);
+      },
+      [](JsonWriter& writer, std::string_view key, const Owner& in) {
+        writer.key(key);
+        write_record<Owner>(writer, kFields, in);
+      }};
+}
+
+/// Reads a `{"<category name>": entry, ...}` map, handing each entry to
+/// `read_entry(entry, entry_path, category)`.
+template <class ReadEntry>
+ParseError read_categories(const JsonValue& value, const std::string& path,
+                           ReadEntry read_entry) {
+  if (auto error = expect_object(value, path)) return error;
+  for (const JsonValue::Member& member : value.as_object()) {
+    const auto category = category_from_string(member.first);
+    if (!category) {
+      return path + ": unknown category name '" + member.first + "'";
     }
-    params.session = *kind;
-  }
-  if (auto e = get_duration_ms(value, "mean_session_ms", path, params.mean_session)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "mean_gap_ms", path, params.mean_gap)) return e;
-  if (auto e = get_bool(value, "dht_server", path, params.dht_server)) return e;
-  if (auto e = get_double(value, "maintain_probability", path,
-                          params.maintain_probability)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "retention_mean_ms", path,
-                               params.retention_mean)) {
-    return e;
-  }
-  if (auto e = get_double(value, "queries_per_hour", path, params.queries_per_hour)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "query_duration_median_ms", path,
-                               params.query_duration_median)) {
-    return e;
-  }
-  if (auto e = get_bool(value, "reconnect_after_trim", path,
-                        params.reconnect_after_trim)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "reconnect_backoff_mean_ms", path,
-                               params.reconnect_backoff_mean)) {
-    return e;
-  }
-  if (auto e = get_double(value, "crawl_visibility", path, params.crawl_visibility)) {
-    return e;
-  }
-  return std::nullopt;
-}
-
-ParseError parse_population(const JsonValue& value, const std::string& path,
-                            PopulationSpec& population) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path, {"scale", "counts", "categories"})) {
-    return error;
-  }
-  if (auto error = get_double(value, "scale", path, population.scale)) return error;
-  if (const JsonValue* counts = value.find("counts")) {
-    if (auto error = parse_counts(*counts, join(path, "counts"), population.counts)) {
+    if (auto error = read_entry(member.second, join(path, member.first), *category)) {
       return error;
     }
   }
-  if (const JsonValue* categories = value.find("categories")) {
-    const std::string categories_path = join(path, "categories");
-    if (auto error = expect_object(*categories, categories_path)) return error;
-    for (const JsonValue::Member& member : categories->as_object()) {
-      const auto category = category_from_string(member.first);
-      if (!category) {
-        return categories_path + ": unknown category name '" + member.first + "'";
-      }
-      CategoryParams params;
-      if (auto error = parse_category_params(
-              member.second, join(categories_path, member.first), *category,
-              params)) {
-        return error;
-      }
-      params.category = *category;
-      population.set_override(*category, params);
-    }
-  }
   return std::nullopt;
 }
 
-// ---- the "network" section (net::ConditionSpec) -----------------------------
-
-ParseError parse_network_latency(const JsonValue& value, const std::string& path,
-                                 net::LatencyModel& latency) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"flat_min_ms", "flat_max_ms", "jitter_fraction"})) {
-    return error;
+/// Writes per-category entries as a `{"<category name>": {...}, ...}` map.
+template <class Entry>
+void write_categories(JsonWriter& writer, std::string_view key,
+                      const std::vector<Entry>& entries,
+                      std::type_identity_t<Fields<Entry>> fields) {
+  writer.key(key);
+  writer.begin_object();
+  for (const Entry& entry : entries) {
+    writer.key(to_string(entry.category));
+    write_record<Entry>(writer, fields, entry);
   }
-  if (auto e = get_duration_ms(value, "flat_min_ms", path, latency.min_one_way)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "flat_max_ms", path, latency.max_one_way)) {
-    return e;
-  }
-  if (auto e = get_double(value, "jitter_fraction", path, latency.jitter_fraction)) {
-    return e;
-  }
-  return std::nullopt;
+  writer.end_object();
 }
 
-ParseError parse_network_zone(const JsonValue& value, const std::string& path,
-                              net::ZoneSpec& zone) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"name", "weight", "intra_min_ms", "intra_max_ms"})) {
-    return error;
-  }
-  if (auto e = get_string(value, "name", path, zone.name)) return e;
-  if (auto e = get_double(value, "weight", path, zone.weight)) return e;
-  if (auto e = get_duration_ms(value, "intra_min_ms", path, zone.intra_min)) return e;
-  if (auto e = get_duration_ms(value, "intra_max_ms", path, zone.intra_max)) return e;
-  return std::nullopt;
+/// A string that may be left empty, and then is not written.
+template <auto kMember>
+constexpr auto optional_string() {
+  using Owner = typename MemberOf<decltype(kMember)>::Owner;
+  return Custom<Owner>{
+      [](const JsonValue& value, const std::string& path, Owner& out) {
+        return read(value, path, out.*kMember);
+      },
+      [](JsonWriter& writer, std::string_view key, const Owner& in) {
+        if (!(in.*kMember).empty()) writer.field(key, in.*kMember);
+      }};
 }
 
-ParseError parse_network_link(const JsonValue& value, const std::string& path,
-                              net::ZoneLinkSpec& link) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path, {"from", "to", "min_ms", "max_ms"})) {
-    return error;
-  }
-  if (auto e = get_string(value, "from", path, link.from)) return e;
-  if (auto e = get_string(value, "to", path, link.to)) return e;
-  if (auto e = get_duration_ms(value, "min_ms", path, link.min_one_way)) return e;
-  if (auto e = get_duration_ms(value, "max_ms", path, link.max_one_way)) return e;
-  return std::nullopt;
+/// The discriminator entry of a variant record: its reader picked the
+/// field list, so only the writer has work left.
+template <auto kMember>
+constexpr auto discriminator() {
+  using Owner = typename MemberOf<decltype(kMember)>::Owner;
+  return Custom<Owner>{
+      [](const JsonValue&, const std::string&, Owner&) -> ParseError {
+        return std::nullopt;
+      },
+      [](JsonWriter& writer, std::string_view key, const Owner& in) {
+        writer.field(key, to_string(in.*kMember));
+      }};
 }
 
-ParseError parse_network_nat(const JsonValue& value, const std::string& path,
-                             net::NatSpec& nat) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path, {"classes", "categories"})) return error;
-  if (const JsonValue* classes = value.find("classes")) {
-    const std::string classes_path = join(path, "classes");
-    if (!classes->is_array()) return classes_path + ": expected an array";
-    for (std::size_t i = 0; i < classes->as_array().size(); ++i) {
-      const std::string item_path = classes_path + "[" + std::to_string(i) + "]";
-      const JsonValue& item = classes->as_array()[i];
-      if (auto error = expect_object(item, item_path)) return error;
-      if (auto error = check_keys(item, item_path,
-                                  {"name", "weight", "accepts_inbound"})) {
-        return error;
-      }
-      net::NatClassSpec nat_class;
-      if (auto e = get_string(item, "name", item_path, nat_class.name)) return e;
-      if (auto e = get_double(item, "weight", item_path, nat_class.weight)) return e;
-      if (auto e = get_bool(item, "accepts_inbound", item_path,
-                            nat_class.accepts_inbound)) {
-        return e;
-      }
-      nat.classes.push_back(std::move(nat_class));
-    }
-  }
-  if (const JsonValue* categories = value.find("categories")) {
-    const std::string categories_path = join(path, "categories");
-    if (auto error = expect_object(*categories, categories_path)) return error;
-    for (const JsonValue::Member& member : categories->as_object()) {
-      if (!category_from_string(member.first)) {
-        return categories_path + ": unknown category name '" + member.first + "'";
-      }
-      if (!member.second.is_string()) {
-        return join(categories_path, member.first) + ": expected a class name";
-      }
-      nat.categories.emplace_back(member.first, member.second.as_string());
-    }
-  }
-  return std::nullopt;
+/// The discriminator's name: "" when absent, so the unknown-name message
+/// covers it too.
+ParseError read_discriminator(const JsonValue& value, std::string_view key,
+                              const std::string& path, std::string& out) {
+  const JsonValue* member = value.find(key);
+  return member == nullptr ? std::nullopt : read(*member, join(path, key), out);
 }
 
-ParseError parse_network_disturbance(const JsonValue& value, const std::string& path,
-                                     net::DisturbanceSpec& disturbance) {
+// ---- "period" (PeriodSpec) --------------------------------------------------
+
+constexpr Custom<PeriodSpec> kGoIpfsMode{
+    [](const JsonValue& value, const std::string& path,
+       PeriodSpec& out) -> ParseError {
+      std::string mode;
+      if (auto error = read(value, path, mode)) return error;
+      if (mode == "server") {
+        out.go_ipfs_mode = dht::Mode::kServer;
+      } else if (mode == "client") {
+        out.go_ipfs_mode = dht::Mode::kClient;
+      } else if (!mode.empty()) {
+        return path + ": expected \"server\" or \"client\"";
+      }
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const PeriodSpec& in) {
+      writer.field(key, in.go_ipfs_mode == dht::Mode::kServer ? "server" : "client");
+    }};
+
+constexpr Field<PeriodSpec> kGoIpfsFields[] = {
+    {"present", &PeriodSpec::go_ipfs_present},
+    {"mode", kGoIpfsMode},
+    {"low_water", &PeriodSpec::go_low_water},
+    {"high_water", &PeriodSpec::go_high_water},
+};
+
+constexpr Field<PeriodSpec> kHydraFields[] = {
+    {"heads", &PeriodSpec::hydra_heads},
+    {"low_water", &PeriodSpec::hydra_low_water},
+    {"high_water", &PeriodSpec::hydra_high_water},
+};
+
+constexpr Field<PeriodSpec> kPeriodFields[] = {
+    {"name", &PeriodSpec::name},
+    {"dates", &PeriodSpec::dates},
+    {"duration_ms", &PeriodSpec::duration},
+    {"go_ipfs", nested<kGoIpfsFields>()},
+    {"hydra", nested<kHydraFields>()},
+};
+
+// ---- "population" (PopulationSpec) ------------------------------------------
+
+constexpr Field<PopulationCounts> kCountsFields[] = {
+    {"hydra_heads", &PopulationCounts::hydra_heads},
+    {"core_servers", &PopulationCounts::core_servers},
+    {"core_clients", &PopulationCounts::core_clients},
+    {"normal_users", &PopulationCounts::normal_users},
+    {"light_servers", &PopulationCounts::light_servers},
+    {"disguised_storm", &PopulationCounts::disguised_storm},
+    {"light_clients", &PopulationCounts::light_clients},
+    {"crawlers", &PopulationCounts::crawlers},
+    {"one_time_per_day", &PopulationCounts::one_time_per_day},
+    {"ephemeral_per_day", &PopulationCounts::ephemeral_per_day},
+    {"rotating_pids_per_day", &PopulationCounts::rotating_pids_per_day},
+    {"ethereum_nodes", &PopulationCounts::ethereum_nodes},
+    {"nat_groups", &PopulationCounts::nat_groups},
+    {"nat_group_min", &PopulationCounts::nat_group_min},
+    {"nat_group_max", &PopulationCounts::nat_group_max},
+};
+
+constexpr Custom<CategoryParams> kSessionKind{
+    [](const JsonValue& value, const std::string& path,
+       CategoryParams& out) -> ParseError {
+      std::string session;
+      if (auto error = read(value, path, session)) return error;
+      if (session.empty()) return std::nullopt;
+      const auto kind = session_kind_from_string(session);
+      if (!kind) {
+        return path + ": expected \"always-on\", \"recurring\" or \"one-shot\"";
+      }
+      out.session = *kind;
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const CategoryParams& in) {
+      writer.field(key, to_string(in.session));
+    }};
+
+constexpr Field<CategoryParams> kCategoryFields[] = {
+    {"session", kSessionKind},
+    {"mean_session_ms", &CategoryParams::mean_session},
+    {"mean_gap_ms", &CategoryParams::mean_gap},
+    {"dht_server", &CategoryParams::dht_server},
+    {"maintain_probability", &CategoryParams::maintain_probability},
+    {"retention_mean_ms", &CategoryParams::retention_mean},
+    {"queries_per_hour", &CategoryParams::queries_per_hour},
+    {"query_duration_median_ms", &CategoryParams::query_duration_median},
+    {"reconnect_after_trim", &CategoryParams::reconnect_after_trim},
+    {"reconnect_backoff_mean_ms", &CategoryParams::reconnect_backoff_mean},
+    {"crawl_visibility", &CategoryParams::crawl_visibility},
+};
+
+constexpr Custom<PopulationSpec> kCategoryOverrides{
+    [](const JsonValue& value, const std::string& path, PopulationSpec& out) {
+      return read_categories(
+          value, path,
+          [&](const JsonValue& entry, const std::string& entry_path,
+              Category category) -> ParseError {
+            if (out.overrides[static_cast<std::size_t>(category)]) {
+              return entry_path + ": duplicate category override";
+            }
+            // Absent fields keep the calibrated value.
+            CategoryParams params = default_params(category);
+            if (auto error = read_record<CategoryParams>(entry, entry_path,
+                                                         kCategoryFields, params)) {
+              return error;
+            }
+            params.category = category;
+            out.set_override(category, params);
+            return std::nullopt;
+          });
+    },
+    [](JsonWriter& writer, std::string_view key, const PopulationSpec& in) {
+      writer.key(key);
+      writer.begin_object();
+      for (std::size_t i = 0; i < kCategoryCount; ++i) {
+        if (!in.overrides[i]) continue;
+        writer.key(to_string(static_cast<Category>(i)));
+        write_record<CategoryParams>(writer, kCategoryFields, *in.overrides[i]);
+      }
+      writer.end_object();
+    }};
+
+constexpr Field<PopulationSpec> kPopulationFields[] = {
+    {"scale", &PopulationSpec::scale},
+    {"counts", sub_object<&PopulationSpec::counts, kCountsFields>()},
+    {"categories", kCategoryOverrides},
+};
+
+// ---- "network" (net::ConditionSpec) -----------------------------------------
+
+using net::DisturbanceSpec;
+
+constexpr Field<net::LatencyModel> kLatencyFields[] = {
+    {"flat_min_ms", &net::LatencyModel::min_one_way},
+    {"flat_max_ms", &net::LatencyModel::max_one_way},
+    {"jitter_fraction", &net::LatencyModel::jitter_fraction},
+};
+
+constexpr Field<net::ZoneSpec> kZoneFields[] = {
+    {"name", &net::ZoneSpec::name},
+    {"weight", &net::ZoneSpec::weight},
+    {"intra_min_ms", &net::ZoneSpec::intra_min},
+    {"intra_max_ms", &net::ZoneSpec::intra_max},
+};
+
+constexpr Field<net::DefaultLinkSpec> kDefaultLinkFields[] = {
+    {"min_ms", &net::DefaultLinkSpec::min_one_way},
+    {"max_ms", &net::DefaultLinkSpec::max_one_way},
+};
+
+constexpr Field<net::ZoneLinkSpec> kLinkFields[] = {
+    {"from", &net::ZoneLinkSpec::from},
+    {"to", &net::ZoneLinkSpec::to},
+    {"min_ms", &net::ZoneLinkSpec::min_one_way},
+    {"max_ms", &net::ZoneLinkSpec::max_one_way},
+};
+
+constexpr Field<net::LossSpec> kLossFields[] = {
+    {"dial_failure", &net::LossSpec::dial_failure},
+    {"message_loss", &net::LossSpec::message_loss},
+};
+
+constexpr Field<net::NatClassSpec> kNatClassFields[] = {
+    {"name", &net::NatClassSpec::name},
+    {"weight", &net::NatClassSpec::weight},
+    {"accepts_inbound", &net::NatClassSpec::accepts_inbound},
+};
+
+/// `{"<category name>": "<class name>", ...}`.
+constexpr Custom<net::NatSpec> kNatCategories{
+    [](const JsonValue& value, const std::string& path, net::NatSpec& out) {
+      return read_categories(
+          value, path,
+          [&](const JsonValue& entry, const std::string& entry_path,
+              Category category) -> ParseError {
+            if (!entry.is_string()) return entry_path + ": expected a class name";
+            out.categories.emplace_back(to_string(category), entry.as_string());
+            return std::nullopt;
+          });
+    },
+    [](JsonWriter& writer, std::string_view key, const net::NatSpec& in) {
+      writer.key(key);
+      writer.begin_object();
+      for (const auto& [category, class_name] : in.categories) {
+        writer.field(category, class_name);
+      }
+      writer.end_object();
+    }};
+
+constexpr Field<net::NatSpec> kNatFields[] = {
+    {"classes", object_array<&net::NatSpec::classes, kNatClassFields>()},
+    {"categories", kNatCategories},
+};
+
+constexpr Custom<DisturbanceSpec> kPartitionZones{
+    [](const JsonValue& value, const std::string& path,
+       DisturbanceSpec& out) -> ParseError {
+      if (!value.is_array()) return path + ": expected an array of zone names";
+      for (const JsonValue& zone : value.as_array()) {
+        if (!zone.is_string()) return path + ": expected an array of zone names";
+        out.zones.push_back(zone.as_string());
+      }
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const DisturbanceSpec& in) {
+      writer.key(key);
+      writer.begin_array();
+      for (const std::string& zone : in.zones) writer.value(zone);
+      writer.end_array();
+    }};
+
+constexpr Field<DisturbanceSpec> kDisturbanceKind[] = {
+    {"kind", discriminator<&DisturbanceSpec::kind>()}};
+constexpr Field<DisturbanceSpec> kOutageTarget[] = {{"zone", &DisturbanceSpec::zone}};
+constexpr Field<DisturbanceSpec> kPartitionTarget[] = {{"zones", kPartitionZones}};
+// A degrade's zone is optional ("" = global).
+constexpr Field<DisturbanceSpec> kDegradeTarget[] = {
+    {"zone", optional_string<&DisturbanceSpec::zone>()}};
+constexpr Field<DisturbanceSpec> kWindowFields[] = {
+    {"from_ms", &DisturbanceSpec::from},
+    {"until_ms", &DisturbanceSpec::until},
+    {"period_ms", &DisturbanceSpec::period},
+};
+constexpr Field<DisturbanceSpec> kDegradeEffect[] = {
+    {"latency_factor", &DisturbanceSpec::latency_factor},
+    {"extra_loss", &DisturbanceSpec::extra_loss},
+};
+constexpr auto kOutageFields = concat(kDisturbanceKind, kOutageTarget, kWindowFields);
+constexpr auto kPartitionFields =
+    concat(kDisturbanceKind, kPartitionTarget, kWindowFields);
+constexpr auto kDegradeFields =
+    concat(kDisturbanceKind, kDegradeTarget, kWindowFields, kDegradeEffect);
+
+ParseError read_disturbance(const JsonValue& value, const std::string& path,
+                            DisturbanceSpec& out) {
   if (auto error = expect_object(value, path)) return error;
   std::string kind;
-  if (auto e = get_string(value, "kind", path, kind)) return e;
+  if (auto error = read_discriminator(value, "kind", path, kind)) return error;
   const auto parsed_kind = net::disturbance_kind_from_string(kind);
   if (!parsed_kind) {
     return join(path, "kind") + ": expected \"outage\", \"partition\" or \"degrade\"";
   }
-  disturbance.kind = *parsed_kind;
+  out.kind = *parsed_kind;
   // Key sets are per kind, so e.g. a latency_factor on an outage is a typo
   // caught at validate time, not silently ignored.
-  switch (disturbance.kind) {
-    case net::DisturbanceSpec::Kind::kOutage:
-      if (auto error = check_keys(value, path,
-                                  {"kind", "zone", "from_ms", "until_ms",
-                                   "period_ms"})) {
-        return error;
-      }
-      break;
-    case net::DisturbanceSpec::Kind::kPartition:
-      if (auto error = check_keys(value, path,
-                                  {"kind", "zones", "from_ms", "until_ms",
-                                   "period_ms"})) {
-        return error;
-      }
-      break;
-    case net::DisturbanceSpec::Kind::kDegrade:
-      if (auto error = check_keys(value, path,
-                                  {"kind", "zone", "from_ms", "until_ms",
-                                   "period_ms", "latency_factor", "extra_loss"})) {
-        return error;
-      }
+  switch (out.kind) {
+    case DisturbanceSpec::Kind::kOutage:
+      return read_record<DisturbanceSpec>(value, path, kOutageFields, out);
+    case DisturbanceSpec::Kind::kPartition:
+      return read_record<DisturbanceSpec>(value, path, kPartitionFields, out);
+    case DisturbanceSpec::Kind::kDegrade:
       break;
   }
-  if (auto e = get_string(value, "zone", path, disturbance.zone)) return e;
-  if (const JsonValue* zones = value.find("zones")) {
-    const std::string zones_path = join(path, "zones");
-    if (!zones->is_array()) return zones_path + ": expected an array of zone names";
-    for (const JsonValue& zone : zones->as_array()) {
-      if (!zone.is_string()) return zones_path + ": expected an array of zone names";
-      disturbance.zones.push_back(zone.as_string());
-    }
-  }
-  if (auto e = get_duration_ms(value, "from_ms", path, disturbance.from)) return e;
-  if (auto e = get_duration_ms(value, "until_ms", path, disturbance.until)) return e;
-  if (auto e = get_duration_ms(value, "period_ms", path, disturbance.period)) {
-    return e;
-  }
-  if (auto e = get_double(value, "latency_factor", path,
-                          disturbance.latency_factor)) {
-    return e;
-  }
-  if (auto e = get_double(value, "extra_loss", path, disturbance.extra_loss)) {
-    return e;
-  }
-  return std::nullopt;
+  return read_record<DisturbanceSpec>(value, path, kDegradeFields, out);
 }
 
-ParseError parse_network(const JsonValue& value, const std::string& path,
-                         net::ConditionSpec& network) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"latency", "symmetric", "zones", "default_link",
-                               "links", "loss", "nat", "disturbances"})) {
-    return error;
+void write_disturbance(JsonWriter& writer, const DisturbanceSpec& in) {
+  switch (in.kind) {
+    case DisturbanceSpec::Kind::kOutage:
+      return write_record<DisturbanceSpec>(writer, kOutageFields, in);
+    case DisturbanceSpec::Kind::kPartition:
+      return write_record<DisturbanceSpec>(writer, kPartitionFields, in);
+    case DisturbanceSpec::Kind::kDegrade:
+      break;
   }
-  if (const JsonValue* latency = value.find("latency")) {
-    if (auto error = parse_network_latency(*latency, join(path, "latency"),
-                                           network.latency)) {
-      return error;
-    }
-  }
-  if (auto e = get_bool(value, "symmetric", path, network.symmetric)) return e;
-  if (const JsonValue* zones = value.find("zones")) {
-    const std::string zones_path = join(path, "zones");
-    if (!zones->is_array()) return zones_path + ": expected an array";
-    for (std::size_t i = 0; i < zones->as_array().size(); ++i) {
-      net::ZoneSpec zone;
-      if (auto error = parse_network_zone(
-              zones->as_array()[i], zones_path + "[" + std::to_string(i) + "]",
-              zone)) {
-        return error;
-      }
-      network.zones.push_back(std::move(zone));
-    }
-  }
-  if (const JsonValue* default_link = value.find("default_link")) {
-    const std::string link_path = join(path, "default_link");
-    if (auto error = expect_object(*default_link, link_path)) return error;
-    if (auto error = check_keys(*default_link, link_path, {"min_ms", "max_ms"})) {
-      return error;
-    }
-    if (auto e = get_duration_ms(*default_link, "min_ms", link_path,
-                                 network.default_link.min_one_way)) {
-      return e;
-    }
-    if (auto e = get_duration_ms(*default_link, "max_ms", link_path,
-                                 network.default_link.max_one_way)) {
-      return e;
-    }
-  }
-  if (const JsonValue* links = value.find("links")) {
-    const std::string links_path = join(path, "links");
-    if (!links->is_array()) return links_path + ": expected an array";
-    for (std::size_t i = 0; i < links->as_array().size(); ++i) {
-      net::ZoneLinkSpec link;
-      if (auto error = parse_network_link(
-              links->as_array()[i], links_path + "[" + std::to_string(i) + "]",
-              link)) {
-        return error;
-      }
-      network.links.push_back(std::move(link));
-    }
-  }
-  if (const JsonValue* loss = value.find("loss")) {
-    const std::string loss_path = join(path, "loss");
-    if (auto error = expect_object(*loss, loss_path)) return error;
-    if (auto error = check_keys(*loss, loss_path,
-                                {"dial_failure", "message_loss"})) {
-      return error;
-    }
-    if (auto e = get_double(*loss, "dial_failure", loss_path,
-                            network.loss.dial_failure)) {
-      return e;
-    }
-    if (auto e = get_double(*loss, "message_loss", loss_path,
-                            network.loss.message_loss)) {
-      return e;
-    }
-  }
-  if (const JsonValue* nat = value.find("nat")) {
-    if (auto error = parse_network_nat(*nat, join(path, "nat"), network.nat)) {
-      return error;
-    }
-  }
-  if (const JsonValue* disturbances = value.find("disturbances")) {
-    const std::string d_path = join(path, "disturbances");
-    if (!disturbances->is_array()) return d_path + ": expected an array";
-    for (std::size_t i = 0; i < disturbances->as_array().size(); ++i) {
-      net::DisturbanceSpec disturbance;
-      if (auto error = parse_network_disturbance(
-              disturbances->as_array()[i], d_path + "[" + std::to_string(i) + "]",
-              disturbance)) {
-        return error;
-      }
-      network.disturbances.push_back(std::move(disturbance));
-    }
-  }
-  return std::nullopt;
+  write_record<DisturbanceSpec>(writer, kDegradeFields, in);
 }
 
-// ---- the "churn" section (scenario::ChurnSpec) ------------------------------
+constexpr Codec<DisturbanceSpec> kDisturbance{read_disturbance, write_disturbance};
 
-ParseError parse_distribution(const JsonValue& value, const std::string& path,
-                              SessionDistribution& distribution) {
+constexpr Field<net::ConditionSpec> kNetworkFields[] = {
+    {"latency", sub_object<&net::ConditionSpec::latency, kLatencyFields>()},
+    {"symmetric", &net::ConditionSpec::symmetric},
+    {"zones", object_array<&net::ConditionSpec::zones, kZoneFields>()},
+    {"default_link",
+     sub_object<&net::ConditionSpec::default_link, kDefaultLinkFields>()},
+    {"links", object_array<&net::ConditionSpec::links, kLinkFields>()},
+    {"loss", sub_object<&net::ConditionSpec::loss, kLossFields>()},
+    {"nat", sub_object<&net::ConditionSpec::nat, kNatFields>()},
+    {"disturbances",
+     object_array<&net::ConditionSpec::disturbances, kDisturbance>()},
+};
+
+// ---- "churn" (ChurnSpec) ----------------------------------------------------
+
+constexpr Field<SessionDistribution> kDistributionKind[] = {
+    {"kind", discriminator<&SessionDistribution::kind>()}};
+constexpr Field<SessionDistribution> kExponentialParams[] = {
+    {"mean_ms", &SessionDistribution::mean_ms}};
+constexpr Field<SessionDistribution> kWeibullParams[] = {
+    {"shape", &SessionDistribution::shape},
+    {"scale_ms", &SessionDistribution::scale_ms},
+};
+constexpr Field<SessionDistribution> kLognormalParams[] = {
+    {"median_ms", &SessionDistribution::median_ms},
+    {"sigma", &SessionDistribution::sigma},
+};
+constexpr auto kExponentialFields = concat(kDistributionKind, kExponentialParams);
+constexpr auto kWeibullFields = concat(kDistributionKind, kWeibullParams);
+constexpr auto kLognormalFields = concat(kDistributionKind, kLognormalParams);
+
+Fields<SessionDistribution> distribution_fields(SessionDistribution::Kind kind) {
+  switch (kind) {
+    case SessionDistribution::Kind::kExponential:
+      return kExponentialFields;
+    case SessionDistribution::Kind::kWeibull:
+      return kWeibullFields;
+    case SessionDistribution::Kind::kLognormal:
+      break;
+  }
+  return kLognormalFields;
+}
+
+ParseError read_distribution(const JsonValue& value, const std::string& path,
+                             SessionDistribution& out) {
   if (auto error = expect_object(value, path)) return error;
   std::string kind;
-  if (auto e = get_string(value, "kind", path, kind)) return e;
+  if (auto error = read_discriminator(value, "kind", path, kind)) return error;
   const auto parsed_kind = distribution_kind_from_string(kind);
   if (!parsed_kind) {
     return join(path, "kind") +
            ": expected \"exponential\", \"weibull\" or \"lognormal\"";
   }
   // Key sets are per kind, so e.g. a weibull `shape` on an exponential is
-  // a typo caught at validate time, not silently ignored.
+  // a typo caught at validate time, not silently ignored.  A parsed
+  // distribution replaces `out` whole: no parameter leaks across kinds.
   SessionDistribution parsed;
   parsed.kind = *parsed_kind;
-  switch (parsed.kind) {
-    case SessionDistribution::Kind::kExponential:
-      if (auto error = check_keys(value, path, {"kind", "mean_ms"})) return error;
-      if (auto e = get_double(value, "mean_ms", path, parsed.mean_ms)) return e;
-      break;
-    case SessionDistribution::Kind::kWeibull:
-      if (auto error = check_keys(value, path, {"kind", "shape", "scale_ms"})) {
-        return error;
-      }
-      if (auto e = get_double(value, "shape", path, parsed.shape)) return e;
-      if (auto e = get_double(value, "scale_ms", path, parsed.scale_ms)) return e;
-      break;
-    case SessionDistribution::Kind::kLognormal:
-      if (auto error = check_keys(value, path, {"kind", "median_ms", "sigma"})) {
-        return error;
-      }
-      if (auto e = get_double(value, "median_ms", path, parsed.median_ms)) return e;
-      if (auto e = get_double(value, "sigma", path, parsed.sigma)) return e;
-      break;
-  }
-  distribution = parsed;
-  return std::nullopt;
-}
-
-ParseError parse_churn(const JsonValue& value, const std::string& path,
-                       ChurnSpec& churn) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"session", "gap", "initial_online",
-                               "sample_interval_ms", "diurnal", "categories"})) {
+  if (auto error = read_record<SessionDistribution>(
+          value, path, distribution_fields(parsed.kind), parsed)) {
     return error;
   }
-  if (const JsonValue* session = value.find("session")) {
-    if (auto error = parse_distribution(*session, join(path, "session"),
-                                        churn.session)) {
-      return error;
-    }
-  }
-  if (const JsonValue* gap = value.find("gap")) {
-    if (auto error = parse_distribution(*gap, join(path, "gap"), churn.gap)) {
-      return error;
-    }
-  }
-  if (auto e = get_double(value, "initial_online", path, churn.initial_online)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "sample_interval_ms", path,
-                               churn.sample_interval)) {
-    return e;
-  }
-  if (const JsonValue* diurnal = value.find("diurnal")) {
-    const std::string diurnal_path = join(path, "diurnal");
-    if (auto error = expect_object(*diurnal, diurnal_path)) return error;
-    if (auto error = check_keys(*diurnal, diurnal_path,
-                                {"amplitude", "period_ms", "phase_ms"})) {
-      return error;
-    }
-    DiurnalSpec parsed;
-    if (auto e = get_double(*diurnal, "amplitude", diurnal_path,
-                            parsed.amplitude)) {
-      return e;
-    }
-    if (auto e = get_duration_ms(*diurnal, "period_ms", diurnal_path,
-                                 parsed.period)) {
-      return e;
-    }
-    if (auto e = get_duration_ms(*diurnal, "phase_ms", diurnal_path,
-                                 parsed.phase)) {
-      return e;
-    }
-    churn.diurnal = parsed;
-  }
-  if (const JsonValue* categories = value.find("categories")) {
-    const std::string categories_path = join(path, "categories");
-    if (auto error = expect_object(*categories, categories_path)) return error;
-    for (const JsonValue::Member& member : categories->as_object()) {
-      const auto category = category_from_string(member.first);
-      if (!category) {
-        return categories_path + ": unknown category name '" + member.first + "'";
-      }
-      const std::string entry_path = join(categories_path, member.first);
-      if (auto error = expect_object(member.second, entry_path)) return error;
-      if (auto error = check_keys(member.second, entry_path, {"session", "gap"})) {
-        return error;
-      }
-      ChurnCategorySpec entry;
-      entry.category = *category;
-      // Absent fields inherit the spec's top-level distributions.
-      entry.session = churn.session;
-      entry.gap = churn.gap;
-      if (const JsonValue* session = member.second.find("session")) {
-        if (auto error = parse_distribution(*session, join(entry_path, "session"),
-                                            entry.session)) {
-          return error;
-        }
-      }
-      if (const JsonValue* gap = member.second.find("gap")) {
-        if (auto error = parse_distribution(*gap, join(entry_path, "gap"),
-                                            entry.gap)) {
-          return error;
-        }
-      }
-      churn.categories.push_back(std::move(entry));
-    }
-  }
+  out = parsed;
   return std::nullopt;
 }
 
-// ---- the "content" section (scenario::ContentSpec) --------------------------
+void write_distribution(JsonWriter& writer, const SessionDistribution& in) {
+  write_record<SessionDistribution>(writer, distribution_fields(in.kind), in);
+}
 
-ParseError parse_content(const JsonValue& value, const std::string& path,
-                         ContentSpec& content) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(
+constexpr Codec<SessionDistribution> kDistribution{read_distribution,
+                                                   write_distribution};
+
+constexpr Field<DiurnalSpec> kDiurnalFields[] = {
+    {"amplitude", &DiurnalSpec::amplitude},
+    {"period_ms", &DiurnalSpec::period},
+    {"phase_ms", &DiurnalSpec::phase},
+};
+
+constexpr Field<ChurnCategorySpec> kChurnCategoryFields[] = {
+    {"session", sub_object<&ChurnCategorySpec::session, kDistribution>()},
+    {"gap", sub_object<&ChurnCategorySpec::gap, kDistribution>()},
+};
+
+constexpr Custom<ChurnSpec> kChurnCategories{
+    [](const JsonValue& value, const std::string& path, ChurnSpec& out) {
+      return read_categories(
           value, path,
-          {"keys", "publishes_per_peer", "fetches_per_hour", "provider_ttl_ms",
-           "republish_interval_ms", "publish_spread_ms",
-           "bucket_refresh_interval_ms", "replacement_cache_size",
-           "sample_interval_ms", "fetch_success", "categories"})) {
-    return error;
+          [&](const JsonValue& entry, const std::string& entry_path,
+              Category category) -> ParseError {
+            // Absent fields inherit the spec's top-level distributions.
+            ChurnCategorySpec parsed{category, out.session, out.gap};
+            if (auto error = read_record<ChurnCategorySpec>(
+                    entry, entry_path, kChurnCategoryFields, parsed)) {
+              return error;
+            }
+            out.categories.push_back(std::move(parsed));
+            return std::nullopt;
+          });
+    },
+    [](JsonWriter& writer, std::string_view key, const ChurnSpec& in) {
+      write_categories<ChurnCategorySpec>(writer, key, in.categories,
+                                          kChurnCategoryFields);
+    }};
+
+// The top-level distributions precede "categories", which inherits them.
+constexpr Field<ChurnSpec> kChurnFields[] = {
+    {"session", sub_object<&ChurnSpec::session, kDistribution>()},
+    {"gap", sub_object<&ChurnSpec::gap, kDistribution>()},
+    {"initial_online", &ChurnSpec::initial_online},
+    {"sample_interval_ms", &ChurnSpec::sample_interval},
+    {"diurnal", optional_sub_object<&ChurnSpec::diurnal, kDiurnalFields>()},
+    {"categories", kChurnCategories},
+};
+
+// ---- "content" (ContentSpec) ------------------------------------------------
+
+constexpr Field<ContentCategorySpec> kContentCategoryFields[] = {
+    {"publishes_per_peer", &ContentCategorySpec::publishes_per_peer},
+    {"fetches_per_hour", &ContentCategorySpec::fetches_per_hour},
+};
+
+constexpr Custom<ContentSpec> kContentCategories{
+    [](const JsonValue& value, const std::string& path, ContentSpec& out) {
+      return read_categories(
+          value, path,
+          [&](const JsonValue& entry, const std::string& entry_path,
+              Category category) -> ParseError {
+            // Absent fields inherit the spec's top-level rates.
+            ContentCategorySpec parsed{category, out.publishes_per_peer,
+                                       out.fetches_per_hour};
+            if (auto error = read_record<ContentCategorySpec>(
+                    entry, entry_path, kContentCategoryFields, parsed)) {
+              return error;
+            }
+            out.categories.push_back(std::move(parsed));
+            return std::nullopt;
+          });
+    },
+    [](JsonWriter& writer, std::string_view key, const ContentSpec& in) {
+      write_categories<ContentCategorySpec>(writer, key, in.categories,
+                                            kContentCategoryFields);
+    }};
+
+// The top-level rates precede "categories", which inherits them.
+constexpr Field<ContentSpec> kContentFields[] = {
+    {"keys", &ContentSpec::keys},
+    {"publishes_per_peer", &ContentSpec::publishes_per_peer},
+    {"fetches_per_hour", &ContentSpec::fetches_per_hour},
+    {"provider_ttl_ms", &ContentSpec::provider_ttl},
+    {"republish_interval_ms", &ContentSpec::republish_interval},
+    {"publish_spread_ms", &ContentSpec::publish_spread},
+    {"bucket_refresh_interval_ms", &ContentSpec::bucket_refresh_interval},
+    {"replacement_cache_size", &ContentSpec::replacement_cache_size},
+    {"sample_interval_ms", &ContentSpec::sample_interval},
+    {"fetch_success", &ContentSpec::fetch_success},
+    {"categories", kContentCategories},
+};
+
+// ---- "phases" (PhaseProgramSpec) --------------------------------------------
+
+constexpr Field<PhaseSpec> kPhaseFields[] = {
+    {"name", optional_string<&PhaseSpec::name>()},  // "" = unnamed
+    {"mode", discriminator<&PhaseSpec::mode>()},
+    {"hold_ms", &PhaseSpec::hold},
+    {"churn_rate", &PhaseSpec::churn_rate},
+    {"fetch_rate", &PhaseSpec::fetch_rate},
+    {"publish_rate", &PhaseSpec::publish_rate},
+    {"crawl_rate", &PhaseSpec::crawl_rate},
+    {"population", &PhaseSpec::population},
+};
+constexpr Field<PhaseSpec> kBurstParams[] = {
+    {"switch_ms", &PhaseSpec::switch_interval}};
+constexpr Field<PhaseSpec> kFlashCrowdParams[] = {
+    {"hot_key", &PhaseSpec::hot_key},
+    {"spike", &PhaseSpec::spike},
+    {"hot_fraction", &PhaseSpec::hot_fraction},
+};
+constexpr auto kBurstFields = concat(kPhaseFields, kBurstParams);
+constexpr auto kFlashCrowdFields = concat(kPhaseFields, kFlashCrowdParams);
+
+/// Mode-specific key sets, like the network disturbance kinds: a burst
+/// field on a hold phase is a schema error, not dead configuration.
+Fields<PhaseSpec> phase_fields(PhaseMode mode) {
+  switch (mode) {
+    case PhaseMode::kBurst:
+      return kBurstFields;
+    case PhaseMode::kFlashCrowd:
+      return kFlashCrowdFields;
+    case PhaseMode::kHold:
+    case PhaseMode::kRamp:
+      break;
   }
-  if (auto e = get_u32(value, "keys", path, content.keys)) return e;
-  if (auto e = get_double(value, "publishes_per_peer", path,
-                          content.publishes_per_peer)) {
-    return e;
-  }
-  if (auto e = get_double(value, "fetches_per_hour", path,
-                          content.fetches_per_hour)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "provider_ttl_ms", path,
-                               content.provider_ttl)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "republish_interval_ms", path,
-                               content.republish_interval)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "publish_spread_ms", path,
-                               content.publish_spread)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "bucket_refresh_interval_ms", path,
-                               content.bucket_refresh_interval)) {
-    return e;
-  }
-  if (auto e = get_u32(value, "replacement_cache_size", path,
-                       content.replacement_cache_size)) {
-    return e;
-  }
-  if (auto e = get_duration_ms(value, "sample_interval_ms", path,
-                               content.sample_interval)) {
-    return e;
-  }
-  if (auto e = get_double(value, "fetch_success", path, content.fetch_success)) {
-    return e;
-  }
-  if (const JsonValue* categories = value.find("categories")) {
-    const std::string categories_path = join(path, "categories");
-    if (auto error = expect_object(*categories, categories_path)) return error;
-    for (const JsonValue::Member& member : categories->as_object()) {
-      const auto category = category_from_string(member.first);
-      if (!category) {
-        return categories_path + ": unknown category name '" + member.first + "'";
-      }
-      const std::string entry_path = join(categories_path, member.first);
-      if (auto error = expect_object(member.second, entry_path)) return error;
-      if (auto error = check_keys(member.second, entry_path,
-                                  {"publishes_per_peer", "fetches_per_hour"})) {
-        return error;
-      }
-      ContentCategorySpec entry;
-      entry.category = *category;
-      // Absent fields inherit the spec's top-level rates.
-      entry.publishes_per_peer = content.publishes_per_peer;
-      entry.fetches_per_hour = content.fetches_per_hour;
-      if (auto e = get_double(member.second, "publishes_per_peer", entry_path,
-                              entry.publishes_per_peer)) {
-        return e;
-      }
-      if (auto e = get_double(member.second, "fetches_per_hour", entry_path,
-                              entry.fetches_per_hour)) {
-        return e;
-      }
-      content.categories.push_back(std::move(entry));
-    }
-  }
-  return std::nullopt;
+  return kPhaseFields;
 }
 
-// ---- the "phases" section (scenario::PhaseProgramSpec) ----------------------
-
-ParseError parse_phase(const JsonValue& value, const std::string& path,
-                       PhaseSpec& phase) {
+ParseError read_phase(const JsonValue& value, const std::string& path,
+                      PhaseSpec& out) {
   if (auto error = expect_object(value, path)) return error;
   const JsonValue* mode = value.find("mode");
   if (mode == nullptr) return path + ": mode is required";
@@ -781,168 +866,134 @@ ParseError parse_phase(const JsonValue& value, const std::string& path,
     return join(path, "mode") +
            ": expected \"hold\", \"ramp\", \"burst\" or \"flash_crowd\"";
   }
-  phase.mode = *parsed_mode;
-  // Mode-specific key sets, like the network disturbance kinds: a burst
-  // field on a hold phase is a schema error, not dead configuration.
-  switch (phase.mode) {
-    case PhaseMode::kBurst:
-      if (auto error = check_keys(value, path,
-                                  {"name", "mode", "hold_ms", "churn_rate",
-                                   "fetch_rate", "publish_rate", "crawl_rate",
-                                   "population", "switch_ms"})) {
-        return error;
-      }
-      break;
-    case PhaseMode::kFlashCrowd:
-      if (auto error = check_keys(value, path,
-                                  {"name", "mode", "hold_ms", "churn_rate",
-                                   "fetch_rate", "publish_rate", "crawl_rate",
-                                   "population", "hot_key", "spike",
-                                   "hot_fraction"})) {
-        return error;
-      }
-      break;
-    case PhaseMode::kHold:
-    case PhaseMode::kRamp:
-      if (auto error = check_keys(value, path,
-                                  {"name", "mode", "hold_ms", "churn_rate",
-                                   "fetch_rate", "publish_rate", "crawl_rate",
-                                   "population"})) {
-        return error;
-      }
-      break;
+  out.mode = *parsed_mode;
+  if (auto error = read_record<PhaseSpec>(value, path, phase_fields(out.mode), out)) {
+    return error;
   }
-  if (auto e = get_string(value, "name", path, phase.name)) return e;
-  if (auto e = get_duration_ms(value, "hold_ms", path, phase.hold)) return e;
-  if (phase.hold <= 0) return path + ": hold_ms must be > 0";
-  if (auto e = get_double(value, "churn_rate", path, phase.churn_rate)) return e;
-  if (auto e = get_double(value, "fetch_rate", path, phase.fetch_rate)) return e;
-  if (auto e = get_double(value, "publish_rate", path, phase.publish_rate)) {
-    return e;
-  }
-  if (auto e = get_double(value, "crawl_rate", path, phase.crawl_rate)) return e;
-  if (auto e = get_double(value, "population", path, phase.population)) return e;
-  if (phase.mode == PhaseMode::kBurst) {
-    if (auto e = get_duration_ms(value, "switch_ms", path,
-                                 phase.switch_interval)) {
-      return e;
-    }
-    if (phase.switch_interval <= 0) return path + ": switch_ms must be > 0";
-  }
-  if (phase.mode == PhaseMode::kFlashCrowd) {
-    if (auto e = get_u32(value, "hot_key", path, phase.hot_key)) return e;
-    if (auto e = get_double(value, "spike", path, phase.spike)) return e;
-    if (auto e = get_double(value, "hot_fraction", path, phase.hot_fraction)) {
-      return e;
-    }
+  if (out.hold <= 0) return path + ": hold_ms must be > 0";
+  if (out.mode == PhaseMode::kBurst && out.switch_interval <= 0) {
+    return path + ": switch_ms must be > 0";
   }
   return std::nullopt;
 }
 
-ParseError parse_phases(const JsonValue& value, const std::string& path,
-                        PhaseProgramSpec& phases) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path, {"diurnal_clock", "program"})) {
+void write_phase(JsonWriter& writer, const PhaseSpec& in) {
+  write_record<PhaseSpec>(writer, phase_fields(in.mode), in);
+}
+
+constexpr Codec<PhaseSpec> kPhase{read_phase, write_phase};
+
+/// Only `"absolute"` is accepted, and written only when acknowledged.
+constexpr Custom<PhaseProgramSpec> kDiurnalClock{
+    [](const JsonValue& value, const std::string& path,
+       PhaseProgramSpec& out) -> ParseError {
+      if (!value.is_string() || value.as_string() != "absolute") {
+        return path + ": expected \"absolute\"";
+      }
+      out.diurnal_clock_absolute = true;
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const PhaseProgramSpec& in) {
+      if (in.diurnal_clock_absolute) writer.field(key, "absolute");
+    }};
+
+constexpr Field<PhaseProgramSpec> kPhasesFields[] = {
+    {"diurnal_clock", kDiurnalClock},
+    {"program", object_array<&PhaseProgramSpec::program, kPhase>()},
+};
+
+ParseError read_phases(const JsonValue& value, const std::string& path,
+                       PhaseProgramSpec& out) {
+  if (auto error = read_record<PhaseProgramSpec>(value, path, kPhasesFields, out)) {
     return error;
   }
-  if (const JsonValue* clock = value.find("diurnal_clock")) {
-    if (!clock->is_string() || clock->as_string() != "absolute") {
-      return join(path, "diurnal_clock") + ": expected \"absolute\"";
-    }
-    phases.diurnal_clock_absolute = true;
-  }
-  const JsonValue* program = value.find("program");
-  if (program == nullptr) {
-    return join(path, "program") + ": required";
-  }
-  if (!program->is_array()) {
-    return join(path, "program") + ": expected an array";
-  }
-  for (std::size_t i = 0; i < program->as_array().size(); ++i) {
-    PhaseSpec phase;
-    if (auto error = parse_phase(program->as_array()[i],
-                                 join(path, "program") + "[" +
-                                     std::to_string(i) + "]",
-                                 phase)) {
-      return error;
-    }
-    phases.program.push_back(std::move(phase));
-  }
+  if (value.find("program") == nullptr) return join(path, "program") + ": required";
   // Value-range rules (positivity, population in (0, 1], flash bounds):
   // one source of truth for files and programmatic specs alike.
-  if (auto error = PhaseProgramSpec::validate(phases)) return error;
-  return std::nullopt;
+  return PhaseProgramSpec::validate(out);
 }
 
-ParseError parse_campaign(const JsonValue& value, const std::string& path,
-                          CampaignSettings& campaign) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"seed", "trials", "workers", "vantage_visibility",
-                               "crawler", "metadata_dynamics",
-                               "client_dials_per_hour"})) {
-    return error;
-  }
-  if (auto e = get_u64(value, "seed", path, campaign.seed)) return e;
-  if (auto e = get_u32(value, "trials", path, campaign.trials)) return e;
-  if (auto e = get_u32(value, "workers", path, campaign.workers)) return e;
-  if (auto e = get_double(value, "vantage_visibility", path,
-                          campaign.vantage_visibility)) {
-    return e;
-  }
-  if (const JsonValue* crawler = value.find("crawler")) {
-    const std::string crawler_path = join(path, "crawler");
-    if (auto error = expect_object(*crawler, crawler_path)) return error;
-    if (auto error = check_keys(*crawler, crawler_path, {"enabled", "interval_ms"})) {
-      return error;
-    }
-    if (auto e = get_bool(*crawler, "enabled", crawler_path,
-                          campaign.enable_crawler)) {
-      return e;
-    }
-    if (auto e = get_duration_ms(*crawler, "interval_ms", crawler_path,
-                                 campaign.crawl_interval)) {
-      return e;
-    }
-  }
-  if (auto e = get_bool(value, "metadata_dynamics", path,
-                        campaign.enable_metadata_dynamics)) {
-    return e;
-  }
-  if (auto e = get_double(value, "client_dials_per_hour", path,
-                          campaign.client_dials_per_hour)) {
-    return e;
-  }
-  return std::nullopt;
+void write_phases(JsonWriter& writer, const PhaseProgramSpec& in) {
+  write_record<PhaseProgramSpec>(writer, kPhasesFields, in);
 }
 
-ParseError parse_output(const JsonValue& value, const std::string& path,
-                        OutputSettings& output) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"pretty", "include_connections", "role_filter"})) {
-    return error;
-  }
-  if (auto e = get_bool(value, "pretty", path, output.pretty)) return e;
-  if (auto e = get_bool(value, "include_connections", path,
-                        output.include_connections)) {
-    return e;
-  }
-  if (const JsonValue* filter = value.find("role_filter")) {
-    if (filter->is_null()) {
-      output.role_filter = std::nullopt;
-    } else if (filter->is_string()) {
-      const auto role = measure::role_from_string(filter->as_string());
-      if (!role) {
-        return join(path, "role_filter") + ": unknown dataset role '" +
-               filter->as_string() + "'";
+constexpr Codec<PhaseProgramSpec> kPhases{read_phases, write_phases};
+
+// ---- "campaign" and "output" ------------------------------------------------
+
+constexpr Field<CampaignSettings> kCrawlerFields[] = {
+    {"enabled", &CampaignSettings::enable_crawler},
+    {"interval_ms", &CampaignSettings::crawl_interval},
+};
+
+constexpr Field<CampaignSettings> kCampaignFields[] = {
+    {"seed", &CampaignSettings::seed},
+    {"trials", &CampaignSettings::trials},
+    {"workers", &CampaignSettings::workers},
+    {"vantage_visibility", &CampaignSettings::vantage_visibility},
+    {"crawler", nested<kCrawlerFields>()},
+    {"metadata_dynamics", &CampaignSettings::enable_metadata_dynamics},
+    {"client_dials_per_hour", &CampaignSettings::client_dials_per_hour},
+};
+
+constexpr Custom<OutputSettings> kRoleFilter{
+    [](const JsonValue& value, const std::string& path,
+       OutputSettings& out) -> ParseError {
+      if (value.is_null()) {
+        out.role_filter = std::nullopt;
+        return std::nullopt;
       }
-      output.role_filter = role;
-    } else {
-      return join(path, "role_filter") + ": expected a string or null";
-    }
+      if (!value.is_string()) return path + ": expected a string or null";
+      const auto role = measure::role_from_string(value.as_string());
+      if (!role) {
+        return path + ": unknown dataset role '" + value.as_string() + "'";
+      }
+      out.role_filter = role;
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const OutputSettings& in) {
+      writer.key(key);
+      if (in.role_filter) {
+        writer.value(measure::to_string(*in.role_filter));
+      } else {
+        writer.null();
+      }
+    }};
+
+constexpr Field<OutputSettings> kOutputFields[] = {
+    {"pretty", &OutputSettings::pretty},
+    {"include_connections", &OutputSettings::include_connections},
+    {"role_filter", kRoleFilter},
+};
+
+// ---- the document -----------------------------------------------------------
+
+constexpr Field<ScenarioSpec> kDocumentFields[] = {
+    {"name", &ScenarioSpec::name},
+    {"description", &ScenarioSpec::description},
+    {"period", sub_object<&ScenarioSpec::period, kPeriodFields>()},
+    {"population", sub_object<&ScenarioSpec::population, kPopulationFields>()},
+    {"network", optional_sub_object<&ScenarioSpec::network, kNetworkFields>()},
+    {"churn", optional_sub_object<&ScenarioSpec::churn, kChurnFields>()},
+    {"content", optional_sub_object<&ScenarioSpec::content, kContentFields>()},
+    {"phases", optional_sub_object<&ScenarioSpec::phases, kPhases>()},
+    {"campaign", sub_object<&ScenarioSpec::campaign, kCampaignFields>()},
+    {"output", sub_object<&ScenarioSpec::output, kOutputFields>()},
+};
+
+/// `from_json` without the validation pass.
+std::expected<ScenarioSpec, std::string> parse_document(std::string_view text) {
+  auto document = JsonValue::parse(text);
+  if (!document) return std::unexpected(std::move(document).error());
+  // The root's own errors say "document"; its fields are top-level paths.
+  ScenarioSpec spec;
+  ParseError error = expect_object(*document, "document");
+  if (!error) {
+    error = check_fields<ScenarioSpec>(*document, "document", kDocumentFields);
   }
-  return std::nullopt;
+  if (!error) error = read_fields<ScenarioSpec>(*document, "", kDocumentFields, spec);
+  if (error) return std::unexpected(std::move(*error));
+  return spec;
 }
 
 // ---- validation helpers -----------------------------------------------------
@@ -973,501 +1024,6 @@ std::optional<std::string> validate_category(const CategoryParams& params,
   return std::nullopt;
 }
 
-// ---- builtin catalogue ------------------------------------------------------
-
-PeriodSpec period_p0() {
-  PeriodSpec spec;
-  spec.name = "P0";
-  spec.dates = "2021-12-03 - 2021-12-06";
-  spec.duration = 3 * kDay;
-  spec.go_low_water = 600;
-  spec.go_high_water = 900;
-  spec.hydra_heads = 3;
-  spec.hydra_low_water = 1200;
-  spec.hydra_high_water = 1800;
-  return spec;
-}
-
-PeriodSpec period_p1() {
-  PeriodSpec spec;
-  spec.name = "P1";
-  spec.dates = "2021-12-09 - 2021-12-10";
-  spec.duration = 1 * kDay;
-  spec.go_low_water = 2000;
-  spec.go_high_water = 4000;
-  spec.hydra_heads = 2;
-  spec.hydra_low_water = 2000;
-  spec.hydra_high_water = 4000;
-  return spec;
-}
-
-PeriodSpec period_p2() {
-  PeriodSpec spec;
-  spec.name = "P2";
-  spec.dates = "2021-12-13 - 2021-12-14";
-  spec.duration = 1 * kDay;
-  spec.go_low_water = 18000;
-  spec.go_high_water = 20000;
-  spec.hydra_heads = 2;
-  spec.hydra_low_water = 18000;
-  spec.hydra_high_water = 20000;
-  return spec;
-}
-
-PeriodSpec period_p3() {
-  PeriodSpec spec;
-  spec.name = "P3";
-  spec.dates = "2022-02-16 - 2022-02-17";
-  spec.duration = 1 * kDay;
-  spec.go_ipfs_mode = dht::Mode::kClient;
-  spec.go_low_water = 18000;
-  spec.go_high_water = 20000;
-  spec.hydra_heads = 0;
-  return spec;
-}
-
-PeriodSpec period_p4() {
-  PeriodSpec spec;
-  spec.name = "P4";
-  spec.dates = "2021-12-10 - 2021-12-13";
-  spec.duration = 3 * kDay;
-  spec.go_low_water = 18000;
-  spec.go_high_water = 20000;
-  spec.hydra_heads = 0;
-  return spec;
-}
-
-PeriodSpec period_long14d() {
-  PeriodSpec spec;
-  spec.name = "LONG14D";
-  spec.dates = "2022-03-29 - 2022-04-12";
-  spec.duration = 14 * kDay;
-  spec.go_low_water = 18000;
-  spec.go_high_water = 20000;
-  spec.hydra_heads = 0;
-  return spec;
-}
-
-ScenarioSpec make_builtin(std::string name, std::string description,
-                          PeriodSpec period) {
-  ScenarioSpec spec;
-  spec.name = std::move(name);
-  spec.description = std::move(description);
-  spec.period = std::move(period);
-  spec.population = PopulationSpec::paper_scale();
-  return spec;
-}
-
-/// NAT-heavy population: most of the user base sits behind shared
-/// household/small-cloud IPs and hides from active crawls — the §V-A
-/// IP-grouping stress test.
-ScenarioSpec builtin_nat_heavy() {
-  PeriodSpec period;
-  period.name = "NAT-HEAVY";
-  period.dates = "";
-  period.duration = 1 * kDay;
-  period.go_low_water = 18000;
-  period.go_high_water = 20000;
-  period.hydra_heads = 0;
-  ScenarioSpec spec = make_builtin(
-      "nat-heavy",
-      "NAT-heavy population: 9k shared-IP groups of up to 24 peers and "
-      "sharply reduced crawl visibility; stresses the Sec. V-A IP grouping "
-      "and widens the passive-vs-crawl gap of Fig. 2",
-      period);
-  spec.population.counts.nat_groups = 9000;
-  spec.population.counts.nat_group_max = 24;
-  spec.population.counts.core_clients = 14000;
-  spec.population.counts.light_clients = 12000;
-  spec.population.counts.one_time_per_day = 9000;
-  CategoryParams normal = default_params(Category::kNormalUser);
-  normal.crawl_visibility = 0.45;
-  spec.population.set_override(Category::kNormalUser, normal);
-  CategoryParams light_server = default_params(Category::kLightServer);
-  light_server.crawl_visibility = 0.35;
-  spec.population.set_override(Category::kLightServer, light_server);
-  return spec;
-}
-
-/// Crawler storm: an order of magnitude more crawler agents, each sweeping
-/// much faster — the short-connection regime of §IV-A pushed to the limit.
-ScenarioSpec builtin_crawler_storm() {
-  PeriodSpec period;
-  period.name = "CRAWLER-STORM";
-  period.dates = "";
-  period.duration = 12 * kHour;
-  period.go_low_water = 18000;
-  period.go_high_water = 20000;
-  period.hydra_heads = 0;
-  ScenarioSpec spec = make_builtin(
-      "crawler-storm",
-      "Crawler storm: ~10x the crawler population sweeping at 30 visits/h "
-      "with 20 s median contacts; floods the vantage with the short "
-      "query-connection regime of Sec. IV-A",
-      period);
-  spec.population.counts.crawlers = 5000;
-  CategoryParams crawler = default_params(Category::kCrawler);
-  crawler.queries_per_hour = 30.0;
-  crawler.query_duration_median = 20 * kSecond;
-  spec.population.set_override(Category::kCrawler, crawler);
-  return spec;
-}
-
-/// Weekend diurnal pattern: the standing user base switches to recurring
-/// day-length sessions with long overnight gaps.
-ScenarioSpec builtin_weekend_diurnal() {
-  PeriodSpec period;
-  period.name = "WEEKEND";
-  period.dates = "";
-  period.duration = 2 * kDay;
-  period.go_low_water = 18000;
-  period.go_high_water = 20000;
-  period.hydra_heads = 0;
-  ScenarioSpec spec = make_builtin(
-      "weekend-diurnal",
-      "Diurnal weekend pattern over 2 days: normal users and light clients "
-      "run recurring ~7 h / ~4 h sessions with long overnight gaps, "
-      "shifting the Fig. 7 session-CDF mass toward daily cycles",
-      period);
-  CategoryParams normal = default_params(Category::kNormalUser);
-  normal.session = SessionKind::kRecurring;
-  normal.mean_session = 7 * kHour;
-  normal.mean_gap = 17 * kHour;
-  spec.population.set_override(Category::kNormalUser, normal);
-  CategoryParams light_client = default_params(Category::kLightClient);
-  light_client.mean_session = 4 * kHour;
-  light_client.mean_gap = 20 * kHour;
-  spec.population.set_override(Category::kLightClient, light_client);
-  return spec;
-}
-
-/// A trim-free 1-day server period shared by the condition-model workloads.
-PeriodSpec period_conditions(std::string name) {
-  PeriodSpec period;
-  period.name = std::move(name);
-  period.dates = "";
-  period.duration = 1 * kDay;
-  period.go_low_water = 18000;
-  period.go_high_water = 20000;
-  period.hydra_heads = 0;
-  return period;
-}
-
-/// Four geographic zones with an explicit inter-zone latency matrix — the
-/// condition-model showcase (DESIGN.md §9).
-ScenarioSpec builtin_geo_zones() {
-  ScenarioSpec spec = make_builtin(
-      "geo-zones",
-      "Four geo zones (eu/na/ap/sa) with an inter-zone latency matrix and "
-      "1% dial failure; query durations and identify latency stretch with "
-      "the pair's RTT, spreading the Fig. 7 contact-duration CDF by "
-      "geography",
-      period_conditions("GEO-ZONES"));
-  net::ConditionSpec network;
-  network.zones = {
-      {.name = "eu", .weight = 0.35, .intra_min = 8, .intra_max = 28},
-      {.name = "na", .weight = 0.30, .intra_min = 10, .intra_max = 32},
-      {.name = "ap", .weight = 0.25, .intra_min = 12, .intra_max = 36},
-      {.name = "sa", .weight = 0.10, .intra_min = 14, .intra_max = 40},
-  };
-  network.default_link = {.min_one_way = 100, .max_one_way = 200};
-  network.links = {
-      {.from = "eu", .to = "na", .min_one_way = 40, .max_one_way = 70},
-      {.from = "eu", .to = "ap", .min_one_way = 120, .max_one_way = 180},
-      {.from = "na", .to = "ap", .min_one_way = 90, .max_one_way = 150},
-      {.from = "eu", .to = "sa", .min_one_way = 95, .max_one_way = 140},
-      {.from = "na", .to = "sa", .min_one_way = 75, .max_one_way = 120},
-  };
-  network.loss.dial_failure = 0.01;
-  spec.network = std::move(network);
-  return spec;
-}
-
-/// Loss-heavy fabric with NAT classes and a diurnal degradation window —
-/// the paper's short-lived-connection and NAT-reachability observations,
-/// turned up.
-ScenarioSpec builtin_flaky_links() {
-  ScenarioSpec spec = make_builtin(
-      "flaky-links",
-      "Flaky fabric: 12% dial failure, 5% message loss, 65% of users "
-      "behind inbound-refusing NAT classes, and a recurring 6 h degradation "
-      "window every 24 h adding 15% loss at 2.5x latency — diurnal churn "
-      "from network conditions alone",
-      period_conditions("FLAKY-LINKS"));
-  net::ConditionSpec network;
-  network.loss.dial_failure = 0.12;
-  network.loss.message_loss = 0.05;
-  network.nat.classes = {
-      {.name = "public", .weight = 0.35, .accepts_inbound = true},
-      {.name = "eim-nat", .weight = 0.45, .accepts_inbound = false},
-      {.name = "symmetric-nat", .weight = 0.20, .accepts_inbound = false},
-  };
-  network.nat.categories = {
-      {"normal-user", "eim-nat"},
-      {"light-client", "eim-nat"},
-      {"one-time", "symmetric-nat"},
-      // Server populations are publicly reachable by the paper's premise
-      // (DHT server mode requires inbound reachability) — pin them so the
-      // weighted hash cannot put them behind NAT.
-      {"core-server", "public"},
-      {"light-server", "public"},
-      {"hydra", "public"},
-      {"ethereum", "public"},
-  };
-  net::DisturbanceSpec diurnal;
-  diurnal.kind = net::DisturbanceSpec::Kind::kDegrade;
-  diurnal.from = 2 * kHour;
-  diurnal.until = 8 * kHour;
-  diurnal.period = 24 * kHour;
-  diurnal.latency_factor = 2.5;
-  diurnal.extra_loss = 0.15;
-  network.disturbances = {diurnal};
-  spec.network = std::move(network);
-  return spec;
-}
-
-/// A zone partition plus a short total outage — the scheduled-disturbance
-/// machinery driven hard enough to leave a visible dent in every dataset.
-ScenarioSpec builtin_zone_partition() {
-  ScenarioSpec spec = make_builtin(
-      "zone-partition",
-      "Three zones; 'ap' is partitioned from the rest for hours 8-16 and "
-      "'na' suffers a full 1 h outage at hour 20 — connection gaps and "
-      "recovery surges driven entirely by the simulation clock",
-      period_conditions("ZONE-PARTITION"));
-  net::ConditionSpec network;
-  network.zones = {
-      {.name = "eu", .weight = 0.40, .intra_min = 8, .intra_max = 28},
-      {.name = "na", .weight = 0.35, .intra_min = 10, .intra_max = 32},
-      {.name = "ap", .weight = 0.25, .intra_min = 12, .intra_max = 36},
-  };
-  network.default_link = {.min_one_way = 60, .max_one_way = 160};
-  network.loss.dial_failure = 0.02;
-  net::DisturbanceSpec partition;
-  partition.kind = net::DisturbanceSpec::Kind::kPartition;
-  partition.zones = {"ap"};
-  partition.from = 8 * kHour;
-  partition.until = 16 * kHour;
-  net::DisturbanceSpec outage;
-  outage.kind = net::DisturbanceSpec::Kind::kOutage;
-  outage.zone = "na";
-  outage.from = 20 * kHour;
-  outage.until = 21 * kHour;
-  network.disturbances = {partition, outage};
-  spec.network = std::move(network);
-  return spec;
-}
-
-/// Session-level churn driven hard enough to dominate the dataset: every
-/// category — the always-on core included — joins and leaves on
-/// heavy-tailed Weibull sessions (DESIGN.md §10).
-ScenarioSpec builtin_churn_baseline() {
-  ScenarioSpec spec = make_builtin(
-      "churn-baseline",
-      "Session-level churn for every category: Weibull(0.55) ~2 h sessions "
-      "with lognormal ~2 h gaps, core servers churning an order of "
-      "magnitude slower; the vantage observes genuine first/last-seen "
-      "session traces and the engine publishes observed-vs-true "
-      "population samples",
-      period_conditions("CHURN-BASELINE"));
-  ChurnSpec churn;  // the defaults are the showcase
-  // The stable backbone churns too, just far slower — routing-table
-  // staleness becomes real without the network falling over.
-  ChurnCategorySpec core_server;
-  core_server.category = Category::kCoreServer;
-  core_server.session = SessionDistribution::weibull(0.9, 86'400'000.0);
-  core_server.gap = SessionDistribution::exponential(3'600'000.0);
-  ChurnCategorySpec hydra;
-  hydra.category = Category::kHydra;
-  hydra.session = SessionDistribution::weibull(0.9, 86'400'000.0);
-  hydra.gap = SessionDistribution::exponential(1'800'000.0);
-  churn.categories = {core_server, hydra};
-  spec.churn = std::move(churn);
-  return spec;
-}
-
-/// Diurnal churn: exponential sessions with lognormal gaps whose rejoin
-/// rate swings by ±80 % over a 24 h cycle — availability-over-time shows
-/// the day/night wave of user-operated nodes.
-ScenarioSpec builtin_diurnal_churn() {
-  PeriodSpec period = period_conditions("DIURNAL-CHURN");
-  period.duration = 2 * kDay;
-  ScenarioSpec spec = make_builtin(
-      "diurnal-churn",
-      "Two days of diurnally modulated churn: ~5 h exponential sessions, "
-      "lognormal ~3 h gaps, rejoin rate swinging +/-80% over a 24 h cycle "
-      "peaking at noon — availability-over-time traces the day/night wave",
-      period);
-  ChurnSpec churn;
-  churn.session = SessionDistribution::exponential(18'000'000.0);
-  churn.gap = SessionDistribution::lognormal(10'800'000.0, 1.0);
-  churn.initial_online = 0.5;
-  DiurnalSpec diurnal;
-  diurnal.amplitude = 0.8;
-  diurnal.period = 24 * kHour;
-  diurnal.phase = 12 * kHour;
-  churn.diurnal = diurnal;
-  spec.churn = std::move(churn);
-  return spec;
-}
-
-/// The content-workload showcase: go-ipfs publish/republish cadence over a
-/// modest keyspace with steady Bitswap fetch traffic (DESIGN.md §11).
-ScenarioSpec builtin_content_baseline() {
-  ScenarioSpec spec = make_builtin(
-      "content-baseline",
-      "Content-routing baseline: every peer provides ~2 keys of a 512-key "
-      "space on the go-ipfs 24 h validity / 12 h republish cycle and "
-      "fetches ~1 block/h over Bitswap; the vantage record store tracks "
-      "provider availability against ground truth",
-      period_conditions("CONTENT-BASELINE"));
-  ContentSpec content;  // the go-ipfs defaults are the showcase
-  // Servers publish more and fetch less; one-time visitors only fetch.
-  ContentCategorySpec core_server;
-  core_server.category = Category::kCoreServer;
-  core_server.publishes_per_peer = 8.0;
-  core_server.fetches_per_hour = 0.25;
-  ContentCategorySpec one_time;
-  one_time.category = Category::kOneTime;
-  one_time.publishes_per_peer = 0.0;
-  one_time.fetches_per_hour = 2.0;
-  content.categories = {core_server, one_time};
-  spec.content = std::move(content);
-  return spec;
-}
-
-/// Flash crowd: a small hot keyspace fetched an order of magnitude harder
-/// than it is provided — replacement caches and record TTLs under load.
-ScenarioSpec builtin_flash_fetch() {
-  ScenarioSpec spec = make_builtin(
-      "flash-fetch",
-      "Flash fetch crowd: a hot 64-key space, short 2 h records republished "
-      "hourly, and ~12 fetches/h per peer hammering the popular keys — "
-      "stress for record sweeps, replacement caches and Bitswap ledgers",
-      period_conditions("FLASH-FETCH"));
-  ContentSpec content;
-  content.keys = 64;
-  content.publishes_per_peer = 1.0;
-  content.fetches_per_hour = 12.0;
-  content.provider_ttl = 2 * kHour;
-  content.republish_interval = 1 * kHour;
-  content.publish_spread = 15 * kMinute;
-  content.bucket_refresh_interval = 5 * kMinute;
-  content.replacement_cache_size = 8;
-  content.sample_interval = 30 * kMinute;
-  content.fetch_success = 0.9;
-  spec.content = std::move(content);
-  return spec;
-}
-
-/// Flash crowd over time: a calm content baseline, then six hours of an
-/// 8x fetch spike converging on one hot key, then a cooldown — the
-/// `"phases"` showcase (DESIGN.md §14).
-ScenarioSpec builtin_flash_crowd() {
-  ScenarioSpec spec = make_builtin(
-      "flash-crowd",
-      "Phased flash crowd: 6 h of the content baseline, then 6 h with "
-      "fetch traffic spiked 8x and 90% of fetches converging on one hot "
-      "key, then a 12 h cooldown — record caches and provider TTLs under "
-      "a moving load",
-      period_conditions("FLASH-CROWD"));
-  ContentSpec content;
-  content.keys = 256;
-  content.publishes_per_peer = 2.0;
-  content.fetches_per_hour = 2.0;
-  content.sample_interval = 30 * kMinute;
-  spec.content = std::move(content);
-  PhaseProgramSpec phases;
-  PhaseSpec calm;
-  calm.name = "calm";
-  calm.mode = PhaseMode::kHold;
-  calm.hold = 6 * kHour;
-  PhaseSpec flash;
-  flash.name = "flash";
-  flash.mode = PhaseMode::kFlashCrowd;
-  flash.hold = 6 * kHour;
-  flash.hot_key = 3;
-  flash.spike = 8.0;
-  flash.hot_fraction = 0.9;
-  PhaseSpec cooldown;
-  cooldown.name = "cooldown";
-  cooldown.mode = PhaseMode::kHold;
-  cooldown.hold = 12 * kHour;
-  phases.program = {calm, flash, cooldown};
-  spec.phases = std::move(phases);
-  return spec;
-}
-
-/// Load ramp: the population and its fetch appetite climb linearly to a
-/// plateau and ease back down — phase-boundary continuity on display.
-ScenarioSpec builtin_load_ramp() {
-  ScenarioSpec spec = make_builtin(
-      "load-ramp",
-      "Phased load ramp: 2 h at 60% population, a 10 h linear climb to "
-      "full population with fetch traffic tripling, an 8 h plateau, and "
-      "a 4 h ramp back down — churned admission and content rates moving "
-      "together",
-      period_conditions("LOAD-RAMP"));
-  spec.churn = ChurnSpec{};     // the session-churn defaults
-  spec.content = ContentSpec{};  // the go-ipfs content defaults
-  PhaseProgramSpec phases;
-  PhaseSpec quiet;
-  quiet.name = "quiet";
-  quiet.mode = PhaseMode::kHold;
-  quiet.hold = 2 * kHour;
-  quiet.population = 0.6;
-  PhaseSpec climb;
-  climb.name = "climb";
-  climb.mode = PhaseMode::kRamp;
-  climb.hold = 10 * kHour;
-  climb.fetch_rate = 3.0;
-  PhaseSpec plateau;
-  plateau.name = "plateau";
-  plateau.mode = PhaseMode::kHold;
-  plateau.hold = 8 * kHour;
-  plateau.fetch_rate = 3.0;
-  PhaseSpec ease;
-  ease.name = "ease";
-  ease.mode = PhaseMode::kRamp;
-  ease.hold = 4 * kHour;
-  ease.population = 0.6;
-  phases.program = {quiet, climb, plateau, ease};
-  spec.phases = std::move(phases);
-  return spec;
-}
-
-/// Burst storm: a square wave of fetch load with the crawler cadence
-/// doubled during the storm — burst edges land on 2 h boundaries.
-ScenarioSpec builtin_burst_storm() {
-  ScenarioSpec spec = make_builtin(
-      "burst-storm",
-      "Phased burst storm: 4 h calm, then a 12 h square wave toggling "
-      "fetch traffic between 1x and 5x every 2 h with the crawler running "
-      "twice as often, then an 8 h recovery — load edges aligned to shard "
-      "slab boundaries",
-      period_conditions("BURST-STORM"));
-  spec.churn = ChurnSpec{};     // the session-churn defaults
-  spec.content = ContentSpec{};  // the go-ipfs content defaults
-  PhaseProgramSpec phases;
-  PhaseSpec calm;
-  calm.name = "calm";
-  calm.mode = PhaseMode::kHold;
-  calm.hold = 4 * kHour;
-  PhaseSpec storm;
-  storm.name = "storm";
-  storm.mode = PhaseMode::kBurst;
-  storm.hold = 12 * kHour;
-  storm.switch_interval = 2 * kHour;
-  storm.fetch_rate = 5.0;
-  storm.crawl_rate = 2.0;
-  PhaseSpec recovery;
-  recovery.name = "recovery";
-  recovery.mode = PhaseMode::kHold;
-  recovery.hold = 8 * kHour;
-  phases.program = {calm, storm, recovery};
-  spec.phases = std::move(phases);
-  return spec;
-}
 
 }  // namespace
 
@@ -1475,71 +1031,9 @@ ScenarioSpec builtin_burst_storm() {
 
 std::expected<ScenarioSpec, std::string> ScenarioSpec::from_json(
     std::string_view text) {
-  auto document = JsonValue::parse(text);
-  if (!document) return std::unexpected(std::move(document).error());
-  const JsonValue& root = *document;
-  if (auto error = expect_object(root, "document")) {
-    return std::unexpected(std::move(*error));
-  }
-  if (auto error = check_keys(root, "document",
-                              {"name", "description", "period", "population",
-                               "network", "churn", "content", "phases",
-                               "campaign", "output"})) {
-    return std::unexpected(std::move(*error));
-  }
-
-  ScenarioSpec spec;
-  if (auto error = get_string(root, "name", "", spec.name)) {
-    return std::unexpected(std::move(*error));
-  }
-  if (auto error = get_string(root, "description", "", spec.description)) {
-    return std::unexpected(std::move(*error));
-  }
-  if (const JsonValue* period = root.find("period")) {
-    if (auto error = parse_period(*period, "period", spec.period)) {
-      return std::unexpected(std::move(*error));
-    }
-  }
-  if (const JsonValue* population = root.find("population")) {
-    if (auto error = parse_population(*population, "population", spec.population)) {
-      return std::unexpected(std::move(*error));
-    }
-  }
-  if (const JsonValue* network = root.find("network")) {
-    spec.network.emplace();
-    if (auto error = parse_network(*network, "network", *spec.network)) {
-      return std::unexpected(std::move(*error));
-    }
-  }
-  if (const JsonValue* churn = root.find("churn")) {
-    spec.churn.emplace();
-    if (auto error = parse_churn(*churn, "churn", *spec.churn)) {
-      return std::unexpected(std::move(*error));
-    }
-  }
-  if (const JsonValue* content = root.find("content")) {
-    spec.content.emplace();
-    if (auto error = parse_content(*content, "content", *spec.content)) {
-      return std::unexpected(std::move(*error));
-    }
-  }
-  if (const JsonValue* phases = root.find("phases")) {
-    spec.phases.emplace();
-    if (auto error = parse_phases(*phases, "phases", *spec.phases)) {
-      return std::unexpected(std::move(*error));
-    }
-  }
-  if (const JsonValue* campaign = root.find("campaign")) {
-    if (auto error = parse_campaign(*campaign, "campaign", spec.campaign)) {
-      return std::unexpected(std::move(*error));
-    }
-  }
-  if (const JsonValue* output = root.find("output")) {
-    if (auto error = parse_output(*output, "output", spec.output)) {
-      return std::unexpected(std::move(*error));
-    }
-  }
-  if (auto error = validate(spec)) return std::unexpected(std::move(*error));
+  auto spec = parse_document(text);
+  if (!spec) return spec;
+  if (auto error = validate(*spec)) return std::unexpected(std::move(*error));
   return spec;
 }
 
@@ -1555,335 +1049,7 @@ std::expected<ScenarioSpec, std::string> ScenarioSpec::from_file(
 }
 
 void ScenarioSpec::to_json(JsonWriter& writer) const {
-  writer.begin_object();
-  writer.field("name", name);
-  writer.field("description", description);
-
-  writer.key("period");
-  writer.begin_object();
-  writer.field("name", period.name);
-  writer.field("dates", period.dates);
-  writer.field("duration_ms", static_cast<std::int64_t>(period.duration));
-  writer.key("go_ipfs");
-  writer.begin_object();
-  writer.field("present", period.go_ipfs_present);
-  writer.field("mode",
-               period.go_ipfs_mode == dht::Mode::kServer ? "server" : "client");
-  writer.field("low_water", period.go_low_water);
-  writer.field("high_water", period.go_high_water);
-  writer.end_object();
-  writer.key("hydra");
-  writer.begin_object();
-  writer.field("heads", period.hydra_heads);
-  writer.field("low_water", period.hydra_low_water);
-  writer.field("high_water", period.hydra_high_water);
-  writer.end_object();
-  writer.end_object();
-
-  writer.key("population");
-  writer.begin_object();
-  writer.field("scale", population.scale);
-  writer.key("counts");
-  writer.begin_object();
-  const PopulationCounts& counts = population.counts;
-  writer.field("hydra_heads", static_cast<std::uint64_t>(counts.hydra_heads));
-  writer.field("core_servers", static_cast<std::uint64_t>(counts.core_servers));
-  writer.field("core_clients", static_cast<std::uint64_t>(counts.core_clients));
-  writer.field("normal_users", static_cast<std::uint64_t>(counts.normal_users));
-  writer.field("light_servers", static_cast<std::uint64_t>(counts.light_servers));
-  writer.field("disguised_storm",
-               static_cast<std::uint64_t>(counts.disguised_storm));
-  writer.field("light_clients", static_cast<std::uint64_t>(counts.light_clients));
-  writer.field("crawlers", static_cast<std::uint64_t>(counts.crawlers));
-  writer.field("one_time_per_day",
-               static_cast<std::uint64_t>(counts.one_time_per_day));
-  writer.field("ephemeral_per_day",
-               static_cast<std::uint64_t>(counts.ephemeral_per_day));
-  writer.field("rotating_pids_per_day",
-               static_cast<std::uint64_t>(counts.rotating_pids_per_day));
-  writer.field("ethereum_nodes", static_cast<std::uint64_t>(counts.ethereum_nodes));
-  writer.field("nat_groups", static_cast<std::uint64_t>(counts.nat_groups));
-  writer.field("nat_group_min", static_cast<std::uint64_t>(counts.nat_group_min));
-  writer.field("nat_group_max", static_cast<std::uint64_t>(counts.nat_group_max));
-  writer.end_object();
-  writer.key("categories");
-  writer.begin_object();
-  for (std::size_t i = 0; i < kCategoryCount; ++i) {
-    const auto& overridden = population.overrides[i];
-    if (!overridden) continue;
-    const CategoryParams& params = *overridden;
-    writer.key(to_string(static_cast<Category>(i)));
-    writer.begin_object();
-    writer.field("session", to_string(params.session));
-    writer.field("mean_session_ms", static_cast<std::int64_t>(params.mean_session));
-    writer.field("mean_gap_ms", static_cast<std::int64_t>(params.mean_gap));
-    writer.field("dht_server", params.dht_server);
-    writer.field("maintain_probability", params.maintain_probability);
-    writer.field("retention_mean_ms",
-                 static_cast<std::int64_t>(params.retention_mean));
-    writer.field("queries_per_hour", params.queries_per_hour);
-    writer.field("query_duration_median_ms",
-                 static_cast<std::int64_t>(params.query_duration_median));
-    writer.field("reconnect_after_trim", params.reconnect_after_trim);
-    writer.field("reconnect_backoff_mean_ms",
-                 static_cast<std::int64_t>(params.reconnect_backoff_mean));
-    writer.field("crawl_visibility", params.crawl_visibility);
-    writer.end_object();
-  }
-  writer.end_object();
-  writer.end_object();
-
-  // The "network" section is written only when engaged: pre-conditions
-  // scenario files must keep exporting byte-identically.
-  if (network) {
-    const net::ConditionSpec& spec = *network;
-    writer.key("network");
-    writer.begin_object();
-    writer.key("latency");
-    writer.begin_object();
-    writer.field("flat_min_ms", static_cast<std::int64_t>(spec.latency.min_one_way));
-    writer.field("flat_max_ms", static_cast<std::int64_t>(spec.latency.max_one_way));
-    writer.field("jitter_fraction", spec.latency.jitter_fraction);
-    writer.end_object();
-    writer.field("symmetric", spec.symmetric);
-    writer.key("zones");
-    writer.begin_array();
-    for (const net::ZoneSpec& zone : spec.zones) {
-      writer.begin_object();
-      writer.field("name", zone.name);
-      writer.field("weight", zone.weight);
-      writer.field("intra_min_ms", static_cast<std::int64_t>(zone.intra_min));
-      writer.field("intra_max_ms", static_cast<std::int64_t>(zone.intra_max));
-      writer.end_object();
-    }
-    writer.end_array();
-    writer.key("default_link");
-    writer.begin_object();
-    writer.field("min_ms", static_cast<std::int64_t>(spec.default_link.min_one_way));
-    writer.field("max_ms", static_cast<std::int64_t>(spec.default_link.max_one_way));
-    writer.end_object();
-    writer.key("links");
-    writer.begin_array();
-    for (const net::ZoneLinkSpec& link : spec.links) {
-      writer.begin_object();
-      writer.field("from", link.from);
-      writer.field("to", link.to);
-      writer.field("min_ms", static_cast<std::int64_t>(link.min_one_way));
-      writer.field("max_ms", static_cast<std::int64_t>(link.max_one_way));
-      writer.end_object();
-    }
-    writer.end_array();
-    writer.key("loss");
-    writer.begin_object();
-    writer.field("dial_failure", spec.loss.dial_failure);
-    writer.field("message_loss", spec.loss.message_loss);
-    writer.end_object();
-    writer.key("nat");
-    writer.begin_object();
-    writer.key("classes");
-    writer.begin_array();
-    for (const net::NatClassSpec& nat_class : spec.nat.classes) {
-      writer.begin_object();
-      writer.field("name", nat_class.name);
-      writer.field("weight", nat_class.weight);
-      writer.field("accepts_inbound", nat_class.accepts_inbound);
-      writer.end_object();
-    }
-    writer.end_array();
-    writer.key("categories");
-    writer.begin_object();
-    for (const auto& [category, class_name] : spec.nat.categories) {
-      writer.field(category, class_name);
-    }
-    writer.end_object();
-    writer.end_object();
-    writer.key("disturbances");
-    writer.begin_array();
-    for (const net::DisturbanceSpec& disturbance : spec.disturbances) {
-      writer.begin_object();
-      writer.field("kind", net::to_string(disturbance.kind));
-      switch (disturbance.kind) {
-        case net::DisturbanceSpec::Kind::kOutage:
-          writer.field("zone", disturbance.zone);
-          break;
-        case net::DisturbanceSpec::Kind::kPartition:
-          writer.key("zones");
-          writer.begin_array();
-          for (const std::string& zone : disturbance.zones) writer.value(zone);
-          writer.end_array();
-          break;
-        case net::DisturbanceSpec::Kind::kDegrade:
-          if (!disturbance.zone.empty()) writer.field("zone", disturbance.zone);
-          break;
-      }
-      writer.field("from_ms", static_cast<std::int64_t>(disturbance.from));
-      writer.field("until_ms", static_cast<std::int64_t>(disturbance.until));
-      writer.field("period_ms", static_cast<std::int64_t>(disturbance.period));
-      if (disturbance.kind == net::DisturbanceSpec::Kind::kDegrade) {
-        writer.field("latency_factor", disturbance.latency_factor);
-        writer.field("extra_loss", disturbance.extra_loss);
-      }
-      writer.end_object();
-    }
-    writer.end_array();
-    writer.end_object();
-  }
-
-  // The "churn" section is likewise written only when engaged: pre-churn
-  // scenario files must keep exporting byte-identically.
-  if (churn) {
-    const auto write_distribution = [&writer](const SessionDistribution& d) {
-      writer.begin_object();
-      writer.field("kind", to_string(d.kind));
-      switch (d.kind) {
-        case SessionDistribution::Kind::kExponential:
-          writer.field("mean_ms", d.mean_ms);
-          break;
-        case SessionDistribution::Kind::kWeibull:
-          writer.field("shape", d.shape);
-          writer.field("scale_ms", d.scale_ms);
-          break;
-        case SessionDistribution::Kind::kLognormal:
-          writer.field("median_ms", d.median_ms);
-          writer.field("sigma", d.sigma);
-          break;
-      }
-      writer.end_object();
-    };
-    writer.key("churn");
-    writer.begin_object();
-    writer.key("session");
-    write_distribution(churn->session);
-    writer.key("gap");
-    write_distribution(churn->gap);
-    writer.field("initial_online", churn->initial_online);
-    writer.field("sample_interval_ms",
-                 static_cast<std::int64_t>(churn->sample_interval));
-    if (churn->diurnal) {
-      writer.key("diurnal");
-      writer.begin_object();
-      writer.field("amplitude", churn->diurnal->amplitude);
-      writer.field("period_ms", static_cast<std::int64_t>(churn->diurnal->period));
-      writer.field("phase_ms", static_cast<std::int64_t>(churn->diurnal->phase));
-      writer.end_object();
-    }
-    writer.key("categories");
-    writer.begin_object();
-    for (const ChurnCategorySpec& entry : churn->categories) {
-      writer.key(to_string(entry.category));
-      writer.begin_object();
-      writer.key("session");
-      write_distribution(entry.session);
-      writer.key("gap");
-      write_distribution(entry.gap);
-      writer.end_object();
-    }
-    writer.end_object();
-    writer.end_object();
-  }
-
-  // The "content" section follows the same only-when-engaged rule:
-  // pre-content scenario files must keep exporting byte-identically.
-  if (content) {
-    writer.key("content");
-    writer.begin_object();
-    writer.field("keys", static_cast<std::uint64_t>(content->keys));
-    writer.field("publishes_per_peer", content->publishes_per_peer);
-    writer.field("fetches_per_hour", content->fetches_per_hour);
-    writer.field("provider_ttl_ms",
-                 static_cast<std::int64_t>(content->provider_ttl));
-    writer.field("republish_interval_ms",
-                 static_cast<std::int64_t>(content->republish_interval));
-    writer.field("publish_spread_ms",
-                 static_cast<std::int64_t>(content->publish_spread));
-    writer.field("bucket_refresh_interval_ms",
-                 static_cast<std::int64_t>(content->bucket_refresh_interval));
-    writer.field("replacement_cache_size",
-                 static_cast<std::uint64_t>(content->replacement_cache_size));
-    writer.field("sample_interval_ms",
-                 static_cast<std::int64_t>(content->sample_interval));
-    writer.field("fetch_success", content->fetch_success);
-    writer.key("categories");
-    writer.begin_object();
-    for (const ContentCategorySpec& entry : content->categories) {
-      writer.key(to_string(entry.category));
-      writer.begin_object();
-      writer.field("publishes_per_peer", entry.publishes_per_peer);
-      writer.field("fetches_per_hour", entry.fetches_per_hour);
-      writer.end_object();
-    }
-    writer.end_object();
-    writer.end_object();
-  }
-
-  // The "phases" section follows the same only-when-engaged rule:
-  // pre-phases scenario files must keep exporting byte-identically.
-  if (phases) {
-    writer.key("phases");
-    writer.begin_object();
-    if (phases->diurnal_clock_absolute) {
-      writer.field("diurnal_clock", "absolute");
-    }
-    writer.key("program");
-    writer.begin_array();
-    for (const PhaseSpec& phase : phases->program) {
-      writer.begin_object();
-      if (!phase.name.empty()) writer.field("name", phase.name);
-      writer.field("mode", to_string(phase.mode));
-      writer.field("hold_ms", static_cast<std::int64_t>(phase.hold));
-      writer.field("churn_rate", phase.churn_rate);
-      writer.field("fetch_rate", phase.fetch_rate);
-      writer.field("publish_rate", phase.publish_rate);
-      writer.field("crawl_rate", phase.crawl_rate);
-      writer.field("population", phase.population);
-      switch (phase.mode) {
-        case PhaseMode::kBurst:
-          writer.field("switch_ms",
-                       static_cast<std::int64_t>(phase.switch_interval));
-          break;
-        case PhaseMode::kFlashCrowd:
-          writer.field("hot_key", static_cast<std::uint64_t>(phase.hot_key));
-          writer.field("spike", phase.spike);
-          writer.field("hot_fraction", phase.hot_fraction);
-          break;
-        case PhaseMode::kHold:
-        case PhaseMode::kRamp:
-          break;
-      }
-      writer.end_object();
-    }
-    writer.end_array();
-    writer.end_object();
-  }
-
-  writer.key("campaign");
-  writer.begin_object();
-  writer.field("seed", campaign.seed);
-  writer.field("trials", static_cast<std::uint64_t>(campaign.trials));
-  writer.field("workers", static_cast<std::uint64_t>(campaign.workers));
-  writer.field("vantage_visibility", campaign.vantage_visibility);
-  writer.key("crawler");
-  writer.begin_object();
-  writer.field("enabled", campaign.enable_crawler);
-  writer.field("interval_ms", static_cast<std::int64_t>(campaign.crawl_interval));
-  writer.end_object();
-  writer.field("metadata_dynamics", campaign.enable_metadata_dynamics);
-  writer.field("client_dials_per_hour", campaign.client_dials_per_hour);
-  writer.end_object();
-
-  writer.key("output");
-  writer.begin_object();
-  writer.field("pretty", output.pretty);
-  writer.field("include_connections", output.include_connections);
-  writer.key("role_filter");
-  if (output.role_filter) {
-    writer.value(measure::to_string(*output.role_filter));
-  } else {
-    writer.null();
-  }
-  writer.end_object();
-
-  writer.end_object();
+  write_record<ScenarioSpec>(writer, kDocumentFields, *this);
 }
 
 std::string ScenarioSpec::to_json_string() const {
@@ -2001,49 +1167,18 @@ std::vector<std::uint64_t> ScenarioSpec::trial_seeds() const {
 const std::vector<ScenarioSpec>& ScenarioSpec::builtins() {
   static const std::vector<ScenarioSpec> kBuiltins = [] {
     std::vector<ScenarioSpec> all;
-    all.push_back(make_builtin(
-        "p0",
-        "Table I period P0: 3-day run, go-ipfs server vantage with 600/900 "
-        "watermarks plus 3 hydra heads at 1200/1800 (2021-12-03)",
-        period_p0()));
-    all.push_back(make_builtin(
-        "p1",
-        "Table I period P1: 1-day run, go-ipfs server at 2k/4k plus 2 hydra "
-        "heads (2021-12-09)",
-        period_p1()));
-    all.push_back(make_builtin(
-        "p2",
-        "Table I period P2: 1-day run, go-ipfs server at 18k/20k plus 2 "
-        "hydra heads (2021-12-13)",
-        period_p2()));
-    all.push_back(make_builtin(
-        "p3",
-        "Table I period P3: 1-day run, go-ipfs *client* vantage at 18k/20k, "
-        "no hydra (2022-02-16)",
-        period_p3()));
-    all.push_back(make_builtin(
-        "p4",
-        "Table I period P4: 3-day run, go-ipfs server at 18k/20k, no hydra "
-        "(2021-12-10) — the paper's primary churn dataset",
-        period_p4()));
-    all.push_back(make_builtin(
-        "long14d",
-        "The ~14-day PID-growth measurement behind Fig. 6 (2022-03-29 - "
-        "2022-04-12), go-ipfs server at 18k/20k",
-        period_long14d()));
-    all.push_back(builtin_nat_heavy());
-    all.push_back(builtin_crawler_storm());
-    all.push_back(builtin_weekend_diurnal());
-    all.push_back(builtin_geo_zones());
-    all.push_back(builtin_flaky_links());
-    all.push_back(builtin_zone_partition());
-    all.push_back(builtin_churn_baseline());
-    all.push_back(builtin_diurnal_churn());
-    all.push_back(builtin_content_baseline());
-    all.push_back(builtin_flash_fetch());
-    all.push_back(builtin_flash_crowd());
-    all.push_back(builtin_load_ramp());
-    all.push_back(builtin_burst_storm());
+    for (const auto& [file_name, text] : embedded_scenario_files()) {
+      // Parsed, not validated: validation builds a CampaignConfig, whose
+      // default period is a builtin.  The tests validate every builtin.
+      auto spec = parse_document(text);
+      if (!spec) {
+        std::fprintf(stderr, "builtin scenario scenarios/%.*s: %s\n",
+                     static_cast<int>(file_name.size()), file_name.data(),
+                     spec.error().c_str());
+        std::abort();
+      }
+      all.push_back(std::move(*spec));
+    }
     return all;
   }();
   return kBuiltins;

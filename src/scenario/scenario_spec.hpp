@@ -5,14 +5,16 @@
 // `PopulationSpec` (counts, scale, per-category behaviour overrides), the
 // campaign settings of `CampaignConfig` plus sweep controls (trials,
 // workers), and the output selection of `measure::JsonExportSink`.  The
-// paper's Table I periods ship as builtin specs *and* as editable
-// `scenarios/*.json` files; `PeriodSpec::P0()..P4()` are thin wrappers over
-// the builtins, so compiled presets and checked-in JSON cannot drift apart.
+// builtin specs — the paper's Table I periods among them — are the
+// editable `scenarios/*.json` files, compiled in by the build;
+// `PeriodSpec::P0()..P4()` are thin wrappers over the builtins, so compiled
+// presets and checked-in JSON cannot drift apart.
 //
-// Parsing is strict: `from_json` rejects unknown fields, out-of-range
-// values and malformed documents with a field-path error ("period.go_ipfs:
-// low_water must be >= 0"), and `to_json` round-trips exactly —
-// `from_json(to_json(spec)) == spec` for every representable spec.
+// Parsing is strict: `from_json` rejects unknown or repeated fields,
+// out-of-range values and malformed documents with a field-path error
+// ("period.go_ipfs: low_water must be >= 0"), and `to_json` round-trips
+// exactly — `from_json(to_json(spec)) == spec` for every representable
+// spec.
 //
 // The `ipfs_sim` CLI (tools/ipfs_sim.cpp) is the scenario driver:
 //
@@ -149,8 +151,9 @@ struct ScenarioSpec {
 
   // ---- builtins -------------------------------------------------------------
 
-  /// All builtin scenarios: the Table I periods p0..p4, the 14-day Fig. 6
-  /// run, and the extra workloads shipped under scenarios/.
+  /// All builtin scenarios, one per scenarios/*.json file in file-name
+  /// order: the Table I periods p0..p4, the 14-day Fig. 6 run, and the
+  /// extra workloads.
   [[nodiscard]] static const std::vector<ScenarioSpec>& builtins();
 
   /// Builtin by name, nullopt when unknown.

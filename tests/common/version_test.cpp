@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ipfs::common {
 namespace {
 
@@ -117,6 +119,12 @@ struct DirtyCase {
   const char* after;
   DirtyTransition expected;
 };
+
+// Without this gtest prints the case as raw bytes of its pointers, which
+// makes the discovered ctest name change with every process's address layout.
+void PrintTo(const DirtyCase& c, std::ostream* os) {
+  *os << c.before << " to " << c.after;
+}
 
 class DirtyTransitionTest : public ::testing::TestWithParam<DirtyCase> {};
 

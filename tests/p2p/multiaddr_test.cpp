@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ipfs::p2p {
 namespace {
 
@@ -66,6 +68,10 @@ TEST(Multiaddr, WebsocketToString) {
 struct RoundTripCase {
   const char* text;
 };
+
+// Without this gtest prints the case as raw bytes of the pointer, which
+// makes the discovered ctest name change with every process's address layout.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.text; }
 
 class MultiaddrRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "runtime/parallel.hpp"
@@ -96,65 +98,75 @@ TEST(ScenarioSpec, CategoryOverrideFieldsDefaultToCalibratedValues) {
 struct RejectionCase {
   const char* label;
   const char* document;
-  const char* expected_fragment;
+  const char* expected_error;  ///< the full error, byte for byte
 };
 
 TEST(ScenarioSpec, RejectsInvalidSpecs) {
   const RejectionCase cases[] = {
       {"empty name", R"({"name":""})", "name must be non-empty"},
       {"negative duration", R"({"name":"x","period":{"duration_ms":-5}})",
-       "duration must be positive"},
+       "period duration must be positive"},
       {"zero duration", R"({"name":"x","period":{"duration_ms":0}})",
-       "duration must be positive"},
+       "period duration must be positive"},
       {"zero trials", R"({"name":"x","campaign":{"trials":0}})",
-       "trials must be >= 1"},
+       "campaign.trials must be >= 1"},
       {"unknown category",
        R"({"name":"x","population":{"categories":{"warthog":{}}}})",
-       "unknown category name 'warthog'"},
+       "population.categories: unknown category name 'warthog'"},
       {"unknown top-level field", R"({"name":"x","perod":{}})",
-       "unknown field 'perod'"},
+       "document: unknown field 'perod'"},
       {"unknown period field", R"({"name":"x","period":{"duration_hours":1}})",
-       "unknown field 'duration_hours'"},
+       "period: unknown field 'duration_hours'"},
       {"inverted watermarks",
        R"({"name":"x","period":{"go_ipfs":{"low_water":10,"high_water":5}}})",
-       "LowWater <= HighWater"},
+       "go-ipfs watermarks must satisfy 0 <= LowWater <= HighWater"},
       {"negative scale", R"({"name":"x","population":{"scale":-1}})",
-       "scale must be positive"},
+       "population scale must be positive"},
       {"zero scale", R"({"name":"x","population":{"scale":0}})",
-       "scale must be positive"},
+       "population scale must be positive"},
       {"bad session kind",
        R"({"name":"x","population":{"categories":{"crawler":{"session":"sometimes"}}}})",
-       "expected \"always-on\", \"recurring\" or \"one-shot\""},
+       "population.categories.crawler.session: expected \"always-on\", "
+       "\"recurring\" or \"one-shot\""},
       {"probability out of range",
        R"({"name":"x","population":{"categories":{"crawler":{"maintain_probability":1.5}}}})",
-       "maintain_probability must be in [0, 1]"},
+       "population.categories.crawler: maintain_probability must be in [0, "
+       "1]"},
       {"negative mean session",
        R"({"name":"x","population":{"categories":{"crawler":{"mean_session_ms":-1}}}})",
-       "mean_session_ms must be >= 0"},
+       "population.categories.crawler: mean_session_ms must be >= 0"},
       {"nat group bounds",
        R"({"name":"x","population":{"counts":{"nat_group_min":6,"nat_group_max":2}}})",
-       "nat_group_max must be >= nat_group_min"},
+       "population.counts: nat_group_max must be >= nat_group_min"},
       {"storm exceeds light servers",
        R"({"name":"x","population":{"counts":{"light_servers":5,"disguised_storm":6}}})",
-       "disguised_storm cannot exceed light_servers"},
+       "population.counts: disguised_storm cannot exceed light_servers"},
       {"unknown role filter",
        R"({"name":"x","output":{"role_filter":"everything"}})",
-       "unknown dataset role 'everything'"},
+       "output.role_filter: unknown dataset role 'everything'"},
       {"vantage-less campaign",
        R"({"name":"x","period":{"go_ipfs":{"present":false},"hydra":{"heads":0}}})",
-       "at least one vantage"},
+       "campaign needs at least one vantage (go-ipfs or hydra heads)"},
       {"visibility above one", R"({"name":"x","campaign":{"vantage_visibility":1.5}})",
        "vantage_visibility must be in (0, 1]"},
       {"string where number expected",
        R"({"name":"x","period":{"duration_ms":"3d"}})",
-       "expected an integer number of milliseconds"},
-      {"syntax error", R"({"name":)", "1:9"},
+       "period.duration_ms: expected an integer number of milliseconds"},
+      {"syntax error", R"({"name":)", "1:9: unexpected end of input"},
+      {"duplicate top-level field", R"({"name":"x","name":"y"})",
+       "document: duplicate field 'name'"},
+      {"duplicate campaign field",
+       R"({"name":"x","campaign":{"seed":1,"seed":2}})",
+       "campaign: duplicate field 'seed'"},
+      {"duplicate category override",
+       R"({"name":"x","population":{"categories":{"normal-user":{},
+                                                  "normal-user":{}}}})",
+       "population.categories.normal-user: duplicate category override"},
   };
   for (const RejectionCase& test_case : cases) {
     const auto spec = ScenarioSpec::from_json(test_case.document);
     ASSERT_FALSE(spec.has_value()) << test_case.label;
-    EXPECT_NE(spec.error().find(test_case.expected_fragment), std::string::npos)
-        << test_case.label << ": got error '" << spec.error() << "'";
+    EXPECT_EQ(spec.error(), test_case.expected_error) << test_case.label;
   }
 }
 
@@ -202,6 +214,8 @@ TEST(ScenarioSpec, BuiltinLookup) {
 
 // ---- checked-in files -------------------------------------------------------
 
+const std::string kScenarioDir = std::string(IPFS_SOURCE_DIR) + "/scenarios/";
+
 std::string scenario_file_name(const ScenarioSpec& spec) {
   std::string file = spec.name;
   for (char& c : file) {
@@ -210,18 +224,36 @@ std::string scenario_file_name(const ScenarioSpec& spec) {
   return file + ".json";
 }
 
-TEST(ScenarioSpec, CheckedInFilesMatchBuiltinsByteForByte) {
+TEST(ScenarioSpec, BuiltinsAreExactlyTheCheckedInFiles) {
+  // A stale embedded copy, or a scenario whose name does not match its
+  // file, shows up as a count or name mismatch.
+  std::set<std::string> on_disk;
+  for (const auto& entry : std::filesystem::directory_iterator(kScenarioDir)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".json") {
+      on_disk.insert(entry.path().filename().string());
+    }
+  }
+  std::set<std::string> embedded;
   for (const ScenarioSpec& spec : ScenarioSpec::builtins()) {
-    const std::string path =
-        std::string(IPFS_SOURCE_DIR) + "/scenarios/" + scenario_file_name(spec);
+    EXPECT_TRUE(embedded.insert(scenario_file_name(spec)).second)
+        << "two builtins named " << spec.name;
+  }
+  EXPECT_EQ(ScenarioSpec::builtins().size(), on_disk.size());
+  EXPECT_EQ(embedded, on_disk);
+}
+
+TEST(ScenarioSpec, CheckedInFilesMatchBuiltinsByteForByte) {
+  // The builtins are the files, so this pins each file to its canonical
+  // form: what the spec writes back out is exactly what is checked in.
+  for (const ScenarioSpec& spec : ScenarioSpec::builtins()) {
+    const std::string path = kScenarioDir + scenario_file_name(spec);
     std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing " << path
-                           << " (regenerate with: ipfs_sim export --all)";
+    ASSERT_TRUE(in.good()) << "missing " << path;
     std::ostringstream contents;
     contents << in.rdbuf();
     EXPECT_EQ(contents.str(), spec.to_json_string())
-        << path << " drifted from the builtin spec "
-        << "(regenerate with: ipfs_sim export --all)";
+        << path << " is not in canonical form (rewrite it with: ipfs_sim "
+        << "export " << spec.name << " --out " << path << ")";
   }
 }
 
@@ -238,8 +270,8 @@ std::string run_to_json(const CampaignConfig& config) {
 
 TEST(ScenarioSpec, SpecCampaignOutputByteIdenticalToCompiledPresets) {
   // The acceptance check of the scenario layer: running scenarios/pN.json
-  // (here: its builtin twin, which the file-equality test above pins to the
-  // checked-in bytes) produces exactly what the compiled preset produces.
+  // (here: its builtin, which is that file compiled in) produces exactly
+  // what the compiled preset produces.
   const struct {
     const char* builtin_name;
     PeriodSpec (*preset)();

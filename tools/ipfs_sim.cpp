@@ -6,7 +6,7 @@
 //   ipfs_sim list [DIR]                 builtin + on-disk scenarios
 //   ipfs_sim validate FILE...           parse + validate scenario files
 //   ipfs_sim run SCENARIO [options]     execute a scenario
-//   ipfs_sim export NAME|--all [opts]   write builtin specs as JSON files
+//   ipfs_sim export NAME [--out FILE]   write a builtin spec as JSON
 //   ipfs_sim selftest                   tiny runtime::TestbedBuilder check
 //
 // SCENARIO is a path to a .json file or the name of a builtin ("p4").
@@ -72,8 +72,7 @@ int usage(std::ostream& out, int code) {
          "      --out FILE --workers N --trials N --seed S --scale X\n"
          "      --duration SECONDS --shards N --shard-workers N\n"
          "      --slab SECONDS --quiet\n"
-         "  export NAME|--all [--dir DIR | --out FILE]\n"
-         "                           write builtin spec(s) as JSON\n"
+         "  export NAME [--out FILE]  write a builtin spec as JSON\n"
          "  calibrate TRACE [options]\n"
          "                           fit churn distributions to a measured\n"
          "                           trace and emit a calibrated scenario\n"
@@ -471,27 +470,12 @@ int export_one(const ScenarioSpec& spec, const std::string& path) {
   return 0;
 }
 
-std::string file_name_for(const ScenarioSpec& spec) {
-  std::string file = spec.name;
-  for (char& c : file) {
-    if (c == '-') c = '_';
-  }
-  return file + ".json";
-}
-
 int cmd_export(const std::vector<std::string>& args) {
-  bool all = false;
   std::optional<std::string> name;
-  std::string dir = "scenarios";
   std::optional<std::string> out_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const bool has_value = i + 1 < args.size();
-    if (arg == "--all") {
-      all = true;
-    } else if (arg == "--dir" && has_value) {
-      dir = args[++i];
-    } else if (arg == "--out" && has_value) {
+    if (arg == "--out" && i + 1 < args.size()) {
       out_path = args[++i];
     } else if (!arg.starts_with("--") && !name) {
       name = arg;
@@ -500,18 +484,9 @@ int cmd_export(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  if (all == name.has_value()) {
-    std::cerr << "ipfs_sim export: pass exactly one of NAME or --all\n";
+  if (!name) {
+    std::cerr << "ipfs_sim export: missing NAME argument\n";
     return 2;
-  }
-  if (all) {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    for (const ScenarioSpec& spec : ScenarioSpec::builtins()) {
-      const std::string path = (fs::path(dir) / file_name_for(spec)).string();
-      if (const int code = export_one(spec, path); code != 0) return code;
-    }
-    return 0;
   }
   const auto spec = ScenarioSpec::builtin(*name);
   if (!spec) {
