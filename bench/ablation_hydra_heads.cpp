@@ -25,17 +25,20 @@ int main() {
     period.hydra_heads = heads;
     auto config = bench::make_config(period);
     config.enable_crawler = false;
-    const auto result = bench::make_engine(std::move(config)).run();
+    const auto result = bench::run_campaign(std::move(config));
 
     common::MinMaxBand head_band;
-    for (const auto& head : result.hydra_heads) {
-      head_band.add(head.peer_count(), head.peer_count());
+    for (const auto& [role, head] : result.datasets()) {
+      if (role == measure::DatasetRole::kHydraHead) {
+        head_band.add(head.peer_count(), head.peer_count());
+      }
     }
     table.add_row({std::to_string(heads),
-                   common::with_thousands(result.hydra_union->peer_count()),
+                   common::with_thousands(
+                       result.find(measure::DatasetRole::kHydraUnion)->peer_count()),
                    common::with_thousands(head_band.low()) + " .. " +
                        common::with_thousands(head_band.high()),
-                   common::with_thousands(result.go_ipfs->peer_count())});
+                   common::with_thousands(bench::vantage(result).peer_count())});
   }
   table.print(std::cout);
 

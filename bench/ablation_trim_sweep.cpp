@@ -36,9 +36,9 @@ int main() {
     period.go_high_water = setting.high;
     auto config = bench::make_config(period);
     config.enable_crawler = false;
-    const auto result = bench::make_engine(std::move(config)).run();
-    const auto stats = analysis::compute_connection_stats(*result.go_ipfs);
-    const auto reasons = analysis::compute_close_reasons(*result.go_ipfs);
+    const auto result = bench::run_campaign(std::move(config));
+    const auto stats = analysis::compute_connection_stats(bench::vantage(result));
+    const auto reasons = analysis::compute_close_reasons(bench::vantage(result));
     table.add_row({std::to_string(setting.low) + "/" + std::to_string(setting.high),
                    common::with_thousands(stats.all.count),
                    common::format_fixed(stats.all.average_s, 1) + " s",

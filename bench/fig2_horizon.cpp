@@ -33,16 +33,16 @@ int main() {
     std::cerr << "[fig2] running " << period.name << "...\n";
     const auto result = bench::run_period(period);
     std::string go = "-";
-    if (result.go_ipfs) {
-      const auto [total, servers] = pid_counts(*result.go_ipfs);
+    if (const auto* go_ipfs = result.find(measure::DatasetRole::kVantage)) {
+      const auto [total, servers] = pid_counts(*go_ipfs);
       go = common::with_thousands(total) + " / " + common::with_thousands(servers);
     }
     std::string hydra = "-";
-    if (result.hydra_union) {
-      const auto [total, servers] = pid_counts(*result.hydra_union);
+    if (const auto* hydra_union = result.find(measure::DatasetRole::kHydraUnion)) {
+      const auto [total, servers] = pid_counts(*hydra_union);
       hydra = common::with_thousands(total) + " / " + common::with_thousands(servers);
     }
-    const auto [crawl_min, crawl_max] = result.crawler_min_max();
+    const auto [crawl_min, crawl_max] = measure::crawler_min_max(result.crawls());
     table.add_row({period.name, go, hydra,
                    common::with_thousands(static_cast<std::uint64_t>(crawl_min)) +
                        " .. " +

@@ -15,7 +15,7 @@ int main() {
 
   std::cerr << "[fig3] running P4...\n";
   const auto result = bench::run_period(scenario::PeriodSpec::P4());
-  const auto& dataset = *result.go_ipfs;
+  const auto& dataset = bench::vantage(result);
 
   const auto histogram = analysis::agent_histogram(dataset);
   // Paper: agents used by <= 100 PIDs are grouped as "other" (scaled).

@@ -16,7 +16,7 @@ int main() {
 
   std::cerr << "[fig4] running P4...\n";
   const auto result = bench::run_period(scenario::PeriodSpec::P4());
-  const auto& dataset = *result.go_ipfs;
+  const auto& dataset = bench::vantage(result);
 
   const auto histogram = analysis::protocol_histogram(dataset);
   const auto threshold =

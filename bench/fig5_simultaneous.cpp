@@ -40,9 +40,13 @@ int main() {
     const auto result = bench::run_period(period);
     std::cout << period.name << " (Low " << period.go_low_water << " / High "
               << period.go_high_water << "):\n";
-    if (result.go_ipfs) print_series("go-ipfs", *result.go_ipfs);
-    for (std::size_t h = 0; h < result.hydra_heads.size(); ++h) {
-      print_series("Hydra H" + std::to_string(h), result.hydra_heads[h]);
+    if (const auto* go_ipfs = result.find(measure::DatasetRole::kVantage)) {
+      print_series("go-ipfs", *go_ipfs);
+    }
+    std::size_t h = 0;
+    for (const auto& [role, dataset] : result.datasets()) {
+      if (role != measure::DatasetRole::kHydraHead) continue;
+      print_series("Hydra H" + std::to_string(h++), dataset);
     }
   }
 

@@ -16,8 +16,8 @@ int main() {
   std::cerr << "[fig6] running LONG14D (this is the long one)...\n";
   auto config = bench::make_config(scenario::PeriodSpec::Long14d());
   config.enable_crawler = false;  // not needed for this figure
-  const auto result = bench::make_engine(std::move(config)).run();
-  const auto& dataset = *result.go_ipfs;
+  const auto result = bench::run_campaign(std::move(config));
+  const auto& dataset = bench::vantage(result);
 
   const auto growth = analysis::pid_growth(dataset, 12 * common::kHour, 3 * common::kDay);
 

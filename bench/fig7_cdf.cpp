@@ -35,7 +35,7 @@ int main() {
 
   std::cerr << "[fig7] running P4...\n";
   const auto result = bench::run_period(scenario::PeriodSpec::P4());
-  const auto& dataset = *result.go_ipfs;
+  const auto& dataset = bench::vantage(result);
 
   const auto all = analysis::connection_cdfs(dataset, -1);
   const auto servers = analysis::connection_cdfs(dataset, 1);

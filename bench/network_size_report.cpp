@@ -15,7 +15,7 @@ int main() {
 
   std::cerr << "[size] running P4...\n";
   const auto result = bench::run_period(scenario::PeriodSpec::P4());
-  const auto report = analysis::estimate_network_size(*result.go_ipfs);
+  const auto report = analysis::estimate_network_size(bench::vantage(result));
 
   common::TextTable table("Network size (paper values in parentheses)");
   table.set_header({"Estimator", "Value", "Paper"});

@@ -15,7 +15,7 @@ int main() {
 
   std::cerr << "[sec5a] running P4...\n";
   const auto result = bench::run_period(scenario::PeriodSpec::P4());
-  const auto grouping = analysis::group_by_multiaddr(*result.go_ipfs);
+  const auto grouping = analysis::group_by_multiaddr(bench::vantage(result));
 
   common::TextTable table("Grouping PIDs by connected IP (paper values in parentheses)");
   table.set_header({"Metric", "Measured", "Paper"});

@@ -43,7 +43,7 @@ int main() {
   common::TextTable go_table("go-ipfs");
   go_table.set_header({"Period", "Type", "Sum", "Avg.", "Median"});
   std::vector<common::TextTable> hydra_tables;
-  std::vector<scenario::CampaignResult> results;
+  std::vector<measure::CollectingSink> results;
 
   const std::vector<scenario::PeriodSpec> periods{
       scenario::PeriodSpec::P0(), scenario::PeriodSpec::P1(),
@@ -53,13 +53,17 @@ int main() {
     std::cerr << "[table2] running " << period.name << "...\n";
     results.push_back(bench::run_period(period));
     const auto& result = results.back();
-    if (result.go_ipfs) add_rows(go_table, period.name, *result.go_ipfs);
-    for (std::size_t h = 0; h < result.hydra_heads.size(); ++h) {
+    if (const auto* go_ipfs = result.find(measure::DatasetRole::kVantage)) {
+      add_rows(go_table, period.name, *go_ipfs);
+    }
+    std::size_t h = 0;
+    for (const auto& [role, dataset] : result.datasets()) {
+      if (role != measure::DatasetRole::kHydraHead) continue;
       if (hydra_tables.size() <= h) {
         hydra_tables.emplace_back("Hydra H" + std::to_string(h));
         hydra_tables.back().set_header({"Period", "Type", "Sum", "Avg.", "Median"});
       }
-      add_rows(hydra_tables[h], period.name, result.hydra_heads[h]);
+      add_rows(hydra_tables[h++], period.name, dataset);
     }
   }
 
@@ -68,7 +72,9 @@ int main() {
 
   std::cout << "\nDirection breakdown (§IV-A: 'vastly more inbound than outbound'):\n";
   for (std::size_t i = 0; i < periods.size(); ++i) {
-    if (results[i].go_ipfs) direction_note(periods[i].name, *results[i].go_ipfs);
+    if (const auto* go_ipfs = results[i].find(measure::DatasetRole::kVantage)) {
+      direction_note(periods[i].name, *go_ipfs);
+    }
   }
 
   std::cout << "\nPaper Table II (go-ipfs): P0 All 1'285'513/196.556/73.732,"

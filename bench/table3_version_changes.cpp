@@ -16,7 +16,7 @@ int main() {
 
   std::cerr << "[table3] running P4...\n";
   const auto result = bench::run_period(scenario::PeriodSpec::P4());
-  const auto& dataset = *result.go_ipfs;
+  const auto& dataset = bench::vantage(result);
   const auto counts = analysis::count_version_changes(dataset);
 
   common::TextTable table("Version changes (paper values in parentheses)");

@@ -15,7 +15,7 @@ int main() {
 
   std::cerr << "[table4] running P4...\n";
   const auto result = bench::run_period(scenario::PeriodSpec::P4());
-  const auto counts = analysis::classify_peers(*result.go_ipfs);
+  const auto counts = analysis::classify_peers(bench::vantage(result));
 
   common::TextTable table("Classification (paper values in parentheses)");
   table.set_header({"Class", "Time", "# Conn.", "Peers", "DHT-Server"});

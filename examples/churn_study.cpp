@@ -14,6 +14,7 @@
 #include "common/parse.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "measure/sink.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/scenario_spec.hpp"
 
@@ -21,7 +22,20 @@ namespace {
 
 using namespace ipfs;
 
-scenario::CampaignResult run(double scale, int low, int high) {
+/// Run `config` to completion, collecting everything it publishes.
+measure::CollectingSink run(scenario::CampaignConfig config) {
+  auto engine = scenario::CampaignEngine::create(std::move(config));
+  if (!engine) {
+    std::cerr << "invalid campaign config: " << engine.error() << "\n";
+    std::exit(1);
+  }
+  measure::CollectingSink sink;
+  engine->run(sink);
+  return sink;
+}
+
+/// One day of P4 without the crawler, at the given watermarks.
+scenario::CampaignConfig watermark_config(double scale, int low, int high) {
   scenario::CampaignConfig config;
   config.period = scenario::PeriodSpec::P4();
   config.period.duration = common::kDay;
@@ -30,12 +44,7 @@ scenario::CampaignResult run(double scale, int low, int high) {
   config.population = scenario::PopulationSpec::test_scale(scale);
   config.seed = 20211206;
   config.enable_crawler = false;
-  auto engine = scenario::CampaignEngine::create(std::move(config));
-  if (!engine) {
-    std::cerr << "invalid campaign config: " << engine.error() << "\n";
-    std::exit(1);
-  }
-  return engine->run();
+  return config;
 }
 
 }  // namespace
@@ -66,9 +75,9 @@ int main(int argc, char** argv) {
   table.set_header({"Config", "Conns", "own trim", "remote trim", "query done",
                     "node left", "All avg"});
   for (const bool high_watermarks : {false, true}) {
-    const auto result = high_watermarks ? run(scale, 18000, 20000)
-                                        : run(scale, low, high);
-    const auto& dataset = *result.go_ipfs;
+    const auto result = run(high_watermarks ? watermark_config(scale, 18000, 20000)
+                                            : watermark_config(scale, low, high));
+    const auto& dataset = *result.find(measure::DatasetRole::kVantage);
     const auto reasons = analysis::compute_close_reasons(dataset);
     const auto stats = analysis::compute_connection_stats(dataset);
     table.add_row({high_watermarks ? "18k/20k (P2-style)" : "default-style",
@@ -91,13 +100,9 @@ int main(int argc, char** argv) {
 
   scenario::ScenarioSpec churned = *scenario::ScenarioSpec::builtin("churn-baseline");
   churned.population.scale = scale;
-  auto engine = scenario::CampaignEngine::create(churned.to_campaign_config());
-  if (!engine) {
-    std::cerr << "invalid campaign config: " << engine.error() << "\n";
-    return 1;
-  }
-  const auto result = engine->run();
-  const auto sessions = analysis::reconstruct_sessions(*result.go_ipfs);
+  const auto result = run(churned.to_campaign_config());
+  const auto sessions =
+      analysis::reconstruct_sessions(*result.find(measure::DatasetRole::kVantage));
   const auto stats = analysis::compute_churn_stats(sessions);
 
   std::cout << "\nNow with the 'churn-baseline' lifecycle model engaged (every\n"
@@ -114,7 +119,7 @@ int main(int argc, char** argv) {
             << " min, median "
             << common::format_fixed(stats.median_session_s / 60.0, 1) << " min\n";
 
-  const auto series = analysis::observed_vs_true(sessions, result.population_samples);
+  const auto series = analysis::observed_vs_true(sessions, result.population());
   common::MinMaxBand observed_share;
   common::MinMaxBand online_share;
   for (const auto& sample : series) {

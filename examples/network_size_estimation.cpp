@@ -40,8 +40,9 @@ int main(int argc, char** argv) {
     std::cerr << "invalid campaign config: " << engine.error() << "\n";
     return 1;
   }
-  const auto result = engine->run();
-  const measure::Dataset& dataset = *result.go_ipfs;
+  measure::CollectingSink result;
+  engine->run(result);
+  const measure::Dataset& dataset = *result.find(measure::DatasetRole::kVantage);
 
   std::cout << "\nStep 0 — the naive answer:\n  " << dataset.peer_count()
             << " PIDs observed; but one participant can run many PIDs (§V).\n";

@@ -13,7 +13,8 @@
 // the trace contains genuine join/leave dynamics to calibrate against.
 //
 // This example shows the sink-based campaign API: a JSON export sink and
-// the in-memory result sink both subscribe to one run through a fan-out.
+// an in-memory `measure::CollectingSink` both subscribe to one run through
+// a fan-out.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "common/parse.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "measure/sink.hpp"
 #include "scenario/campaign.hpp"
 
 int main(int argc, char** argv) {
@@ -92,13 +94,12 @@ int main(int argc, char** argv) {
   json_options.include_connections = include_connections;
   json_options.role_filter = measure::DatasetRole::kVantage;
   measure::JsonExportSink json_sink(out, json_options);
-  scenario::CampaignResultSink result_sink;
-  measure::FanOutSink sinks{&json_sink, &result_sink};
+  measure::CollectingSink result;
+  measure::FanOutSink sinks{&json_sink, &result};
   engine->run(sinks);
-  const auto result = result_sink.take_result();
 
-  std::cout << "Population: " << result.population_size << " peers, "
-            << result.events_executed << " simulation events.\n\n";
+  std::cout << "Population: " << result.summary().population_size << " peers, "
+            << result.summary().events_executed << " simulation events.\n\n";
 
   auto report = [](const std::string& name, const measure::Dataset& dataset) {
     const auto stats = analysis::compute_connection_stats(dataset);
@@ -109,13 +110,17 @@ int main(int argc, char** argv) {
               << " s; Peer avg " << common::format_fixed(stats.peer.average_s, 1)
               << " s)\n";
   };
-  report("go-ipfs    ", *result.go_ipfs);
-  for (std::size_t h = 0; h < result.hydra_heads.size(); ++h) {
-    report("Hydra H" + std::to_string(h) + "   ", result.hydra_heads[h]);
+  const measure::Dataset& go_ipfs = *result.find(measure::DatasetRole::kVantage);
+  report("go-ipfs    ", go_ipfs);
+  std::size_t h = 0;
+  for (const auto& [role, dataset] : result.datasets()) {
+    if (role == measure::DatasetRole::kHydraHead) {
+      report("Hydra H" + std::to_string(h++) + "   ", dataset);
+    }
   }
-  report("Hydra union", *result.hydra_union);
+  report("Hydra union", *result.find(measure::DatasetRole::kHydraUnion));
 
-  const auto summary = analysis::summarize_metadata(*result.go_ipfs);
+  const auto summary = analysis::summarize_metadata(go_ipfs);
   std::cout << "\nMetadata seen by go-ipfs: " << summary.distinct_agent_strings
             << " agent strings, " << summary.distinct_protocols << " protocols, "
             << summary.kad_supporters << " DHT servers, " << summary.missing_agent_pids

@@ -8,9 +8,11 @@
 // period with one behavioural override: crawler agents sweep three times
 // as fast.  Everything not specified inherits the calibrated defaults, so
 // a scenario file only states what makes it different.
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 
+#include "measure/sink.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/scenario_spec.hpp"
 
@@ -52,19 +54,23 @@ int main() {
     std::cerr << "cannot run: " << engine.error() << "\n";
     return 1;
   }
-  const scenario::CampaignResult result = engine->run();
+  measure::CollectingSink result;
+  engine->run(result);
 
-  std::cout << "population: " << result.population_size << " remote peers\n";
-  if (result.go_ipfs) {
-    std::cout << "go-ipfs vantage: " << result.go_ipfs->peer_count()
-              << " peers, " << result.go_ipfs->connection_count()
-              << " connections\n";
+  std::cout << "population: " << result.summary().population_size
+            << " remote peers\n";
+  if (const auto* go_ipfs = result.find(measure::DatasetRole::kVantage)) {
+    std::cout << "go-ipfs vantage: " << go_ipfs->peer_count() << " peers, "
+              << go_ipfs->connection_count() << " connections\n";
   }
-  if (result.hydra_union) {
-    std::cout << "hydra union:     " << result.hydra_union->peer_count()
-              << " peers across " << result.hydra_heads.size() << " heads\n";
+  if (const auto* hydra_union = result.find(measure::DatasetRole::kHydraUnion)) {
+    const auto heads = std::ranges::count(result.datasets(),
+                                          measure::DatasetRole::kHydraHead,
+                                          &measure::CollectingSink::Entry::role);
+    std::cout << "hydra union:     " << hydra_union->peer_count()
+              << " peers across " << heads << " heads\n";
   }
-  const auto [crawl_min, crawl_max] = result.crawler_min_max();
+  const auto [crawl_min, crawl_max] = measure::crawler_min_max(result.crawls());
   std::cout << "crawler band:    " << crawl_min << " - " << crawl_max
             << " reached servers per sweep\n";
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/json.hpp"
+#include "measure/sink.hpp"
 #include "scenario/campaign.hpp"
 
 namespace ipfs::analysis::calibrate {
@@ -802,14 +803,14 @@ std::expected<Result, std::string> run(std::string_view trace_text,
     if (!engine) {
       return std::unexpected("closed-loop campaign rejected: " + engine.error());
     }
-    scenario::CampaignResultSink sink;
+    measure::CollectingSink sink;
     engine->run(sink);
-    const scenario::CampaignResult campaign = sink.take_result();
-    if (!campaign.go_ipfs) {
+    const measure::Dataset* vantage = sink.find(measure::DatasetRole::kVantage);
+    if (vantage == nullptr) {
       return std::unexpected("closed-loop campaign produced no vantage dataset");
     }
     const std::vector<SessionTrace> simulated =
-        reconstruct_sessions(*campaign.go_ipfs, options.max_gap);
+        reconstruct_sessions(*vantage, options.max_gap);
     std::vector<double> simulated_ms;
     for (const SessionTrace& session : simulated) {
       if (!session.censored) {

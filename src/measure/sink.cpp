@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/json.hpp"
+#include "common/stats.hpp"
 
 namespace ipfs::measure {
 
@@ -28,6 +29,15 @@ std::optional<DatasetRole> role_from_string(std::string_view name) noexcept {
     if (to_string(role) == name) return role;
   }
   return std::nullopt;
+}
+
+std::pair<std::size_t, std::size_t> crawler_min_max(
+    std::span<const CrawlObservation> crawls) noexcept {
+  common::MinMaxBand band;
+  for (const CrawlObservation& crawl : crawls) {
+    band.add(crawl.reached_servers, crawl.learned_pids);
+  }
+  return band.band();
 }
 
 const Dataset* CollectingSink::find(DatasetRole role) const noexcept {

@@ -5,8 +5,7 @@
 // datasets — publishes through the `MeasurementSink` interface instead of
 // returning one monolithic struct (DESIGN.md §4).  Crawl observations
 // stream as they happen; datasets are published once finalised.  Consumers
-// that want the old all-in-memory shape use a collecting sink (or
-// `scenario::CampaignResultSink` for campaigns).
+// that want a whole run in memory use `CollectingSink`.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +13,10 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -44,6 +45,11 @@ struct CrawlObservation {
   std::size_t reached_servers = 0;  ///< online, reachable DHT servers
   std::size_t learned_pids = 0;     ///< incl. stale routing-table entries
 };
+
+/// Crawler min/max across `crawls` (the Fig. 2 band): the fewest reached
+/// servers and the most learned PIDs; (0, 0) when there are none.
+[[nodiscard]] std::pair<std::size_t, std::size_t> crawler_min_max(
+    std::span<const CrawlObservation> crawls) noexcept;
 
 /// One sample of the true population state next to the vantage's view —
 /// published by campaign runs with a session-churn model engaged

@@ -48,19 +48,6 @@ void run_pool(std::size_t task_count, unsigned workers,
   }
 }
 
-/// The worker count a runner's options yield for `trial_count` trials,
-/// with auto (0) counts additionally leased from the process-wide
-/// `WorkerBudget` so concurrent sweeps and nested sharded engines share
-/// one hardware budget (DESIGN.md §13).  Explicit counts are honoured as
-/// given — callers asking for N workers get N.  The lease rides in
-/// `lease` and frees on scope exit.
-unsigned budgeted_workers(unsigned requested, bool automatic,
-                          WorkerLease& lease) {
-  if (!automatic) return requested;
-  lease = WorkerBudget::process().lease(requested);
-  return lease.granted();
-}
-
 /// Build the engine for one already-validated trial.  validate() ran
 /// upfront, so create() cannot fail today; the throw guards against the
 /// two ever diverging (run_pool rethrows it on the calling thread).
@@ -112,35 +99,22 @@ std::expected<void, std::string> ParallelTrialRunner::run(
 
   // One buffering sink per trial; workers never touch the caller's sink.
   std::vector<measure::ReplaySink> buffers(trials.size());
+  // Auto (0) counts additionally lease from the process-wide WorkerBudget,
+  // so concurrent sweeps and nested sharded engines share one hardware
+  // budget (DESIGN.md §13); explicit counts are honoured as given.
+  unsigned workers = resolve_workers(trials.size());
   WorkerLease lease;
-  run_pool(trials.size(),
-           budgeted_workers(resolve_workers(trials.size()),
-                            options_.workers == 0, lease),
+  if (options_.workers == 0) {
+    lease = WorkerBudget::process().lease(workers);
+    workers = lease.granted();
+  }
+  run_pool(trials.size(), workers,
            [&](std::size_t i) { make_engine(trials[i]).run(buffers[i]); });
 
   // Ordered merge: trial 0's complete stream, then trial 1's, … — the same
   // byte stream a sequential loop over `trials` would have produced.
   for (measure::ReplaySink& buffer : buffers) buffer.replay(sink);
   return {};
-}
-
-std::expected<std::vector<TrialResult>, std::string> ParallelTrialRunner::run(
-    std::vector<TrialSpec> trials) {
-  if (auto error = validate(trials)) return std::unexpected(std::move(*error));
-
-  std::vector<TrialResult> results(trials.size());
-  WorkerLease lease;
-  run_pool(trials.size(),
-           budgeted_workers(resolve_workers(trials.size()),
-                            options_.workers == 0, lease),
-           [&](std::size_t i) {
-             scenario::CampaignResultSink collector;
-             make_engine(trials[i]).run(collector);
-             results[i].name = trials[i].name;
-             results[i].seed = trials[i].config.seed;
-             results[i].result = collector.take_result();
-           });
-  return results;
 }
 
 }  // namespace ipfs::runtime

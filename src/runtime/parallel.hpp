@@ -13,7 +13,8 @@
 // the merged output is bit-identical to a sequential
 // `for (trial : trials) engine.run(sink)` loop, regardless of worker
 // count or completion order.  See DESIGN.md §7 for the determinism
-// contract.
+// contract.  Pass a `measure::CollectingSink` to keep every trial's
+// stream in memory.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +33,6 @@ struct TrialSpec {
   /// Label carried into outputs and error messages ("P4 seed=3", …).
   std::string name;
   scenario::CampaignConfig config;
-};
-
-/// Outcome of one trial in the collecting (monolithic) API.
-struct TrialResult {
-  std::string name;
-  std::uint64_t seed = 0;
-  scenario::CampaignResult result;
 };
 
 /// Thread-pool runner for independent campaign trials.
@@ -69,10 +63,6 @@ class ParallelTrialRunner {
   /// which case nothing runs.
   std::expected<void, std::string> run(std::vector<TrialSpec> trials,
                                        measure::MeasurementSink& sink);
-
-  /// Collecting variant: monolithic per-trial results, in trial order.
-  [[nodiscard]] std::expected<std::vector<TrialResult>, std::string> run(
-      std::vector<TrialSpec> trials);
 
   /// The worker count `run` requests for `trial_count` trials.  Auto
   /// counts (options.workers == 0) are additionally leased from the

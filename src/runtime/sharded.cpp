@@ -31,13 +31,4 @@ std::expected<void, std::string> ShardedCampaignRunner::run(
   return {};
 }
 
-std::expected<scenario::CampaignResult, std::string>
-ShardedCampaignRunner::run(scenario::CampaignConfig config) const {
-  scenario::CampaignResultSink collector;
-  if (auto outcome = run(std::move(config), collector); !outcome) {
-    return std::unexpected(std::move(outcome.error()));
-  }
-  return collector.take_result();
-}
-
 }  // namespace ipfs::runtime

@@ -7,7 +7,9 @@
 // across a fork-join `ShardPool`.  The export is byte-identical to the
 // unsharded engine at any shard count and any worker count (the
 // sequential engine is the oracle; `ctest -L shard` enforces it), so
-// sharding is purely an execution knob.
+// sharding is purely an execution knob.  Like the engine, the runner
+// only streams into a `measure::MeasurementSink`; pass a
+// `measure::CollectingSink` to keep the run in memory.
 //
 // Worker budgeting: an auto plan (workers == 0) resolves through the
 // process-wide `WorkerBudget` that `ParallelTrialRunner` shares, so a
@@ -53,10 +55,6 @@ class ShardedCampaignRunner {
   /// nothing runs.
   std::expected<void, std::string> run(scenario::CampaignConfig config,
                                        measure::MeasurementSink& sink) const;
-
-  /// Collecting variant (adapter over `run(config, sink)`).
-  [[nodiscard]] std::expected<scenario::CampaignResult, std::string> run(
-      scenario::CampaignConfig config) const;
 
  private:
   Options options_{};

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "bitswap/bitswap.hpp"
-#include "common/stats.hpp"
 #include "common/version.hpp"
 #include "dht/record_store.hpp"
 #include "measure/shard_tally.hpp"
@@ -105,56 +104,6 @@ p2p::Multiaddr dial_address(const RemotePeer& peer, common::Rng& prng) {
   return p2p::Multiaddr{ip, p2p::Transport::kTcp, peer.port};
 }
 }  // namespace
-
-std::pair<std::size_t, std::size_t> CampaignResult::crawler_min_max() const {
-  common::MinMaxBand band;
-  for (const CrawlSnapshot& crawl : crawls) {
-    band.add(crawl.reached_servers, crawl.learned_pids);
-  }
-  return band.band();
-}
-
-void CampaignResultSink::on_crawl(const measure::CrawlObservation& crawl) {
-  result_.crawls.push_back(crawl);
-}
-
-void CampaignResultSink::on_population(const measure::PopulationSample& sample) {
-  result_.population_samples.push_back(sample);
-}
-
-void CampaignResultSink::on_provide(const measure::ProvideSample& sample) {
-  result_.provide_samples.push_back(sample);
-}
-
-void CampaignResultSink::on_fetch(const measure::FetchSample& sample) {
-  result_.fetch_samples.push_back(sample);
-}
-
-void CampaignResultSink::on_content(const measure::ContentSample& sample) {
-  result_.content_samples.push_back(sample);
-}
-
-void CampaignResultSink::on_dataset(measure::DatasetRole role,
-                                    measure::Dataset dataset) {
-  switch (role) {
-    case measure::DatasetRole::kVantage:
-      result_.go_ipfs = std::move(dataset);
-      break;
-    case measure::DatasetRole::kHydraHead:
-      result_.hydra_heads.push_back(std::move(dataset));
-      break;
-    case measure::DatasetRole::kHydraUnion:
-      result_.hydra_union = std::move(dataset);
-      break;
-    case measure::DatasetRole::kOther:
-      break;  // campaigns never publish ad-hoc datasets
-  }
-}
-
-void CampaignResultSink::on_run_end(const measure::RunSummary& summary) {
-  result_.population_size = summary.population_size;
-  result_.events_executed = summary.events_executed;
-}
 
 struct CampaignEngine::Impl {
   explicit Impl(CampaignConfig config_in)
@@ -1460,7 +1409,7 @@ struct CampaignEngine::Impl {
   /// cadence below can invoke the identical sweep on a varying schedule.
   void run_crawl(measure::MeasurementSink& sink) {
     common::Rng prng = rng.child(common::mix64(0xc4a1, simulation.now()));
-    CrawlSnapshot snapshot;
+    measure::CrawlObservation snapshot;
     snapshot.at = simulation.now();
     if (auto* phase = current_phase()) ++phase->crawls;
     if (shard_pool) {
@@ -1911,12 +1860,6 @@ CampaignEngine& CampaignEngine::operator=(CampaignEngine&&) noexcept = default;
 CampaignEngine::~CampaignEngine() = default;
 
 void CampaignEngine::run(measure::MeasurementSink& sink) { impl_->run(sink); }
-
-CampaignResult CampaignEngine::run() {
-  CampaignResultSink sink;
-  impl_->run(sink);
-  return sink.take_result();
-}
 
 sim::Simulation& CampaignEngine::simulation() { return impl_->simulation; }
 

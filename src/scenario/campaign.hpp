@@ -9,9 +9,9 @@
 //
 // Engines are obtained through the config-validating factory
 // `CampaignEngine::create` and publish through a `measure::MeasurementSink`
-// (crawl snapshots as they happen, per-vantage datasets at the end).  The
-// monolithic `CampaignResult` of the original API is rebuilt by
-// `CampaignResultSink`, which `run()` uses as a compatibility adapter.
+// (crawl snapshots as they happen, per-vantage datasets at the end).
+// Callers that want the whole run in memory pass a
+// `measure::CollectingSink`.
 //
 // Configs come from C++ directly or from a declarative JSON scenario:
 // `scenario::ScenarioSpec::to_campaign_config()` (scenario_spec.hpp) is
@@ -37,9 +37,6 @@
 #include "sim/simulation.hpp"
 
 namespace ipfs::scenario {
-
-/// One active-crawler snapshot (the Fig. 2 baseline).
-using CrawlSnapshot = measure::CrawlObservation;
 
 /// Deterministic intra-trial sharding of the remote population
 /// (DESIGN.md §13).  The engine's event loop stays single-threaded and
@@ -137,45 +134,6 @@ struct CampaignConfig {
   std::optional<ShardPlan> sharding;
 };
 
-/// Datasets and baselines produced by a campaign run (the all-in-memory
-/// compatibility shape; streaming consumers implement MeasurementSink).
-struct CampaignResult {
-  std::optional<measure::Dataset> go_ipfs;
-  std::vector<measure::Dataset> hydra_heads;
-  std::optional<measure::Dataset> hydra_union;
-  std::vector<CrawlSnapshot> crawls;
-  /// True-population samples (churned campaigns only; empty otherwise).
-  std::vector<measure::PopulationSample> population_samples;
-  /// Content-workload streams (content-enabled campaigns only).
-  std::vector<measure::ProvideSample> provide_samples;
-  std::vector<measure::FetchSample> fetch_samples;
-  std::vector<measure::ContentSample> content_samples;
-
-  std::size_t population_size = 0;
-  std::size_t events_executed = 0;
-
-  /// Crawler min/max of reached servers across snapshots (Fig. 2 band).
-  [[nodiscard]] std::pair<std::size_t, std::size_t> crawler_min_max() const;
-};
-
-/// Compatibility adapter: rebuilds the monolithic `CampaignResult` from the
-/// sink event stream.
-class CampaignResultSink final : public measure::MeasurementSink {
- public:
-  void on_crawl(const measure::CrawlObservation& crawl) override;
-  void on_population(const measure::PopulationSample& sample) override;
-  void on_provide(const measure::ProvideSample& sample) override;
-  void on_fetch(const measure::FetchSample& sample) override;
-  void on_content(const measure::ContentSample& sample) override;
-  void on_dataset(measure::DatasetRole role, measure::Dataset dataset) override;
-  void on_run_end(const measure::RunSummary& summary) override;
-
-  [[nodiscard]] CampaignResult take_result() { return std::move(result_); }
-
- private:
-  CampaignResult result_;
-};
-
 /// Runs one campaign.  Use a fresh engine per run.
 ///
 /// Engines are thread-confined (one virtual clock, one RNG tree — no
@@ -200,10 +158,6 @@ class CampaignEngine {
 
   /// Execute the full period, streaming observations into `sink`.
   void run(measure::MeasurementSink& sink);
-
-  /// Execute the full period and collect the monolithic result (adapter
-  /// over `run(sink)` via CampaignResultSink).
-  [[nodiscard]] CampaignResult run();
 
   /// The simulation clock (exposed for tests that step manually).
   [[nodiscard]] sim::Simulation& simulation();

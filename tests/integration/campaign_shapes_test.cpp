@@ -4,8 +4,6 @@
 // the population model or engine surface as test failures.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "analysis/classification.hpp"
 #include "analysis/connection_stats.hpp"
 #include "analysis/metadata.hpp"
@@ -13,6 +11,7 @@
 #include "analysis/timeseries.hpp"
 #include "p2p/protocols.hpp"
 #include "scenario/campaign.hpp"
+#include "testing/campaign.hpp"
 
 namespace ipfs {
 namespace {
@@ -20,28 +19,27 @@ namespace {
 using common::kDay;
 using common::kHour;
 using scenario::CampaignConfig;
-using scenario::CampaignEngine;
-using scenario::CampaignResult;
 using scenario::PeriodSpec;
 using scenario::PopulationSpec;
 
 /// One shared P4-style campaign (5 % scale, 1.5 days) reused by the shape
 /// tests — campaigns are deterministic, so sharing is sound.
-const CampaignResult& p4_result() {
-  static const CampaignResult result = [] {
+const measure::CollectingSink& p4_result() {
+  static const measure::CollectingSink result = [] {
     CampaignConfig config;
     config.period = PeriodSpec::P4();  // full 3-day period, 5 % population
     config.population = PopulationSpec::test_scale(0.05);
     config.seed = 20211210;
-    auto engine = CampaignEngine::create(config);
-    if (!engine) throw std::runtime_error("invalid campaign config: " + engine.error());
-    return engine->run();
+    return testing::run_campaign(config);
   }();
   return result;
 }
 
+/// The shared campaign's go-ipfs vantage dataset.
+const measure::Dataset& p4_vantage() { return testing::vantage(p4_result()); }
+
 TEST(CampaignShapes, AllAverageBelowPeerAverage_TableII) {
-  const auto stats = analysis::compute_connection_stats(*p4_result().go_ipfs);
+  const auto stats = analysis::compute_connection_stats(p4_vantage());
   // §IV-A: "The lower average value of all connections indicates peers
   // initiating many short lasting connections."
   EXPECT_LT(stats.all.average_s, stats.peer.average_s);
@@ -50,7 +48,7 @@ TEST(CampaignShapes, AllAverageBelowPeerAverage_TableII) {
 }
 
 TEST(CampaignShapes, InboundDominatesOutbound_TableII) {
-  const auto stats = analysis::compute_connection_stats(*p4_result().go_ipfs);
+  const auto stats = analysis::compute_connection_stats(p4_vantage());
   // §IV-A: "vastly more inbound than outbound connections" with longer
   // inbound durations.
   EXPECT_GT(stats.direction.inbound_count, 5 * stats.direction.outbound_count);
@@ -58,7 +56,7 @@ TEST(CampaignShapes, InboundDominatesOutbound_TableII) {
 }
 
 TEST(CampaignShapes, ClassOrdering_TableIV) {
-  const auto counts = analysis::classify_peers(*p4_result().go_ipfs);
+  const auto counts = analysis::classify_peers(p4_vantage());
   const auto heavy = counts.peers[static_cast<std::size_t>(analysis::PeerClass::kHeavy)];
   const auto normal =
       counts.peers[static_cast<std::size_t>(analysis::PeerClass::kNormal)];
@@ -76,7 +74,7 @@ TEST(CampaignShapes, ClassOrdering_TableIV) {
 }
 
 TEST(CampaignShapes, CdfAnchors_Fig7) {
-  const auto cdfs = analysis::connection_cdfs(*p4_result().go_ipfs, -1);
+  const auto cdfs = analysis::connection_cdfs(p4_vantage(), -1);
   // "Around 53 % are connected less than 1 h" (±12 points at test scale).
   EXPECT_NEAR(cdfs.max_duration_s.fraction_at_most(3600.0), 0.53, 0.12);
   // "Around 16 % maintained a connection longer than 24 h."
@@ -91,15 +89,15 @@ TEST(CampaignShapes, CdfAnchors_Fig7) {
 }
 
 TEST(CampaignShapes, ServersChurnShorterThanAll_Fig7) {
-  const auto servers = analysis::connection_cdfs(*p4_result().go_ipfs, 1);
-  const auto clients = analysis::connection_cdfs(*p4_result().go_ipfs, 0);
+  const auto servers = analysis::connection_cdfs(p4_vantage(), 1);
+  const auto clients = analysis::connection_cdfs(p4_vantage(), 0);
   // §V-B: DHT servers trend toward shorter max durations (trimming).
   EXPECT_GT(servers.max_duration_s.fraction_at_most(3600.0),
             clients.max_duration_s.fraction_at_most(3600.0));
 }
 
 TEST(CampaignShapes, GroupingCompressesPids_SecVA) {
-  const auto grouping = analysis::group_by_multiaddr(*p4_result().go_ipfs);
+  const auto grouping = analysis::group_by_multiaddr(p4_vantage());
   // 65'853 PIDs -> 47'516 groups in the paper: 0.72-0.82 compression.
   const double ratio = static_cast<double>(grouping.groups) /
                        static_cast<double>(grouping.connected_pids);
@@ -116,7 +114,7 @@ TEST(CampaignShapes, GroupingCompressesPids_SecVA) {
 }
 
 TEST(CampaignShapes, AgentMixAnchors_Fig3) {
-  const auto summary = analysis::summarize_metadata(*p4_result().go_ipfs);
+  const auto summary = analysis::summarize_metadata(p4_vantage());
   const double total = static_cast<double>(summary.total_pids);
   EXPECT_NEAR(static_cast<double>(summary.go_ipfs_pids) / total, 0.763, 0.06);
   EXPECT_NEAR(static_cast<double>(summary.missing_agent_pids) / total, 0.046, 0.025);
@@ -126,7 +124,7 @@ TEST(CampaignShapes, AgentMixAnchors_Fig3) {
 }
 
 TEST(CampaignShapes, ProtocolAnchors_Fig4) {
-  const auto histogram = analysis::protocol_histogram(*p4_result().go_ipfs);
+  const auto histogram = analysis::protocol_histogram(p4_vantage());
   const auto kad = histogram.count(std::string(p2p::protocols::kKad));
   const auto bitswap = histogram.count(std::string(p2p::protocols::kBitswap120));
   const auto identify = histogram.count(std::string(p2p::protocols::kIdentify));
@@ -137,7 +135,7 @@ TEST(CampaignShapes, ProtocolAnchors_Fig4) {
 }
 
 TEST(CampaignShapes, StormFingerprint_SecIVB) {
-  const auto anomalies = analysis::find_anomalies(*p4_result().go_ipfs);
+  const auto anomalies = analysis::find_anomalies(p4_vantage());
   // The disguised-storm block: go-ipfs agents without bitswap, nearly all
   // of them announcing sbptp.
   EXPECT_GT(anomalies.go_ipfs_without_bitswap, 100u);
@@ -146,7 +144,7 @@ TEST(CampaignShapes, StormFingerprint_SecIVB) {
 }
 
 TEST(CampaignShapes, VersionChanges_TableIII) {
-  const auto changes = analysis::count_version_changes(*p4_result().go_ipfs);
+  const auto changes = analysis::count_version_changes(p4_vantage());
   // Upgrades > changes > downgrades, all present (218/205/107 in Table III;
   // at 5 % scale the expected counts are ~11/10/5).
   EXPECT_GT(changes.upgrades, 0u);
@@ -158,9 +156,9 @@ TEST(CampaignShapes, VersionChanges_TableIII) {
 
 TEST(CampaignShapes, RoleFlapping_SecIVB) {
   const auto kad_flaps =
-      analysis::protocol_flapping(*p4_result().go_ipfs, p2p::protocols::kKad);
+      analysis::protocol_flapping(p4_vantage(), p2p::protocols::kKad);
   const auto autonat_flaps =
-      analysis::protocol_flapping(*p4_result().go_ipfs, p2p::protocols::kAutonat);
+      analysis::protocol_flapping(p4_vantage(), p2p::protocols::kAutonat);
   // 2'481 kad flappers / 68'396 events; 3'603 autonat / 86'651 — both
   // populations flap many times per peer.
   EXPECT_GT(kad_flaps.peers, 20u);
@@ -171,19 +169,19 @@ TEST(CampaignShapes, RoleFlapping_SecIVB) {
 
 TEST(CampaignShapes, SimultaneousConnectionsPlateau_Fig5) {
   const auto series = analysis::simultaneous_connections(
-      *p4_result().go_ipfs, 10 * common::kMinute, 24 * kHour);
+      p4_vantage(), 10 * common::kMinute, 24 * kHour);
   const auto summary = analysis::summarize_series(series);
   // P4-style run: simultaneous connections stay well below the total PID
   // count (the §V observation motivating the size estimators).
   EXPECT_GT(summary.peak, 100u);
-  EXPECT_LT(summary.peak, p4_result().go_ipfs->peer_count() / 2);
+  EXPECT_LT(summary.peak, p4_vantage().peer_count() / 2);
   // Plateau: the second half of the day stays within 2x of the mean.
   EXPECT_LT(static_cast<double>(summary.peak), 2.5 * summary.mean + 50.0);
 }
 
 TEST(CampaignShapes, PidsKeepGrowing_Fig6) {
   const auto growth =
-      analysis::pid_growth(*p4_result().go_ipfs, 2 * kHour, 12 * kHour);
+      analysis::pid_growth(p4_vantage(), 2 * kHour, 12 * kHour);
   ASSERT_GT(growth.all_pids.size(), 4u);
   const auto quarter = growth.all_pids[growth.all_pids.size() / 4].count;
   const auto full = growth.all_pids.back().count;
@@ -197,11 +195,10 @@ TEST(CampaignShapes, PidsKeepGrowing_Fig6) {
 }
 
 TEST(CampaignShapes, CrawlerSeesFewerThanPassive_Fig2) {
-  const auto& result = p4_result();
-  const auto [crawl_min, crawl_max] = result.crawler_min_max();
+  const auto [crawl_min, crawl_max] = measure::crawler_min_max(p4_result().crawls());
   // §III-C: for periods over 1 day, the passive node's historic snapshot
   // accumulates more PIDs than any single crawl reaches.
-  EXPECT_GT(result.go_ipfs->peer_count(), crawl_max);
+  EXPECT_GT(p4_vantage().peer_count(), crawl_max);
   EXPECT_GT(crawl_min, 0u);
 }
 

@@ -21,8 +21,8 @@ using common::kMinute;
 
 /// One shared churn-baseline run (campaigns are deterministic, so sharing
 /// across the assertions below is sound).
-const CampaignResult& churned_result() {
-  static const CampaignResult result = [] {
+const measure::CollectingSink& churned_result() {
+  static const measure::CollectingSink result = [] {
     ScenarioSpec spec = *ScenarioSpec::builtin("churn-baseline");
     spec.population.scale = 0.01;
     return testing::run_campaign(spec.to_campaign_config());
@@ -31,9 +31,9 @@ const CampaignResult& churned_result() {
 }
 
 TEST(ChurnCampaign, SomePeersAreObservedAcrossMultipleSessions) {
-  const CampaignResult& result = churned_result();
-  ASSERT_TRUE(result.go_ipfs.has_value());
-  const auto sessions = analysis::reconstruct_sessions(*result.go_ipfs, 30 * kMinute);
+  const measure::CollectingSink& result = churned_result();
+  const auto sessions =
+      analysis::reconstruct_sessions(testing::vantage(result), 30 * kMinute);
   const auto stats = analysis::compute_churn_stats(sessions);
   EXPECT_GT(stats.session_count, stats.peers);  // more sessions than peers...
   EXPECT_GE(stats.multi_session_peers, 5u);     // ...because peers come back
@@ -44,25 +44,23 @@ TEST(ChurnCampaign, SomePeersAreObservedAcrossMultipleSessions) {
 }
 
 TEST(ChurnCampaign, TrueNetworkIsNeverFullyOnlineNorFullyObserved) {
-  const CampaignResult& result = churned_result();
-  ASSERT_GE(result.population_samples.size(), 20u);  // hourly over a day
-  for (const measure::PopulationSample& sample : result.population_samples) {
+  const measure::CollectingSink& result = churned_result();
+  ASSERT_GE(result.population().size(), 20u);  // hourly over a day
+  for (const measure::PopulationSample& sample : result.population()) {
     EXPECT_GT(sample.online, 0u) << "at " << sample.at;
     EXPECT_LT(sample.online, sample.total) << "at " << sample.at;
     // The passive vantage connects to a strict subset of the truly online
     // peers: observed network size < true network size at all times.
     EXPECT_LT(sample.connected, sample.online) << "at " << sample.at;
-    EXPECT_EQ(sample.total, result.population_size);
+    EXPECT_EQ(sample.total, result.summary().population_size);
   }
 }
 
 TEST(ChurnCampaign, ObservedVsTrueSeriesAlignsWithGroundTruth) {
-  const CampaignResult& result = churned_result();
-  ASSERT_TRUE(result.go_ipfs.has_value());
-  const auto sessions = analysis::reconstruct_sessions(*result.go_ipfs);
-  const auto series =
-      analysis::observed_vs_true(sessions, result.population_samples);
-  ASSERT_EQ(series.size(), result.population_samples.size());
+  const measure::CollectingSink& result = churned_result();
+  const auto sessions = analysis::reconstruct_sessions(testing::vantage(result));
+  const auto series = analysis::observed_vs_true(sessions, result.population());
+  ASSERT_EQ(series.size(), result.population().size());
   std::size_t strictly_below = 0;
   for (const analysis::ObservedVsTrueSample& sample : series) {
     EXPECT_LT(sample.observed, sample.true_total);
@@ -77,9 +75,9 @@ TEST(ChurnCampaign, DepartedPeersStayLearnedButUnreached) {
   // The crawler keeps learning PIDs it cannot reach: with churn engaged,
   // every crawl must report fewer reached servers than learned PIDs
   // (stale routing-table entries referencing departed peers).
-  const CampaignResult& result = churned_result();
-  ASSERT_FALSE(result.crawls.empty());
-  for (const CrawlSnapshot& crawl : result.crawls) {
+  const measure::CollectingSink& result = churned_result();
+  ASSERT_FALSE(result.crawls().empty());
+  for (const measure::CrawlObservation& crawl : result.crawls()) {
     EXPECT_LT(crawl.reached_servers, crawl.learned_pids) << "at " << crawl.at;
   }
 }
@@ -87,10 +85,9 @@ TEST(ChurnCampaign, DepartedPeersStayLearnedButUnreached) {
 TEST(ChurnCampaign, RejoiningDualHomedPeersRedrawAddresses) {
   // Rejoins may swap a dual-homed peer's primary IP, so multi-IP PIDs must
   // be visible in the dataset (the §V-A grouping key stays live).
-  const CampaignResult& result = churned_result();
-  ASSERT_TRUE(result.go_ipfs.has_value());
+  const measure::CollectingSink& result = churned_result();
   std::size_t multi_ip_peers = 0;
-  for (const auto& peer : result.go_ipfs->peers()) {
+  for (const auto& peer : testing::vantage(result).peers()) {
     if (peer.connected_ips.size() >= 2) ++multi_ip_peers;
   }
   EXPECT_GE(multi_ip_peers, 1u);
@@ -99,8 +96,8 @@ TEST(ChurnCampaign, RejoiningDualHomedPeersRedrawAddresses) {
 TEST(ChurnCampaign, AbsentChurnSectionPublishesNoPopulationSamples) {
   ScenarioSpec spec = *ScenarioSpec::builtin("p1");
   spec.population.scale = 0.002;
-  const CampaignResult result = testing::run_campaign(spec.to_campaign_config());
-  EXPECT_TRUE(result.population_samples.empty());
+  const auto result = testing::run_campaign(spec.to_campaign_config());
+  EXPECT_TRUE(result.population().empty());
 }
 
 TEST(ChurnCampaign, ChurnedSweepByteIdenticalAcrossWorkerCounts) {

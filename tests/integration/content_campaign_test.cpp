@@ -17,8 +17,8 @@ using common::kHour;
 
 /// One shared content-baseline run (campaigns are deterministic, so
 /// sharing across the assertions below is sound).
-const CampaignResult& content_result() {
-  static const CampaignResult result = [] {
+const measure::CollectingSink& content_result() {
+  static const measure::CollectingSink result = [] {
     ScenarioSpec spec = *ScenarioSpec::builtin("content-baseline");
     spec.population.scale = 0.01;
     return testing::run_campaign(spec.to_campaign_config());
@@ -27,9 +27,9 @@ const CampaignResult& content_result() {
 }
 
 TEST(ContentCampaign, ProvidesLandAndRepublishCyclesFollow) {
-  const CampaignResult& result = content_result();
+  const measure::CollectingSink& result = content_result();
   const analysis::ProvideStats stats =
-      analysis::compute_provide_stats(result.provide_samples);
+      analysis::compute_provide_stats(result.provides());
   EXPECT_GT(stats.provides, 100u);
   // The keyspace scales with the population (512 keys * scale 0.01 -> 5),
   // and the workload covers essentially all of it.
@@ -41,9 +41,9 @@ TEST(ContentCampaign, ProvidesLandAndRepublishCyclesFollow) {
 }
 
 TEST(ContentCampaign, FetchesFindProvidersAndGetServed) {
-  const CampaignResult& result = content_result();
+  const measure::CollectingSink& result = content_result();
   const analysis::FetchStats stats =
-      analysis::compute_fetch_stats(result.fetch_samples);
+      analysis::compute_fetch_stats(result.fetches());
   ASSERT_GT(stats.fetches, 100u);
   // Most fetches find a provider record at the vantage, and most of those
   // complete a genuine want/block exchange with a measured latency.
@@ -54,9 +54,9 @@ TEST(ContentCampaign, FetchesFindProvidersAndGetServed) {
 }
 
 TEST(ContentCampaign, RecordsAtVantageTrackGroundTruth) {
-  const CampaignResult& result = content_result();
-  ASSERT_GE(result.content_samples.size(), 20u);  // hourly over a day
-  const auto coverage = analysis::record_coverage(result.content_samples);
+  const measure::CollectingSink& result = content_result();
+  ASSERT_GE(result.content().size(), 20u);  // hourly over a day
+  const auto coverage = analysis::record_coverage(result.content());
   std::size_t populated = 0;
   for (const analysis::RecordCoverageSample& sample : coverage) {
     EXPECT_LE(sample.vantage_keys, sample.vantage_records);
@@ -70,10 +70,10 @@ TEST(ContentCampaign, RecordsAtVantageTrackGroundTruth) {
 TEST(ContentCampaign, AbsentContentSectionPublishesNoContentStreams) {
   ScenarioSpec spec = *ScenarioSpec::builtin("p1");
   spec.population.scale = 0.002;
-  const CampaignResult result = testing::run_campaign(spec.to_campaign_config());
-  EXPECT_TRUE(result.provide_samples.empty());
-  EXPECT_TRUE(result.fetch_samples.empty());
-  EXPECT_TRUE(result.content_samples.empty());
+  const auto result = testing::run_campaign(spec.to_campaign_config());
+  EXPECT_TRUE(result.provides().empty());
+  EXPECT_TRUE(result.fetches().empty());
+  EXPECT_TRUE(result.content().empty());
 }
 
 TEST(ContentCampaign, ContentStreamsReachTheJsonExport) {
@@ -98,9 +98,9 @@ TEST(ContentCampaign, FlashFetchStressesTheReplacementCaches) {
   // plausible streams.
   ScenarioSpec spec = *ScenarioSpec::builtin("flash-fetch");
   spec.population.scale = 0.005;
-  const CampaignResult result = testing::run_campaign(spec.to_campaign_config());
-  EXPECT_GT(result.fetch_samples.size(), result.provide_samples.size());
-  EXPECT_FALSE(result.content_samples.empty());
+  const auto result = testing::run_campaign(spec.to_campaign_config());
+  EXPECT_GT(result.fetches().size(), result.provides().size());
+  EXPECT_FALSE(result.content().empty());
 }
 
 TEST(ContentCampaign, ContentSweepByteIdenticalAcrossWorkerCounts) {

@@ -186,21 +186,21 @@ TEST(ShardedCampaign, RunnerResolvesDefaultsToHardwareAndDefaultSlab) {
 }
 
 TEST(ShardedCampaign, CollectingRunMatchesEngineResult) {
-  // The collecting facade must agree with the unsharded collecting run on
-  // every monolithic field, including the event count — sharding adds no
+  // A sharded run collected in memory must agree with the unsharded run on
+  // every run-level count, including the event count — sharding adds no
   // simulation events.
   const CampaignConfig config = churned_content_config(21);
-  const CampaignResult oracle = testing::run_campaign(config);
+  const measure::CollectingSink oracle = testing::run_campaign(config);
 
-  auto sharded =
-      runtime::ShardedCampaignRunner({.shards = 4, .workers = 2}).run(config);
-  ASSERT_TRUE(sharded.has_value()) << sharded.error();
-  EXPECT_EQ(sharded->events_executed, oracle.events_executed);
-  EXPECT_EQ(sharded->population_size, oracle.population_size);
-  EXPECT_EQ(sharded->population_samples.size(),
-            oracle.population_samples.size());
-  EXPECT_EQ(sharded->content_samples.size(), oracle.content_samples.size());
-  EXPECT_EQ(sharded->crawls.size(), oracle.crawls.size());
+  measure::CollectingSink sharded;
+  const auto outcome =
+      runtime::ShardedCampaignRunner({.shards = 4, .workers = 2}).run(config, sharded);
+  ASSERT_TRUE(outcome.has_value()) << outcome.error();
+  EXPECT_EQ(sharded.summary().events_executed, oracle.summary().events_executed);
+  EXPECT_EQ(sharded.summary().population_size, oracle.summary().population_size);
+  EXPECT_EQ(sharded.population().size(), oracle.population().size());
+  EXPECT_EQ(sharded.content().size(), oracle.content().size());
+  EXPECT_EQ(sharded.crawls().size(), oracle.crawls().size());
 }
 
 TEST(ShardedCampaign, AutoWorkerPlansLeaseFromProcessBudget) {

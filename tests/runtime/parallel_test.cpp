@@ -114,30 +114,6 @@ TEST(ParallelTrialRunner, OutputIndependentOfWorkerCount) {
   EXPECT_EQ(one.json.str(), three.json.str());
 }
 
-TEST(ParallelTrialRunner, CollectingRunMatchesSequentialEngines) {
-  ParallelTrialRunner runner;
-  const auto results = runner.run(make_trials());
-  ASSERT_TRUE(results.has_value()) << results.error();
-  ASSERT_EQ(results->size(), kSeeds.size());
-
-  const auto trials = make_trials();
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    auto engine = scenario::CampaignEngine::create(trials[i].config);
-    ASSERT_TRUE(engine.has_value());
-    const auto expected = engine->run();
-
-    const TrialResult& got = (*results)[i];
-    EXPECT_EQ(got.seed, kSeeds[i]);
-    EXPECT_EQ(got.name, trials[i].name);
-    ASSERT_TRUE(got.result.go_ipfs.has_value());
-    EXPECT_EQ(got.result.go_ipfs->peer_count(), expected.go_ipfs->peer_count());
-    EXPECT_EQ(got.result.go_ipfs->connection_count(),
-              expected.go_ipfs->connection_count());
-    EXPECT_EQ(got.result.events_executed, expected.events_executed);
-    EXPECT_EQ(got.result.crawls.size(), expected.crawls.size());
-  }
-}
-
 TEST(ParallelTrialRunner, InvalidCellRejectsWholeBatch) {
   auto trials = make_trials();
   trials[1].config.period.duration = 0;

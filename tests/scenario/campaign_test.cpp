@@ -10,8 +10,10 @@ namespace {
 
 using common::kDay;
 using common::kHour;
+using measure::DatasetRole;
 using testing::run_campaign;
 using testing::small_config;
+using testing::vantage;
 
 TEST(Campaign, PeriodPresetsMatchTableOne) {
   const auto p0 = PeriodSpec::P0();
@@ -69,13 +71,18 @@ TEST(Campaign, ProducesDatasetsPerVantage) {
   auto period = PeriodSpec::P1();
   period.duration = 6 * kHour;  // shorten for the test
   const auto result = run_campaign(small_config(period));
-  ASSERT_TRUE(result.go_ipfs.has_value());
-  ASSERT_EQ(result.hydra_heads.size(), 2u);
-  ASSERT_TRUE(result.hydra_union.has_value());
-  EXPECT_GT(result.go_ipfs->peer_count(), 0u);
-  EXPECT_GT(result.go_ipfs->connection_count(), 0u);
-  EXPECT_GT(result.population_size, 0u);
-  EXPECT_GT(result.events_executed, 1000u);
+  const auto* go_ipfs = result.find(DatasetRole::kVantage);
+  ASSERT_NE(go_ipfs, nullptr);
+  std::size_t heads = 0;
+  for (const auto& entry : result.datasets()) {
+    if (entry.role == DatasetRole::kHydraHead) ++heads;
+  }
+  ASSERT_EQ(heads, 2u);
+  ASSERT_NE(result.find(DatasetRole::kHydraUnion), nullptr);
+  EXPECT_GT(go_ipfs->peer_count(), 0u);
+  EXPECT_GT(go_ipfs->connection_count(), 0u);
+  EXPECT_GT(result.summary().population_size, 0u);
+  EXPECT_GT(result.summary().events_executed, 1000u);
 }
 
 TEST(Campaign, DeterministicAcrossRuns) {
@@ -83,55 +90,9 @@ TEST(Campaign, DeterministicAcrossRuns) {
   period.duration = 6 * kHour;
   const auto a = run_campaign(small_config(period));
   const auto b = run_campaign(small_config(period));
-  EXPECT_EQ(a.go_ipfs->peer_count(), b.go_ipfs->peer_count());
-  EXPECT_EQ(a.go_ipfs->connection_count(), b.go_ipfs->connection_count());
-  EXPECT_EQ(a.events_executed, b.events_executed);
-}
-
-TEST(Campaign, StreamingSinkMatchesMonolithicResult) {
-  // The acceptance bar for the sink redesign: a same-seed run through the
-  // streaming API reproduces the compatibility adapter's counters exactly.
-  auto period = PeriodSpec::P1();
-  period.duration = 6 * kHour;
-
-  const auto via_result_api = run_campaign(small_config(period));
-
-  auto engine = CampaignEngine::create(small_config(period));
-  ASSERT_TRUE(engine.has_value());
-  measure::CollectingSink sink;
-  engine->run(sink);
-
-  const auto* go_ipfs = sink.find(measure::DatasetRole::kVantage);
-  ASSERT_NE(go_ipfs, nullptr);
-  EXPECT_EQ(go_ipfs->peer_count(), via_result_api.go_ipfs->peer_count());
-  EXPECT_EQ(go_ipfs->connection_count(), via_result_api.go_ipfs->connection_count());
-
-  std::size_t heads = 0;
-  for (const auto& entry : sink.datasets()) {
-    if (entry.role == measure::DatasetRole::kHydraHead) {
-      EXPECT_EQ(entry.dataset.peer_count(),
-                via_result_api.hydra_heads[heads].peer_count());
-      EXPECT_EQ(entry.dataset.connection_count(),
-                via_result_api.hydra_heads[heads].connection_count());
-      ++heads;
-    }
-  }
-  EXPECT_EQ(heads, via_result_api.hydra_heads.size());
-
-  const auto* hydra_union = sink.find(measure::DatasetRole::kHydraUnion);
-  ASSERT_NE(hydra_union, nullptr);
-  EXPECT_EQ(hydra_union->peer_count(), via_result_api.hydra_union->peer_count());
-
-  ASSERT_EQ(sink.crawls().size(), via_result_api.crawls.size());
-  for (std::size_t i = 0; i < sink.crawls().size(); ++i) {
-    EXPECT_EQ(sink.crawls()[i].at, via_result_api.crawls[i].at);
-    EXPECT_EQ(sink.crawls()[i].reached_servers,
-              via_result_api.crawls[i].reached_servers);
-    EXPECT_EQ(sink.crawls()[i].learned_pids, via_result_api.crawls[i].learned_pids);
-  }
-
-  EXPECT_EQ(sink.summary().population_size, via_result_api.population_size);
-  EXPECT_EQ(sink.summary().events_executed, via_result_api.events_executed);
+  EXPECT_EQ(vantage(a).peer_count(), vantage(b).peer_count());
+  EXPECT_EQ(vantage(a).connection_count(), vantage(b).connection_count());
+  EXPECT_EQ(a.summary().events_executed, b.summary().events_executed);
 }
 
 TEST(Campaign, DifferentSeedsDiffer) {
@@ -139,20 +100,23 @@ TEST(Campaign, DifferentSeedsDiffer) {
   period.duration = 6 * kHour;
   const auto a = run_campaign(small_config(period, 0.02, 1));
   const auto b = run_campaign(small_config(period, 0.02, 2));
-  EXPECT_NE(a.go_ipfs->connection_count(), b.go_ipfs->connection_count());
+  EXPECT_NE(vantage(a).connection_count(), vantage(b).connection_count());
 }
 
 TEST(Campaign, HydraUnionAtLeastEachHead) {
   auto period = PeriodSpec::P1();
   period.duration = 6 * kHour;
   const auto result = run_campaign(small_config(period));
-  for (const auto& head : result.hydra_heads) {
-    EXPECT_GE(result.hydra_union->peer_count(), head.peer_count());
-  }
+  const auto* hydra_union = result.find(DatasetRole::kHydraUnion);
+  ASSERT_NE(hydra_union, nullptr);
   // The union's connection records are the concatenation of the heads'.
   std::size_t head_conns = 0;
-  for (const auto& head : result.hydra_heads) head_conns += head.connection_count();
-  EXPECT_EQ(result.hydra_union->connection_count(), head_conns);
+  for (const auto& entry : result.datasets()) {
+    if (entry.role != DatasetRole::kHydraHead) continue;
+    EXPECT_GE(hydra_union->peer_count(), entry.dataset.peer_count());
+    head_conns += entry.dataset.connection_count();
+  }
+  EXPECT_EQ(hydra_union->connection_count(), head_conns);
 }
 
 TEST(Campaign, LowWatermarksCauseTrimming) {
@@ -162,7 +126,7 @@ TEST(Campaign, LowWatermarksCauseTrimming) {
   period.go_low_water = 12;  // scaled-down equivalents
   period.go_high_water = 18;
   const auto result = run_campaign(small_config(period));
-  const auto reasons = analysis::compute_close_reasons(*result.go_ipfs);
+  const auto reasons = analysis::compute_close_reasons(vantage(result));
   EXPECT_GT(reasons.local_trim, 0u);
 }
 
@@ -170,7 +134,7 @@ TEST(Campaign, HighWatermarksAvoidOwnTrimming) {
   auto period = PeriodSpec::P4();  // 18k/20k: far above a 2 % population
   period.duration = 6 * kHour;
   const auto result = run_campaign(small_config(period));
-  const auto reasons = analysis::compute_close_reasons(*result.go_ipfs);
+  const auto reasons = analysis::compute_close_reasons(vantage(result));
   EXPECT_EQ(reasons.local_trim, 0u);
   EXPECT_GT(reasons.remote_trim + reasons.remote_close, 0u);
 }
@@ -184,10 +148,10 @@ TEST(Campaign, ClientVantageSeesFewerPeersWithOutboundConns) {
   const auto server_result = run_campaign(small_config(server_period));
   const auto client_result = run_campaign(small_config(client_period));
 
-  EXPECT_LT(client_result.go_ipfs->peer_count(), server_result.go_ipfs->peer_count());
+  EXPECT_LT(vantage(client_result).peer_count(), vantage(server_result).peer_count());
 
   // P3's connections are outbound dials from the vantage.
-  const auto stats = analysis::compute_connection_stats(*client_result.go_ipfs);
+  const auto stats = analysis::compute_connection_stats(vantage(client_result));
   EXPECT_GT(stats.direction.outbound_count, stats.direction.inbound_count);
 }
 
@@ -195,12 +159,12 @@ TEST(Campaign, CrawlerSnapshotsCollected) {
   auto period = PeriodSpec::P4();
   period.duration = 18 * kHour;
   const auto result = run_campaign(small_config(period));
-  EXPECT_GE(result.crawls.size(), 2u);
-  for (const auto& crawl : result.crawls) {
+  EXPECT_GE(result.crawls().size(), 2u);
+  for (const auto& crawl : result.crawls()) {
     EXPECT_GT(crawl.reached_servers, 0u);
     EXPECT_GE(crawl.learned_pids, crawl.reached_servers);
   }
-  const auto [low, high] = result.crawler_min_max();
+  const auto [low, high] = measure::crawler_min_max(result.crawls());
   EXPECT_GT(low, 0u);
   EXPECT_GE(high, low);
 }
@@ -210,7 +174,7 @@ TEST(Campaign, CrawlerDisabled) {
   period.duration = 6 * kHour;
   auto config = small_config(period);
   config.enable_crawler = false;
-  EXPECT_TRUE(run_campaign(config).crawls.empty());
+  EXPECT_TRUE(run_campaign(config).crawls().empty());
 }
 
 TEST(Campaign, MetadataDynamicsToggle) {
@@ -220,7 +184,7 @@ TEST(Campaign, MetadataDynamicsToggle) {
   config.enable_metadata_dynamics = false;
   const auto result = run_campaign(config);
   // Without dynamics no peer ever changes its agent string.
-  for (const auto& peer : result.go_ipfs->peers()) {
+  for (const auto& peer : vantage(result).peers()) {
     EXPECT_LE(peer.agent_history.size(), 1u);
   }
 }
@@ -229,7 +193,7 @@ TEST(Campaign, RecorderQuantisesToPollGrid) {
   auto period = PeriodSpec::P4();
   period.duration = 6 * kHour;
   const auto result = run_campaign(small_config(period));
-  for (const auto& record : result.go_ipfs->connections()) {
+  for (const auto& record : vantage(result).connections()) {
     EXPECT_EQ(record.opened % (30 * common::kSecond), 0) << "30 s poll grid";
     EXPECT_GE(record.closed, record.opened);
   }

@@ -32,14 +32,29 @@ inline scenario::CampaignConfig small_config(scenario::PeriodSpec period,
   return config;
 }
 
-/// Factory + run in one step; fails the test on an invalid config.
-inline scenario::CampaignResult run_campaign(scenario::CampaignConfig config) {
+/// Factory + run into a `measure::CollectingSink` in one step; fails the
+/// test on an invalid config.
+inline measure::CollectingSink run_campaign(scenario::CampaignConfig config) {
+  measure::CollectingSink sink;
   auto engine = scenario::CampaignEngine::create(std::move(config));
   if (!engine) {
     ADD_FAILURE() << "invalid campaign config: " << engine.error();
-    return {};
+    return sink;
   }
-  return engine->run();
+  engine->run(sink);
+  return sink;
+}
+
+/// The run's vantage dataset; fails the test (and yields an empty
+/// dataset) when none was published.
+inline const measure::Dataset& vantage(const measure::CollectingSink& run) {
+  static const measure::Dataset kNone;
+  const measure::Dataset* dataset = run.find(measure::DatasetRole::kVantage);
+  if (dataset == nullptr) {
+    ADD_FAILURE() << "the run published no vantage dataset";
+    return kNone;
+  }
+  return *dataset;
 }
 
 /// Run `config` into a `measure::JsonExportSink` and return the bytes.

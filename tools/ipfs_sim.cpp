@@ -150,6 +150,25 @@ std::optional<ScenarioSpec> load_scenario(const std::string& ref,
   return std::nullopt;
 }
 
+/// Write `text` to the file at `path`, then flush and check the stream so a
+/// full disk fails loudly instead of being lost in the ofstream destructor.
+/// On failure prints "COMMAND: ..." naming the path and returns false.
+bool write_file(const char* command, const std::string& path,
+                const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    std::cerr << command << ": cannot open " << path << " for writing\n";
+    return false;
+  }
+  out << text;
+  out.flush();
+  if (!out) {
+    std::cerr << command << ": error writing " << path << "\n";
+    return false;
+  }
+  return true;
+}
+
 // ---- list -------------------------------------------------------------------
 
 int cmd_list(const std::vector<std::string>& args) {
@@ -459,17 +478,6 @@ int cmd_run(const std::vector<std::string>& args) {
 
 // ---- export -----------------------------------------------------------------
 
-int export_one(const ScenarioSpec& spec, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "ipfs_sim export: cannot open " << path << " for writing\n";
-    return 1;
-  }
-  out << spec.to_json_string();
-  std::cout << "wrote " << path << "\n";
-  return 0;
-}
-
 int cmd_export(const std::vector<std::string>& args) {
   std::optional<std::string> name;
   std::optional<std::string> out_path;
@@ -493,8 +501,12 @@ int cmd_export(const std::vector<std::string>& args) {
     std::cerr << "ipfs_sim export: no builtin named '" << *name << "'\n";
     return 1;
   }
-  if (out_path) return export_one(*spec, *out_path);
-  std::cout << spec->to_json_string();
+  if (!out_path) {
+    std::cout << spec->to_json_string();
+    return 0;
+  }
+  if (!write_file("ipfs_sim export", *out_path, spec->to_json_string())) return 1;
+  std::cout << "wrote " << *out_path << "\n";
   return 0;
 }
 
@@ -592,22 +604,16 @@ int cmd_calibrate(const std::vector<std::string>& args) {
   }
 
   if (out_path) {
-    std::ofstream out(*out_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "ipfs_sim calibrate: cannot write " << *out_path << "\n";
+    if (!write_file("ipfs_sim calibrate", *out_path,
+                    result->scenario.to_json_string())) {
       return 1;
     }
-    out << result->scenario.to_json_string();
   } else {
     std::cout << result->scenario.to_json_string();
   }
-  if (report_path) {
-    std::ofstream report(*report_path, std::ios::binary);
-    if (!report) {
-      std::cerr << "ipfs_sim calibrate: cannot write " << *report_path << "\n";
-      return 1;
-    }
-    report << result->report_json();
+  if (report_path &&
+      !write_file("ipfs_sim calibrate", *report_path, result->report_json())) {
+    return 1;
   }
   if (result->loop.ran && !result->loop.pass) {
     std::cerr << "ipfs_sim calibrate: closed-loop KS " << result->loop.ks
