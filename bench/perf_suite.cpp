@@ -483,8 +483,8 @@ ShardedCampaignNumbers bench_sharded_campaign(bool smoke) {
   namespace scenario = ipfs::scenario;
   namespace runtime = ipfs::runtime;
 
-  // One churned campaign (the workload the slab precompute exists for),
-  // run twice: plain sequential engine, then with a ShardPlan injected.
+  // One churned campaign (every peer joins and leaves, so the sharded
+  // sample tallies sweep a moving population), run twice: plain sequential engine, then with a ShardPlan injected.
   // Byte-identity of the two exports is asserted before the timings are
   // reported — a fast sharded engine that moved a byte is a bug, not a win.
   scenario::CampaignConfig config;

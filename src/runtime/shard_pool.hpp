@@ -1,8 +1,8 @@
 // Fork-join pool for deterministic intra-trial sharding (DESIGN.md §13).
 //
 // A sharded `CampaignEngine` keeps its event loop single-threaded and
-// fans only *pure* whole-population work — churn-chain slab precompute,
-// sample tallies, crawler classification — across population shards.
+// fans only its pure whole-population sample tallies across population
+// shards.
 // `ShardPool::run(body)` invokes `body(shard)` once per shard, on up to
 // `workers()` threads (the calling thread participates), and returns only
 // when every shard finished: a strict barrier, so the engine never

@@ -10,16 +10,7 @@ scenario::ShardPlan ShardedCampaignRunner::resolve_plan() const noexcept {
   scenario::ShardPlan plan;
   plan.shards = options_.shards == 0 ? WorkerBudget::hardware() : options_.shards;
   plan.workers = options_.workers;
-  if (options_.slab > 0) plan.slab = options_.slab;
   return plan;
-}
-
-std::optional<std::string> ShardedCampaignRunner::validate(
-    const scenario::CampaignConfig& config, const Options& options) {
-  if (options.slab < 0) return "sharding.slab must be positive";
-  scenario::CampaignConfig sharded = config;
-  sharded.sharding = ShardedCampaignRunner(options).resolve_plan();
-  return scenario::CampaignEngine::validate(sharded);
 }
 
 std::expected<void, std::string> ShardedCampaignRunner::run(

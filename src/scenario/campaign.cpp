@@ -1,16 +1,14 @@
 #include "scenario/campaign.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <span>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "bitswap/bitswap.hpp"
 #include "common/version.hpp"
 #include "dht/record_store.hpp"
-#include "measure/shard_tally.hpp"
 #include "net/network.hpp"
 #include "p2p/protocols.hpp"
 // Leaf runtime headers (no scenario includes): the sharded engine draws
@@ -132,9 +130,8 @@ struct CampaignEngine::Impl {
                  config.population.scale)));
     }
     if (config.phases) {
-      // Compiled once up front; `rates_at` is a pure const lookup, so the
-      // program can be consulted from sharded pure phases without
-      // synchronisation and never shifts any RNG-tree branch.
+      // Compiled once up front; `rates_at` is a pure const lookup, so
+      // consulting the program never shifts any RNG-tree branch.
       phases.emplace(*config.phases);
       phase_counters.resize(phases->size());
       for (std::size_t i = 0; i < phases->size(); ++i) {
@@ -284,9 +281,6 @@ struct CampaignEngine::Impl {
 
     peer_states.assign(population.peers().size());
     maintained_flags.assign(population.peers().size() * vantages.size(), 0);
-    for (const RemotePeer& peer : population.peers()) {
-      pid_to_peer.emplace(peer.pid, peer.index);
-    }
   }
 
   [[nodiscard]] bool visible(const RemotePeer& peer, const Vantage& vantage) const {
@@ -339,10 +333,8 @@ struct CampaignEngine::Impl {
 
   /// The churned offline gap beginning at `gap_start`, divided by the
   /// phase program's churn rate there and floor-clamped exactly like the
-  /// legacy draw.  One definition serves both the slab chain walk and the
-  /// sequential callback, so the two paths modulate identically by
-  /// construction (the gap's phase input is the chain's own deterministic
-  /// gap-start time, never the wall clock of the precompute).
+  /// legacy draw.  The phase input is the gap's own deterministic start
+  /// time, so the gap stays a pure function of (peer, session, seed).
   [[nodiscard]] SimDuration churned_gap(std::uint32_t index, std::uint32_t session,
                                         SimTime gap_start, Category category) {
     SimDuration gap = churn->gap_length(index, session, gap_start, category);
@@ -359,182 +351,54 @@ struct CampaignEngine::Impl {
 
   // ---- intra-trial sharding (DESIGN.md §13) --------------------------------
   //
-  // The event loop itself never forks: what fans out across the shard
-  // pool is *pure* whole-population computation — the slab-stepped
-  // churn-chain walks, the sample tallies, the crawler's per-peer
-  // classification — executed to a barrier inside a single event and
-  // merged in canonical ascending shard order.  Every sharded value is a
-  // pure function of (peer, index, seed) consumed at the exact call site
-  // the sequential engine draws it, so the export is byte-identical at
-  // any shard count and any worker count; the RNG-stream-dependent
-  // machinery (`peer_rng` children mutate the parent) stays sequential.
+  // The event loop itself never forks: the only work that fans out across
+  // the shard pool is the pure whole-population sample tallies, executed
+  // to a barrier inside a single event and summed in canonical ascending
+  // shard order.  An integer sum over contiguous index-order slices equals
+  // the sequential sweep, so the export is byte-identical at any shard and
+  // worker count.  Churn, crawl and every RNG-stream draw stay sequential.
 
-  /// Fan `body(shard, first, last)` over `count` items: one contiguous
-  /// slice per shard on the pool (strict barrier), or a single inline
-  /// call covering everything when sharding is off.
-  template <typename Body>
-  void for_shards(std::size_t count, Body&& body) {
-    if (!shard_pool) {
-      body(0u, std::size_t{0}, count);
-      return;
-    }
+  /// Sum `slice_sum(first, last)` over `count` items: one contiguous slice
+  /// per shard on the pool (strict barrier), partials added in ascending
+  /// shard order, or a single inline call covering everything when
+  /// sharding is off.
+  template <typename SliceSum>
+  [[nodiscard]] std::size_t sum_over_shards(std::size_t count, SliceSum&& slice_sum) {
+    if (!shard_pool) return slice_sum(std::size_t{0}, count);
     const unsigned shards = shard_pool->shards();
+    std::vector<std::size_t> partials(shards);
     shard_pool->run([&](unsigned shard) {
       const auto [first, last] = runtime::ShardPool::slice(count, shards, shard);
-      body(shard, first, last);
+      partials[shard] = slice_sum(first, last);
     });
+    return std::accumulate(partials.begin(), partials.end(), std::size_t{0});
   }
 
-  [[nodiscard]] unsigned shard_count() const noexcept {
-    return shard_pool ? shard_pool->shards() : 1;
-  }
-
-  [[nodiscard]] bool sharded_churn() const noexcept {
-    return shard_pool != nullptr && churn.has_value();
-  }
-
-  /// One precomputed churn lifecycle transition: the values the
-  /// sequential `schedule_churn_session` callback would draw when it
-  /// fires at `at`.
-  struct ChurnTransition {
-    SimTime at = 0;          ///< absolute session start
-    SimDuration length = 0;  ///< session length, floor-clamped
-    SimDuration gap = 0;     ///< following offline gap, floor-clamped
-    bool redraw = false;     ///< dual-homed address redraw on this rejoin
-  };
-
-  /// Slab-buffered churn chains, one cursor + FIFO window per peer.
-  /// Chains extend in parallel (each draw is a pure function of
-  /// (peer, session, seed); the gap's diurnal input is the chain's own
-  /// deterministic time) and are consumed strictly in per-peer time
-  /// order by the scheduling callbacks.  Only the window between the
-  /// consumed prefix and `horizon` is buffered, so memory stays
-  /// O(population x slab / mean-cycle) on 14-day runs.
-  struct ChurnChains {
-    std::vector<SimTime> next_at;            ///< cursor: next unwalked transition
-    std::vector<std::uint32_t> next_session;
-    std::vector<std::vector<ChurnTransition>> buffered;
-    std::vector<std::uint32_t> consumed;     ///< per-peer FIFO head
-    SimTime horizon = 0;  ///< transitions strictly before this are buffered
-  };
-
-  /// Parallel phase of `schedule_churned_population`: size the chain
-  /// state and compute every peer's pure first-transition delay into the
-  /// `next_at` cursors.  Scheduling stays sequential in peer order
-  /// (insertion order is the queue's FIFO tie-break).
-  void seed_churn_chains() {
-    const std::size_t count = population.peers().size();
-    churn_chains.next_at.assign(count, 0);
-    churn_chains.next_session.assign(count, 0);
-    churn_chains.buffered.assign(count, {});
-    churn_chains.consumed.assign(count, 0);
-    for_shards(count, [&](unsigned, std::size_t first, std::size_t last) {
-      for (std::size_t i = first; i < last; ++i) {
-        const auto index = static_cast<std::uint32_t>(i);
-        if (churn->initially_online(index)) {
-          churn_chains.next_at[i] = static_cast<SimDuration>(
-              common::mix64(common::mix64(config.seed, 0x0ff5e7), index) %
-              static_cast<std::uint64_t>(10 * kMinute));
-        } else {
-          churn_chains.next_at[i] =
-              churned_gap(index, 0, 0, population.peers()[i].category);
-        }
-      }
-    });
-  }
-
-  /// Extend every peer's buffered chain to `horizon` (absolute, one
-  /// shard per slice, barrier).  A no-op when `horizon` is not ahead of
-  /// the buffered one.
-  void extend_churn_chains(SimTime horizon) {
-    if (horizon <= churn_chains.horizon) return;
-    churn_chains.horizon = horizon;
-    for_shards(population.peers().size(),
-               [&](unsigned, std::size_t first, std::size_t last) {
-                 for (std::size_t i = first; i < last; ++i) {
-                   extend_churn_chain(i, horizon);
-                 }
-               });
-  }
-
-  /// Walk one peer's chain up to `horizon`: exactly the draw sequence of
-  /// the sequential callback, replayed ahead of time.
-  void extend_churn_chain(std::size_t i, SimTime horizon) {
-    std::vector<ChurnTransition>& buffer = churn_chains.buffered[i];
-    if (const std::uint32_t consumed = churn_chains.consumed[i];
-        consumed > 0) {
-      buffer.erase(buffer.begin(),
-                   buffer.begin() + static_cast<std::ptrdiff_t>(consumed));
-      churn_chains.consumed[i] = 0;
-    }
-    const RemotePeer& peer = population.peers()[i];
-    const auto index = static_cast<std::uint32_t>(i);
-    SimTime at = churn_chains.next_at[i];
-    std::uint32_t session = churn_chains.next_session[i];
-    while (at < horizon && at < config.period.duration) {
-      ChurnTransition tr;
-      tr.at = at;
-      tr.redraw = peer.has_alt_ip && churn->redraw_address(index, session);
-      tr.length = std::max<SimDuration>(
-          churn->session_length(index, session, peer.category), 30 * kSecond);
-      tr.gap = churned_gap(index, session + 1, at + tr.length, peer.category);
-      buffer.push_back(tr);
-      at += tr.length + tr.gap;
-      ++session;
-    }
-    churn_chains.next_at[i] = at;
-    churn_chains.next_session[i] = session;
-  }
-
-  /// The precomputed transition for `index` firing right now.  Refills
-  /// the whole population one slab past the clock when this peer's
-  /// window ran dry — triggered by event state only, so refill times are
-  /// as deterministic as the events themselves.
-  [[nodiscard]] ChurnTransition take_churn_transition(std::uint32_t index) {
-    if (churn_chains.consumed[index] == churn_chains.buffered[index].size()) {
-      extend_churn_chains(simulation.now() + config.sharding->slab);
-    }
-    const ChurnTransition tr =
-        churn_chains.buffered[index][churn_chains.consumed[index]++];
-    assert(tr.at == simulation.now());
-    return tr;
-  }
-
-  /// Ground-truth online count: per-shard partial tallies folded in
-  /// canonical shard order (equal to the sequential sweep — contiguous
-  /// slices in index order, integer sum).
+  /// Ground-truth online count.
   [[nodiscard]] std::size_t true_online_count() {
-    std::vector<measure::PopulationTally> partials(shard_count());
-    for_shards(peer_states.online.size(),
-               [&](unsigned shard, std::size_t first, std::size_t last) {
-                 std::size_t online = 0;
-                 for (std::size_t i = first; i < last; ++i) {
-                   online += peer_states.online[i];
-                 }
-                 partials[shard].online = online;
-               });
-    return measure::fold(std::span<const measure::PopulationTally>(partials))
-        .online;
+    const auto online = [&](std::size_t first, std::size_t last) {
+      std::size_t count = 0;
+      for (std::size_t i = first; i < last; ++i) count += peer_states.online[i];
+      return count;
+    };
+    return sum_over_shards(peer_states.online.size(), online);
   }
 
-  /// Ground-truth provider-slot count (content sample), same pattern.
+  /// Ground-truth provider-slot count (content sample).
   [[nodiscard]] std::size_t true_record_count() {
-    std::vector<measure::ContentTally> partials(shard_count());
-    for_shards(population.peers().size(),
-               [&](unsigned shard, std::size_t first, std::size_t last) {
-                 std::size_t records = 0;
-                 for (std::size_t i = first; i < last; ++i) {
-                   if (peer_states.online[i] == 0) continue;
-                   // The slot count materialised at session start (equal to
-                   // `content->publish_count` on legacy runs; phase-scaled
-                   // on phased ones) — ground truth must count what the
-                   // session actually published.
-                   records += peer_states.publish_slots[i];
-                 }
-                 partials[shard].true_records = records;
-               });
-    return measure::fold(std::span<const measure::ContentTally>(partials))
-        .true_records;
+    const auto records = [&](std::size_t first, std::size_t last) {
+      std::size_t count = 0;
+      for (std::size_t i = first; i < last; ++i) {
+        if (peer_states.online[i] == 0) continue;
+        // The slot count materialised at session start (equal to
+        // `content->publish_count` on legacy runs; phase-scaled on phased
+        // ones) — ground truth must count what the session actually
+        // published.
+        count += peer_states.publish_slots[i];
+      }
+      return count;
+    };
+    return sum_over_shards(population.peers().size(), records);
   }
 
   // ---- session machinery ---------------------------------------------------
@@ -612,18 +476,6 @@ struct CampaignEngine::Impl {
   // vantage attributes them to `kPeerOffline`.
 
   void schedule_churned_population() {
-    if (sharded_churn()) {
-      // Parallel pure phase: every first-transition delay at once.  The
-      // scheduling below then runs in plain peer order, so the queue's
-      // FIFO tie-break order matches the sequential engine exactly.
-      seed_churn_chains();
-      for (const RemotePeer& peer : population.peers()) {
-        // The clock is 0 here, so the absolute cursor IS the delay.
-        schedule_churn_session(peer.index, churn_chains.next_at[peer.index]);
-      }
-      extend_churn_chains(config.sharding->slab);
-      return;
-    }
     for (const RemotePeer& peer : population.peers()) {
       const std::uint32_t index = peer.index;
       if (churn->initially_online(index)) {
@@ -645,33 +497,24 @@ struct CampaignEngine::Impl {
       if (simulation.now() >= config.period.duration) return;
       const std::uint32_t session = peer_states.session_index[index]++;
       RemotePeer& peer = population.peers()[index];
-      // Sharded runs consume the slab-precomputed transition; the values
-      // are equal by purity (the chain walk replays these exact draws),
-      // with the clock match asserted inside take_churn_transition.
-      ChurnTransition tr;
-      if (sharded_churn()) {
-        tr = take_churn_transition(index);
-      } else {
-        tr.redraw = peer.has_alt_ip && churn->redraw_address(index, session);
-        tr.length = std::max<SimDuration>(
-            churn->session_length(index, session, peer.category), 30 * kSecond);
-        // The following offline gap, with diurnal and phase modulation
-        // evaluated where the gap begins.
-        tr.gap = churned_gap(index, session + 1, simulation.now() + tr.length,
-                             peer.category);
-      }
+      const bool redraw = peer.has_alt_ip && churn->redraw_address(index, session);
+      const auto length = std::max<SimDuration>(
+          churn->session_length(index, session, peer.category), 30 * kSecond);
+      // The following offline gap, with diurnal and phase modulation
+      // evaluated where the gap begins.
+      const SimDuration gap = churned_gap(index, session + 1,
+                                          simulation.now() + length, peer.category);
       // Rejoining peers keep their PeerId but may come back from their
       // other IP — the §V-A dual-homing rules applied per session (the
       // per-connection alternation still applies on top).
-      if (tr.redraw) {
+      if (redraw) {
         std::swap(peer.ip, peer.alt_ip);
       }
       // A phase program's `population` target admits only a fraction of
       // the churned population: a pure per-(peer, session) hash decides
       // whether this session actually starts.  The chain itself — draws,
       // redraw swap, next-cycle schedule — advances unconditionally, so
-      // admitting a peer later never replays or shifts a draw (and the
-      // sharded precompute needs no admission knowledge at all).
+      // admitting a peer later never replays or shifts a draw.
       bool admitted = true;
       if (phases) {
         const double fraction = phases->rates_at(simulation.now()).population;
@@ -685,9 +528,9 @@ struct CampaignEngine::Impl {
                                     std::numeric_limits<std::uint64_t>::max());
         }
       }
-      if (admitted) start_session(index, simulation.now() + tr.length);
+      if (admitted) start_session(index, simulation.now() + length);
       // The next cycle: this session plus the following offline gap.
-      schedule_churn_session(index, tr.length + tr.gap);
+      schedule_churn_session(index, length + gap);
     });
   }
 
@@ -1054,14 +897,6 @@ struct CampaignEngine::Impl {
     const RemotePeer& peer = population.peers()[index];
     if (peer.dht_server) remove_online_server(index);
     if (content) end_content_session(index);
-    // Close whatever maintained connections remain (queries close on their
-    // own schedule, clamped to the session).
-    for (std::size_t v = 0; v < vantages.size(); ++v) {
-      // Maintained connections die with the session: the node left.
-      // (Conn ids are not stored per peer; the close was scheduled at open
-      // time for exactly this moment, so nothing to do here.)
-      (void)v;
-    }
   }
 
   // ---- connection processes ------------------------------------------------
@@ -1368,43 +1203,6 @@ struct CampaignEngine::Impl {
 
   // ---- active-crawler baseline ---------------------------------------------
 
-  /// Parallel pure phase of a sharded crawl: classify every peer (skip /
-  /// online / stale) and precompute the conditions reachability verdict.
-  /// Everything read here — protocol lists, online flags, condition
-  /// hashes — is stable for the duration of the event; no RNG stream is
-  /// touched, so the sequential draw phase consumes the exact prng
-  /// sequence of the unsharded loop.
-  enum class CrawlClass : std::uint8_t { kSkip = 0, kOnline = 1, kStale = 2 };
-
-  void classify_crawl_targets() {
-    const std::size_t count = population.peers().size();
-    crawl_classes.assign(count, 0);
-    crawl_reachable.assign(count, 0);
-    const SimTime now = simulation.now();
-    const std::string kad_protocol(proto::kKad);
-    for_shards(count, [&](unsigned, std::size_t first, std::size_t last) {
-      for (std::size_t i = first; i < last; ++i) {
-        const RemotePeer& peer = population.peers()[i];
-        if (!peer.dht_server) continue;
-        const bool announces_kad =
-            std::find(peer.protocols.begin(), peer.protocols.end(),
-                      kad_protocol) != peer.protocols.end();
-        if (!announces_kad) continue;
-        if (peer_states.online[i] != 0) {
-          crawl_classes[i] = static_cast<std::uint8_t>(CrawlClass::kOnline);
-          const bool reachable =
-              conditions == std::nullopt ||
-              (conditions->accepts_inbound(peer.pid, to_string(peer.category)) &&
-               !conditions->zone_down(peer.pid, now) &&
-               !conditions->zone_partitioned(peer.pid, now));
-          crawl_reachable[i] = reachable ? 1 : 0;
-        } else if (now - peer_states.last_online[i] < 24 * kHour) {
-          crawl_classes[i] = static_cast<std::uint8_t>(CrawlClass::kStale);
-        }
-      }
-    });
-  }
-
   /// One crawl: the body the periodic task fires, extracted so the phased
   /// cadence below can invoke the identical sweep on a varying schedule.
   void run_crawl(measure::MeasurementSink& sink) {
@@ -1412,34 +1210,6 @@ struct CampaignEngine::Impl {
     measure::CrawlObservation snapshot;
     snapshot.at = simulation.now();
     if (auto* phase = current_phase()) ++phase->crawls;
-    if (shard_pool) {
-      // Two-phase sharded sweep: parallel classification, then a
-      // sequential draw/tally walk in peer order whose bernoulli
-      // call sites mirror the unsharded loop below one-for-one.
-      classify_crawl_targets();
-      for (const RemotePeer& peer : population.peers()) {
-        switch (static_cast<CrawlClass>(crawl_classes[peer.index])) {
-          case CrawlClass::kSkip:
-            break;
-          case CrawlClass::kOnline: {
-            const CategoryParams& params =
-                config.population.params(peer.category);
-            if (prng.bernoulli(params.crawl_visibility)) {
-              if (crawl_reachable[peer.index] != 0) {
-                ++snapshot.reached_servers;
-              }
-              ++snapshot.learned_pids;
-            }
-            break;
-          }
-          case CrawlClass::kStale:
-            if (prng.bernoulli(0.5)) ++snapshot.learned_pids;
-            break;
-        }
-      }
-      sink.on_crawl(snapshot);
-      return;
-    }
     const std::string kad_protocol(proto::kKad);
     for (const RemotePeer& peer : population.peers()) {
       if (!peer.dht_server) continue;
@@ -1757,7 +1527,6 @@ struct CampaignEngine::Impl {
   std::vector<Vantage> vantages;
   PeerStates peer_states;
   std::vector<std::uint8_t> maintained_flags;
-  std::unordered_map<p2p::PeerId, std::uint32_t> pid_to_peer;
   std::vector<std::uint32_t> online_servers;
   std::unordered_map<std::uint32_t, std::size_t> server_pos;
   sim::TaskId crawler_task = sim::kInvalidTask;
@@ -1766,9 +1535,6 @@ struct CampaignEngine::Impl {
   // `config.sharding` is engaged.
   runtime::WorkerLease shard_lease;
   std::unique_ptr<runtime::ShardPool> shard_pool;
-  ChurnChains churn_chains;
-  std::vector<std::uint8_t> crawl_classes;    ///< CrawlClass scratch per crawl
-  std::vector<std::uint8_t> crawl_reachable;  ///< 0/1 scratch per crawl
 };
 
 std::optional<std::string> CampaignEngine::validate(const CampaignConfig& config) {
@@ -1841,7 +1607,6 @@ std::optional<std::string> CampaignEngine::validate(const CampaignConfig& config
   }
   if (config.sharding) {
     if (config.sharding->shards == 0) return "sharding.shards must be >= 1";
-    if (config.sharding->slab <= 0) return "sharding.slab must be positive";
   }
   return std::nullopt;
 }

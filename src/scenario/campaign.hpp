@@ -40,13 +40,14 @@ namespace ipfs::scenario {
 
 /// Deterministic intra-trial sharding of the remote population
 /// (DESIGN.md §13).  The engine's event loop stays single-threaded and
-/// structurally identical to the unsharded engine; what shards is the
-/// *pure* whole-population work — slab-stepped churn-chain precompute,
-/// sample tallies, crawler classification — fanned across contiguous
-/// population slices on a fork-join `runtime::ShardPool` and merged in
-/// canonical ascending shard order.  The export is byte-identical to the
-/// unsharded run at ANY shard count and ANY worker count (the sequential
-/// engine is the oracle; enforced by `ctest -L shard`).
+/// structurally identical to the unsharded engine, and churn and the
+/// crawl run the same sequential code either way.  What shards is the
+/// pure whole-population sample tallies (ground-truth online and record
+/// counts), summed over contiguous population slices on a fork-join
+/// `runtime::ShardPool` in canonical ascending shard order.  The export
+/// is byte-identical to the unsharded run at ANY shard count and ANY
+/// worker count (the sequential engine is the oracle; enforced by
+/// `ctest -L shard`).
 struct ShardPlan {
   /// Contiguous population slices advanced per fan-out.  Must be >= 1;
   /// 1 still engages the sharded code path (useful for tests).
@@ -58,12 +59,6 @@ struct ShardPlan {
   /// hardware concurrency; explicit values are honoured as given.
   /// Clamped to `shards` either way.
   unsigned workers = 0;
-
-  /// Precompute slab: churned lifecycle chains are extended this far
-  /// ahead of the clock whenever a peer's buffered chain runs dry, which
-  /// bounds buffer memory on 14-day runs.  Must be > 0.  The slab length
-  /// never changes output bytes — only when the precompute work happens.
-  common::SimDuration slab = 6 * common::kHour;
 };
 
 /// Campaign configuration.

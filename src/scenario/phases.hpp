@@ -18,9 +18,8 @@
 //                  phase) to this phase's target over the hold window.
 //   - burst:       a square wave toggling between the target ("hi") and the
 //                  previous phase's endpoint ("lo") every `switch_interval`,
-//                  starting hi at the phase start; edges are left-closed so
-//                  with `switch_interval` equal to a shard slab they land
-//                  exactly on slab boundaries.
+//                  starting hi at the phase start; edges are left-closed,
+//                  so an instant exactly on an edge takes the new level.
 //   - flash_crowd: a hold whose fetch traffic is additionally multiplied by
 //                  `spike` and redirected to `hot_key` with probability
 //                  `hot_fraction` (a pure per-(node, fetch) hash).

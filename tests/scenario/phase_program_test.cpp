@@ -151,7 +151,7 @@ TEST(PhaseProgram, BurstTogglesOnLeftClosedSwitchEdges) {
   const PhaseProgram program(spec);
 
   // Starts hi; each edge lands exactly on a switch_interval multiple past
-  // the phase start (= slab boundaries when switch_interval is the slab).
+  // the phase start, and an instant on an edge takes the new level.
   EXPECT_DOUBLE_EQ(program.rates_at(kHour).fetch, 5.0);           // hi edge
   EXPECT_DOUBLE_EQ(program.rates_at(2 * kHour - 1).fetch, 5.0);   // hi tail
   EXPECT_DOUBLE_EQ(program.rates_at(2 * kHour).fetch, 1.0);       // lo edge

@@ -1,16 +1,18 @@
 // Shared campaign test helpers.
 //
-// The scenario/integration suites all need the same three moves: build a
+// The scenario/integration suites all need the same moves: build a
 // small-scale `CampaignConfig`, run it through the validating factory
-// (failing the test on a rejected config), and capture a run's JSON
-// export for byte-level comparisons.  Keeping them here stops each suite
-// from re-rolling its own copy.
+// (failing the test on a rejected config), capture a run's JSON export,
+// and compare two exports byte for byte with a readable failure.
+// Keeping them here stops each suite from re-rolling its own copy.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "measure/sink.hpp"
@@ -76,17 +78,48 @@ inline std::string run_builtin(const char* name, double scale) {
 }
 
 /// `run_to_json` with an intra-trial `ShardPlan` injected (DESIGN.md §13).
-/// `slab == 0` keeps the plan's default slab.  The shard-invariance suites
-/// compare these bytes against the plain sequential `run_to_json`.
+/// The shard-invariance suites compare these bytes against the plain
+/// sequential `run_to_json`.
 inline std::string run_sharded_json(scenario::CampaignConfig config,
-                                    unsigned shards, unsigned workers,
-                                    common::SimDuration slab = 0) {
-  scenario::ShardPlan plan;
-  plan.shards = shards;
-  plan.workers = workers;
-  if (slab > 0) plan.slab = slab;
-  config.sharding = plan;
+                                    unsigned shards, unsigned workers) {
+  config.sharding = scenario::ShardPlan{.shards = shards, .workers = workers};
   return run_to_json(config);
+}
+
+/// Byte equality of two exports that, on failure, names the first
+/// differing byte offset, its 1-based line and ~60 bytes of context from
+/// each side instead of printing both (tens of KB) documents.  A length
+/// difference fails at the end of the shorter input.
+inline ::testing::AssertionResult same_bytes(std::string_view expected,
+                                             std::string_view actual) {
+  if (expected == actual) return ::testing::AssertionSuccess();
+  const auto mismatch =
+      std::mismatch(expected.begin(), expected.end(), actual.begin(), actual.end());
+  const auto offset =
+      static_cast<std::size_t>(mismatch.first - expected.begin());
+  const auto line =
+      1 + std::count(expected.begin(), mismatch.first, '\n');
+  constexpr std::size_t kBefore = 20;
+  constexpr std::size_t kWindow = 60;
+  const std::size_t from = offset > kBefore ? offset - kBefore : 0;
+  const auto context = [&](std::string_view bytes) {
+    std::string shown;
+    for (const char c : bytes.substr(std::min(from, bytes.size()), kWindow)) {
+      if (c == '\n') {
+        shown += "\\n";
+      } else if (c == '\t') {
+        shown += "\\t";
+      } else {
+        shown += c;
+      }
+    }
+    return "\"" + shown + "\"";
+  };
+  return ::testing::AssertionFailure()
+         << "exports differ at byte " << offset << " (line " << line
+         << "); lengths " << expected.size() << " vs " << actual.size()
+         << "\n  expected[" << from << "..]: " << context(expected)
+         << "\n  actual  [" << from << "..]: " << context(actual);
 }
 
 /// Run the spec's seed sweep through `ParallelTrialRunner` with the given

@@ -23,7 +23,6 @@
 //   --shard-workers N
 //                  threads driving the shard fan-outs (0 = lease from the
 //                  process worker budget, shared with --workers)
-//   --slab SECONDS churn-chain precompute slab, in simulated seconds
 //   --quiet        suppress the progress summary on stderr
 //
 // Single-trial runs execute on a `scenario::CampaignEngine` directly
@@ -70,8 +69,7 @@ int usage(std::ostream& out, int code) {
          "  validate FILE...         parse + validate scenario files\n"
          "  run SCENARIO [options]   run a scenario file or builtin name\n"
          "      --out FILE --workers N --trials N --seed S --scale X\n"
-         "      --duration SECONDS --shards N --shard-workers N\n"
-         "      --slab SECONDS --quiet\n"
+         "      --duration SECONDS --shards N --shard-workers N --quiet\n"
          "  export NAME [--out FILE]  write a builtin spec as JSON\n"
          "  calibrate TRACE [options]\n"
          "                           fit churn distributions to a measured\n"
@@ -306,7 +304,6 @@ int cmd_run(const std::vector<std::string>& args) {
   std::optional<double> duration_override;  // simulated seconds
   std::optional<std::uint32_t> shards;
   std::uint32_t shard_workers = 0;        // 0 = lease from the worker budget
-  std::optional<double> slab_seconds;     // simulated seconds
   bool quiet = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -317,7 +314,7 @@ int cmd_run(const std::vector<std::string>& args) {
     const bool takes_value =
         arg == "--out" || arg == "--workers" || arg == "--trials" ||
         arg == "--seed" || arg == "--scale" || arg == "--duration" ||
-        arg == "--shards" || arg == "--shard-workers" || arg == "--slab";
+        arg == "--shards" || arg == "--shard-workers";
     if (!takes_value) {
       std::cerr << "ipfs_sim run: unknown option '" << arg << "'\n";
       return 2;
@@ -355,16 +352,12 @@ int cmd_run(const std::vector<std::string>& args) {
       std::uint32_t count = 0;
       if (!option_u32(arg, value, count)) return 2;
       shards = count;
-    } else if (arg == "--shard-workers") {
+    } else {  // --shard-workers
       if (!option_u32(arg, value, shard_workers)) return 2;
-    } else {  // --slab
-      double seconds = 0.0;
-      if (!option_positive(arg, value, seconds)) return 2;
-      slab_seconds = seconds;
     }
   }
-  if ((shard_workers != 0 || slab_seconds) && !shards) {
-    std::cerr << "ipfs_sim run: --shard-workers/--slab need --shards\n";
+  if (shard_workers != 0 && !shards) {
+    std::cerr << "ipfs_sim run: --shard-workers needs --shards\n";
     return 2;
   }
 
@@ -411,15 +404,12 @@ int cmd_run(const std::vector<std::string>& args) {
               << spec.population.scale << ", seed " << spec.campaign.seed << "\n";
   }
 
-  // --shards resolves to a ShardPlan through the sharded runner, so
-  // defaults (0 -> one shard per core, 6 h slab) live in one place.
+  // --shards resolves to a ShardPlan through the sharded runner, so the
+  // default (0 -> one shard per core) lives in one place.
   ipfs::runtime::ShardedCampaignRunner::Options shard_options;
   if (shards) {
     shard_options.shards = *shards;
     shard_options.workers = shard_workers;
-    if (slab_seconds) {
-      shard_options.slab = ipfs::common::from_seconds(*slab_seconds);
-    }
   }
 
   const auto start = std::chrono::steady_clock::now();
