@@ -24,15 +24,20 @@
 //                scenario::PhaseProgram::rates_at lookups (the per-draw
 //                modulation hot path of DESIGN.md §14) plus the wall-clock
 //                overhead a modulating program adds to one campaign
+//   conn_trim    p2p::Swarm::trim_now, the entry point the engine's 10 s
+//                trim tick calls, at P4's 18k/20k watermarks: an idle tick
+//                just below high water and a trimming tick 5% above it
 //
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
 //   --out             output path, default ./BENCH_core.json
 //   --check-baseline  compare event_queue.ns_per_event against a committed
 //                     BENCH_core.json; exit 1 on a >25% regression (the
-//                     scheduler guardrail — see DESIGN.md §12) or when the
-//                     baseline predates the sharded_campaign or
-//                     phase_program sections
+//                     scheduler guardrail — see DESIGN.md §12), when this
+//                     run's conn_trim idle tick costs more than 1% of its
+//                     trimming tick (the table snapshot came back — see
+//                     DESIGN.md §7), or when the baseline lacks a section
+//                     the suite emits
 // IPFS_SCALE / IPFS_SEED tune the campaign section (see bench/README.md).
 #include <algorithm>
 #include <chrono>
@@ -40,6 +45,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -50,6 +56,7 @@
 #include "common/rng.hpp"
 #include "dht/routing_table.hpp"
 #include "net/conditions.hpp"
+#include "p2p/swarm.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/sharded.hpp"
 #include "runtime/worker_budget.hpp"
@@ -618,13 +625,108 @@ PhaseProgramNumbers bench_phase_program(bool smoke) {
   return numbers;
 }
 
+// ---- conn_trim: Swarm::trim_now at P4's watermarks --------------------------
+
+struct ConnTrimNumbers {
+  int low_water = 0;
+  int high_water = 0;
+  std::size_t idle_open = 0;   ///< open connections during the idle ticks
+  std::size_t idle_ticks = 0;
+  double idle_tick_ns = 0.0;   ///< per trim_now call that trims nothing
+  std::size_t trim_open = 0;   ///< open connections before each trimming tick
+  std::size_t trim_reps = 0;
+  std::size_t trimmed_per_tick = 0;
+  double trim_tick_ns = 0.0;   ///< per trim_now call that trims to low water
+};
+
+/// A go-ipfs vantage swarm at the given watermarks holding `open`
+/// connections to distinct peers, every one past its grace period.  One
+/// peer in five carries a DHT-style tag, as in a routing-table-heavy table.
+std::unique_ptr<ipfs::p2p::Swarm> filled_swarm(ipfs::sim::Simulation& simulation,
+                                               int low_water, int high_water,
+                                               std::size_t open) {
+  namespace p2p = ipfs::p2p;
+  auto swarm = std::make_unique<p2p::Swarm>(
+      simulation, PeerId::from_seed(1),
+      p2p::Multiaddr{p2p::IpAddress::v4(1), p2p::Transport::kTcp, 4001},
+      p2p::Swarm::Config{p2p::ConnManagerConfig::with_watermarks(low_water, high_water),
+                         /*trim_enabled=*/true});
+  for (std::size_t i = 0; i < open; ++i) {
+    const PeerId remote = PeerId::from_seed(i + 2);
+    if (i % 5 == 0) swarm->conn_manager().set_tag(remote, 10);
+    swarm->open_connection(
+        remote,
+        p2p::Multiaddr{p2p::IpAddress::v4(static_cast<std::uint32_t>(i + 2)),
+                       p2p::Transport::kTcp, 4001},
+        p2p::Direction::kInbound);
+  }
+  simulation.run_until(simulation.now() +
+                       swarm->conn_manager().config().grace_period +
+                       ipfs::common::kSecond);
+  return swarm;
+}
+
+ConnTrimNumbers bench_conn_trim(bool smoke) {
+  // The watermarks are the primary workload's, in smoke mode too: the cost
+  // under test scales with the table, so a shrunken table would hide it.
+  const ipfs::scenario::PeriodSpec p4 = ipfs::scenario::PeriodSpec::P4();
+  ConnTrimNumbers numbers;
+  numbers.low_water = p4.go_low_water;
+  numbers.high_water = p4.go_high_water;
+  const auto high_water = static_cast<std::size_t>(p4.go_high_water);
+
+  {
+    numbers.idle_open = high_water - 1;
+    numbers.idle_ticks = smoke ? 100'000 : 1'000'000;
+    ipfs::sim::Simulation simulation;
+    const auto swarm =
+        filled_swarm(simulation, numbers.low_water, numbers.high_water, numbers.idle_open);
+    std::size_t trimmed = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < numbers.idle_ticks; ++i) trimmed += swarm->trim_now();
+    numbers.idle_tick_ns =
+        elapsed_ms(start) * 1e6 / static_cast<double>(numbers.idle_ticks);
+    if (trimmed != 0 || swarm->open_count() != numbers.idle_open) {
+      std::cerr << "conn_trim: an idle tick trimmed " << trimmed << " connections\n";
+      std::exit(1);
+    }
+  }
+
+  // Each trimming tick needs a fresh over-full table, so the table is
+  // rebuilt (untimed) for every repetition.
+  numbers.trim_open = high_water + high_water / 20;
+  numbers.trim_reps = smoke ? 3 : 20;
+  numbers.trimmed_per_tick =
+      numbers.trim_open - static_cast<std::size_t>(numbers.low_water);
+  double trim_ms = 0.0;
+  for (std::size_t rep = 0; rep < numbers.trim_reps; ++rep) {
+    ipfs::sim::Simulation simulation;
+    const auto swarm =
+        filled_swarm(simulation, numbers.low_water, numbers.high_water, numbers.trim_open);
+    const auto start = std::chrono::steady_clock::now();
+    const std::size_t trimmed = swarm->trim_now();
+    trim_ms += elapsed_ms(start);
+    if (trimmed != numbers.trimmed_per_tick) {
+      std::cerr << "conn_trim: a trimming tick closed " << trimmed
+                << " connections, expected " << numbers.trimmed_per_tick << "\n";
+      std::exit(1);
+    }
+  }
+  numbers.trim_tick_ns = trim_ms * 1e6 / static_cast<double>(numbers.trim_reps);
+  return numbers;
+}
+
 // ---- baseline guardrail -----------------------------------------------------
 
 /// Compares a fresh event_queue measurement against the committed
-/// BENCH_core.json.  Returns false (after printing why) when the scheduler
-/// regressed more than 25% — the CI guardrail for the ladder-queue engine.
-bool check_event_queue_baseline(const std::string& baseline_path,
-                                const EventQueueNumbers& fresh) {
+/// BENCH_core.json and checks this run's conn_trim ratio.  Returns false
+/// (after printing why) when the scheduler regressed more than 25% — the CI
+/// guardrail for the ladder-queue engine — or when an idle trim tick costs
+/// more than 1% of a trimming one.  The second check compares two figures
+/// of the same run, so it holds on any host; it fails if trim_now snapshots
+/// the table before its high-water check.
+bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& fresh,
+                    const ConnTrimNumbers& trim) {
   std::ifstream in(baseline_path);
   if (!in) {
     std::cerr << "check-baseline: cannot open " << baseline_path << "\n";
@@ -648,24 +750,32 @@ bool check_event_queue_baseline(const std::string& baseline_path,
   }
   // Field-coverage guard: a committed baseline must carry every section
   // the suite emits, or a regeneration quietly dropped one.
-  const ipfs::common::JsonValue* sharded = parsed->find("sharded_campaign");
-  if (sharded == nullptr || sharded->find("sharded_ms") == nullptr ||
-      sharded->find("sequential_ms") == nullptr ||
-      sharded->find("shards") == nullptr) {
-    std::cerr << "check-baseline: " << baseline_path
-              << " predates the sharded_campaign section — regenerate "
-              << "BENCH_core.json (bench/README.md)\n";
-    return false;
+  struct RequiredSection {
+    const char* name;
+    std::vector<const char*> fields;
+  };
+  const RequiredSection required_sections[] = {
+      {"sharded_campaign", {"sharded_ms", "sequential_ms", "shards"}},
+      {"phase_program",
+       {"rates_ns_per_lookup", "plain_campaign_ms", "phased_campaign_ms"}},
+      {"conn_trim", {"idle_tick_ns", "trim_tick_ns"}},
+  };
+  for (const RequiredSection& required : required_sections) {
+    const ipfs::common::JsonValue* found = parsed->find(required.name);
+    const bool complete =
+        found != nullptr &&
+        std::ranges::all_of(required.fields, [found](const char* field) {
+          return found->find(field) != nullptr;
+        });
+    if (!complete) {
+      std::cerr << "check-baseline: " << baseline_path << " predates the "
+                << required.name << " section — regenerate "
+                << "BENCH_core.json (bench/README.md)\n";
+      return false;
+    }
   }
-  const ipfs::common::JsonValue* phases = parsed->find("phase_program");
-  if (phases == nullptr || phases->find("rates_ns_per_lookup") == nullptr ||
-      phases->find("plain_campaign_ms") == nullptr ||
-      phases->find("phased_campaign_ms") == nullptr) {
-    std::cerr << "check-baseline: " << baseline_path
-              << " predates the phase_program section — regenerate "
-              << "BENCH_core.json (bench/README.md)\n";
-    return false;
-  }
+
+  bool ok = true;
   const double committed = ns->as_double();
   constexpr double kTolerance = 1.25;
   std::cout << "\ncheck-baseline: event_queue " << fresh.ns_per_event
@@ -676,9 +786,22 @@ bool check_event_queue_baseline(const std::string& baseline_path,
               << "(got " << fresh.ns_per_event << " ns/event, committed "
               << committed << "); if the change is intentional, regenerate "
               << "BENCH_core.json (bench/README.md)\n";
-    return false;
+    ok = false;
   }
-  return true;
+
+  constexpr double kIdleShare = 0.01;
+  std::cout << "check-baseline: conn_trim idle tick " << trim.idle_tick_ns
+            << " ns vs trimming tick " << trim.trim_tick_ns << " ns (limit "
+            << trim.trim_tick_ns * kIdleShare << ")\n";
+  if (trim.idle_tick_ns > trim.trim_tick_ns * kIdleShare) {
+    std::cerr << "check-baseline: FAIL — conn_trim idle tick costs more than 1% "
+              << "of a trimming tick (got " << trim.idle_tick_ns << " vs "
+              << trim.trim_tick_ns << " ns); Swarm::trim_now must return "
+              << "before snapshotting the table at or below high water "
+              << "(DESIGN.md §7)\n";
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace
@@ -704,14 +827,14 @@ int main(int argc, char** argv) {
   ipfs::bench::print_header("Core performance suite",
                             "perf trajectory (BENCH_core.json), not a paper figure");
 
-  std::cout << "[1/8] lookup: RoutingTable::closest ...\n";
+  std::cout << "[1/9] lookup: RoutingTable::closest ...\n";
   const LookupNumbers lookup = bench_lookup(smoke);
   std::cout << "      table=" << lookup.table_size << " peers, "
             << lookup.closest_ns << " ns/query (sort-everything baseline: "
             << lookup.baseline_ns << " ns/query, "
             << lookup.baseline_ns / lookup.closest_ns << "x)\n";
 
-  std::cout << "[2/8] event queue: schedule + drain ...\n";
+  std::cout << "[2/9] event queue: schedule + drain ...\n";
   const EventQueueNumbers events = bench_event_queue(smoke);
   std::cout << "      " << events.events << " events, " << events.ns_per_event
             << " ns/event bulk (" << 1e9 / events.ns_per_event
@@ -720,23 +843,23 @@ int main(int argc, char** argv) {
             << events.heap_ns_per_event << " ns/event ("
             << events.speedup_vs_heap << "x)\n";
 
-  std::cout << "[3/8] conditions: ConditionModel sampling ...\n";
+  std::cout << "[3/9] conditions: ConditionModel sampling ...\n";
   const ConditionNumbers conditions = bench_conditions(smoke);
   std::cout << "      " << conditions.samples << " samples, "
             << conditions.one_way_ns << " ns/one_way, " << conditions.gate_ns
             << " ns/dial_allowed\n";
 
-  std::cout << "[4/8] churn_model: ChurnModel sampling ...\n";
+  std::cout << "[4/9] churn_model: ChurnModel sampling ...\n";
   const ChurnModelNumbers churn = bench_churn_model(smoke);
   std::cout << "      " << churn.samples << " samples, " << churn.session_ns
             << " ns/session, " << churn.gap_ns << " ns/gap\n";
 
-  std::cout << "[5/8] content_model: ContentModel sampling ...\n";
+  std::cout << "[5/9] content_model: ContentModel sampling ...\n";
   const ContentModelNumbers content = bench_content_model(smoke);
   std::cout << "      " << content.samples << " samples, " << content.publish_ns
             << " ns/publish-chain, " << content.fetch_ns << " ns/fetch-chain\n";
 
-  std::cout << "[6/8] campaign: sequential vs parallel sweep ...\n";
+  std::cout << "[6/9] campaign: sequential vs parallel sweep ...\n";
   const CampaignNumbers campaign = bench_campaign(smoke);
   std::cout << "      " << campaign.trials << " trials @ scale "
             << campaign.scale << ": sequential " << campaign.sequential_ms
@@ -744,19 +867,27 @@ int main(int argc, char** argv) {
             << campaign.workers << " workers, "
             << campaign.sequential_ms / campaign.parallel_ms << "x)\n";
 
-  std::cout << "[7/8] sharded_campaign: unsharded vs sharded engine ...\n";
+  std::cout << "[7/9] sharded_campaign: unsharded vs sharded engine ...\n";
   const ShardedCampaignNumbers sharded = bench_sharded_campaign(smoke);
   std::cout << "      scale " << sharded.scale << ": sequential "
             << sharded.sequential_ms << " ms, sharded " << sharded.sharded_ms
             << " ms (" << sharded.shards << " shards, " << sharded.workers
             << " workers, exports byte-identical)\n";
 
-  std::cout << "[8/8] phase_program: rates_at lookups + campaign overhead ...\n";
+  std::cout << "[8/9] phase_program: rates_at lookups + campaign overhead ...\n";
   const PhaseProgramNumbers phases = bench_phase_program(smoke);
   std::cout << "      " << phases.samples << " lookups, " << phases.rates_ns
             << " ns/rates_at; campaign plain " << phases.plain_ms
             << " ms vs phased " << phases.phased_ms << " ms ("
             << phases.phased_ms / phases.plain_ms << "x)\n";
+
+  std::cout << "[9/9] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
+  const ConnTrimNumbers trim = bench_conn_trim(smoke);
+  std::cout << "      " << trim.low_water << "/" << trim.high_water
+            << " watermarks: idle tick (" << trim.idle_open << " open) "
+            << trim.idle_tick_ns << " ns, trimming tick (" << trim.trim_open
+            << " open, " << trim.trimmed_per_tick << " closed) "
+            << trim.trim_tick_ns << " ns\n";
 
   std::ofstream out(out_path);
   if (!out) {
@@ -854,12 +985,25 @@ int main(int argc, char** argv) {
   json.field("phased_campaign_ms", phases.phased_ms);
   json.field("overhead", phases.phased_ms / phases.plain_ms);
   json.end_object();
+  json.key("conn_trim");
+  json.begin_object();
+  json.field("low_water", trim.low_water);
+  json.field("high_water", trim.high_water);
+  json.field("idle_open", static_cast<std::uint64_t>(trim.idle_open));
+  json.field("idle_ticks", static_cast<std::uint64_t>(trim.idle_ticks));
+  json.field("idle_tick_ns", trim.idle_tick_ns);
+  json.field("trim_open", static_cast<std::uint64_t>(trim.trim_open));
+  json.field("trim_reps", static_cast<std::uint64_t>(trim.trim_reps));
+  json.field("trimmed_per_tick", static_cast<std::uint64_t>(trim.trimmed_per_tick));
+  json.field("trim_tick_ns", trim.trim_tick_ns);
+  json.field("idle_share", trim.idle_tick_ns / trim.trim_tick_ns);
+  json.end_object();
   json.end_object();
   out << "\n";
 
   std::cout << "\nwrote " << out_path << "\n";
 
-  if (!baseline_path.empty() && !check_event_queue_baseline(baseline_path, events)) {
+  if (!baseline_path.empty() && !check_baseline(baseline_path, events, trim)) {
     return 1;
   }
   return 0;

@@ -61,8 +61,11 @@ class ConnManager {
   /// Given the currently open connections, return the ids to close so the
   /// table returns to LowWater.  Empty unless `open.size() > HighWater`.
   /// Candidates within the grace period or protected are skipped; remaining
-  /// candidates close in ascending (tag, age) order — the newest of the
-  /// lowest-valued go first, mirroring go-libp2p's segment sort.
+  /// candidates close in ascending (tag, salted hash) order: the
+  /// lowest-valued go first, and within one tag a pseudo-random subset keyed
+  /// by `mix64(id, now)`, mirroring go-libp2p's arbitrary in-segment order.
+  /// Equal (tag, salt) pairs keep whatever order std::sort leaves them in
+  /// over `open`'s order, so callers must pass a stable snapshot order.
   [[nodiscard]] std::vector<ConnectionId> plan_trim(
       const std::vector<const Connection*>& open, common::SimTime now) const;
 

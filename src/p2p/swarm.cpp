@@ -47,11 +47,9 @@ ConnectionId Swarm::open_connection(const PeerId& remote,
   for (SwarmObserver* observer : observers_) observer->on_connection_opened(it->second);
 
   // An immediate trim keeps the table under HighWater even between ticks,
-  // matching go-libp2p's trim-on-connect watermark check.
-  if (config_.trim_enabled &&
-      open_.size() > static_cast<std::size_t>(conn_manager_.config().high_water)) {
-    trim_now();
-  }
+  // matching go-libp2p's trim-on-connect watermark check; trim_now holds
+  // the watermark test.
+  trim_now();
   return id;
 }
 
@@ -71,9 +69,17 @@ bool Swarm::close_connection(ConnectionId id, CloseReason reason) {
 }
 
 std::size_t Swarm::close_peer(const PeerId& remote, CloseReason reason) {
+  const auto peer_it = open_per_peer_.find(remote);
+  if (peer_it == open_per_peer_.end()) return 0;
+  // The per-peer count bounds the walk: stop once every connection to
+  // `remote` is collected.  Ids and their order are those of a full walk.
+  const auto count = static_cast<std::size_t>(peer_it->second);
   std::vector<ConnectionId> ids;
+  ids.reserve(count);
   for (const auto& [id, connection] : open_) {
-    if (connection.remote == remote) ids.push_back(id);
+    if (connection.remote != remote) continue;
+    ids.push_back(id);
+    if (ids.size() == count) break;
   }
   for (const ConnectionId id : ids) close_connection(id, reason);
   return ids.size();
@@ -109,6 +115,12 @@ void Swarm::remove_observer(SwarmObserver* observer) {
 
 std::size_t Swarm::trim_now() {
   if (!config_.trim_enabled) return 0;
+  // The idle tick: at or below HighWater plan_trim returns an empty plan,
+  // so return before paying for an O(open) snapshot of the table.
+  const int high_water = conn_manager_.config().high_water;
+  if (high_water <= 0 || open_.size() <= static_cast<std::size_t>(high_water)) {
+    return 0;
+  }
   const auto plan = conn_manager_.plan_trim(open_connections(), simulation_.now());
   for (const ConnectionId id : plan) close_connection(id, CloseReason::kLocalTrim);
   return plan.size();

@@ -87,8 +87,10 @@ class Swarm {
   void add_observer(SwarmObserver* observer) { observers_.push_back(observer); }
   void remove_observer(SwarmObserver* observer);
 
-  /// Run one trim pass now (also runs periodically once started).  Returns
-  /// the number of connections trimmed.
+  /// Run one trim pass now (also runs periodically once started, and on
+  /// every open).  Returns the number of connections trimmed.  At or below
+  /// HighWater (or with HighWater <= 0) it returns 0 without snapshotting
+  /// the table, so an idle tick costs O(1), not O(open).
   std::size_t trim_now();
 
  private:

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_set>
+
+#include "common/rng.hpp"
 
 namespace ipfs::p2p {
 namespace {
@@ -114,6 +117,21 @@ TEST(ConnManager, ZeroHighWaterDisablesTrimming) {
   ConnManager manager(ConnManagerConfig::with_watermarks(0, 0));
   const auto connections = make_connections(10);
   EXPECT_TRUE(manager.plan_trim(views(connections), 1000 * kSecond).empty());
+}
+
+/// Tripwire for the comment in plan_trim: the salted hash alone is not a
+/// total order, because mix64(id, now) is not injective.  Equal-tag ties
+/// with equal salts exist at realistic table sizes, so victim order there
+/// falls to std::sort over the snapshot order.  If this ever fails, the
+/// comparator became a total order and the tie caveat can go.
+TEST(ConnManager, SaltTiesExist) {
+  const auto now = static_cast<std::uint64_t>(10 * kSecond);
+  std::unordered_set<std::uint64_t> salts;
+  bool tie_found = false;
+  for (ConnectionId id = 1; id <= 200'000 && !tie_found; ++id) {
+    tie_found = !salts.insert(common::mix64(id, now)).second;
+  }
+  EXPECT_TRUE(tie_found);
 }
 
 /// Property sweep: after applying the plan, the open count is LowWater

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace ipfs::p2p {
 namespace {
 
@@ -90,6 +92,47 @@ TEST_F(SwarmTest, ClosePeerClosesAll) {
   EXPECT_EQ(swarm.open_count(), 1u);
 }
 
+TEST_F(SwarmTest, ClosePeerUnknownPeerClosesNothing) {
+  swarm.open_connection(PeerId::from_seed(2), remote_addr(2), Direction::kInbound);
+  EXPECT_EQ(swarm.close_peer(PeerId::from_seed(99), CloseReason::kPeerOffline), 0u);
+  EXPECT_EQ(swarm.open_count(), 1u);
+  EXPECT_TRUE(log.closed.empty());
+}
+
+TEST_F(SwarmTest, ClosePeerInterleavedWithOtherPeers) {
+  // Every connection opens inside the grace period, so none is trimmed.
+  const PeerId target = PeerId::from_seed(2);
+  std::vector<ConnectionId> target_ids;
+  for (int i = 0; i < 12; ++i) {
+    if (i % 3 == 0) {
+      target_ids.push_back(
+          swarm.open_connection(target, remote_addr(2), Direction::kInbound));
+    } else {
+      swarm.open_connection(PeerId::from_seed(static_cast<std::uint64_t>(10 + i)),
+                            remote_addr(static_cast<std::uint32_t>(10 + i)),
+                            Direction::kOutbound);
+    }
+  }
+  // The ids in table order, as a full walk collects them.
+  std::vector<ConnectionId> walk_order;
+  for (const Connection* connection : swarm.open_connections()) {
+    if (connection->remote == target) walk_order.push_back(connection->id);
+  }
+
+  EXPECT_EQ(swarm.close_peer(target, CloseReason::kPeerOffline), 4u);
+  EXPECT_EQ(swarm.open_count(), 8u);
+  EXPECT_FALSE(swarm.connected_to(target));
+  std::vector<ConnectionId> closed_order;
+  for (const Connection& connection : log.closed) {
+    EXPECT_EQ(connection.remote, target);
+    EXPECT_EQ(connection.reason, CloseReason::kPeerOffline);
+    closed_order.push_back(connection.id);
+  }
+  EXPECT_EQ(closed_order, walk_order);
+  std::sort(closed_order.begin(), closed_order.end());
+  EXPECT_EQ(closed_order, target_ids);
+}
+
 TEST_F(SwarmTest, CloseAll) {
   for (int i = 2; i < 6; ++i) {
     swarm.open_connection(PeerId::from_seed(static_cast<std::uint64_t>(i)),
@@ -134,6 +177,61 @@ TEST_F(SwarmTest, PeriodicTrimLoop) {
   sim.run_until(60 * kSecond);  // trim ticks run every 10 s
   EXPECT_EQ(swarm.open_count(), 2u);
   swarm.stop();
+}
+
+/// Opens `count` connections to distinct peers at the current instant.
+void open_distinct(Swarm& swarm, int count) {
+  for (int i = 0; i < count; ++i) {
+    const auto seed = static_cast<std::uint64_t>(swarm.opened_total()) + 100;
+    swarm.open_connection(PeerId::from_seed(seed),
+                          Multiaddr{IpAddress::v4(static_cast<std::uint32_t>(seed)),
+                                    Transport::kTcp, 4001},
+                          Direction::kInbound);
+  }
+}
+
+TEST_F(SwarmTest, TickAtExactlyHighWaterClosesNothing) {
+  swarm.start();
+  open_distinct(swarm, 4);      // HighWater = 4
+  sim.run_until(60 * kSecond);  // ticks run with every connection past grace
+  EXPECT_EQ(swarm.trim_now(), 0u);
+  EXPECT_EQ(swarm.open_count(), 4u);
+  EXPECT_TRUE(log.closed.empty());
+}
+
+TEST_F(SwarmTest, TickAboveHighWaterTrimsToLowWater) {
+  swarm.start();
+  open_distinct(swarm, 5);  // HighWater + 1, all inside grace at open time
+  EXPECT_EQ(swarm.open_count(), 5u);
+  sim.run_until(60 * kSecond);
+  EXPECT_EQ(swarm.open_count(), 2u);  // LowWater = 2
+  ASSERT_EQ(log.closed.size(), 3u);
+  for (const Connection& connection : log.closed) {
+    EXPECT_EQ(connection.reason, CloseReason::kLocalTrim);
+  }
+}
+
+TEST(SwarmWatermarks, ZeroHighWaterNeverTrims) {
+  sim::Simulation sim;
+  Swarm swarm(sim, PeerId::from_seed(1),
+              Multiaddr{IpAddress::v4(1), Transport::kTcp, 4001},
+              {ConnManagerConfig::with_watermarks(0, 0), /*trim_enabled=*/true});
+  swarm.start();
+  open_distinct(swarm, 50);
+  sim.run_until(120 * kSecond);
+  EXPECT_EQ(swarm.trim_now(), 0u);
+  EXPECT_EQ(swarm.open_count(), 50u);
+}
+
+TEST(SwarmWatermarks, DisabledTrimReturnsZero) {
+  sim::Simulation sim;
+  Swarm swarm(sim, PeerId::from_seed(1),
+              Multiaddr{IpAddress::v4(1), Transport::kTcp, 4001},
+              {ConnManagerConfig::with_watermarks(1, 2), /*trim_enabled=*/false});
+  open_distinct(swarm, 10);
+  sim.run_until(120 * kSecond);
+  EXPECT_EQ(swarm.trim_now(), 0u);
+  EXPECT_EQ(swarm.open_count(), 10u);
 }
 
 TEST_F(SwarmTest, TrimHonoursProtection) {
