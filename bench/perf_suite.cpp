@@ -27,6 +27,10 @@
 //   conn_trim    p2p::Swarm::trim_now, the entry point the engine's 10 s
 //                trim tick calls, at P4's 18k/20k watermarks: an idle tick
 //                just below high water and a trimming tick 5% above it
+//   dataset_export
+//                measure::Dataset::export_json on a P4-sized synthetic
+//                dataset into a discarding stream, next to one copy (and
+//                destruction) of the same dataset
 //
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
@@ -36,8 +40,10 @@
 //                     scheduler guardrail — see DESIGN.md §12), when this
 //                     run's conn_trim idle tick costs more than 1% of its
 //                     trimming tick (the table snapshot came back — see
-//                     DESIGN.md §7), or when the baseline lacks a section
-//                     the suite emits
+//                     DESIGN.md §7), when this run's dataset copy costs
+//                     more than 1% of its export (copies stopped sharing
+//                     storage — DESIGN.md §4), or when the baseline lacks
+//                     a section the suite emits
 // IPFS_SCALE / IPFS_SEED tune the campaign section (see bench/README.md).
 #include <algorithm>
 #include <chrono>
@@ -47,6 +53,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +62,7 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "dht/routing_table.hpp"
+#include "measure/dataset.hpp"
 #include "net/conditions.hpp"
 #include "p2p/swarm.hpp"
 #include "runtime/parallel.hpp"
@@ -716,17 +724,139 @@ ConnTrimNumbers bench_conn_trim(bool smoke) {
   return numbers;
 }
 
+// ---- dataset_export: Dataset::export_json and a dataset copy ---------------
+
+struct DatasetExportNumbers {
+  std::size_t peers = 0;
+  std::size_t connections = 0;
+  std::size_t bytes = 0;  ///< one pretty export, connections included
+  std::size_t export_reps = 0;
+  double export_ns = 0.0;  ///< per export_json call
+  double mb_per_s = 0.0;
+  std::size_t copy_reps = 0;
+  double copy_ns = 0.0;  ///< per copy plus destruction of that copy
+};
+
+/// Counts and drops every byte through a 64 KiB put area, the way a file
+/// stream buffers, so an export pays for its own rendering and no I/O.
+class DiscardingStreambuf final : public std::streambuf {
+ public:
+  DiscardingStreambuf() { setp(area_, area_ + sizeof area_); }
+  [[nodiscard]] std::size_t bytes() const {
+    return dropped_ + static_cast<std::size_t>(pptr() - pbase());
+  }
+
+ protected:
+  int overflow(int ch) override {
+    dropped_ += static_cast<std::size_t>(pptr() - pbase());
+    setp(area_, area_ + sizeof area_);
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(ch);
+      pbump(1);
+    }
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  char area_[64 * 1024];
+  std::size_t dropped_ = 0;
+};
+
+/// A dataset shaped like one P4 vantage: ~32k peers, each with an agent
+/// history, protocol log and connecting IP, and ~58k connections.
+ipfs::measure::Dataset p4_shaped_dataset() {
+  namespace measure = ipfs::measure;
+  namespace p2p = ipfs::p2p;
+  constexpr std::size_t kPeers = 32'000;
+  constexpr std::size_t kConnections = 58'000;
+  constexpr ipfs::common::SimTime kSpan = 7 * ipfs::common::kDay;
+  const char* const protocols[] = {"/ipfs/id/1.0.0", "/ipfs/ping/1.0.0",
+                                   "/ipfs/kad/1.0.0", "/ipfs/bitswap/1.2.0",
+                                   "/libp2p/circuit/relay/0.1.0",
+                                   "/p2p/id/delta/1.0.0"};
+  Rng rng(20211203);
+  measure::Dataset dataset;
+  dataset.vantage = "go-ipfs";
+  dataset.measurement_end = kSpan;
+  for (std::size_t i = 0; i < kPeers; ++i) {
+    const auto first = static_cast<ipfs::common::SimTime>(rng.uniform_u64(kSpan));
+    const measure::PeerIndex peer = dataset.intern(PeerId::from_seed(i + 1), first);
+    dataset.intern(PeerId::from_seed(i + 1), first + 60 * ipfs::common::kSecond);
+    measure::PeerRecord& record = dataset.record(peer);
+    record.agent_history.push_back({first, "go-ipfs/0.11.0/67220ed"});
+    if (i % 7 == 0) record.agent_history.push_back({first + 1000, "go-ipfs/0.12.0/06191df"});
+    const std::size_t announced = 2 + i % 5;
+    for (std::size_t p = 0; p < announced; ++p) {
+      record.protocol_events.push_back({first, protocols[p], true});
+      record.protocols_ever.insert(protocols[p]);
+    }
+    record.connected_ips.insert(p2p::IpAddress::v4(static_cast<std::uint32_t>(i + 1)));
+    record.ever_dht_server = i % 3 == 0;
+  }
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    const auto opened = static_cast<ipfs::common::SimTime>(rng.uniform_u64(kSpan));
+    dataset.add_connection({static_cast<measure::PeerIndex>(rng.uniform_u64(kPeers)),
+                            opened, opened + static_cast<ipfs::common::SimTime>(
+                                                 rng.uniform_u64(ipfs::common::kHour)),
+                            c % 2 == 0 ? p2p::Direction::kInbound
+                                       : p2p::Direction::kOutbound,
+                            p2p::CloseReason::kRemoteClose});
+  }
+  return dataset;
+}
+
+DatasetExportNumbers bench_dataset_export(bool smoke) {
+  // Full size in smoke mode too: the copy check compares against this
+  // export, and a shrunken dataset would shrink the margin it needs.
+  const ipfs::measure::Dataset dataset = p4_shaped_dataset();
+  DatasetExportNumbers numbers;
+  numbers.peers = dataset.peer_count();
+  numbers.connections = dataset.connection_count();
+
+  numbers.export_reps = smoke ? 2 : 5;
+  double export_ms = 0.0;
+  for (std::size_t rep = 0; rep < numbers.export_reps; ++rep) {
+    DiscardingStreambuf discard;
+    std::ostream out(&discard);
+    const auto start = std::chrono::steady_clock::now();
+    dataset.export_json(out);
+    out.flush();
+    export_ms += elapsed_ms(start);
+    numbers.bytes = discard.bytes();
+  }
+  numbers.export_ns = export_ms * 1e6 / static_cast<double>(numbers.export_reps);
+  numbers.mb_per_s = static_cast<double>(numbers.bytes) / (numbers.export_ns * 1e-3);
+
+  // What FanOutSink hands every sink but the last: a copy, later dropped.
+  numbers.copy_reps = smoke ? 20 : 200;
+  std::size_t seen = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t rep = 0; rep < numbers.copy_reps; ++rep) {
+    const ipfs::measure::Dataset copy = dataset;
+    seen += copy.peer_count();
+  }
+  numbers.copy_ns =
+      elapsed_ms(start) * 1e6 / static_cast<double>(numbers.copy_reps);
+  if (seen != numbers.copy_reps * numbers.peers) {
+    std::cerr << "dataset_export: a copy lost peers\n";
+    std::exit(1);
+  }
+  return numbers;
+}
+
 // ---- baseline guardrail -----------------------------------------------------
 
 /// Compares a fresh event_queue measurement against the committed
-/// BENCH_core.json and checks this run's conn_trim ratio.  Returns false
-/// (after printing why) when the scheduler regressed more than 25% — the CI
-/// guardrail for the ladder-queue engine — or when an idle trim tick costs
-/// more than 1% of a trimming one.  The second check compares two figures
-/// of the same run, so it holds on any host; it fails if trim_now snapshots
-/// the table before its high-water check.
+/// BENCH_core.json and checks this run's conn_trim and dataset_export
+/// ratios.  Returns false (after printing why) when the scheduler regressed
+/// more than 25% — the CI guardrail for the ladder-queue engine — when an
+/// idle trim tick costs more than 1% of a trimming one, or when a dataset
+/// copy costs more than 1% of an export.  The ratio checks compare two
+/// figures of the same run, so they hold on any host; they fail if trim_now
+/// snapshots the table before its high-water check, or if copying a
+/// Dataset duplicates its storage.
 bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& fresh,
-                    const ConnTrimNumbers& trim) {
+                    const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset) {
   std::ifstream in(baseline_path);
   if (!in) {
     std::cerr << "check-baseline: cannot open " << baseline_path << "\n";
@@ -759,6 +889,7 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
       {"phase_program",
        {"rates_ns_per_lookup", "plain_campaign_ms", "phased_campaign_ms"}},
       {"conn_trim", {"idle_tick_ns", "trim_tick_ns"}},
+      {"dataset_export", {"export_ns", "copy_ns"}},
   };
   for (const RequiredSection& required : required_sections) {
     const ipfs::common::JsonValue* found = parsed->find(required.name);
@@ -801,6 +932,18 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
               << "(DESIGN.md §7)\n";
     ok = false;
   }
+
+  constexpr double kCopyShare = 0.01;
+  std::cout << "check-baseline: dataset copy " << dataset.copy_ns
+            << " ns vs export " << dataset.export_ns << " ns (limit "
+            << dataset.export_ns * kCopyShare << ")\n";
+  if (dataset.copy_ns > dataset.export_ns * kCopyShare) {
+    std::cerr << "check-baseline: FAIL — a dataset copy costs more than 1% of "
+              << "its export (got " << dataset.copy_ns << " vs "
+              << dataset.export_ns << " ns); copies of a measure::Dataset "
+              << "must share its storage (DESIGN.md §4)\n";
+    ok = false;
+  }
   return ok;
 }
 
@@ -827,14 +970,14 @@ int main(int argc, char** argv) {
   ipfs::bench::print_header("Core performance suite",
                             "perf trajectory (BENCH_core.json), not a paper figure");
 
-  std::cout << "[1/9] lookup: RoutingTable::closest ...\n";
+  std::cout << "[1/10] lookup: RoutingTable::closest ...\n";
   const LookupNumbers lookup = bench_lookup(smoke);
   std::cout << "      table=" << lookup.table_size << " peers, "
             << lookup.closest_ns << " ns/query (sort-everything baseline: "
             << lookup.baseline_ns << " ns/query, "
             << lookup.baseline_ns / lookup.closest_ns << "x)\n";
 
-  std::cout << "[2/9] event queue: schedule + drain ...\n";
+  std::cout << "[2/10] event queue: schedule + drain ...\n";
   const EventQueueNumbers events = bench_event_queue(smoke);
   std::cout << "      " << events.events << " events, " << events.ns_per_event
             << " ns/event bulk (" << 1e9 / events.ns_per_event
@@ -843,23 +986,23 @@ int main(int argc, char** argv) {
             << events.heap_ns_per_event << " ns/event ("
             << events.speedup_vs_heap << "x)\n";
 
-  std::cout << "[3/9] conditions: ConditionModel sampling ...\n";
+  std::cout << "[3/10] conditions: ConditionModel sampling ...\n";
   const ConditionNumbers conditions = bench_conditions(smoke);
   std::cout << "      " << conditions.samples << " samples, "
             << conditions.one_way_ns << " ns/one_way, " << conditions.gate_ns
             << " ns/dial_allowed\n";
 
-  std::cout << "[4/9] churn_model: ChurnModel sampling ...\n";
+  std::cout << "[4/10] churn_model: ChurnModel sampling ...\n";
   const ChurnModelNumbers churn = bench_churn_model(smoke);
   std::cout << "      " << churn.samples << " samples, " << churn.session_ns
             << " ns/session, " << churn.gap_ns << " ns/gap\n";
 
-  std::cout << "[5/9] content_model: ContentModel sampling ...\n";
+  std::cout << "[5/10] content_model: ContentModel sampling ...\n";
   const ContentModelNumbers content = bench_content_model(smoke);
   std::cout << "      " << content.samples << " samples, " << content.publish_ns
             << " ns/publish-chain, " << content.fetch_ns << " ns/fetch-chain\n";
 
-  std::cout << "[6/9] campaign: sequential vs parallel sweep ...\n";
+  std::cout << "[6/10] campaign: sequential vs parallel sweep ...\n";
   const CampaignNumbers campaign = bench_campaign(smoke);
   std::cout << "      " << campaign.trials << " trials @ scale "
             << campaign.scale << ": sequential " << campaign.sequential_ms
@@ -867,27 +1010,34 @@ int main(int argc, char** argv) {
             << campaign.workers << " workers, "
             << campaign.sequential_ms / campaign.parallel_ms << "x)\n";
 
-  std::cout << "[7/9] sharded_campaign: unsharded vs sharded engine ...\n";
+  std::cout << "[7/10] sharded_campaign: unsharded vs sharded engine ...\n";
   const ShardedCampaignNumbers sharded = bench_sharded_campaign(smoke);
   std::cout << "      scale " << sharded.scale << ": sequential "
             << sharded.sequential_ms << " ms, sharded " << sharded.sharded_ms
             << " ms (" << sharded.shards << " shards, " << sharded.workers
             << " workers, exports byte-identical)\n";
 
-  std::cout << "[8/9] phase_program: rates_at lookups + campaign overhead ...\n";
+  std::cout << "[8/10] phase_program: rates_at lookups + campaign overhead ...\n";
   const PhaseProgramNumbers phases = bench_phase_program(smoke);
   std::cout << "      " << phases.samples << " lookups, " << phases.rates_ns
             << " ns/rates_at; campaign plain " << phases.plain_ms
             << " ms vs phased " << phases.phased_ms << " ms ("
             << phases.phased_ms / phases.plain_ms << "x)\n";
 
-  std::cout << "[9/9] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
+  std::cout << "[9/10] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
   const ConnTrimNumbers trim = bench_conn_trim(smoke);
   std::cout << "      " << trim.low_water << "/" << trim.high_water
             << " watermarks: idle tick (" << trim.idle_open << " open) "
             << trim.idle_tick_ns << " ns, trimming tick (" << trim.trim_open
             << " open, " << trim.trimmed_per_tick << " closed) "
             << trim.trim_tick_ns << " ns\n";
+
+  std::cout << "[10/10] dataset_export: Dataset::export_json and a copy ...\n";
+  const DatasetExportNumbers dataset = bench_dataset_export(smoke);
+  std::cout << "      " << dataset.peers << " peers, " << dataset.connections
+            << " connections: export " << dataset.export_ns << " ns ("
+            << dataset.bytes << " bytes, " << dataset.mb_per_s << " MB/s), copy "
+            << dataset.copy_ns << " ns\n";
 
   std::ofstream out(out_path);
   if (!out) {
@@ -998,12 +1148,25 @@ int main(int argc, char** argv) {
   json.field("trim_tick_ns", trim.trim_tick_ns);
   json.field("idle_share", trim.idle_tick_ns / trim.trim_tick_ns);
   json.end_object();
+  json.key("dataset_export");
+  json.begin_object();
+  json.field("peers", static_cast<std::uint64_t>(dataset.peers));
+  json.field("connections", static_cast<std::uint64_t>(dataset.connections));
+  json.field("bytes", static_cast<std::uint64_t>(dataset.bytes));
+  json.field("export_reps", static_cast<std::uint64_t>(dataset.export_reps));
+  json.field("export_ns", dataset.export_ns);
+  json.field("mb_per_s", dataset.mb_per_s);
+  json.field("copy_reps", static_cast<std::uint64_t>(dataset.copy_reps));
+  json.field("copy_ns", dataset.copy_ns);
+  json.field("copy_share", dataset.copy_ns / dataset.export_ns);
+  json.end_object();
   json.end_object();
   out << "\n";
 
   std::cout << "\nwrote " << out_path << "\n";
 
-  if (!baseline_path.empty() && !check_baseline(baseline_path, events, trim)) {
+  if (!baseline_path.empty() &&
+      !check_baseline(baseline_path, events, trim, dataset)) {
     return 1;
   }
   return 0;

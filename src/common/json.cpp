@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,9 +11,55 @@
 
 namespace ipfs::common {
 
+namespace {
+
+/// Append `text` escaped per RFC 8259: runs of plain characters go in one
+/// append, and control characters become \u00XX.
+void append_escaped(std::string& out, std::string_view text) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(code, sizeof code);
+      }
+    }
+  }
+  out.append(text.data() + run, text.size() - run);
+}
+
+template <typename Integer>
+void append_integer(std::string& out, Integer n) {
+  char digits[24];  // 20 digits and a sign cover every 64-bit value
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, n).ptr);
+}
+
+}  // namespace
+
+void JsonWriter::flush() {
+  if (buffer_.empty()) return;
+  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
+}
+
+void JsonWriter::end_value() {
+  need_comma_ = true;
+  if (scopes_.empty() || buffer_.size() >= kFlushBytes) flush();
+}
+
 void JsonWriter::begin_object() {
   separator();
-  out_ << '{';
+  buffer_ += '{';
   scopes_.push_back(Scope::kObject);
   need_comma_ = false;
 }
@@ -21,13 +68,13 @@ void JsonWriter::end_object() {
   assert(!scopes_.empty() && scopes_.back() == Scope::kObject);
   scopes_.pop_back();
   if (pretty_) newline_indent();
-  out_ << '}';
-  need_comma_ = true;
+  buffer_ += '}';
+  end_value();
 }
 
 void JsonWriter::begin_array() {
   separator();
-  out_ << '[';
+  buffer_ += '[';
   scopes_.push_back(Scope::kArray);
   need_comma_ = false;
 }
@@ -36,16 +83,16 @@ void JsonWriter::end_array() {
   assert(!scopes_.empty() && scopes_.back() == Scope::kArray);
   scopes_.pop_back();
   if (pretty_) newline_indent();
-  out_ << ']';
-  need_comma_ = true;
+  buffer_ += ']';
+  end_value();
 }
 
 void JsonWriter::key(std::string_view name) {
   assert(!scopes_.empty() && scopes_.back() == Scope::kObject);
-  if (need_comma_) out_ << ',';
+  if (need_comma_) buffer_ += ',';
   if (pretty_) newline_indent();
-  out_ << '"' << escape(name) << "\":";
-  if (pretty_) out_ << ' ';
+  quoted(name);
+  buffer_.append(pretty_ ? ": " : ":");
   need_comma_ = false;
   after_key_ = true;
 }
@@ -55,37 +102,43 @@ void JsonWriter::separator() {
     after_key_ = false;
     return;
   }
-  if (need_comma_) out_ << ',';
+  if (need_comma_) buffer_ += ',';
   if (pretty_ && !scopes_.empty() && scopes_.back() == Scope::kArray) newline_indent();
 }
 
 void JsonWriter::newline_indent() {
-  out_ << '\n';
-  for (std::size_t i = 0; i < scopes_.size(); ++i) out_ << "  ";
+  buffer_ += '\n';
+  buffer_.append(2 * scopes_.size(), ' ');
+}
+
+void JsonWriter::quoted(std::string_view text) {
+  buffer_ += '"';
+  append_escaped(buffer_, text);
+  buffer_ += '"';
 }
 
 void JsonWriter::value(std::string_view text) {
   separator();
-  out_ << '"' << escape(text) << '"';
-  need_comma_ = true;
+  quoted(text);
+  end_value();
 }
 
 void JsonWriter::value(bool b) {
   separator();
-  out_ << (b ? "true" : "false");
-  need_comma_ = true;
+  buffer_.append(b ? "true" : "false");
+  end_value();
 }
 
 void JsonWriter::value(std::int64_t n) {
   separator();
-  out_ << n;
-  need_comma_ = true;
+  append_integer(buffer_, n);
+  end_value();
 }
 
 void JsonWriter::value(std::uint64_t n) {
   separator();
-  out_ << n;
-  need_comma_ = true;
+  append_integer(buffer_, n);
+  end_value();
 }
 
 void JsonWriter::value(double d) {
@@ -98,17 +151,17 @@ void JsonWriter::value(double d) {
       std::snprintf(buffer, sizeof(buffer), "%.*g", precision, d);
       if (std::strtod(buffer, nullptr) == d) break;
     }
-    out_ << buffer;
+    buffer_.append(buffer);
   } else {
-    out_ << "null";  // JSON has no NaN/Inf
+    buffer_.append("null");  // JSON has no NaN/Inf
   }
-  need_comma_ = true;
+  end_value();
 }
 
 void JsonWriter::null() {
   separator();
-  out_ << "null";
-  need_comma_ = true;
+  buffer_.append("null");
+  end_value();
 }
 
 // ---- JsonValue --------------------------------------------------------------
@@ -527,23 +580,7 @@ std::expected<JsonValue, std::string> JsonValue::parse(std::string_view text) {
 std::string JsonWriter::escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  append_escaped(out, text);
   return out;
 }
 

@@ -32,10 +32,16 @@ namespace ipfs::common {
 ///
 /// The writer validates nesting depth in debug builds via assertions; it is
 /// the caller's responsibility to alternate key()/value in objects.
+///
+/// Output is rendered into an internal buffer and written to the stream
+/// once the buffer passes 64 KiB and whenever the outermost value closes,
+/// so bytes a caller writes to the same stream between documents land in
+/// order.  `flush()` (also run by the destructor) writes whatever is left.
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out, bool pretty = false)
       : out_(out), pretty_(pretty) {}
+  ~JsonWriter() { flush(); }
 
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
@@ -63,16 +69,26 @@ class JsonWriter {
     value(std::forward<T>(v));
   }
 
+  /// Write the buffered output to the stream.
+  void flush();
+
   /// Escape a string per RFC 8259 (quotes not included).
   [[nodiscard]] static std::string escape(std::string_view text);
 
  private:
   enum class Scope : std::uint8_t { kObject, kArray };
 
+  static constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+
   void separator();
   void newline_indent();
+  void quoted(std::string_view text);
+  /// Bookkeeping after every complete value: flushes on the buffer limit
+  /// and when the outermost value closes.
+  void end_value();
 
   std::ostream& out_;
+  std::string buffer_;
   bool pretty_ = false;
   bool need_comma_ = false;
   bool after_key_ = false;

@@ -1,57 +1,95 @@
 #include "measure/dataset.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <ostream>
 
 #include "common/json.hpp"
 
 namespace ipfs::measure {
 
+const Dataset::Body& Dataset::empty_body() noexcept {
+  static const Body kEmpty;
+  return kEmpty;
+}
+
+Dataset::Body& Dataset::mutable_body() {
+  if (!body_ || body_.use_count() > 1) {
+    body_ = body_ ? std::make_shared<Body>(*body_) : std::make_shared<Body>();
+  } else {
+    // Sole owner.  Every other handle's reads of this body came before the
+    // release decrement that dropped it; the fence orders them before our
+    // writes.  (GCC's ThreadSanitizer does not model fences and says so.)
+#if defined(__SANITIZE_THREAD__) && defined(__GNUC__) && __GNUC__ >= 12
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+    std::atomic_thread_fence(std::memory_order_acquire);
+#if defined(__SANITIZE_THREAD__) && defined(__GNUC__) && __GNUC__ >= 12
+#pragma GCC diagnostic pop
+#endif
+  }
+  return *body_;
+}
+
 PeerIndex Dataset::intern(const p2p::PeerId& pid, SimTime now) {
-  const auto it = index_.find(pid);
-  if (it != index_.end()) {
-    PeerRecord& existing = peers_[it->second];
+  Body& body = mutable_body();
+  const auto it = body.index.find(pid);
+  if (it != body.index.end()) {
+    PeerRecord& existing = body.peers[it->second];
     existing.last_seen = std::max(existing.last_seen, now);
     return it->second;
   }
-  const auto index = static_cast<PeerIndex>(peers_.size());
+  const auto index = static_cast<PeerIndex>(body.peers.size());
   PeerRecord record;
   record.pid = pid;
   record.first_seen = now;
   record.last_seen = now;
-  peers_.push_back(std::move(record));
-  index_.emplace(pid, index);
-  by_peer_cache_.clear();
+  body.peers.push_back(std::move(record));
+  body.index.emplace(pid, index);
+  by_peer_cache_.lists.clear();
   return index;
 }
 
+void Dataset::add_connection(ConnRecord record) {
+  mutable_body().connections.push_back(record);
+  by_peer_cache_.lists.clear();
+}
+
 const PeerRecord* Dataset::find(const p2p::PeerId& pid) const {
-  const auto it = index_.find(pid);
-  return it == index_.end() ? nullptr : &peers_[it->second];
+  const Body& body = this->body();
+  const auto it = body.index.find(pid);
+  return it == body.index.end() ? nullptr : &body.peers[it->second];
 }
 
 const std::vector<std::vector<std::uint32_t>>& Dataset::connections_by_peer() const {
-  if (by_peer_cache_.size() != peers_.size() || peers_.empty()) {
-    by_peer_cache_.assign(peers_.size(), {});
-    for (std::uint32_t i = 0; i < connections_.size(); ++i) {
-      by_peer_cache_[connections_[i].peer].push_back(i);
+  const Body& body = this->body();
+  std::vector<std::vector<std::uint32_t>>& lists = by_peer_cache_.lists;
+  if (lists.size() != body.peers.size() || body.peers.empty()) {
+    lists.assign(body.peers.size(), {});
+    for (std::uint32_t i = 0; i < body.connections.size(); ++i) {
+      lists[body.connections[i].peer].push_back(i);
     }
   }
-  return by_peer_cache_;
+  return lists;
 }
 
 void Dataset::merge(const Dataset& other) {
-  measurement_start = peers_.empty() && connections_.empty()
+  // Hold other's body before writing: `other` may be this dataset or a copy
+  // of it, and mutable_body() then clones ours away from the body read here.
+  const std::shared_ptr<const Body> held = other.body_;
+  const Body& theirs_body = held ? *held : empty_body();
+  measurement_start = peer_count() == 0 && connection_count() == 0
                           ? other.measurement_start
                           : std::min(measurement_start, other.measurement_start);
   measurement_end = std::max(measurement_end, other.measurement_end);
 
-  std::vector<PeerIndex> remap(other.peers_.size());
-  for (std::size_t i = 0; i < other.peers_.size(); ++i) {
-    const PeerRecord& theirs = other.peers_[i];
+  std::vector<PeerIndex> remap(theirs_body.peers.size());
+  for (std::size_t i = 0; i < theirs_body.peers.size(); ++i) {
+    const PeerRecord& theirs = theirs_body.peers[i];
     const PeerIndex mine = intern(theirs.pid, theirs.first_seen);
     remap[i] = mine;
-    PeerRecord& ours = peers_[mine];
+    PeerRecord& ours = mutable_body().peers[mine];
     ours.first_seen = std::min(ours.first_seen, theirs.first_seen);
     ours.last_seen = std::max(ours.last_seen, theirs.last_seen);
     ours.ever_dht_server = ours.ever_dht_server || theirs.ever_dht_server;
@@ -69,12 +107,13 @@ void Dataset::merge(const Dataset& other) {
     ours.connected_ips.insert(theirs.connected_ips.begin(), theirs.connected_ips.end());
   }
 
-  connections_.reserve(connections_.size() + other.connections_.size());
-  for (ConnRecord record : other.connections_) {
+  std::vector<ConnRecord>& connections = mutable_body().connections;
+  connections.reserve(connections.size() + theirs_body.connections.size());
+  for (ConnRecord record : theirs_body.connections) {
     record.peer = remap[record.peer];
-    connections_.push_back(record);
+    connections.push_back(record);
   }
-  by_peer_cache_.clear();
+  by_peer_cache_.lists.clear();
 }
 
 void Dataset::export_json(std::ostream& out, bool include_connections,
@@ -86,7 +125,7 @@ void Dataset::export_json(std::ostream& out, bool include_connections,
   json.field("measurement_end_ms", measurement_end);
   json.key("peers");
   json.begin_array();
-  for (const PeerRecord& peer : peers_) {
+  for (const PeerRecord& peer : peers()) {
     json.begin_object();
     json.field("pid", peer.pid.to_string());
     json.field("first_seen_ms", peer.first_seen);
@@ -115,7 +154,7 @@ void Dataset::export_json(std::ostream& out, bool include_connections,
   if (include_connections) {
     json.key("connections");
     json.begin_array();
-    for (const ConnRecord& record : connections_) {
+    for (const ConnRecord& record : connections()) {
       json.begin_object();
       json.field("peer", static_cast<std::uint64_t>(record.peer));
       json.field("opened_ms", record.opened);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -75,6 +76,14 @@ struct PeerRecord {
 };
 
 /// A complete measurement dataset from one vantage (or a merged union).
+///
+/// Copies share storage: copying a dataset copies a handle to its peer
+/// table, PID index and connection list, and the first mutation through
+/// either copy clones that storage for the mutating copy alone (DESIGN.md
+/// §4).  So a sink can keep a published dataset for the price of a
+/// reference count, and copies may be read or mutated on different threads.
+/// References returned by the mutable `record()` are invalidated by copying
+/// the dataset, as by any other mutation.
 class Dataset {
  public:
   /// Name shown in tables ("go-ipfs", "Hydra H0", …).
@@ -90,23 +99,28 @@ class Dataset {
   PeerIndex intern(const p2p::PeerId& pid, SimTime now);
 
   [[nodiscard]] const PeerRecord* find(const p2p::PeerId& pid) const;
-  [[nodiscard]] PeerRecord& record(PeerIndex index) { return peers_[index]; }
-  [[nodiscard]] const PeerRecord& record(PeerIndex index) const { return peers_[index]; }
+  [[nodiscard]] PeerRecord& record(PeerIndex index) {
+    return mutable_body().peers[index];
+  }
+  [[nodiscard]] const PeerRecord& record(PeerIndex index) const {
+    return body().peers[index];
+  }
 
-  [[nodiscard]] const std::vector<PeerRecord>& peers() const noexcept { return peers_; }
-  [[nodiscard]] std::vector<PeerRecord>& peers() noexcept { return peers_; }
+  [[nodiscard]] const std::vector<PeerRecord>& peers() const noexcept {
+    return body().peers;
+  }
   [[nodiscard]] const std::vector<ConnRecord>& connections() const noexcept {
-    return connections_;
+    return body().connections;
   }
 
-  void add_connection(ConnRecord record) { connections_.push_back(record); }
+  void add_connection(ConnRecord record);
 
-  [[nodiscard]] std::size_t peer_count() const noexcept { return peers_.size(); }
+  [[nodiscard]] std::size_t peer_count() const noexcept { return body().peers.size(); }
   [[nodiscard]] std::size_t connection_count() const noexcept {
-    return connections_.size();
+    return body().connections.size();
   }
 
-  /// Per-peer connection lists (built on demand, cached).
+  /// Per-peer connection lists (built on demand, cached per copy).
   [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& connections_by_peer()
       const;
 
@@ -120,10 +134,39 @@ class Dataset {
                    bool pretty = true) const;
 
  private:
-  std::vector<PeerRecord> peers_;
-  std::unordered_map<p2p::PeerId, PeerIndex> index_;
-  std::vector<ConnRecord> connections_;
-  mutable std::vector<std::vector<std::uint32_t>> by_peer_cache_;
+  /// The storage copies share.  Written only while one handle owns it.
+  struct Body {
+    std::vector<PeerRecord> peers;
+    std::unordered_map<p2p::PeerId, PeerIndex> index;
+    std::vector<ConnRecord> connections;
+  };
+
+  /// connections_by_peer()'s lists.  Copying yields an empty cache, so a
+  /// copy never duplicates the lists and rebuilds them on first use.
+  struct ByPeerCache {
+    std::vector<std::vector<std::uint32_t>> lists;
+
+    ByPeerCache() = default;
+    ByPeerCache(const ByPeerCache& /*other*/) noexcept {}
+    ByPeerCache& operator=(const ByPeerCache& /*other*/) noexcept {
+      lists.clear();
+      return *this;
+    }
+    ByPeerCache(ByPeerCache&&) noexcept = default;
+    ByPeerCache& operator=(ByPeerCache&&) noexcept = default;
+  };
+
+  /// The body, or a static empty one for a default-constructed or
+  /// moved-from dataset.
+  [[nodiscard]] const Body& body() const noexcept {
+    return body_ ? *body_ : empty_body();
+  }
+  [[nodiscard]] static const Body& empty_body() noexcept;
+  /// The body for writing: cloned first unless this handle owns it alone.
+  [[nodiscard]] Body& mutable_body();
+
+  std::shared_ptr<Body> body_;
+  mutable ByPeerCache by_peer_cache_;
 };
 
 }  // namespace ipfs::measure

@@ -128,7 +128,7 @@ void FanOutSink::on_content(const ContentSample& sample) {
 void FanOutSink::on_dataset(DatasetRole role, Dataset dataset) {
   if (sinks_.empty()) return;
   for (std::size_t i = 0; i + 1 < sinks_.size(); ++i) {
-    sinks_[i]->on_dataset(role, dataset);  // copy for all but the last
+    sinks_[i]->on_dataset(role, dataset);  // a handle on the shared storage
   }
   sinks_.back()->on_dataset(role, std::move(dataset));
 }
@@ -175,6 +175,7 @@ struct JsonExportSink::Spool {
   std::optional<common::JsonWriter> writer;
 
   ~Spool() {
+    writer.reset();  // its final flush goes to `file`, so close that after
     if (file != nullptr) std::fclose(file);
   }
 };
@@ -212,7 +213,15 @@ void JsonExportSink::splice(std::unique_ptr<Spool>& slot) {
   *slot->stream << "\n";
   slot->stream->flush();
   if (slot->file != nullptr) {
-    std::fflush(slot->file);
+    // Check the spool before rewinding it: std::rewind clears the error
+    // flag, so a refused write (full disk, RLIMIT_FSIZE) would otherwise
+    // splice a silently truncated document.
+    if (!*slot->stream || std::fflush(slot->file) != 0 ||
+        std::ferror(slot->file) != 0) {
+      out_.setstate(std::ios_base::failbit);
+      slot.reset();
+      return;
+    }
     std::rewind(slot->file);
     char buffer[1 << 16];
     std::size_t count = 0;

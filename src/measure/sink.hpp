@@ -236,8 +236,9 @@ class ReplaySink final : public MeasurementSink {
 };
 
 /// Broadcasts every event to several sinks (e.g. keep results in memory
-/// while also streaming a JSON export).  Datasets are copied for all but
-/// the last registered sink.
+/// while also streaming a JSON export).  Every sink gets its own handle on
+/// each dataset; the copies share storage, so the fan-out costs a reference
+/// count per sink, not a copy of the dataset.
 class FanOutSink final : public MeasurementSink {
  public:
   FanOutSink() = default;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <streambuf>
+#include <string>
+
+#include "common/rng.hpp"
 
 namespace ipfs::common {
 namespace {
@@ -108,6 +114,180 @@ TEST(JsonWriter, DoubleRoundTripsExactly) {
     ASSERT_TRUE(parsed.has_value()) << out.str();
     EXPECT_EQ(parsed->as_array()[0].as_double(), value) << out.str();
   }
+}
+
+TEST(JsonWriter, ControlCharactersAnywhereInAString) {
+  EXPECT_EQ(JsonWriter::escape(std::string_view("\x01start", 6)), "\\u0001start");
+  EXPECT_EQ(JsonWriter::escape(std::string_view("mid\x1f\x02" "dle", 8)),
+            "mid\\u001f\\u0002dle");
+  EXPECT_EQ(JsonWriter::escape(std::string_view("end\b\f", 5)), "end\\u0008\\u000c");
+  EXPECT_EQ(JsonWriter::escape(std::string_view("\0", 1)), "\\u0000");
+  EXPECT_EQ(JsonWriter::escape("\"\\"), "\\\"\\\\");
+  EXPECT_EQ(JsonWriter::escape("plain \x7f text"), "plain \x7f text");
+  EXPECT_EQ(JsonWriter::escape(""), "");
+
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_array();
+  json.value(std::string_view("\x01" "a\tb\x1f", 5));
+  json.end_array();
+  EXPECT_EQ(out.str(), R"(["\u0001a\tb\u001f"])");
+}
+
+TEST(JsonWriter, BytesReachTheStreamWhenTheOutermostValueCloses) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_object();
+  json.key("a");
+  json.begin_array();
+  json.value(std::int64_t{1});
+  json.end_array();
+  EXPECT_EQ(out.str(), "") << "an inner close must not write";
+  json.end_object();
+  EXPECT_EQ(out.str(), R"({"a":[1]})");
+
+  // Direct writes between documents keep their place.
+  out << '\n';
+  JsonWriter next(out);
+  next.begin_array();
+  next.value(true);
+  out << "?";  // mid-document: lands before the still-buffered array
+  next.end_array();
+  out << '\n';
+  EXPECT_EQ(out.str(), "{\"a\":[1]}\n?[true]\n");
+}
+
+TEST(JsonWriter, FlushAndDestructorWriteAnOpenDocument) {
+  std::ostringstream out;
+  {
+    JsonWriter json(out);
+    json.begin_array();
+    json.value(std::uint64_t{7});
+    EXPECT_EQ(out.str(), "");
+    json.flush();
+    EXPECT_EQ(out.str(), "[7");
+    json.value(std::int64_t{-8});
+  }
+  EXPECT_EQ(out.str(), "[7,-8");
+}
+
+TEST(JsonWriter, IntegerExtremes) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_array();
+  json.value(std::numeric_limits<std::int64_t>::min());
+  json.value(std::numeric_limits<std::int64_t>::max());
+  json.value(std::numeric_limits<std::uint64_t>::max());
+  json.value(std::int64_t{0});
+  json.value(-1);
+  json.end_array();
+  EXPECT_EQ(out.str(),
+            "[-9223372036854775808,9223372036854775807,18446744073709551615,0,-1]");
+}
+
+/// A document of several hundred KiB that touches every writer path:
+/// nested scopes, escaped and plain strings, signed and unsigned integer
+/// extremes, doubles, booleans and nulls.
+void write_large_document(JsonWriter& json) {
+  json.begin_object();
+  json.field("name", "large \"document\"\twith\\escapes");
+  json.key("rows");
+  json.begin_array();
+  for (std::int64_t i = 0; i < 2000; ++i) {
+    json.begin_object();
+    json.field("i", i);
+    json.field("neg", -i * 1'000'003);
+    json.field("big", std::numeric_limits<std::uint64_t>::max() -
+                          static_cast<std::uint64_t>(i));
+    json.field("min", std::numeric_limits<std::int64_t>::min() + i);
+    json.field("ratio", static_cast<double>(i) / 7.0);
+    json.field("even", i % 2 == 0);
+    json.field("text",
+               "row " + std::to_string(i) + (i % 3 == 0 ? "\x01\n\"q\"" : "/plain"));
+    json.key("tags");
+    json.begin_array();
+    for (std::int64_t t = 0; t < i % 4; ++t) json.value("/ipfs/kad/1.0.0");
+    if (i % 5 == 0) json.null();
+    json.end_array();
+    json.end_object();
+  }
+  json.end_array();
+  json.end_object();
+}
+
+TEST(JsonWriter, LargeDocumentBytesArePinned) {
+  // Sizes and FNV-1a hashes of the token-at-a-time writer this buffered
+  // one replaced: the buffer must not move a byte, compact or pretty.
+  struct Golden {
+    bool pretty;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  for (const Golden golden : {Golden{false, 364'008, 0xfb31c9766087ed47ULL},
+                              Golden{true, 556'620, 0x481cea740765491dULL}}) {
+    std::ostringstream out;
+    JsonWriter json(out, golden.pretty);
+    write_large_document(json);
+    EXPECT_EQ(out.str().size(), golden.size) << "pretty=" << golden.pretty;
+    EXPECT_EQ(hash64(out.str()), golden.hash) << "pretty=" << golden.pretty;
+  }
+}
+
+TEST(JsonWriter, LongDocumentsReachTheStreamInBlocks) {
+  // Well before the outermost value closes, a long document must already
+  // be on the stream, in blocks of at least 64 KiB, never all held back.
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_array();
+  const std::string text(1000, 'x');
+  std::size_t last_size = 0;
+  std::size_t writes = 0;
+  for (int i = 0; i < 300; ++i) {
+    json.value(text);
+    const std::size_t size = out.str().size();
+    if (size != last_size) {
+      EXPECT_GE(size - last_size, std::size_t{64} << 10);
+      ++writes;
+      last_size = size;
+    }
+  }
+  EXPECT_GE(writes, 4u);
+  json.end_array();
+  EXPECT_EQ(out.str().size(), 2 + 300 * (text.size() + 2) + 299);
+}
+
+/// A streambuf that refuses every byte, like a full disk.
+class RefusingStreambuf final : public std::streambuf {
+ protected:
+  int overflow(int /*ch*/) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char* /*data*/, std::streamsize /*count*/) override {
+    return 0;
+  }
+};
+
+TEST(JsonWriter, AFailedStreamStaysFailed) {
+  std::ostringstream already_failed;
+  already_failed.setstate(std::ios_base::failbit);
+  {
+    JsonWriter json(already_failed);
+    json.begin_object();
+    json.field("a", std::int64_t{1});
+    json.end_object();
+  }
+  EXPECT_TRUE(already_failed.fail());
+  EXPECT_EQ(already_failed.str(), "");
+
+  RefusingStreambuf refusing;
+  std::ostream out(&refusing);
+  JsonWriter json(out, /*pretty=*/true);
+  json.begin_array();
+  json.value("lost");
+  json.end_array();
+  EXPECT_TRUE(out.bad());
+  json.begin_array();  // a later document does not clear the error
+  json.end_array();
+  json.flush();
+  EXPECT_TRUE(out.bad());
 }
 
 TEST(JsonValue, ParsesScalars) {

@@ -393,8 +393,8 @@ int cmd_run(const std::vector<std::string>& args) {
   JsonExportSink export_sink(data_out, spec.output.export_options());
   ProgressSink progress;
   ipfs::measure::FanOutSink sink;
-  // FanOutSink copies datasets for all but the last sink: register the
-  // cheap progress reader first so the export sink receives the move.
+  // The progress line for each dataset goes out before its export.  Each
+  // sink gets a handle on shared storage, so the order copies nothing.
   if (!quiet) sink.add(progress);
   sink.add(export_sink);
 
