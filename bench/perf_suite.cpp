@@ -31,6 +31,10 @@
 //                measure::Dataset::export_json on a P4-sized synthetic
 //                dataset into a discarding stream, next to one copy (and
 //                destruction) of the same dataset
+//   peerstore    p2p::Peerstore identify bookkeeping on a P4-shaped store:
+//                first connect and identify of 32k peers, then an unchanged
+//                re-identify and a reconnect of each, counting the heap
+//                allocations a re-identify makes
 //
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
@@ -42,16 +46,20 @@
 //                     trimming tick (the table snapshot came back — see
 //                     DESIGN.md §7), when this run's dataset copy costs
 //                     more than 1% of its export (copies stopped sharing
-//                     storage — DESIGN.md §4), or when the baseline lacks
-//                     a section the suite emits
+//                     storage — DESIGN.md §4), when an unchanged peerstore
+//                     re-identify allocates (DESIGN.md §7), or when the
+//                     baseline lacks a section the suite emits
 // IPFS_SCALE / IPFS_SEED tune the campaign section (see bench/README.md).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -64,6 +72,8 @@
 #include "dht/routing_table.hpp"
 #include "measure/dataset.hpp"
 #include "net/conditions.hpp"
+#include "p2p/peerstore.hpp"
+#include "p2p/protocols.hpp"
 #include "p2p/swarm.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/sharded.hpp"
@@ -73,6 +83,20 @@
 #include "scenario/phases.hpp"
 #include "sim/reference_scheduler.hpp"
 #include "sim/simulation.hpp"
+
+// Every heap allocation on a thread bumps that thread's counter, so the
+// peerstore section can count what one call allocates.
+namespace {
+thread_local std::uint64_t allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++allocations;
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace {
 
@@ -844,19 +868,107 @@ DatasetExportNumbers bench_dataset_export(bool smoke) {
   return numbers;
 }
 
+// ---- peerstore: identify bookkeeping of one P4 vantage ---------------------
+
+struct PeerstoreNumbers {
+  std::size_t peers = 0;
+  std::size_t protocols_per_identify = 0;
+  double connect_ns = 0.0;         ///< per first Peerstore::connect of a peer
+  double identify_ns = 0.0;        ///< per first set_agent + set_protocols
+  double reidentify_ns = 0.0;      ///< per identical set_agent + set_protocols
+  double reconnect_ns = 0.0;       ///< per connect of a known peer and address
+  double reidentify_allocs = 0.0;  ///< heap allocations per re-identify
+};
+
+PeerstoreNumbers bench_peerstore(bool smoke) {
+  namespace p2p = ipfs::p2p;
+  namespace proto = ipfs::p2p::protocols;
+  // What the P4 population announces: ~11 protocols in go-ipfs's own
+  // (unsorted) order, server and client variants, and prebuilt agents —
+  // the campaign hands identify its RemotePeer's strings the same way.
+  const std::vector<std::string> server = {
+      std::string(proto::kPing),        std::string(proto::kIdentifyPush),
+      std::string(proto::kIdentify),    std::string(proto::kDelta),
+      std::string(proto::kKad),         std::string(proto::kBitswap120),
+      std::string(proto::kBitswap110),  std::string(proto::kBitswap100),
+      std::string(proto::kBitswap),     std::string(proto::kRelayV1),
+      std::string(proto::kX)};
+  std::vector<std::string> client = server;
+  client[4] = std::string(proto::kAutonat);
+  const std::string agents[] = {"go-ipfs/0.11.0/67220ed", "go-ipfs/0.10.0/64b532f",
+                                "go-ipfs/0.8.0/48f94e2", "hydra-booster/0.7.4"};
+
+  PeerstoreNumbers numbers;
+  numbers.peers = 32'000;
+  numbers.protocols_per_identify = server.size();
+  std::vector<PeerId> pids;
+  std::vector<p2p::Multiaddr> addresses;
+  pids.reserve(numbers.peers);
+  addresses.reserve(numbers.peers);
+  for (std::size_t i = 0; i < numbers.peers; ++i) {
+    pids.push_back(PeerId::from_seed(i + 1));
+    const auto ip = p2p::IpAddress::v4(static_cast<std::uint32_t>(i + 1));
+    addresses.push_back(p2p::Multiaddr{ip, p2p::Transport::kTcp, 4001});
+  }
+  const auto per_peer = [&](double ms) {
+    return ms * 1e6 / static_cast<double>(numbers.peers);
+  };
+
+  p2p::Peerstore store;
+  const auto connect_all = [&](ipfs::common::SimTime now) {
+    for (std::size_t i = 0; i < numbers.peers; ++i) store.connect(pids[i], addresses[i], now);
+  };
+  auto start = std::chrono::steady_clock::now();
+  connect_all(1);
+  numbers.connect_ns = per_peer(elapsed_ms(start));
+
+  const auto identify_all = [&](ipfs::common::SimTime now) {
+    for (std::size_t i = 0; i < numbers.peers; ++i) {
+      store.set_agent(pids[i], agents[i % 4], now);
+      store.set_protocols(pids[i], i % 3 == 0 ? server : client, now);
+    }
+  };
+  start = std::chrono::steady_clock::now();
+  identify_all(2);
+  numbers.identify_ns = per_peer(elapsed_ms(start));
+
+  const std::size_t reps = smoke ? 1 : 5;
+  const std::uint64_t allocations_before = allocations;
+  start = std::chrono::steady_clock::now();
+  for (std::size_t rep = 0; rep < reps; ++rep) identify_all(3 + static_cast<int>(rep));
+  numbers.reidentify_ns = per_peer(elapsed_ms(start)) / static_cast<double>(reps);
+  numbers.reidentify_allocs = static_cast<double>(allocations - allocations_before) /
+                              static_cast<double>(numbers.peers * reps);
+
+  start = std::chrono::steady_clock::now();
+  for (std::size_t rep = 0; rep < reps; ++rep) connect_all(10);
+  numbers.reconnect_ns = per_peer(elapsed_ms(start)) / static_cast<double>(reps);
+
+  if (store.size() != numbers.peers ||
+      !store.supports(pids.front(), proto::kKad) ||
+      store.find(pids.back())->agent != agents[(numbers.peers - 1) % 4]) {
+    std::cerr << "peerstore: the store lost peers or identify results\n";
+    std::exit(1);
+  }
+  return numbers;
+}
+
 // ---- baseline guardrail -----------------------------------------------------
 
 /// Compares a fresh event_queue measurement against the committed
 /// BENCH_core.json and checks this run's conn_trim and dataset_export
-/// ratios.  Returns false (after printing why) when the scheduler regressed
-/// more than 25% — the CI guardrail for the ladder-queue engine — when an
-/// idle trim tick costs more than 1% of a trimming one, or when a dataset
-/// copy costs more than 1% of an export.  The ratio checks compare two
-/// figures of the same run, so they hold on any host; they fail if trim_now
-/// snapshots the table before its high-water check, or if copying a
-/// Dataset duplicates its storage.
+/// ratios and its peerstore allocation count.  Returns false (after printing
+/// why) when the scheduler regressed more than 25% — the CI guardrail for
+/// the ladder-queue engine — when an idle trim tick costs more than 1% of a
+/// trimming one, when a dataset copy costs more than 1% of an export, or
+/// when an unchanged re-identify allocates.  The ratio checks compare two
+/// figures of the same run and the allocation count is exact, so they hold
+/// on any host; they fail if trim_now snapshots the table before its
+/// high-water check, if copying a Dataset duplicates its storage, or if
+/// Peerstore::set_protocols builds a set per identify again.
 bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& fresh,
-                    const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset) {
+                    const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset,
+                    const PeerstoreNumbers& peerstore) {
   std::ifstream in(baseline_path);
   if (!in) {
     std::cerr << "check-baseline: cannot open " << baseline_path << "\n";
@@ -890,6 +1002,9 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
        {"rates_ns_per_lookup", "plain_campaign_ms", "phased_campaign_ms"}},
       {"conn_trim", {"idle_tick_ns", "trim_tick_ns"}},
       {"dataset_export", {"export_ns", "copy_ns"}},
+      {"peerstore",
+       {"connect_ns", "identify_ns", "reidentify_ns", "reconnect_ns",
+        "reidentify_allocs"}},
   };
   for (const RequiredSection& required : required_sections) {
     const ipfs::common::JsonValue* found = parsed->find(required.name);
@@ -944,6 +1059,16 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
               << "must share its storage (DESIGN.md §4)\n";
     ok = false;
   }
+
+  std::cout << "check-baseline: peerstore re-identify allocates "
+            << peerstore.reidentify_allocs << " times per call (limit 0)\n";
+  if (peerstore.reidentify_allocs > 0) {
+    std::cerr << "check-baseline: FAIL — peerstore re-identify allocates ("
+              << peerstore.reidentify_allocs << " heap allocations per "
+              << "unchanged set_agent + set_protocols); an unchanged identify "
+              << "must compare interned ids without allocating (DESIGN.md §7)\n";
+    ok = false;
+  }
   return ok;
 }
 
@@ -970,14 +1095,14 @@ int main(int argc, char** argv) {
   ipfs::bench::print_header("Core performance suite",
                             "perf trajectory (BENCH_core.json), not a paper figure");
 
-  std::cout << "[1/10] lookup: RoutingTable::closest ...\n";
+  std::cout << "[1/11] lookup: RoutingTable::closest ...\n";
   const LookupNumbers lookup = bench_lookup(smoke);
   std::cout << "      table=" << lookup.table_size << " peers, "
             << lookup.closest_ns << " ns/query (sort-everything baseline: "
             << lookup.baseline_ns << " ns/query, "
             << lookup.baseline_ns / lookup.closest_ns << "x)\n";
 
-  std::cout << "[2/10] event queue: schedule + drain ...\n";
+  std::cout << "[2/11] event queue: schedule + drain ...\n";
   const EventQueueNumbers events = bench_event_queue(smoke);
   std::cout << "      " << events.events << " events, " << events.ns_per_event
             << " ns/event bulk (" << 1e9 / events.ns_per_event
@@ -986,23 +1111,23 @@ int main(int argc, char** argv) {
             << events.heap_ns_per_event << " ns/event ("
             << events.speedup_vs_heap << "x)\n";
 
-  std::cout << "[3/10] conditions: ConditionModel sampling ...\n";
+  std::cout << "[3/11] conditions: ConditionModel sampling ...\n";
   const ConditionNumbers conditions = bench_conditions(smoke);
   std::cout << "      " << conditions.samples << " samples, "
             << conditions.one_way_ns << " ns/one_way, " << conditions.gate_ns
             << " ns/dial_allowed\n";
 
-  std::cout << "[4/10] churn_model: ChurnModel sampling ...\n";
+  std::cout << "[4/11] churn_model: ChurnModel sampling ...\n";
   const ChurnModelNumbers churn = bench_churn_model(smoke);
   std::cout << "      " << churn.samples << " samples, " << churn.session_ns
             << " ns/session, " << churn.gap_ns << " ns/gap\n";
 
-  std::cout << "[5/10] content_model: ContentModel sampling ...\n";
+  std::cout << "[5/11] content_model: ContentModel sampling ...\n";
   const ContentModelNumbers content = bench_content_model(smoke);
   std::cout << "      " << content.samples << " samples, " << content.publish_ns
             << " ns/publish-chain, " << content.fetch_ns << " ns/fetch-chain\n";
 
-  std::cout << "[6/10] campaign: sequential vs parallel sweep ...\n";
+  std::cout << "[6/11] campaign: sequential vs parallel sweep ...\n";
   const CampaignNumbers campaign = bench_campaign(smoke);
   std::cout << "      " << campaign.trials << " trials @ scale "
             << campaign.scale << ": sequential " << campaign.sequential_ms
@@ -1010,21 +1135,21 @@ int main(int argc, char** argv) {
             << campaign.workers << " workers, "
             << campaign.sequential_ms / campaign.parallel_ms << "x)\n";
 
-  std::cout << "[7/10] sharded_campaign: unsharded vs sharded engine ...\n";
+  std::cout << "[7/11] sharded_campaign: unsharded vs sharded engine ...\n";
   const ShardedCampaignNumbers sharded = bench_sharded_campaign(smoke);
   std::cout << "      scale " << sharded.scale << ": sequential "
             << sharded.sequential_ms << " ms, sharded " << sharded.sharded_ms
             << " ms (" << sharded.shards << " shards, " << sharded.workers
             << " workers, exports byte-identical)\n";
 
-  std::cout << "[8/10] phase_program: rates_at lookups + campaign overhead ...\n";
+  std::cout << "[8/11] phase_program: rates_at lookups + campaign overhead ...\n";
   const PhaseProgramNumbers phases = bench_phase_program(smoke);
   std::cout << "      " << phases.samples << " lookups, " << phases.rates_ns
             << " ns/rates_at; campaign plain " << phases.plain_ms
             << " ms vs phased " << phases.phased_ms << " ms ("
             << phases.phased_ms / phases.plain_ms << "x)\n";
 
-  std::cout << "[9/10] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
+  std::cout << "[9/11] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
   const ConnTrimNumbers trim = bench_conn_trim(smoke);
   std::cout << "      " << trim.low_water << "/" << trim.high_water
             << " watermarks: idle tick (" << trim.idle_open << " open) "
@@ -1032,12 +1157,21 @@ int main(int argc, char** argv) {
             << " open, " << trim.trimmed_per_tick << " closed) "
             << trim.trim_tick_ns << " ns\n";
 
-  std::cout << "[10/10] dataset_export: Dataset::export_json and a copy ...\n";
+  std::cout << "[10/11] dataset_export: Dataset::export_json and a copy ...\n";
   const DatasetExportNumbers dataset = bench_dataset_export(smoke);
   std::cout << "      " << dataset.peers << " peers, " << dataset.connections
             << " connections: export " << dataset.export_ns << " ns ("
             << dataset.bytes << " bytes, " << dataset.mb_per_s << " MB/s), copy "
             << dataset.copy_ns << " ns\n";
+
+  std::cout << "[11/11] peerstore: connect, identify, re-identify ...\n";
+  const PeerstoreNumbers peerstore = bench_peerstore(smoke);
+  std::cout << "      " << peerstore.peers << " peers x "
+            << peerstore.protocols_per_identify << " protocols: connect "
+            << peerstore.connect_ns << " ns, identify " << peerstore.identify_ns
+            << " ns, re-identify " << peerstore.reidentify_ns << " ns ("
+            << peerstore.reidentify_allocs << " allocations), reconnect "
+            << peerstore.reconnect_ns << " ns\n";
 
   std::ofstream out(out_path);
   if (!out) {
@@ -1160,13 +1294,24 @@ int main(int argc, char** argv) {
   json.field("copy_ns", dataset.copy_ns);
   json.field("copy_share", dataset.copy_ns / dataset.export_ns);
   json.end_object();
+  json.key("peerstore");
+  json.begin_object();
+  json.field("peers", static_cast<std::uint64_t>(peerstore.peers));
+  json.field("protocols_per_identify",
+             static_cast<std::uint64_t>(peerstore.protocols_per_identify));
+  json.field("connect_ns", peerstore.connect_ns);
+  json.field("identify_ns", peerstore.identify_ns);
+  json.field("reidentify_ns", peerstore.reidentify_ns);
+  json.field("reconnect_ns", peerstore.reconnect_ns);
+  json.field("reidentify_allocs", peerstore.reidentify_allocs);
+  json.end_object();
   json.end_object();
   out << "\n";
 
   std::cout << "\nwrote " << out_path << "\n";
 
   if (!baseline_path.empty() &&
-      !check_baseline(baseline_path, events, trim, dataset)) {
+      !check_baseline(baseline_path, events, trim, dataset, peerstore)) {
     return 1;
   }
   return 0;

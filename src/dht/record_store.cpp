@@ -28,6 +28,13 @@ std::vector<p2p::PeerId> RecordStore::get(const RecordKey& key,
   return result;
 }
 
+bool RecordStore::has_provider(const RecordKey& key, common::SimTime now) const {
+  const auto it = records_.find(key);
+  if (it == records_.end()) return false;
+  return std::ranges::any_of(it->second,
+                             [now](const ProviderRecord& r) { return r.expires > now; });
+}
+
 std::size_t RecordStore::sweep(common::SimTime now) {
   std::size_t removed = 0;
   for (auto it = records_.begin(); it != records_.end();) {

@@ -35,6 +35,10 @@ class RecordStore {
   [[nodiscard]] std::vector<p2p::PeerId> get(const RecordKey& key,
                                              common::SimTime now) const;
 
+  /// Whether the key has an unexpired provider at `now`; get() without
+  /// the copy.
+  [[nodiscard]] bool has_provider(const RecordKey& key, common::SimTime now) const;
+
   /// Drop expired entries; returns how many records were removed.
   std::size_t sweep(common::SimTime now);
 

@@ -50,8 +50,8 @@ void HydraNode::put_record(const dht::RecordKey& key, const p2p::PeerId& provide
 std::set<p2p::PeerId> HydraNode::union_known_pids() const {
   std::set<p2p::PeerId> pids;
   for (const auto& head : heads_) {
-    for (const auto& [pid, entry] : head->swarm().peerstore().entries()) {
-      pids.insert(pid);
+    for (const auto& entry : head->swarm().peerstore().entries()) {
+      pids.insert(entry.pid);
     }
   }
   return pids;

@@ -14,7 +14,10 @@ Recorder::Recorder(sim::Simulation& simulation, p2p::Swarm& swarm,
   swarm_.peerstore().add_observer(this);
 }
 
-Recorder::~Recorder() { swarm_.remove_observer(this); }
+Recorder::~Recorder() {
+  swarm_.remove_observer(this);
+  swarm_.peerstore().remove_observer(this);
+}
 
 SimTime Recorder::observe_time(SimTime actual) const noexcept {
   if (!config_.quantize || config_.poll_interval <= 0) return actual;
@@ -94,20 +97,21 @@ void Recorder::on_agent_changed(const p2p::PeerId& peer, const std::string& prev
 }
 
 void Recorder::on_protocols_changed(const p2p::PeerId& peer,
-                                    const std::vector<std::string>& added,
-                                    const std::vector<std::string>& removed,
+                                    std::span<const std::string_view> added,
+                                    std::span<const std::string_view> removed,
                                     SimTime now) {
   if (!recording_) return;
   const SimTime at = observe_time(now);
   const PeerIndex index = dataset_.intern(peer, at);
   PeerRecord& record = dataset_.record(index);
-  for (const std::string& protocol : added) {
-    record.protocol_events.push_back({at, protocol, true});
-    record.protocols_ever.insert(protocol);
+  for (const std::string_view protocol : added) {
+    std::string name(protocol);
+    record.protocols_ever.insert(name);
+    record.protocol_events.push_back({at, std::move(name), true});
     if (p2p::protocols::marks_dht_server(protocol)) record.ever_dht_server = true;
   }
-  for (const std::string& protocol : removed) {
-    record.protocol_events.push_back({at, protocol, false});
+  for (const std::string_view protocol : removed) {
+    record.protocol_events.push_back({at, std::string(protocol), false});
   }
 }
 

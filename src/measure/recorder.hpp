@@ -64,8 +64,8 @@ class Recorder : public p2p::SwarmObserver, public p2p::PeerstoreObserver {
   void on_agent_changed(const p2p::PeerId& peer, const std::string& previous,
                         const std::string& current, SimTime now) override;
   void on_protocols_changed(const p2p::PeerId& peer,
-                            const std::vector<std::string>& added,
-                            const std::vector<std::string>& removed,
+                            std::span<const std::string_view> added,
+                            std::span<const std::string_view> removed,
                             SimTime now) override;
   void on_address_added(const p2p::PeerId& peer, const p2p::Multiaddr& address,
                         SimTime now) override;

@@ -38,13 +38,16 @@ ConnectionId Swarm::open_connection(const PeerId& remote,
   connection.opened = simulation_.now();
   const ConnectionId id = connection.id;
 
-  peerstore_.touch(remote, connection.opened);
-  peerstore_.add_address(remote, remote_address, connection.opened);
+  const Peerstore::Slot slot =
+      peerstore_.connect(remote, remote_address, connection.opened);
+  if (slot >= open_per_slot_.size()) open_per_slot_.resize(slot + 1);
+  ++open_per_slot_[slot];
 
-  const auto [it, _] = open_.emplace(id, std::move(connection));
-  ++open_per_peer_[remote];
+  const auto [it, _] = open_.emplace(id, Open{std::move(connection), slot});
   ++opened_total_;
-  for (SwarmObserver* observer : observers_) observer->on_connection_opened(it->second);
+  for (SwarmObserver* observer : observers_) {
+    observer->on_connection_opened(it->second.connection);
+  }
 
   // An immediate trim keeps the table under HighWater even between ticks,
   // matching go-libp2p's trim-on-connect watermark check; trim_now holds
@@ -56,28 +59,26 @@ ConnectionId Swarm::open_connection(const PeerId& remote,
 bool Swarm::close_connection(ConnectionId id, CloseReason reason) {
   const auto it = open_.find(id);
   if (it == open_.end()) return false;
-  Connection connection = std::move(it->second);
+  Connection connection = std::move(it->second.connection);
+  --open_per_slot_[it->second.slot];
   open_.erase(it);
   connection.closed = simulation_.now();
   connection.reason = reason;
-  const auto peer_it = open_per_peer_.find(connection.remote);
-  if (peer_it != open_per_peer_.end() && --peer_it->second <= 0) {
-    open_per_peer_.erase(peer_it);
-  }
   notify_closed(connection);
   return true;
 }
 
 std::size_t Swarm::close_peer(const PeerId& remote, CloseReason reason) {
-  const auto peer_it = open_per_peer_.find(remote);
-  if (peer_it == open_per_peer_.end()) return 0;
-  // The per-peer count bounds the walk: stop once every connection to
-  // `remote` is collected.  Ids and their order are those of a full walk.
-  const auto count = static_cast<std::size_t>(peer_it->second);
+  const auto slot = peerstore_.slot(remote);
+  const std::size_t count = slot.has_value() ? open_on(*slot) : 0;
+  if (count == 0) return 0;
+  // The remote's open count, kept per peerstore slot, bounds the walk:
+  // stop once every connection to `remote` is collected.  Ids and their
+  // order are those of a full walk.
   std::vector<ConnectionId> ids;
   ids.reserve(count);
-  for (const auto& [id, connection] : open_) {
-    if (connection.remote != remote) continue;
+  for (const auto& [id, open] : open_) {
+    if (open.slot != *slot) continue;
     ids.push_back(id);
     if (ids.size() == count) break;
   }
@@ -94,17 +95,22 @@ void Swarm::close_all(CloseReason reason) {
 
 const Connection* Swarm::find(ConnectionId id) const {
   const auto it = open_.find(id);
-  return it == open_.end() ? nullptr : &it->second;
+  return it == open_.end() ? nullptr : &it->second.connection;
 }
 
 bool Swarm::connected_to(const PeerId& remote) const {
-  return open_per_peer_.contains(remote);
+  const auto slot = peerstore_.slot(remote);
+  return slot.has_value() && open_on(*slot) > 0;
+}
+
+std::size_t Swarm::open_on(Peerstore::Slot slot) const {
+  return slot < open_per_slot_.size() ? open_per_slot_[slot] : 0;
 }
 
 std::vector<const Connection*> Swarm::open_connections() const {
   std::vector<const Connection*> connections;
   connections.reserve(open_.size());
-  for (const auto& [_, connection] : open_) connections.push_back(&connection);
+  for (const auto& [_, open] : open_) connections.push_back(&open.connection);
   return connections;
 }
 

@@ -95,6 +95,8 @@ class Swarm {
 
  private:
   void notify_closed(const Connection& connection);
+  /// Open connections to the peer in `slot`.
+  [[nodiscard]] std::size_t open_on(Peerstore::Slot slot) const;
 
   sim::Simulation& simulation_;
   PeerId local_id_;
@@ -102,8 +104,14 @@ class Swarm {
   Config config_;
   ConnManager conn_manager_;
   Peerstore peerstore_;
-  std::unordered_map<ConnectionId, Connection> open_;
-  std::unordered_map<PeerId, int> open_per_peer_;
+  /// An open connection and its remote's peerstore slot.
+  struct Open {
+    Connection connection;
+    Peerstore::Slot slot;
+  };
+  std::unordered_map<ConnectionId, Open> open_;
+  /// Open connections per remote, indexed by peerstore slot.
+  std::vector<std::uint32_t> open_per_slot_;
   std::vector<SwarmObserver*> observers_;
   ConnectionId next_connection_id_ = 1;
   std::size_t opened_total_ = 0;

@@ -735,7 +735,7 @@ struct CampaignEngine::Impl {
       emit_fetch(sample);  // the lookup RPC never reached the vantage
       return;
     }
-    sample.found_provider = !cv.records->get(cid, simulation.now()).empty();
+    sample.found_provider = cv.records->has_provider(cid, simulation.now());
     if (!sample.found_provider || !content->fetch_served(index, fetch)) {
       emit_fetch(sample);
       return;
@@ -824,7 +824,7 @@ struct CampaignEngine::Impl {
               if (evicted >= content->spec().replacement_cache_size) break;
               const bitswap::Cid cid = content->key_cid(key);
               if (cv.host->engine_.has_block(cid) &&
-                  cv.records->get(cid, simulation.now()).empty()) {
+                  !cv.records->has_provider(cid, simulation.now())) {
                 cv.host->engine_.remove_block(cid);
                 ++evicted;
               }

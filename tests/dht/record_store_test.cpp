@@ -22,6 +22,7 @@ TEST(RecordStore, PutAndGet) {
 TEST(RecordStore, GetUnknownKeyIsEmpty) {
   RecordStore store;
   EXPECT_TRUE(store.get(RecordKey::from_seed(1), 0).empty());
+  EXPECT_FALSE(store.has_provider(RecordKey::from_seed(1), 0));
 }
 
 TEST(RecordStore, RecordsExpire) {
@@ -30,6 +31,11 @@ TEST(RecordStore, RecordsExpire) {
   store.put(key, p2p::PeerId::from_seed(2), 0, 10 * kHour);
   EXPECT_EQ(store.get(key, 9 * kHour).size(), 1u);
   EXPECT_TRUE(store.get(key, 10 * kHour).empty());
+  EXPECT_TRUE(store.has_provider(key, 9 * kHour));
+  EXPECT_FALSE(store.has_provider(key, 10 * kHour));
+  // One live provider among expired ones is enough.
+  store.put(key, p2p::PeerId::from_seed(3), 9 * kHour, 10 * kHour);
+  EXPECT_TRUE(store.has_provider(key, 12 * kHour));
 }
 
 TEST(RecordStore, ReannounceExtendsExpiry) {

@@ -78,7 +78,7 @@ TEST(FidelityIntegration, CrawlerAndPassiveHorizonsDiffer) {
 
   // Passive view: the vantage's peerstore holds clients too.
   std::size_t clients_seen = 0;
-  for (const auto& [pid, entry] : vantage.swarm().peerstore().entries()) {
+  for (const auto& entry : vantage.swarm().peerstore().entries()) {
     if (!entry.ever_dht_server && !entry.agent.empty()) ++clients_seen;
   }
   EXPECT_GE(clients_seen, static_cast<std::size_t>(kClients));

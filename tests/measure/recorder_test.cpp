@@ -138,6 +138,27 @@ TEST_F(RecorderTest, ProtocolEventsAndServerFlag) {
   EXPECT_TRUE(record->protocols_ever.contains(kad));
 }
 
+TEST_F(RecorderTest, DestroyedRecorderDetachesFromPeerstore) {
+  {
+    Recorder gone = make_recorder();
+    gone.start();
+  }
+  // Were the destroyed recorder still registered, each of these calls
+  // would go through a dangling observer (ASan: stack-use-after-scope).
+  Recorder recorder = make_recorder(/*quantize=*/false);
+  recorder.start();
+  const auto pid = p2p::PeerId::from_seed(2);
+  swarm.peerstore().touch(pid, sim.now());
+  swarm.peerstore().set_agent(pid, "go-ipfs/0.11.0/a", sim.now());
+  swarm.peerstore().set_protocols(pid, {std::string(p2p::protocols::kKad)}, sim.now());
+  swarm.peerstore().add_address(pid, addr(2), sim.now());
+  recorder.finish();
+  const PeerRecord* record = recorder.dataset().find(pid);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->agent_history.size(), 1u);
+  EXPECT_EQ(record->protocol_events.size(), 1u);
+}
+
 TEST_F(RecorderTest, TakeDatasetMovesOut) {
   Recorder recorder = make_recorder();
   recorder.start();

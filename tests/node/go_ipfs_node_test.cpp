@@ -54,7 +54,7 @@ TEST(GoIpfsNode, IdentifyExchangesMetadataAfterConnect) {
   const auto* a_entry = b.swarm().peerstore().find(a.id());
   ASSERT_NE(a_entry, nullptr);
   EXPECT_EQ(a_entry->agent, a.agent());
-  EXPECT_TRUE(a_entry->protocols.contains(std::string(proto::kKad)));
+  EXPECT_TRUE(b.swarm().peerstore().supports(a.id(), proto::kKad));
   EXPECT_TRUE(a_entry->ever_dht_server);
 
   const auto* b_entry = a.swarm().peerstore().find(b.id());

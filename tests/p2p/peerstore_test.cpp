@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "p2p/protocols.hpp"
 
 namespace ipfs::p2p {
@@ -27,10 +29,12 @@ struct EventLog : PeerstoreObserver {
                         const std::string& current, common::SimTime at) override {
     agent_changes.push_back({peer, previous, current, at});
   }
-  void on_protocols_changed(const PeerId&, const std::vector<std::string>& added,
-                            const std::vector<std::string>& removed,
+  void on_protocols_changed(const PeerId&, std::span<const std::string_view> added,
+                            std::span<const std::string_view> removed,
                             common::SimTime) override {
-    protocol_changes.emplace_back(added, removed);
+    protocol_changes.emplace_back(
+        std::vector<std::string>(added.begin(), added.end()),
+        std::vector<std::string>(removed.begin(), removed.end()));
   }
   void on_address_added(const PeerId&, const Multiaddr& address,
                         common::SimTime) override {
@@ -83,12 +87,41 @@ TEST_F(PeerstoreTest, SetProtocolsComputesDiff) {
   EXPECT_TRUE(log.protocol_changes[0].second.empty());
   EXPECT_EQ(log.protocol_changes[1].first, (std::vector<std::string>{"c"}));
   EXPECT_EQ(log.protocol_changes[1].second, (std::vector<std::string>{"a"}));
+
+  // Unsorted input with repeats is a set: the diff is in name order and
+  // names each protocol once.
+  store.set_protocols(pid, {"e", "c", "d", "e", "b", "d"}, 30);
+  ASSERT_EQ(log.protocol_changes.size(), 3u);
+  EXPECT_EQ(log.protocol_changes[2].first, (std::vector<std::string>{"d", "e"}));
+  EXPECT_TRUE(log.protocol_changes[2].second.empty());
+  const auto* entry = store.find(pid);
+  ASSERT_EQ(entry->protocols.size(), 4u);
+  EXPECT_EQ(store.protocol_name(entry->protocols.front()), "b");
+  EXPECT_EQ(store.protocol_name(entry->protocols.back()), "e");
+
+  // Diffs are in name order whatever order the names were first seen in:
+  // a fresh store interns z, b, y, a, c in that order.
+  Peerstore fresh;
+  EventLog fresh_log;
+  fresh.add_observer(&fresh_log);
+  fresh.set_protocols(pid, {"z", "b"}, 10);
+  fresh.set_protocols(pid, {"y", "a", "c"}, 20);
+  ASSERT_EQ(fresh_log.protocol_changes.size(), 2u);
+  EXPECT_EQ(fresh_log.protocol_changes[0].first, (std::vector<std::string>{"b", "z"}));
+  EXPECT_EQ(fresh_log.protocol_changes[1].first,
+            (std::vector<std::string>{"a", "c", "y"}));
+  EXPECT_EQ(fresh_log.protocol_changes[1].second,
+            (std::vector<std::string>{"b", "z"}));
 }
 
 TEST_F(PeerstoreTest, SetProtocolsIdenticalIsSilent) {
   store.set_protocols(pid, {"a"}, 10);
   store.set_protocols(pid, {"a"}, 20);
   EXPECT_EQ(log.protocol_changes.size(), 1u);
+  store.set_protocols(pid, {"b", "a"}, 30);
+  store.set_protocols(pid, {"a", "b", "a"}, 40);  // same set, reordered
+  EXPECT_EQ(log.protocol_changes.size(), 2u);
+  EXPECT_EQ(store.find(pid)->last_seen, 40);
 }
 
 TEST_F(PeerstoreTest, KadAnnouncementMarksServerForever) {
@@ -104,6 +137,14 @@ TEST_F(PeerstoreTest, SupportsChecksCurrentSet) {
   EXPECT_TRUE(store.supports(pid, protocols::kPing));
   EXPECT_FALSE(store.supports(pid, protocols::kKad));
   EXPECT_FALSE(store.supports(PeerId::from_seed(99), protocols::kPing));
+  store.set_protocols(pid, {std::string(protocols::kKad)}, 20);
+  EXPECT_FALSE(store.supports(pid, protocols::kPing));
+  EXPECT_TRUE(store.supports(pid, protocols::kKad));
+
+  // A moved store keeps its interned names.
+  const Peerstore moved = std::move(store);
+  EXPECT_TRUE(moved.supports(pid, protocols::kKad));
+  EXPECT_EQ(moved.protocol_name(moved.find(pid)->protocols.front()), protocols::kKad);
 }
 
 TEST_F(PeerstoreTest, AddressesDeduplicated) {
@@ -112,6 +153,59 @@ TEST_F(PeerstoreTest, AddressesDeduplicated) {
   store.add_address(pid, addr, 20);
   EXPECT_EQ(log.addresses.size(), 1u);
   EXPECT_EQ(store.find(pid)->addresses.size(), 1u);
+
+  const Multiaddr low{IpAddress::v4(7), Transport::kTcp, 4001};
+  const Multiaddr high{IpAddress::v4(99), Transport::kQuic, 4001};
+  store.connect(pid, high, 30);
+  store.add_address(pid, low, 40);
+  store.connect(pid, addr, 50);
+  store.connect(pid, high, 60);
+  store.add_address(pid, low, 70);
+  EXPECT_EQ(log.addresses, (std::vector<Multiaddr>{addr, high, low}));
+  const auto& addresses = store.find(pid)->addresses;
+  EXPECT_EQ(addresses.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(addresses.begin(), addresses.end()));
+  EXPECT_EQ(std::count(addresses.begin(), addresses.end(), high), 1);
+}
+
+TEST_F(PeerstoreTest, ConnectAnnouncesPeerBeforeAddress) {
+  struct Order : PeerstoreObserver {
+    std::vector<std::string> calls;
+    void on_peer_added(const PeerId&, common::SimTime) override {
+      calls.emplace_back("peer");
+    }
+    void on_agent_changed(const PeerId&, const std::string&, const std::string&,
+                          common::SimTime) override {}
+    void on_protocols_changed(const PeerId&, std::span<const std::string_view>,
+                              std::span<const std::string_view>,
+                              common::SimTime) override {}
+    void on_address_added(const PeerId&, const Multiaddr&, common::SimTime) override {
+      calls.emplace_back("address");
+    }
+  } order;
+  store.add_observer(&order);
+  const Multiaddr addr{IpAddress::v4(42), Transport::kTcp, 4001};
+  const auto slot = store.connect(pid, addr, 10);
+  EXPECT_EQ(store.connect(pid, addr, 20), slot);
+  EXPECT_EQ(order.calls, (std::vector<std::string>{"peer", "address"}));
+  EXPECT_EQ(store.slot(pid), slot);
+  EXPECT_EQ(store.find(pid)->last_seen, 20);
+}
+
+TEST_F(PeerstoreTest, RemovedObserverReceivesNothing) {
+  EventLog other;
+  store.add_observer(&other);
+  store.touch(pid, 10);
+  store.remove_observer(&other);
+  store.touch(PeerId::from_seed(2), 20);
+  store.set_agent(pid, "a", 30);
+  store.set_protocols(pid, {"x"}, 40);
+  store.add_address(pid, Multiaddr{IpAddress::v4(42), Transport::kTcp, 4001}, 50);
+  EXPECT_EQ(other.added_peers.size(), 1u);
+  EXPECT_TRUE(other.agent_changes.empty());
+  EXPECT_TRUE(other.protocol_changes.empty());
+  EXPECT_TRUE(other.addresses.empty());
+  EXPECT_EQ(log.added_peers.size(), 2u);  // the fixture's log stays attached
 }
 
 TEST_F(PeerstoreTest, FindUnknownReturnsNull) {
@@ -125,6 +219,29 @@ TEST_F(PeerstoreTest, MultiplePeersIndependent) {
   EXPECT_EQ(store.find(pid)->agent, "a");
   EXPECT_EQ(store.find(other)->agent, "b");
   EXPECT_EQ(store.size(), 2u);
+
+  // Past a thousand peers every entry is still found, and entries() keeps
+  // first-seen order.
+  constexpr std::uint64_t kPeers = 1'500;
+  for (std::uint64_t seed = 3; seed <= kPeers; ++seed) {
+    store.set_protocols(PeerId::from_seed(seed), {seed % 2 == 0 ? "even" : "odd"},
+                        static_cast<common::SimTime>(seed));
+  }
+  ASSERT_EQ(store.size(), kPeers);
+  EXPECT_EQ(store.find(pid)->agent, "a");
+  for (std::uint64_t seed = 3; seed <= kPeers; ++seed) {
+    const auto* entry = store.find(PeerId::from_seed(seed));
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->first_seen, static_cast<common::SimTime>(seed));
+    EXPECT_TRUE(store.supports(entry->pid, seed % 2 == 0 ? "even" : "odd"));
+    EXPECT_EQ(store.slot(entry->pid), seed - 1);
+  }
+  std::size_t slot = 0;
+  for (const auto& entry : store.entries()) {
+    EXPECT_EQ(entry.pid, PeerId::from_seed(slot + 1));
+    ++slot;
+  }
+  EXPECT_EQ(log.added_peers.size(), kPeers);
 }
 
 }  // namespace

@@ -68,7 +68,9 @@ TEST_F(SwarmTest, PeerstoreLearnsAddressOnOpen) {
   swarm.open_connection(PeerId::from_seed(2), remote_addr(42), Direction::kInbound);
   const auto* entry = swarm.peerstore().find(PeerId::from_seed(2));
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->addresses.count(remote_addr(42)), 1u);
+  EXPECT_EQ(std::count(entry->addresses.begin(), entry->addresses.end(),
+                       remote_addr(42)),
+            1);
 }
 
 TEST_F(SwarmTest, MultipleConnectionsPerPeer) {
@@ -131,6 +133,48 @@ TEST_F(SwarmTest, ClosePeerInterleavedWithOtherPeers) {
   EXPECT_EQ(closed_order, walk_order);
   std::sort(closed_order.begin(), closed_order.end());
   EXPECT_EQ(closed_order, target_ids);
+}
+
+TEST_F(SwarmTest, PerPeerCountsSurviveInterleavedOpensAndCloses) {
+  const PeerId a = PeerId::from_seed(2);
+  const PeerId b = PeerId::from_seed(3);
+  const PeerId c = PeerId::from_seed(4);
+  const auto a1 = swarm.open_connection(a, remote_addr(2), Direction::kInbound);
+  const auto b1 = swarm.open_connection(b, remote_addr(3), Direction::kInbound);
+  const auto a2 = swarm.open_connection(a, remote_addr(2), Direction::kOutbound);
+  swarm.close_connection(b1, CloseReason::kRemoteClose);
+  const auto c1 = swarm.open_connection(c, remote_addr(4), Direction::kInbound);
+  const auto b2 = swarm.open_connection(b, remote_addr(3), Direction::kOutbound);
+  swarm.close_connection(a1, CloseReason::kRemoteClose);
+  EXPECT_TRUE(swarm.connected_to(a));
+  EXPECT_TRUE(swarm.connected_to(b));
+  EXPECT_TRUE(swarm.connected_to(c));
+
+  swarm.close_connection(c1, CloseReason::kLocalClose);
+  EXPECT_FALSE(swarm.connected_to(c));
+  EXPECT_EQ(swarm.close_peer(c, CloseReason::kPeerOffline), 0u);
+  EXPECT_EQ(swarm.close_peer(a, CloseReason::kPeerOffline), 1u);
+  EXPECT_EQ(log.closed.back().id, a2);
+  EXPECT_FALSE(swarm.connected_to(a));
+  EXPECT_EQ(swarm.close_peer(b, CloseReason::kPeerOffline), 1u);
+  EXPECT_EQ(log.closed.back().id, b2);
+  EXPECT_EQ(swarm.open_count(), 0u);
+}
+
+TEST_F(SwarmTest, PeerReconnectsAfterAllConnectionsClosed) {
+  const PeerId remote = PeerId::from_seed(2);
+  const auto first = swarm.open_connection(remote, remote_addr(2), Direction::kInbound);
+  swarm.close_connection(first, CloseReason::kRemoteClose);
+  EXPECT_FALSE(swarm.connected_to(remote));
+  EXPECT_EQ(swarm.close_peer(remote, CloseReason::kPeerOffline), 0u);
+
+  const auto again = swarm.open_connection(remote, remote_addr(5), Direction::kOutbound);
+  EXPECT_TRUE(swarm.connected_to(remote));
+  EXPECT_EQ(swarm.peerstore().size(), 1u);
+  EXPECT_EQ(swarm.peerstore().find(remote)->addresses.size(), 2u);
+  EXPECT_EQ(swarm.close_peer(remote, CloseReason::kPeerOffline), 1u);
+  EXPECT_EQ(log.closed.back().id, again);
+  EXPECT_FALSE(swarm.connected_to(remote));
 }
 
 TEST_F(SwarmTest, CloseAll) {
