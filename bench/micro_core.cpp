@@ -93,7 +93,7 @@ void BM_MultiaddrGrouping(benchmark::State& state) {
                         ? p2p::IpAddress::v4(static_cast<std::uint32_t>(
                               0x0a000000u + rng.uniform_u64(64)))
                         : p2p::IpAddress::v4(static_cast<std::uint32_t>(rng()));
-    dataset.record(index).connected_ips.insert(ip);
+    dataset.add_connected_ip(index, ip);
     dataset.add_connection({index, 0, 1000, p2p::Direction::kInbound,
                             p2p::CloseReason::kRemoteClose});
   }

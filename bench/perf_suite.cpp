@@ -30,7 +30,8 @@
 //   dataset_export
 //                measure::Dataset::export_json on a P4-sized synthetic
 //                dataset into a discarding stream, next to one copy (and
-//                destruction) of the same dataset
+//                destruction) of the same dataset, the heap it holds per
+//                peer, and the allocations of recording a known protocol
 //   peerstore    p2p::Peerstore identify bookkeeping on a P4-shaped store:
 //                first connect and identify of 32k peers, then an unchanged
 //                re-identify and a reconnect of each, counting the heap
@@ -46,9 +47,11 @@
 //                     trimming tick (the table snapshot came back — see
 //                     DESIGN.md §7), when this run's dataset copy costs
 //                     more than 1% of its export (copies stopped sharing
-//                     storage — DESIGN.md §4), when an unchanged peerstore
-//                     re-identify allocates (DESIGN.md §7), or when the
-//                     baseline lacks a section the suite emits
+//                     storage — DESIGN.md §4), when the dataset allocates
+//                     to record an already-interned protocol (DESIGN.md
+//                     §4), when an unchanged peerstore re-identify
+//                     allocates (DESIGN.md §7), or when the baseline lacks
+//                     a section the suite emits
 // IPFS_SCALE / IPFS_SEED tune the campaign section (see bench/README.md).
 #include <algorithm>
 #include <chrono>
@@ -58,6 +61,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <malloc.h>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -759,7 +763,16 @@ struct DatasetExportNumbers {
   double mb_per_s = 0.0;
   std::size_t copy_reps = 0;
   double copy_ns = 0.0;  ///< per copy plus destruction of that copy
+  double bytes_per_peer = 0.0;         ///< live heap the built dataset holds
+  double known_protocol_allocs = 0.0;  ///< per add_protocol_event of a known name
 };
+
+/// Bytes the allocator has handed out and not taken back: small blocks from
+/// the arenas plus mmap-served large ones (the peer table is one of those).
+std::size_t live_heap_bytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
 
 /// Counts and drops every byte through a 64 KiB put area, the way a file
 /// stream buffers, so an export pays for its own rendering and no I/O.
@@ -786,6 +799,12 @@ class DiscardingStreambuf final : public std::streambuf {
   std::size_t dropped_ = 0;
 };
 
+/// What p4_shaped_dataset's peers announce, a prefix of 2-6 per peer.
+constexpr const char* kP4Protocols[] = {"/ipfs/id/1.0.0", "/ipfs/ping/1.0.0",
+                                        "/ipfs/kad/1.0.0", "/ipfs/bitswap/1.2.0",
+                                        "/libp2p/circuit/relay/0.1.0",
+                                        "/p2p/id/delta/1.0.0"};
+
 /// A dataset shaped like one P4 vantage: ~32k peers, each with an agent
 /// history, protocol log and connecting IP, and ~58k connections.
 ipfs::measure::Dataset p4_shaped_dataset() {
@@ -794,10 +813,6 @@ ipfs::measure::Dataset p4_shaped_dataset() {
   constexpr std::size_t kPeers = 32'000;
   constexpr std::size_t kConnections = 58'000;
   constexpr ipfs::common::SimTime kSpan = 7 * ipfs::common::kDay;
-  const char* const protocols[] = {"/ipfs/id/1.0.0", "/ipfs/ping/1.0.0",
-                                   "/ipfs/kad/1.0.0", "/ipfs/bitswap/1.2.0",
-                                   "/libp2p/circuit/relay/0.1.0",
-                                   "/p2p/id/delta/1.0.0"};
   Rng rng(20211203);
   measure::Dataset dataset;
   dataset.vantage = "go-ipfs";
@@ -806,16 +821,14 @@ ipfs::measure::Dataset p4_shaped_dataset() {
     const auto first = static_cast<ipfs::common::SimTime>(rng.uniform_u64(kSpan));
     const measure::PeerIndex peer = dataset.intern(PeerId::from_seed(i + 1), first);
     dataset.intern(PeerId::from_seed(i + 1), first + 60 * ipfs::common::kSecond);
-    measure::PeerRecord& record = dataset.record(peer);
-    record.agent_history.push_back({first, "go-ipfs/0.11.0/67220ed"});
-    if (i % 7 == 0) record.agent_history.push_back({first + 1000, "go-ipfs/0.12.0/06191df"});
+    dataset.add_agent(peer, first, "go-ipfs/0.11.0/67220ed");
+    if (i % 7 == 0) dataset.add_agent(peer, first + 1000, "go-ipfs/0.12.0/06191df");
     const std::size_t announced = 2 + i % 5;
     for (std::size_t p = 0; p < announced; ++p) {
-      record.protocol_events.push_back({first, protocols[p], true});
-      record.protocols_ever.insert(protocols[p]);
+      dataset.add_protocol_event(peer, first, kP4Protocols[p], true);
     }
-    record.connected_ips.insert(p2p::IpAddress::v4(static_cast<std::uint32_t>(i + 1)));
-    record.ever_dht_server = i % 3 == 0;
+    dataset.add_connected_ip(peer, p2p::IpAddress::v4(static_cast<std::uint32_t>(i + 1)));
+    dataset.record(peer).ever_dht_server = i % 3 == 0;
   }
   for (std::size_t c = 0; c < kConnections; ++c) {
     const auto opened = static_cast<ipfs::common::SimTime>(rng.uniform_u64(kSpan));
@@ -829,13 +842,37 @@ ipfs::measure::Dataset p4_shaped_dataset() {
   return dataset;
 }
 
+/// Heap allocations per Dataset::add_protocol_event of a name the dataset
+/// has already interned, into a record whose log and set have room: the
+/// recorder's per-identify path once a vantage has seen every protocol.
+double known_protocol_allocs() {
+  constexpr std::size_t kCalls = 4096;
+  ipfs::measure::Dataset dataset;
+  const ipfs::measure::PeerIndex peer = dataset.intern(PeerId::from_seed(1), 0);
+  for (const char* protocol : kP4Protocols) {
+    dataset.add_protocol_event(peer, 0, protocol, true);
+  }
+  dataset.record(peer).protocol_events.reserve(kCalls + std::size(kP4Protocols));
+  const std::uint64_t allocations_before = allocations;
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    dataset.add_protocol_event(peer, static_cast<ipfs::common::SimTime>(i),
+                               kP4Protocols[i % std::size(kP4Protocols)], i % 3 != 0);
+  }
+  return static_cast<double>(allocations - allocations_before) /
+         static_cast<double>(kCalls);
+}
+
 DatasetExportNumbers bench_dataset_export(bool smoke) {
   // Full size in smoke mode too: the copy check compares against this
   // export, and a shrunken dataset would shrink the margin it needs.
+  const std::size_t heap_before = live_heap_bytes();
   const ipfs::measure::Dataset dataset = p4_shaped_dataset();
   DatasetExportNumbers numbers;
   numbers.peers = dataset.peer_count();
   numbers.connections = dataset.connection_count();
+  numbers.bytes_per_peer = static_cast<double>(live_heap_bytes() - heap_before) /
+                           static_cast<double>(numbers.peers);
+  numbers.known_protocol_allocs = known_protocol_allocs();
 
   numbers.export_reps = smoke ? 2 : 5;
   double export_ms = 0.0;
@@ -957,15 +994,17 @@ PeerstoreNumbers bench_peerstore(bool smoke) {
 
 /// Compares a fresh event_queue measurement against the committed
 /// BENCH_core.json and checks this run's conn_trim and dataset_export
-/// ratios and its peerstore allocation count.  Returns false (after printing
-/// why) when the scheduler regressed more than 25% — the CI guardrail for
-/// the ladder-queue engine — when an idle trim tick costs more than 1% of a
-/// trimming one, when a dataset copy costs more than 1% of an export, or
-/// when an unchanged re-identify allocates.  The ratio checks compare two
-/// figures of the same run and the allocation count is exact, so they hold
-/// on any host; they fail if trim_now snapshots the table before its
-/// high-water check, if copying a Dataset duplicates its storage, or if
-/// Peerstore::set_protocols builds a set per identify again.
+/// ratios and its dataset and peerstore allocation counts.  Returns false
+/// (after printing why) when the scheduler regressed more than 25% — the
+/// CI guardrail for the ladder-queue engine — when an idle trim tick costs
+/// more than 1% of a trimming one, when a dataset copy costs more than 1%
+/// of an export, or when recording a known protocol or an unchanged
+/// re-identify allocates.
+/// The ratio checks compare two figures of the same run and the allocation
+/// counts are exact, so they hold on any host; they fail if trim_now
+/// snapshots the table before its high-water check, if copying a Dataset
+/// duplicates its storage, if the Dataset stores a string per protocol
+/// event again, or if Peerstore::set_protocols builds a set per identify.
 bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& fresh,
                     const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset,
                     const PeerstoreNumbers& peerstore) {
@@ -1001,7 +1040,8 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
       {"phase_program",
        {"rates_ns_per_lookup", "plain_campaign_ms", "phased_campaign_ms"}},
       {"conn_trim", {"idle_tick_ns", "trim_tick_ns"}},
-      {"dataset_export", {"export_ns", "copy_ns"}},
+      {"dataset_export",
+       {"export_ns", "copy_ns", "bytes_per_peer", "known_protocol_allocs"}},
       {"peerstore",
        {"connect_ns", "identify_ns", "reidentify_ns", "reconnect_ns",
         "reidentify_allocs"}},
@@ -1057,6 +1097,17 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
               << "its export (got " << dataset.copy_ns << " vs "
               << dataset.export_ns << " ns); copies of a measure::Dataset "
               << "must share its storage (DESIGN.md §4)\n";
+    ok = false;
+  }
+
+  std::cout << "check-baseline: dataset records a known protocol with "
+            << dataset.known_protocol_allocs << " allocations per call (limit 0)\n";
+  if (dataset.known_protocol_allocs > 0) {
+    std::cerr << "check-baseline: FAIL — Dataset::add_protocol_event allocates ("
+              << dataset.known_protocol_allocs << " heap allocations per call "
+              << "with a name the dataset already interned); a known name must "
+              << "be looked up by string_view and stored as an id (DESIGN.md "
+              << "§4)\n";
     ok = false;
   }
 
@@ -1162,7 +1213,9 @@ int main(int argc, char** argv) {
   std::cout << "      " << dataset.peers << " peers, " << dataset.connections
             << " connections: export " << dataset.export_ns << " ns ("
             << dataset.bytes << " bytes, " << dataset.mb_per_s << " MB/s), copy "
-            << dataset.copy_ns << " ns\n";
+            << dataset.copy_ns << " ns, " << dataset.bytes_per_peer
+            << " heap bytes/peer, " << dataset.known_protocol_allocs
+            << " allocations per known protocol\n";
 
   std::cout << "[11/11] peerstore: connect, identify, re-identify ...\n";
   const PeerstoreNumbers peerstore = bench_peerstore(smoke);
@@ -1293,6 +1346,8 @@ int main(int argc, char** argv) {
   json.field("copy_reps", static_cast<std::uint64_t>(dataset.copy_reps));
   json.field("copy_ns", dataset.copy_ns);
   json.field("copy_share", dataset.copy_ns / dataset.export_ns);
+  json.field("bytes_per_peer", dataset.bytes_per_peer);
+  json.field("known_protocol_allocs", dataset.known_protocol_allocs);
   json.end_object();
   json.key("peerstore");
   json.begin_object();

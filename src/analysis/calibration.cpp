@@ -150,10 +150,15 @@ ParseError require_array(const JsonValue& object, std::string_view key,
   return std::nullopt;
 }
 
+/// One entry of a trace peer's "agents" list.
+struct TraceAgent {
+  SimTime at = 0;
+  std::string agent;
+};
+
 ParseError parse_peer(const JsonValue& value, const std::string& path,
                       SimTime& first_seen, SimTime& last_seen,
-                      bool& ever_dht_server,
-                      std::vector<measure::AgentEvent>& agents) {
+                      bool& ever_dht_server, std::vector<TraceAgent>& agents) {
   if (auto error = require_object(value, path)) return error;
   if (auto error = check_keys(value, path,
                               {"pid", "first_seen_ms", "last_seen_ms",
@@ -185,7 +190,7 @@ ParseError parse_peer(const JsonValue& value, const std::string& path,
       if (auto error = check_keys(entry, entry_path, {"at_ms", "agent"})) {
         return error;
       }
-      measure::AgentEvent event;
+      TraceAgent event;
       if (auto error = require_time(entry, "at_ms", entry_path, event.at)) {
         return error;
       }
@@ -633,7 +638,7 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
     SimTime first_seen = 0;
     SimTime last_seen = 0;
     bool ever_dht_server = false;
-    std::vector<measure::AgentEvent> agents;
+    std::vector<TraceAgent> agents;
     if (auto error = parse_peer(peers->as_array()[i], path, first_seen,
                                 last_seen, ever_dht_server, agents)) {
       return std::unexpected(*error);
@@ -646,7 +651,9 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
     record.first_seen = first_seen;
     record.last_seen = last_seen;
     record.ever_dht_server = ever_dht_server;
-    record.agent_history = std::move(agents);
+    for (const TraceAgent& event : agents) {
+      dataset.add_agent(index, event.at, event.agent);
+    }
   }
   if (const JsonValue* connections = root.find("connections")) {
     if (!connections->is_array()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 namespace ipfs::analysis {
 
@@ -49,32 +48,34 @@ MultiaddrGrouping group_by_multiaddr(const measure::Dataset& dataset) {
   }
   result.connected_pids = connected.size();
 
-  // Union peers that share an IP: remember the first peer seen per IP.
+  // Union peers that share an IP: remember the first peer seen per IP id.
   UnionFind forest(connected.size());
-  std::unordered_map<p2p::IpAddress, std::size_t> ip_owner;  // ip -> slot
-  std::unordered_map<p2p::IpAddress, std::uint64_t> pids_per_ip;
+  std::vector<std::size_t> ip_owner(dataset.ip_count());  // ip -> slot
+  std::vector<std::uint64_t> pids_per_ip(dataset.ip_count(), 0);
   for (std::size_t slot = 0; slot < connected.size(); ++slot) {
     const auto& record = dataset.record(static_cast<std::uint32_t>(connected[slot]));
-    for (const p2p::IpAddress& ip : record.connected_ips) {
-      ++pids_per_ip[ip];
-      const auto [it, inserted] = ip_owner.emplace(ip, slot);
-      if (!inserted) forest.merge(it->second, slot);
+    for (const measure::IpId ip : record.connected_ips) {
+      if (pids_per_ip[ip]++ == 0) {
+        ip_owner[ip] = slot;
+        ++result.distinct_ips;
+      } else {
+        forest.merge(ip_owner[ip], slot);
+      }
     }
   }
-  result.distinct_ips = ip_owner.size();
 
-  // Group sizes.
-  std::unordered_map<std::size_t, std::uint64_t> group_size;
+  // Group sizes, indexed by each group's root slot.
+  std::vector<std::uint64_t> group_size(connected.size(), 0);
   for (std::size_t slot = 0; slot < connected.size(); ++slot) {
     ++group_size[forest.find(slot)];
   }
-  result.groups = group_size.size();
-  result.group_sizes.reserve(group_size.size());
-  for (const auto& [root, size] : group_size) {
+  for (const std::uint64_t size : group_size) {
+    if (size == 0) continue;
     result.group_sizes.push_back(size);
     if (size == 1) ++result.singleton_groups;
     result.largest_group = std::max(result.largest_group, size);
   }
+  result.groups = result.group_sizes.size();
   std::sort(result.group_sizes.begin(), result.group_sizes.end(),
             std::greater<std::uint64_t>());
 
@@ -84,7 +85,7 @@ MultiaddrGrouping group_by_multiaddr(const measure::Dataset& dataset) {
   for (const std::size_t peer_index : connected) {
     const auto& record = dataset.record(static_cast<std::uint32_t>(peer_index));
     if (record.connected_ips.size() != 1) continue;
-    if (pids_per_ip[*record.connected_ips.begin()] == 1) ++result.unique_ip_pids;
+    if (pids_per_ip[record.connected_ips.front()] == 1) ++result.unique_ip_pids;
   }
   return result;
 }

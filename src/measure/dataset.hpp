@@ -5,14 +5,17 @@
 // timestamps, close attribution — and (2) peerstore observations — per PID:
 // agent strings, protocol announcements and multiaddresses, each change
 // timestamped.  `Dataset` is the in-memory form of the JSON files the
-// paper's clients exported; `analysis::*` consumes it.
+// paper's clients exported; `analysis::*` consumes it.  Agents, protocols
+// and connected IPs are interned once per dataset, and records hold ids.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,39 +43,44 @@ struct ConnRecord {
   [[nodiscard]] SimDuration duration() const noexcept { return closed - opened; }
 };
 
+/// Dense ids into a dataset's intern tables (DESIGN.md §4, "Interned
+/// dataset layout"): numbered in first-seen order within one dataset, so
+/// an id means nothing outside the dataset that issued it.
+using AgentId = std::uint32_t;
+using ProtocolId = std::uint32_t;
+using IpId = std::uint32_t;
+
 /// A timestamped agent-version observation.
 struct AgentEvent {
   SimTime at = 0;
-  std::string agent;
+  AgentId agent = 0;
 };
 
 /// A timestamped protocol announcement change.
 struct ProtocolEvent {
   SimTime at = 0;
-  std::string protocol;
+  ProtocolId protocol = 0;
   bool added = true;
 };
 
-/// Everything recorded about one PID.
+/// Everything recorded about one PID.  Agents, protocols and IPs are ids
+/// into the owning dataset's tables; `Dataset::agent_name`,
+/// `protocol_name` and `ip` resolve them.
 struct PeerRecord {
   p2p::PeerId pid;
   SimTime first_seen = 0;
   SimTime last_seen = 0;
-  /// Agent strings in observation order; empty if identify never completed
+  /// Agents in observation order; empty if identify never completed
   /// (the paper's "missing" category, 3'059 PIDs).
   std::vector<AgentEvent> agent_history;
   /// Full protocol change log (adds and removals).
   std::vector<ProtocolEvent> protocol_events;
-  /// Every protocol ever announced.
-  std::set<std::string> protocols_ever;
-  /// IPs this PID *connected from* (the §V-A grouping key).
-  std::set<p2p::IpAddress> connected_ips;
+  /// Every protocol ever announced: sorted by id, no repeats.
+  std::vector<ProtocolId> protocols_ever;
+  /// IPs this PID *connected from* (the §V-A grouping key): sorted by id,
+  /// no repeats.
+  std::vector<IpId> connected_ips;
   bool ever_dht_server = false;
-
-  [[nodiscard]] const std::string& current_agent() const {
-    static const std::string kEmpty;
-    return agent_history.empty() ? kEmpty : agent_history.back().agent;
-  }
 };
 
 /// A complete measurement dataset from one vantage (or a merged union).
@@ -82,8 +90,9 @@ struct PeerRecord {
 /// either copy clones that storage for the mutating copy alone (DESIGN.md
 /// §4).  So a sink can keep a published dataset for the price of a
 /// reference count, and copies may be read or mutated on different threads.
-/// References returned by the mutable `record()` are invalidated by copying
-/// the dataset, as by any other mutation.
+/// References returned by the mutable `record()`, and the names returned by
+/// `agent_name` and `protocol_name`, are invalidated by copying the dataset,
+/// as by any other mutation.
 class Dataset {
  public:
   /// Name shown in tables ("go-ipfs", "Hydra H0", …).
@@ -115,6 +124,37 @@ class Dataset {
 
   void add_connection(ConnRecord record);
 
+  /// Append an agent observation to the peer's history.
+  void add_agent(PeerIndex peer, SimTime at, std::string_view name);
+  /// Append a protocol change to the peer's log; an addition also enters
+  /// `protocols_ever`.
+  void add_protocol_event(PeerIndex peer, SimTime at, std::string_view name,
+                          bool added);
+  /// Note an IP the peer connected from.
+  void add_connected_ip(PeerIndex peer, const p2p::IpAddress& ip);
+
+  [[nodiscard]] const std::string& agent_name(AgentId id) const {
+    return body().agents.name(id);
+  }
+  [[nodiscard]] const std::string& protocol_name(ProtocolId id) const {
+    return body().protocols.name(id);
+  }
+  [[nodiscard]] const p2p::IpAddress& ip(IpId id) const { return body().ips[id]; }
+  [[nodiscard]] std::optional<ProtocolId> find_protocol(std::string_view name) const {
+    return body().protocols.find(name);
+  }
+  /// Table sizes: every id below them is valid, referenced or not.
+  [[nodiscard]] std::size_t agent_count() const noexcept {
+    return body().agents.size();
+  }
+  [[nodiscard]] std::size_t protocol_count() const noexcept {
+    return body().protocols.size();
+  }
+  [[nodiscard]] std::size_t ip_count() const noexcept { return body().ips.size(); }
+
+  /// The peer's latest agent, or "" if identify never completed.
+  [[nodiscard]] const std::string& current_agent(const PeerRecord& peer) const;
+
   [[nodiscard]] std::size_t peer_count() const noexcept { return body().peers.size(); }
   [[nodiscard]] std::size_t connection_count() const noexcept {
     return body().connections.size();
@@ -134,11 +174,38 @@ class Dataset {
                    bool pretty = true) const;
 
  private:
+  /// Distinct strings numbered in first-seen order.  The index owns its
+  /// keys, so a copied table never points into another table's storage;
+  /// lookups hash a string_view and allocate nothing.
+  class NameTable {
+   public:
+    std::uint32_t intern(std::string_view name);
+    [[nodiscard]] std::optional<std::uint32_t> find(std::string_view name) const;
+    [[nodiscard]] const std::string& name(std::uint32_t id) const { return names_[id]; }
+    [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
+
+   private:
+    struct Hash {
+      using is_transparent = void;
+      std::size_t operator()(std::string_view text) const noexcept {
+        return std::hash<std::string_view>{}(text);
+      }
+    };
+    std::vector<std::string> names_;
+    std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>> ids_;
+  };
+
   /// The storage copies share.  Written only while one handle owns it.
   struct Body {
     std::vector<PeerRecord> peers;
     std::unordered_map<p2p::PeerId, PeerIndex> index;
     std::vector<ConnRecord> connections;
+    NameTable agents;
+    NameTable protocols;
+    std::vector<p2p::IpAddress> ips;
+    std::unordered_map<p2p::IpAddress, IpId> ip_ids;
+
+    IpId intern_ip(const p2p::IpAddress& ip);
   };
 
   /// connections_by_peer()'s lists.  Copying yields an empty cache, so a

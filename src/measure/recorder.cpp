@@ -59,7 +59,7 @@ void Recorder::on_connection_opened(const p2p::Connection& connection) {
   if (!recording_) return;
   const SimTime now = observe_time(simulation_.now());
   const PeerIndex peer = dataset_.intern(connection.remote, now);
-  dataset_.record(peer).connected_ips.insert(connection.remote_addr.ip);
+  dataset_.add_connected_ip(peer, connection.remote_addr.ip);
   open_[connection.id] = {peer, now, connection.direction};
 }
 
@@ -93,7 +93,7 @@ void Recorder::on_agent_changed(const p2p::PeerId& peer, const std::string& prev
   (void)previous;
   const SimTime at = observe_time(now);
   const PeerIndex index = dataset_.intern(peer, at);
-  dataset_.record(index).agent_history.push_back({at, current});
+  dataset_.add_agent(index, at, current);
 }
 
 void Recorder::on_protocols_changed(const p2p::PeerId& peer,
@@ -103,15 +103,14 @@ void Recorder::on_protocols_changed(const p2p::PeerId& peer,
   if (!recording_) return;
   const SimTime at = observe_time(now);
   const PeerIndex index = dataset_.intern(peer, at);
-  PeerRecord& record = dataset_.record(index);
   for (const std::string_view protocol : added) {
-    std::string name(protocol);
-    record.protocols_ever.insert(name);
-    record.protocol_events.push_back({at, std::move(name), true});
-    if (p2p::protocols::marks_dht_server(protocol)) record.ever_dht_server = true;
+    dataset_.add_protocol_event(index, at, protocol, true);
+    if (p2p::protocols::marks_dht_server(protocol)) {
+      dataset_.record(index).ever_dht_server = true;
+    }
   }
   for (const std::string_view protocol : removed) {
-    record.protocol_events.push_back({at, std::string(protocol), false});
+    dataset_.add_protocol_event(index, at, protocol, false);
   }
 }
 

@@ -14,10 +14,9 @@ using measure::PeerIndex;
 PeerIndex add_peer(Dataset& dataset, std::uint64_t seed, const std::string& agent,
                    const std::vector<std::string>& protocols = {}) {
   const PeerIndex index = dataset.intern(p2p::PeerId::from_seed(seed), 0);
-  if (!agent.empty()) dataset.record(index).agent_history.push_back({0, agent});
+  if (!agent.empty()) dataset.add_agent(index, 0, agent);
   for (const std::string& protocol : protocols) {
-    dataset.record(index).protocols_ever.insert(protocol);
-    dataset.record(index).protocol_events.push_back({0, protocol, true});
+    dataset.add_protocol_event(index, 0, protocol, true);
     if (proto::marks_dht_server(protocol)) dataset.record(index).ever_dht_server = true;
   }
   return index;
@@ -80,13 +79,13 @@ TEST(MetadataSummary, CategorisesAgents) {
 TEST(VersionChanges, ClassifiesHistoryTransitions) {
   Dataset dataset;
   const PeerIndex upgrader = add_peer(dataset, 1, "go-ipfs/0.10.0/a");
-  dataset.record(upgrader).agent_history.push_back({10, "go-ipfs/0.11.0/b"});
+  dataset.add_agent(upgrader, 10, "go-ipfs/0.11.0/b");
   const PeerIndex downgrader = add_peer(dataset, 2, "go-ipfs/0.11.0/a");
-  dataset.record(downgrader).agent_history.push_back({10, "go-ipfs/0.10.0/b"});
+  dataset.add_agent(downgrader, 10, "go-ipfs/0.10.0/b");
   const PeerIndex changer = add_peer(dataset, 3, "go-ipfs/0.11.0/a-dirty");
-  dataset.record(changer).agent_history.push_back({10, "go-ipfs/0.11.0/b-dirty"});
+  dataset.add_agent(changer, 10, "go-ipfs/0.11.0/b-dirty");
   const PeerIndex convert = add_peer(dataset, 4, "rust-libp2p/0.40.0");
-  dataset.record(convert).agent_history.push_back({10, "go-ipfs/0.11.0/x"});
+  dataset.add_agent(convert, 10, "go-ipfs/0.11.0/x");
   add_peer(dataset, 5, "go-ipfs/0.11.0/stable");  // no change
 
   const auto counts = count_version_changes(dataset);
@@ -102,9 +101,9 @@ TEST(VersionChanges, ClassifiesHistoryTransitions) {
 TEST(VersionChanges, MultipleChangesPerPeer) {
   Dataset dataset;
   const PeerIndex peer = add_peer(dataset, 1, "go-ipfs/0.10.0/a");
-  dataset.record(peer).agent_history.push_back({10, "go-ipfs/0.11.0/b"});
-  dataset.record(peer).agent_history.push_back({20, "go-ipfs/0.12.0/c"});
-  dataset.record(peer).agent_history.push_back({30, "go-ipfs/0.11.0/d"});
+  dataset.add_agent(peer, 10, "go-ipfs/0.11.0/b");
+  dataset.add_agent(peer, 20, "go-ipfs/0.12.0/c");
+  dataset.add_agent(peer, 30, "go-ipfs/0.11.0/d");
   const auto counts = count_version_changes(dataset);
   EXPECT_EQ(counts.upgrades, 2u);
   EXPECT_EQ(counts.downgrades, 1u);
@@ -117,11 +116,25 @@ TEST(ProtocolFlapping, CountsTogglesBeyondInitialAnnouncement) {
   add_peer(dataset, 1, "a", {kad});
   // Peer 2: announce, retract, announce -> 2 toggles after the initial one.
   const PeerIndex flapper = add_peer(dataset, 2, "b", {kad});
-  dataset.record(flapper).protocol_events.push_back({10, kad, false});
-  dataset.record(flapper).protocol_events.push_back({20, kad, true});
+  dataset.add_protocol_event(flapper, 10, kad, false);
+  dataset.add_protocol_event(flapper, 20, kad, true);
   const auto stats = protocol_flapping(dataset, proto::kKad);
   EXPECT_EQ(stats.peers, 1u);
   EXPECT_EQ(stats.events, 2u);
+}
+
+TEST(ProtocolFlapping, UnknownProtocolCountsNothing) {
+  Dataset dataset;
+  const PeerIndex flapper = add_peer(dataset, 1, "a", {std::string(proto::kKad)});
+  dataset.add_protocol_event(flapper, 10, proto::kKad, false);
+  dataset.add_protocol_event(flapper, 20, proto::kKad, true);
+  ASSERT_EQ(dataset.find_protocol(proto::kAutonat), std::nullopt);
+  const auto stats = protocol_flapping(dataset, proto::kAutonat);
+  EXPECT_EQ(stats.peers, 0u);
+  EXPECT_EQ(stats.events, 0u);
+  const auto empty = protocol_flapping(Dataset(), proto::kKad);
+  EXPECT_EQ(empty.peers, 0u);
+  EXPECT_EQ(empty.events, 0u);
 }
 
 TEST(Anomalies, DetectsStormFingerprint) {

@@ -13,7 +13,7 @@ PeerIndex add_connected_peer(Dataset& dataset, std::uint64_t seed,
                              std::vector<std::uint32_t> ips) {
   const PeerIndex index = dataset.intern(p2p::PeerId::from_seed(seed), 0);
   for (const std::uint32_t ip : ips) {
-    dataset.record(index).connected_ips.insert(p2p::IpAddress::v4(ip));
+    dataset.add_connected_ip(index, p2p::IpAddress::v4(ip));
   }
   dataset.add_connection({index, 0, kHour, p2p::Direction::kInbound,
                           p2p::CloseReason::kRemoteClose});
@@ -90,8 +90,8 @@ TEST(NetworkSizeReport, CombinesBothEstimators) {
   // Three heavy peers (one a DHT server), two singleton one-timers.
   for (std::uint64_t i = 0; i < 3; ++i) {
     const PeerIndex index = dataset.intern(p2p::PeerId::from_seed(i), 0);
-    dataset.record(index).connected_ips.insert(
-        p2p::IpAddress::v4(static_cast<std::uint32_t>(10 + i)));
+    dataset.add_connected_ip(index,
+                             p2p::IpAddress::v4(static_cast<std::uint32_t>(10 + i)));
     dataset.record(index).ever_dht_server = i == 0;
     dataset.add_connection({index, 0, 30 * kHour, p2p::Direction::kInbound,
                             p2p::CloseReason::kMeasurementEnd});

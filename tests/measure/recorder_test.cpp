@@ -115,8 +115,9 @@ TEST_F(RecorderTest, AgentHistoryFromPeerstore) {
   const PeerRecord* record = recorder.dataset().find(pid);
   ASSERT_NE(record, nullptr);
   ASSERT_EQ(record->agent_history.size(), 2u);
-  EXPECT_EQ(record->agent_history[0].agent, "go-ipfs/0.10.0/a");
-  EXPECT_EQ(record->agent_history[1].agent, "go-ipfs/0.11.0/b");
+  const Dataset& dataset = recorder.dataset();
+  EXPECT_EQ(dataset.agent_name(record->agent_history[0].agent), "go-ipfs/0.10.0/a");
+  EXPECT_EQ(dataset.agent_name(record->agent_history[1].agent), "go-ipfs/0.11.0/b");
   EXPECT_EQ(record->agent_history[1].at, 5 * kMinute);
 }
 
@@ -135,7 +136,38 @@ TEST_F(RecorderTest, ProtocolEventsAndServerFlag) {
   ASSERT_EQ(record->protocol_events.size(), 2u);
   EXPECT_TRUE(record->protocol_events[0].added);
   EXPECT_FALSE(record->protocol_events[1].added);
-  EXPECT_TRUE(record->protocols_ever.contains(kad));
+  const auto kad_id = recorder.dataset().find_protocol(kad);
+  ASSERT_TRUE(kad_id.has_value());
+  EXPECT_EQ(record->protocols_ever, std::vector<ProtocolId>{*kad_id});
+  EXPECT_EQ(record->protocol_events[0].protocol, *kad_id);
+  EXPECT_EQ(record->protocol_events[1].protocol, *kad_id);
+}
+
+TEST_F(RecorderTest, InternsEachNameOncePerDataset) {
+  Recorder recorder = make_recorder(/*quantize=*/false);
+  recorder.start();
+  const std::string kad(p2p::protocols::kKad);
+  const std::string ping(p2p::protocols::kPing);
+  for (const std::uint64_t seed : {2, 3}) {
+    const auto pid = p2p::PeerId::from_seed(seed);
+    swarm.peerstore().set_agent(pid, "go-ipfs/0.11.0/b", sim.now());
+    swarm.peerstore().set_protocols(pid, {ping, kad}, sim.now());
+    swarm.open_connection(pid, addr(7), p2p::Direction::kInbound);
+  }
+  recorder.finish();
+  const Dataset& dataset = recorder.dataset();
+  EXPECT_EQ(dataset.agent_count(), 1u);
+  EXPECT_EQ(dataset.protocol_count(), 2u);
+  EXPECT_EQ(dataset.ip_count(), 1u);
+  const PeerRecord* a = dataset.find(p2p::PeerId::from_seed(2));
+  const PeerRecord* b = dataset.find(p2p::PeerId::from_seed(3));
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->protocols_ever.size(), 2u);
+  EXPECT_EQ(a->protocols_ever, b->protocols_ever);
+  EXPECT_EQ(a->connected_ips, b->connected_ips);
+  EXPECT_EQ(dataset.ip(a->connected_ips.front()), p2p::IpAddress::v4(7));
+  EXPECT_EQ(dataset.current_agent(*b), "go-ipfs/0.11.0/b");
 }
 
 TEST_F(RecorderTest, DestroyedRecorderDetachesFromPeerstore) {

@@ -21,7 +21,7 @@ Dataset shared_dataset() {
   for (std::uint64_t i = 0; i < 500; ++i) {
     const PeerIndex peer = dataset.intern(p2p::PeerId::from_seed(i + 1),
                                           static_cast<SimTime>(i));
-    dataset.record(peer).agent_history.push_back({static_cast<SimTime>(i), "go-ipfs"});
+    dataset.add_agent(peer, static_cast<SimTime>(i), "go-ipfs");
     for (SimTime c = 0; c < 3; ++c) {
       dataset.add_connection({peer, c, c + 100, p2p::Direction::kInbound,
                               p2p::CloseReason::kRemoteClose});

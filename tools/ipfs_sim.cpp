@@ -11,7 +11,8 @@
 //
 // SCENARIO is a path to a .json file or the name of a builtin ("p4").
 // `run` options:
-//   --out FILE     write campaign datasets there (default: stdout)
+//   --out FILE     write campaign datasets there (default: stdout); a
+//                  regular file is replaced only when the run completes
 //   --workers N    worker threads for multi-trial sweeps (0 = hardware)
 //   --trials N     override the spec's trial count
 //   --seed S       override the spec's base seed
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "analysis/calibration.hpp"
+#include "common/atomic_output.hpp"
 #include "common/parse.hpp"
 #include "measure/sink.hpp"
 #include "runtime/parallel.hpp"
@@ -55,6 +57,7 @@
 namespace {
 
 namespace fs = std::filesystem;
+using ipfs::common::AtomicOutput;
 using ipfs::measure::JsonExportSink;
 using ipfs::measure::MeasurementSink;
 using ipfs::runtime::ParallelTrialRunner;
@@ -148,19 +151,18 @@ std::optional<ScenarioSpec> load_scenario(const std::string& ref,
   return std::nullopt;
 }
 
-/// Write `text` to the file at `path`, then flush and check the stream so a
-/// full disk fails loudly instead of being lost in the ofstream destructor.
+/// Write `text` to the file at `path` through an AtomicOutput, so a full
+/// disk fails loudly and a failed write leaves any previous file in place.
 /// On failure prints "COMMAND: ..." naming the path and returns false.
 bool write_file(const char* command, const std::string& path,
                 const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
+  AtomicOutput out(path);
+  if (!out.is_open()) {
     std::cerr << command << ": cannot open " << path << " for writing\n";
     return false;
   }
-  out << text;
-  out.flush();
-  if (!out) {
+  out.stream() << text;
+  if (!out.commit()) {
     std::cerr << command << ": error writing " << path << "\n";
     return false;
   }
@@ -380,15 +382,17 @@ int cmd_run(const std::vector<std::string>& args) {
     return 1;
   }
 
-  std::ofstream file_out;
+  // A file target is replaced only once the run completes: an interrupted
+  // or failed run leaves the previous export where it was.
+  std::optional<AtomicOutput> file_out;
   if (out_path) {
-    file_out.open(*out_path);
-    if (!file_out) {
+    file_out.emplace(*out_path);
+    if (!file_out->is_open()) {
       std::cerr << "ipfs_sim run: cannot open " << *out_path << " for writing\n";
       return 1;
     }
   }
-  std::ostream& data_out = out_path ? file_out : std::cout;
+  std::ostream& data_out = file_out ? file_out->stream() : std::cout;
 
   JsonExportSink export_sink(data_out, spec.output.export_options());
   ProgressSink progress;
@@ -450,7 +454,7 @@ int cmd_run(const std::vector<std::string>& args) {
     }
   }
   data_out.flush();
-  if (!data_out) {
+  if (file_out ? !file_out->commit() : !data_out) {
     std::cerr << "ipfs_sim run: error writing "
               << (out_path ? *out_path : std::string("stdout")) << "\n";
     return 1;
