@@ -1,6 +1,6 @@
 // Core performance suite — the recorded perf trajectory of this repo.
 //
-// Unlike the fig*/table* drivers (which reproduce paper numbers), this
+// Unlike `ipfs_sim reproduce` (which reproduces the paper's numbers), this
 // binary times the hot paths the simulator lives on and emits the
 // results as machine-readable JSON (`BENCH_core.json`):
 //
@@ -52,7 +52,8 @@
 //                     §4), when an unchanged peerstore re-identify
 //                     allocates (DESIGN.md §7), or when the baseline lacks
 //                     a section the suite emits
-// IPFS_SCALE / IPFS_SEED tune the campaign section (see bench/README.md).
+// The campaign sections run P4 at scale 0.05 (0.005 with --smoke) on seed
+// 20211203 (see bench/README.md).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -70,7 +71,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_support.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "dht/routing_table.hpp"
@@ -82,6 +82,7 @@
 #include "runtime/parallel.hpp"
 #include "runtime/sharded.hpp"
 #include "runtime/worker_budget.hpp"
+#include "scenario/campaign.hpp"
 #include "scenario/churn.hpp"
 #include "scenario/content.hpp"
 #include "scenario/phases.hpp"
@@ -103,6 +104,22 @@ void operator delete(void* block) noexcept { std::free(block); }
 void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace {
+
+// Campaign sections run well below full December-2021 scale so the suite
+// finishes in seconds.
+double campaign_scale(bool smoke) { return smoke ? 0.005 : 0.05; }
+constexpr std::uint64_t kCampaignSeed = 20211203;
+
+/// Obtain an engine through the validating factory, exiting loudly on a
+/// config error (there is nothing to recover).
+ipfs::scenario::CampaignEngine make_engine(ipfs::scenario::CampaignConfig config) {
+  auto engine = ipfs::scenario::CampaignEngine::create(std::move(config));
+  if (!engine) {
+    std::cerr << "invalid campaign config: " << engine.error() << "\n";
+    std::exit(2);
+  }
+  return std::move(*engine);
+}
 
 using ipfs::common::Rng;
 using ipfs::dht::closer_to;
@@ -475,17 +492,13 @@ CampaignNumbers bench_campaign(bool smoke) {
   scenario::CampaignConfig base;
   base.period = scenario::PeriodSpec::P4();
   base.period.duration = (smoke ? 1 : 6) * ipfs::common::kHour;
-  // Default well below full December-2021 scale so the suite finishes in
-  // seconds; IPFS_SCALE overrides.
-  const double scale = std::getenv("IPFS_SCALE") != nullptr
-                           ? ipfs::bench::env_scale()
-                           : (smoke ? 0.005 : 0.05);
+  const double scale = campaign_scale(smoke);
   base.population = scenario::PopulationSpec::test_scale(scale);
 
   const std::size_t trial_count = smoke ? 2 : 4;
   std::vector<std::uint64_t> seeds;
   for (std::size_t i = 0; i < trial_count; ++i) {
-    seeds.push_back(ipfs::bench::env_seed() + i);
+    seeds.push_back(kCampaignSeed + i);
   }
   const auto trials = runtime::ParallelTrialRunner::seed_sweep(base, seeds);
 
@@ -496,7 +509,7 @@ CampaignNumbers bench_campaign(bool smoke) {
   ipfs::measure::MeasurementSink devnull;  // hooks are no-ops by default
   auto start = std::chrono::steady_clock::now();
   for (const runtime::TrialSpec& trial : trials) {
-    ipfs::bench::make_engine(trial.config).run(devnull);
+    make_engine(trial.config).run(devnull);
   }
   numbers.sequential_ms = elapsed_ms(start);
 
@@ -533,11 +546,9 @@ ShardedCampaignNumbers bench_sharded_campaign(bool smoke) {
   scenario::CampaignConfig config;
   config.period = scenario::PeriodSpec::P4();
   config.period.duration = (smoke ? 1 : 6) * ipfs::common::kHour;
-  const double scale = std::getenv("IPFS_SCALE") != nullptr
-                           ? ipfs::bench::env_scale()
-                           : (smoke ? 0.005 : 0.05);
+  const double scale = campaign_scale(smoke);
   config.population = scenario::PopulationSpec::test_scale(scale);
-  config.seed = ipfs::bench::env_seed();
+  config.seed = kCampaignSeed;
   config.churn.emplace();  // default ChurnSpec: the lifecycle engine is live
 
   ShardedCampaignNumbers numbers;
@@ -549,7 +560,7 @@ ShardedCampaignNumbers bench_sharded_campaign(bool smoke) {
   auto start = std::chrono::steady_clock::now();
   {
     ipfs::measure::JsonExportSink sink(sequential_out);
-    ipfs::bench::make_engine(config).run(sink);
+    make_engine(config).run(sink);
   }
   numbers.sequential_ms = elapsed_ms(start);
 
@@ -636,17 +647,15 @@ PhaseProgramNumbers bench_phase_program(bool smoke) {
   scenario::CampaignConfig config;
   config.period = scenario::PeriodSpec::P4();
   config.period.duration = (smoke ? 1 : 6) * ipfs::common::kHour;
-  const double scale = std::getenv("IPFS_SCALE") != nullptr
-                           ? ipfs::bench::env_scale()
-                           : (smoke ? 0.005 : 0.05);
+  const double scale = campaign_scale(smoke);
   config.population = scenario::PopulationSpec::test_scale(scale);
-  config.seed = ipfs::bench::env_seed();
+  config.seed = kCampaignSeed;
   config.churn.emplace();
   config.content.emplace();
 
   ipfs::measure::MeasurementSink devnull;
   start = std::chrono::steady_clock::now();
-  ipfs::bench::make_engine(config).run(devnull);
+  make_engine(config).run(devnull);
   numbers.plain_ms = elapsed_ms(start);
 
   // Rescale the program to the campaign horizon (validate requires the
@@ -656,7 +665,7 @@ PhaseProgramNumbers bench_phase_program(bool smoke) {
   spec.program[2].switch_interval = quarter / 4;
   config.phases = spec;
   start = std::chrono::steady_clock::now();
-  ipfs::bench::make_engine(config).run(devnull);
+  make_engine(config).run(devnull);
   numbers.phased_ms = elapsed_ms(start);
   return numbers;
 }
@@ -1143,8 +1152,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  ipfs::bench::print_header("Core performance suite",
-                            "perf trajectory (BENCH_core.json), not a paper figure");
+  std::cout << "\n" << std::string(78, '#') << "\n"
+            << "# Core performance suite\n"
+            << "# perf trajectory (BENCH_core.json), not a paper figure\n"
+            << "# campaign scale=" << campaign_scale(smoke)
+            << " seed=" << kCampaignSeed << "\n"
+            << std::string(78, '#') << "\n";
 
   std::cout << "[1/11] lookup: RoutingTable::closest ...\n";
   const LookupNumbers lookup = bench_lookup(smoke);

@@ -7,6 +7,9 @@
 //   ipfs_sim validate FILE...           parse + validate scenario files
 //   ipfs_sim run SCENARIO [options]     execute a scenario
 //   ipfs_sim export NAME [--out FILE]   write a builtin spec as JSON
+//   ipfs_sim calibrate TRACE [options]  fit a trace, emit a scenario
+//   ipfs_sim reproduce [--scale X] [--seed S] [SECTION...]
+//                                       the paper's tables and figures
 //   ipfs_sim selftest                   tiny runtime::TestbedBuilder check
 //
 // SCENARIO is a path to a .json file or the name of a builtin ("p4").
@@ -25,6 +28,12 @@
 //                  threads driving the shard fan-outs (0 = lease from the
 //                  process worker budget, shared with --workers)
 //   --quiet        suppress the progress summary on stderr
+//
+// `reproduce` (tools/reproduce.cpp) prints the paper's Tables I–IV,
+// Figs. 2–7, §V-A, the §V size estimate and two ablations next to the
+// published values; SECTION names (table1 … ablation-trim) pick some.
+// --scale defaults to 1, the full December-2021 network (minutes to hours
+// of wall clock); --seed defaults to 20211203.
 //
 // Single-trial runs execute on a `scenario::CampaignEngine` directly
 // (through `runtime::ShardedCampaignRunner` when --shards is given);
@@ -54,6 +63,13 @@
 #include "scenario/campaign.hpp"
 #include "scenario/scenario_spec.hpp"
 
+namespace ipfs::tools {
+/// tools/reproduce.cpp: print the named paper sections (all when `sections`
+/// is empty) to stdout.  Returns the exit code; 2 names an unknown section.
+int reproduce(double scale, std::uint64_t seed,
+              const std::vector<std::string>& sections);
+}  // namespace ipfs::tools
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -82,6 +98,12 @@ int usage(std::ostream& out, int code) {
          "      --gap SECONDS        session gap threshold (default 1800)\n"
          "      --name NAME          emitted scenario name (default calibrated)\n"
          "      --seed S --verify-scale X --ks-threshold D --no-verify --quiet\n"
+         "  reproduce [--scale X] [--seed S] [SECTION...]\n"
+         "                           regenerate the paper's tables and figures\n"
+         "                           (default: every section, scale 1, seed\n"
+         "                           20211203); SECTION is one of table1..table4\n"
+         "                           fig2..fig7 sec5a size ablation-hydra\n"
+         "                           ablation-trim\n"
          "  selftest                 run a tiny testbed experiment\n";
   return code;
 }
@@ -92,15 +114,15 @@ int usage(std::ostream& out, int code) {
 // '4x'" instead of a silently truncated value or a misleading "unknown
 // option".
 
-bool option_u32(const std::string& option, const std::string& text,
-                std::uint32_t& out) {
+bool option_u32(const char* command, const std::string& option,
+                const std::string& text, std::uint32_t& out) {
   const auto parsed = ipfs::common::parse_u64(text);
   if (!parsed) {
-    std::cerr << "ipfs_sim run: " << option << ": " << parsed.error() << "\n";
+    std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
     return false;
   }
   if (*parsed > std::numeric_limits<std::uint32_t>::max()) {
-    std::cerr << "ipfs_sim run: " << option << ": out of range: '" << text
+    std::cerr << command << ": " << option << ": out of range: '" << text
               << "'\n";
     return false;
   }
@@ -108,26 +130,26 @@ bool option_u32(const std::string& option, const std::string& text,
   return true;
 }
 
-bool option_u64(const std::string& option, const std::string& text,
-                std::uint64_t& out) {
+bool option_u64(const char* command, const std::string& option,
+                const std::string& text, std::uint64_t& out) {
   const auto parsed = ipfs::common::parse_u64(text);
   if (!parsed) {
-    std::cerr << "ipfs_sim run: " << option << ": " << parsed.error() << "\n";
+    std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
     return false;
   }
   out = *parsed;
   return true;
 }
 
-bool option_positive(const std::string& option, const std::string& text,
-                     double& out) {
+bool option_positive(const char* command, const std::string& option,
+                     const std::string& text, double& out) {
   const auto parsed = ipfs::common::parse_finite_double(text);
   if (!parsed) {
-    std::cerr << "ipfs_sim run: " << option << ": " << parsed.error() << "\n";
+    std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
     return false;
   }
   if (*parsed <= 0.0) {
-    std::cerr << "ipfs_sim run: " << option << ": must be > 0, got '" << text
+    std::cerr << command << ": " << option << ": must be > 0, got '" << text
               << "'\n";
     return false;
   }
@@ -293,6 +315,7 @@ class ProgressSink final : public MeasurementSink {
 };
 
 int cmd_run(const std::vector<std::string>& args) {
+  constexpr const char* kCommand = "ipfs_sim run";
   if (args.empty()) {
     std::cerr << "ipfs_sim run: missing SCENARIO argument\n";
     return 2;
@@ -332,30 +355,30 @@ int cmd_run(const std::vector<std::string>& args) {
       out_path = value;
     } else if (arg == "--workers") {
       std::uint32_t workers = 0;
-      if (!option_u32(arg, value, workers)) return 2;
+      if (!option_u32(kCommand, arg, value, workers)) return 2;
       workers_override = workers;
     } else if (arg == "--trials") {
       std::uint32_t trials = 0;
-      if (!option_u32(arg, value, trials)) return 2;
+      if (!option_u32(kCommand, arg, value, trials)) return 2;
       trials_override = trials;
     } else if (arg == "--seed") {
       std::uint64_t seed = 0;
-      if (!option_u64(arg, value, seed)) return 2;
+      if (!option_u64(kCommand, arg, value, seed)) return 2;
       seed_override = seed;
     } else if (arg == "--scale") {
       double scale = 0.0;
-      if (!option_positive(arg, value, scale)) return 2;
+      if (!option_positive(kCommand, arg, value, scale)) return 2;
       scale_override = scale;
     } else if (arg == "--duration") {
       double seconds = 0.0;
-      if (!option_positive(arg, value, seconds)) return 2;
+      if (!option_positive(kCommand, arg, value, seconds)) return 2;
       duration_override = seconds;
     } else if (arg == "--shards") {
       std::uint32_t count = 0;
-      if (!option_u32(arg, value, count)) return 2;
+      if (!option_u32(kCommand, arg, value, count)) return 2;
       shards = count;
     } else {  // --shard-workers
-      if (!option_u32(arg, value, shard_workers)) return 2;
+      if (!option_u32(kCommand, arg, value, shard_workers)) return 2;
     }
   }
   if (shard_workers != 0 && !shards) {
@@ -477,7 +500,11 @@ int cmd_export(const std::vector<std::string>& args) {
   std::optional<std::string> out_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--out" && i + 1 < args.size()) {
+    if (arg == "--out") {
+      if (i + 1 >= args.size()) {
+        std::cerr << "ipfs_sim export: --out: missing value\n";
+        return 2;
+      }
       out_path = args[++i];
     } else if (!arg.starts_with("--") && !name) {
       name = arg;
@@ -507,6 +534,7 @@ int cmd_export(const std::vector<std::string>& args) {
 // ---- calibrate --------------------------------------------------------------
 
 int cmd_calibrate(const std::vector<std::string>& args) {
+  constexpr const char* kCommand = "ipfs_sim calibrate";
   if (args.empty()) {
     std::cerr << "ipfs_sim calibrate: missing TRACE argument\n";
     return 2;
@@ -546,16 +574,16 @@ int cmd_calibrate(const std::vector<std::string>& args) {
     } else if (arg == "--name") {
       options.name = value;
     } else if (arg == "--seed") {
-      if (!option_u64(arg, value, options.seed)) return 2;
+      if (!option_u64(kCommand, arg, value, options.seed)) return 2;
     } else if (arg == "--gap") {
       double gap_seconds = 0.0;
-      if (!option_positive(arg, value, gap_seconds)) return 2;
+      if (!option_positive(kCommand, arg, value, gap_seconds)) return 2;
       options.max_gap = static_cast<ipfs::common::SimDuration>(
           gap_seconds * ipfs::common::kSecond);
     } else if (arg == "--verify-scale") {
-      if (!option_positive(arg, value, options.verify_scale)) return 2;
+      if (!option_positive(kCommand, arg, value, options.verify_scale)) return 2;
     } else if (arg == "--ks-threshold") {
-      if (!option_positive(arg, value, options.ks_threshold)) return 2;
+      if (!option_positive(kCommand, arg, value, options.ks_threshold)) return 2;
     }
   }
 
@@ -617,6 +645,36 @@ int cmd_calibrate(const std::vector<std::string>& args) {
   return 0;
 }
 
+// ---- reproduce --------------------------------------------------------------
+
+int cmd_reproduce(const std::vector<std::string>& args) {
+  constexpr const char* kCommand = "ipfs_sim reproduce";
+  double scale = 1.0;
+  std::uint64_t seed = 20211203;
+  std::vector<std::string> sections;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (!arg.starts_with("--")) {
+      sections.push_back(arg);
+      continue;
+    }
+    if (arg != "--scale" && arg != "--seed") {
+      std::cerr << kCommand << ": unknown option '" << arg << "'\n";
+      return 2;
+    }
+    if (i + 1 >= args.size()) {
+      std::cerr << kCommand << ": " << arg << ": missing value\n";
+      return 2;
+    }
+    const std::string& value = args[++i];
+    if (arg == "--scale" ? !option_positive(kCommand, arg, value, scale)
+                         : !option_u64(kCommand, arg, value, seed)) {
+      return 2;
+    }
+  }
+  return ipfs::tools::reproduce(scale, seed, sections);
+}
+
 // ---- selftest ---------------------------------------------------------------
 
 int cmd_selftest() {
@@ -658,6 +716,7 @@ int main(int argc, char** argv) {
   if (command == "run") return cmd_run(args);
   if (command == "export") return cmd_export(args);
   if (command == "calibrate") return cmd_calibrate(args);
+  if (command == "reproduce") return cmd_reproduce(args);
   if (command == "selftest") return cmd_selftest();
   std::cerr << "ipfs_sim: unknown command '" << command << "'\n";
   return usage(std::cerr, 2);
