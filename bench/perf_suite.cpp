@@ -36,6 +36,9 @@
 //                first connect and identify of 32k peers, then an unchanged
 //                re-identify and a reconnect of each, counting the heap
 //                allocations a re-identify makes
+//   population   scenario::Population build of P4's 3-day population at
+//                scale 0.5: build time and heap per peer, and how many
+//                distinct agents and protocol sets its tables hold
 //
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
@@ -50,8 +53,10 @@
 //                     storage — DESIGN.md §4), when the dataset allocates
 //                     to record an already-interned protocol (DESIGN.md
 //                     §4), when an unchanged peerstore re-identify
-//                     allocates (DESIGN.md §7), or when the baseline lacks
-//                     a section the suite emits
+//                     allocates (DESIGN.md §7), when a built population
+//                     holds more than 160 heap bytes per peer (DESIGN.md
+//                     §7), or when the baseline lacks a section the suite
+//                     emits
 // The campaign sections run P4 at scale 0.05 (0.005 with --smoke) on seed
 // 20211203 (see bench/README.md).
 #include <algorithm>
@@ -86,6 +91,7 @@
 #include "scenario/churn.hpp"
 #include "scenario/content.hpp"
 #include "scenario/phases.hpp"
+#include "scenario/population.hpp"
 #include "sim/reference_scheduler.hpp"
 #include "sim/simulation.hpp"
 
@@ -931,16 +937,14 @@ PeerstoreNumbers bench_peerstore(bool smoke) {
   namespace proto = ipfs::p2p::protocols;
   // What the P4 population announces: ~11 protocols in go-ipfs's own
   // (unsorted) order, server and client variants, and prebuilt agents —
-  // the campaign hands identify its RemotePeer's strings the same way.
-  const std::vector<std::string> server = {
-      std::string(proto::kPing),        std::string(proto::kIdentifyPush),
-      std::string(proto::kIdentify),    std::string(proto::kDelta),
-      std::string(proto::kKad),         std::string(proto::kBitswap120),
-      std::string(proto::kBitswap110),  std::string(proto::kBitswap100),
-      std::string(proto::kBitswap),     std::string(proto::kRelayV1),
-      std::string(proto::kX)};
-  std::vector<std::string> client = server;
-  client[4] = std::string(proto::kAutonat);
+  // the campaign hands identify its population's interned names the same
+  // way.
+  const std::vector<std::string_view> server = {
+      proto::kPing,       proto::kIdentifyPush, proto::kIdentify, proto::kDelta,
+      proto::kKad,        proto::kBitswap120,   proto::kBitswap110,
+      proto::kBitswap100, proto::kBitswap,      proto::kRelayV1,  proto::kX};
+  std::vector<std::string_view> client = server;
+  client[4] = proto::kAutonat;
   const std::string agents[] = {"go-ipfs/0.11.0/67220ed", "go-ipfs/0.10.0/64b532f",
                                 "go-ipfs/0.8.0/48f94e2", "hydra-booster/0.7.4"};
 
@@ -999,24 +1003,66 @@ PeerstoreNumbers bench_peerstore(bool smoke) {
   return numbers;
 }
 
+// ---- population: one Population build ---------------------------------------
+
+struct PopulationNumbers {
+  std::size_t peers = 0;
+  std::size_t builds = 0;
+  double build_ns_per_peer = 0.0;
+  double bytes_per_peer = 0.0;  ///< live heap the built population holds
+  std::size_t distinct_agents = 0;
+  std::size_t distinct_protocol_sets = 0;
+};
+
+/// The population check_baseline bounds: at most this many heap bytes per
+/// peer.  A record is ~120 bytes; per-peer strings would cost ~1 KB.
+constexpr double kPopulationBytesPerPeer = 160.0;
+
+PopulationNumbers bench_population(bool smoke) {
+  // Full size in smoke mode too: the per-peer bound amortises the tables
+  // over this many peers.
+  const auto spec = ipfs::scenario::PopulationSpec::test_scale(0.5);
+  constexpr ipfs::common::SimDuration kDuration = 3 * ipfs::common::kDay;
+  PopulationNumbers numbers;
+  numbers.builds = smoke ? 1 : 5;
+  double build_ms = 0.0;
+  for (std::size_t rep = 0; rep < numbers.builds; ++rep) {
+    const std::size_t heap_before = live_heap_bytes();
+    const auto start = std::chrono::steady_clock::now();
+    const ipfs::scenario::Population population(spec, kDuration, Rng(kCampaignSeed));
+    build_ms += elapsed_ms(start);
+    numbers.peers = population.peers().size();
+    numbers.bytes_per_peer = static_cast<double>(live_heap_bytes() - heap_before) /
+                             static_cast<double>(numbers.peers);
+    numbers.distinct_agents = population.agent_count();
+    numbers.distinct_protocol_sets = population.protocol_set_count();
+  }
+  numbers.build_ns_per_peer = build_ms * 1e6 / static_cast<double>(numbers.builds) /
+                              static_cast<double>(numbers.peers);
+  return numbers;
+}
+
 // ---- baseline guardrail -----------------------------------------------------
 
 /// Compares a fresh event_queue measurement against the committed
 /// BENCH_core.json and checks this run's conn_trim and dataset_export
-/// ratios and its dataset and peerstore allocation counts.  Returns false
-/// (after printing why) when the scheduler regressed more than 25% — the
-/// CI guardrail for the ladder-queue engine — when an idle trim tick costs
-/// more than 1% of a trimming one, when a dataset copy costs more than 1%
-/// of an export, or when recording a known protocol or an unchanged
-/// re-identify allocates.
-/// The ratio checks compare two figures of the same run and the allocation
-/// counts are exact, so they hold on any host; they fail if trim_now
-/// snapshots the table before its high-water check, if copying a Dataset
-/// duplicates its storage, if the Dataset stores a string per protocol
-/// event again, or if Peerstore::set_protocols builds a set per identify.
+/// ratios, its dataset and peerstore allocation counts and its population's
+/// heap per peer.  Returns false (after printing why) when the scheduler
+/// regressed more than 25% — the CI guardrail for the ladder-queue engine —
+/// when an idle trim tick costs more than 1% of a trimming one, when a
+/// dataset copy costs more than 1% of an export, when recording a known
+/// protocol or an unchanged re-identify allocates, or when a population
+/// holds more than 160 bytes per peer.
+/// The ratio checks compare two figures of the same run, and the
+/// allocation counts and heap bytes do not depend on the host; they fail
+/// if trim_now snapshots the table before its high-water check, if copying
+/// a Dataset duplicates its storage, if the Dataset stores a string per
+/// protocol event again, if Peerstore::set_protocols builds a set per
+/// identify, or if a RemotePeer owns strings again.
 bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& fresh,
                     const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset,
-                    const PeerstoreNumbers& peerstore) {
+                    const PeerstoreNumbers& peerstore,
+                    const PopulationNumbers& population) {
   std::ifstream in(baseline_path);
   if (!in) {
     std::cerr << "check-baseline: cannot open " << baseline_path << "\n";
@@ -1054,6 +1100,9 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
       {"peerstore",
        {"connect_ns", "identify_ns", "reidentify_ns", "reconnect_ns",
         "reidentify_allocs"}},
+      {"population",
+       {"bytes_per_peer", "build_ns_per_peer", "distinct_agents",
+        "distinct_protocol_sets"}},
   };
   for (const RequiredSection& required : required_sections) {
     const ipfs::common::JsonValue* found = parsed->find(required.name);
@@ -1129,6 +1178,17 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
               << "must compare interned ids without allocating (DESIGN.md §7)\n";
     ok = false;
   }
+
+  std::cout << "check-baseline: population holds " << population.bytes_per_peer
+            << " heap bytes per peer (limit " << kPopulationBytesPerPeer << ")\n";
+  if (population.bytes_per_peer > kPopulationBytesPerPeer) {
+    std::cerr << "check-baseline: FAIL — a built population holds "
+              << population.bytes_per_peer << " heap bytes per peer (limit "
+              << kPopulationBytesPerPeer << "); a RemotePeer must stay a "
+              << "fixed-size record whose agent and protocol set are ids into "
+              << "the population's tables (DESIGN.md §7)\n";
+    ok = false;
+  }
   return ok;
 }
 
@@ -1159,14 +1219,14 @@ int main(int argc, char** argv) {
             << " seed=" << kCampaignSeed << "\n"
             << std::string(78, '#') << "\n";
 
-  std::cout << "[1/11] lookup: RoutingTable::closest ...\n";
+  std::cout << "[1/12] lookup: RoutingTable::closest ...\n";
   const LookupNumbers lookup = bench_lookup(smoke);
   std::cout << "      table=" << lookup.table_size << " peers, "
             << lookup.closest_ns << " ns/query (sort-everything baseline: "
             << lookup.baseline_ns << " ns/query, "
             << lookup.baseline_ns / lookup.closest_ns << "x)\n";
 
-  std::cout << "[2/11] event queue: schedule + drain ...\n";
+  std::cout << "[2/12] event queue: schedule + drain ...\n";
   const EventQueueNumbers events = bench_event_queue(smoke);
   std::cout << "      " << events.events << " events, " << events.ns_per_event
             << " ns/event bulk (" << 1e9 / events.ns_per_event
@@ -1175,23 +1235,23 @@ int main(int argc, char** argv) {
             << events.heap_ns_per_event << " ns/event ("
             << events.speedup_vs_heap << "x)\n";
 
-  std::cout << "[3/11] conditions: ConditionModel sampling ...\n";
+  std::cout << "[3/12] conditions: ConditionModel sampling ...\n";
   const ConditionNumbers conditions = bench_conditions(smoke);
   std::cout << "      " << conditions.samples << " samples, "
             << conditions.one_way_ns << " ns/one_way, " << conditions.gate_ns
             << " ns/dial_allowed\n";
 
-  std::cout << "[4/11] churn_model: ChurnModel sampling ...\n";
+  std::cout << "[4/12] churn_model: ChurnModel sampling ...\n";
   const ChurnModelNumbers churn = bench_churn_model(smoke);
   std::cout << "      " << churn.samples << " samples, " << churn.session_ns
             << " ns/session, " << churn.gap_ns << " ns/gap\n";
 
-  std::cout << "[5/11] content_model: ContentModel sampling ...\n";
+  std::cout << "[5/12] content_model: ContentModel sampling ...\n";
   const ContentModelNumbers content = bench_content_model(smoke);
   std::cout << "      " << content.samples << " samples, " << content.publish_ns
             << " ns/publish-chain, " << content.fetch_ns << " ns/fetch-chain\n";
 
-  std::cout << "[6/11] campaign: sequential vs parallel sweep ...\n";
+  std::cout << "[6/12] campaign: sequential vs parallel sweep ...\n";
   const CampaignNumbers campaign = bench_campaign(smoke);
   std::cout << "      " << campaign.trials << " trials @ scale "
             << campaign.scale << ": sequential " << campaign.sequential_ms
@@ -1199,21 +1259,21 @@ int main(int argc, char** argv) {
             << campaign.workers << " workers, "
             << campaign.sequential_ms / campaign.parallel_ms << "x)\n";
 
-  std::cout << "[7/11] sharded_campaign: unsharded vs sharded engine ...\n";
+  std::cout << "[7/12] sharded_campaign: unsharded vs sharded engine ...\n";
   const ShardedCampaignNumbers sharded = bench_sharded_campaign(smoke);
   std::cout << "      scale " << sharded.scale << ": sequential "
             << sharded.sequential_ms << " ms, sharded " << sharded.sharded_ms
             << " ms (" << sharded.shards << " shards, " << sharded.workers
             << " workers, exports byte-identical)\n";
 
-  std::cout << "[8/11] phase_program: rates_at lookups + campaign overhead ...\n";
+  std::cout << "[8/12] phase_program: rates_at lookups + campaign overhead ...\n";
   const PhaseProgramNumbers phases = bench_phase_program(smoke);
   std::cout << "      " << phases.samples << " lookups, " << phases.rates_ns
             << " ns/rates_at; campaign plain " << phases.plain_ms
             << " ms vs phased " << phases.phased_ms << " ms ("
             << phases.phased_ms / phases.plain_ms << "x)\n";
 
-  std::cout << "[9/11] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
+  std::cout << "[9/12] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
   const ConnTrimNumbers trim = bench_conn_trim(smoke);
   std::cout << "      " << trim.low_water << "/" << trim.high_water
             << " watermarks: idle tick (" << trim.idle_open << " open) "
@@ -1221,7 +1281,7 @@ int main(int argc, char** argv) {
             << " open, " << trim.trimmed_per_tick << " closed) "
             << trim.trim_tick_ns << " ns\n";
 
-  std::cout << "[10/11] dataset_export: Dataset::export_json and a copy ...\n";
+  std::cout << "[10/12] dataset_export: Dataset::export_json and a copy ...\n";
   const DatasetExportNumbers dataset = bench_dataset_export(smoke);
   std::cout << "      " << dataset.peers << " peers, " << dataset.connections
             << " connections: export " << dataset.export_ns << " ns ("
@@ -1230,7 +1290,7 @@ int main(int argc, char** argv) {
             << " heap bytes/peer, " << dataset.known_protocol_allocs
             << " allocations per known protocol\n";
 
-  std::cout << "[11/11] peerstore: connect, identify, re-identify ...\n";
+  std::cout << "[11/12] peerstore: connect, identify, re-identify ...\n";
   const PeerstoreNumbers peerstore = bench_peerstore(smoke);
   std::cout << "      " << peerstore.peers << " peers x "
             << peerstore.protocols_per_identify << " protocols: connect "
@@ -1238,6 +1298,14 @@ int main(int argc, char** argv) {
             << " ns, re-identify " << peerstore.reidentify_ns << " ns ("
             << peerstore.reidentify_allocs << " allocations), reconnect "
             << peerstore.reconnect_ns << " ns\n";
+
+  std::cout << "[12/12] population: Population build ...\n";
+  const PopulationNumbers population = bench_population(smoke);
+  std::cout << "      " << population.peers << " peers: build "
+            << population.build_ns_per_peer << " ns/peer, "
+            << population.bytes_per_peer << " heap bytes/peer, "
+            << population.distinct_agents << " agents, "
+            << population.distinct_protocol_sets << " protocol sets\n";
 
   std::ofstream out(out_path);
   if (!out) {
@@ -1373,13 +1441,23 @@ int main(int argc, char** argv) {
   json.field("reconnect_ns", peerstore.reconnect_ns);
   json.field("reidentify_allocs", peerstore.reidentify_allocs);
   json.end_object();
+  json.key("population");
+  json.begin_object();
+  json.field("peers", static_cast<std::uint64_t>(population.peers));
+  json.field("builds", static_cast<std::uint64_t>(population.builds));
+  json.field("build_ns_per_peer", population.build_ns_per_peer);
+  json.field("bytes_per_peer", population.bytes_per_peer);
+  json.field("distinct_agents", static_cast<std::uint64_t>(population.distinct_agents));
+  json.field("distinct_protocol_sets",
+             static_cast<std::uint64_t>(population.distinct_protocol_sets));
+  json.end_object();
   json.end_object();
   out << "\n";
 
   std::cout << "\nwrote " << out_path << "\n";
 
   if (!baseline_path.empty() &&
-      !check_baseline(baseline_path, events, trim, dataset, peerstore)) {
+      !check_baseline(baseline_path, events, trim, dataset, peerstore, population)) {
     return 1;
   }
   return 0;

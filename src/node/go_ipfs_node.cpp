@@ -180,7 +180,9 @@ void GoIpfsNode::handle_identify(const p2p::PeerId& from,
   const auto now = simulation_.now();
   p2p::Peerstore& store = swarm_.peerstore();
   store.set_agent(from, snapshot.agent, now);
-  store.set_protocols(from, snapshot.protocols, now);
+  const std::vector<std::string_view> protocols(snapshot.protocols.begin(),
+                                                snapshot.protocols.end());
+  store.set_protocols(from, protocols, now);
   store.add_address(from, snapshot.listen_address, now);
 
   const bool remote_is_server =

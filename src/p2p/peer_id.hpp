@@ -61,6 +61,11 @@ class PeerId {
   /// prefix with zero; 256 when the value is zero.
   [[nodiscard]] std::size_t leading_zero_bits() const noexcept;
 
+  /// Word-wise, so equality inlines instead of calling memcmp.
+  [[nodiscard]] constexpr bool operator==(const PeerId& other) const noexcept {
+    return ((words_[0] ^ other.words_[0]) | (words_[1] ^ other.words_[1]) |
+            (words_[2] ^ other.words_[2]) | (words_[3] ^ other.words_[3])) == 0;
+  }
   [[nodiscard]] constexpr auto operator<=>(const PeerId&) const noexcept = default;
 
   /// Short printable form, e.g. "12D3KooWAb3Cd..." — a stable textual alias

@@ -59,11 +59,13 @@ void Peerstore::set_agent(const PeerId& peer, const std::string& agent, SimTime 
 }
 
 void Peerstore::set_protocols(const PeerId& peer,
-                              const std::vector<std::string>& protocol_list,
+                              std::span<const std::string_view> protocol_list,
                               SimTime now) {
   const Slot slot = see(peer, now);
   incoming_.clear();
-  for (const std::string& name : protocol_list) incoming_.push_back(intern(name));
+  for (const std::string_view name : protocol_list) {
+    incoming_.push_back(names_.intern(name));
+  }
   const auto by_name = [this](ProtocolId a, ProtocolId b) { return name_less(a, b); };
   std::ranges::sort(incoming_, by_name);
   incoming_.erase(std::ranges::unique(incoming_).begin(), incoming_.end());
@@ -88,7 +90,7 @@ void Peerstore::set_protocols(const PeerId& peer,
     }
   }
   entry.protocols = incoming_;
-  const auto kad = find_protocol(protocols::kKad);
+  const auto kad = names_.find(protocols::kKad);
   if (kad.has_value() &&
       std::ranges::find(entry.protocols, *kad) != entry.protocols.end()) {
     entry.ever_dht_server = true;
@@ -111,27 +113,13 @@ std::optional<Peerstore::Slot> Peerstore::slot(const PeerId& peer) const {
 
 bool Peerstore::supports(const PeerId& peer, std::string_view protocol) const {
   const Entry* entry = find(peer);
-  const auto id = find_protocol(protocol);
+  const auto id = names_.find(protocol);
   if (entry == nullptr || !id.has_value()) return false;
   return std::ranges::find(entry->protocols, *id) != entry->protocols.end();
 }
 
 void Peerstore::remove_observer(PeerstoreObserver* observer) {
   std::erase(observers_, observer);
-}
-
-std::optional<Peerstore::ProtocolId> Peerstore::find_protocol(
-    std::string_view name) const {
-  const auto it = ids_.find(name);
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
-}
-
-Peerstore::ProtocolId Peerstore::intern(std::string_view name) {
-  if (const auto id = find_protocol(name)) return *id;
-  const auto id = static_cast<ProtocolId>(names_.size());
-  ids_.emplace(names_.emplace_back(name), id);
-  return id;
 }
 
 }  // namespace ipfs::p2p

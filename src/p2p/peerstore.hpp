@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -19,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/interned_names.hpp"
 #include "common/sim_time.hpp"
 #include "p2p/multiaddr.hpp"
 #include "p2p/peer_id.hpp"
@@ -64,14 +64,6 @@ class Peerstore {
     bool ever_dht_server = false;  ///< announced /ipfs/kad/1.0.0 at least once
   };
 
-  Peerstore() = default;
-  // The views in ids_ point into names_: a copy would point into the
-  // source's names, while a move keeps the deque's elements in place.
-  Peerstore(const Peerstore&) = delete;
-  Peerstore& operator=(const Peerstore&) = delete;
-  Peerstore(Peerstore&&) = default;
-  Peerstore& operator=(Peerstore&&) = default;
-
   /// Ensure an entry exists; returns true when the peer was new.
   bool touch(const PeerId& peer, SimTime now);
 
@@ -84,7 +76,7 @@ class Peerstore {
 
   /// Replace the announced protocol set (order and repeats in the list do
   /// not matter); diffs are reported to observers.
-  void set_protocols(const PeerId& peer, const std::vector<std::string>& protocols,
+  void set_protocols(const PeerId& peer, std::span<const std::string_view> protocols,
                      SimTime now);
 
   void add_address(const PeerId& peer, const Multiaddr& address, SimTime now);
@@ -95,7 +87,7 @@ class Peerstore {
   [[nodiscard]] std::optional<Slot> slot(const PeerId& peer) const;
   [[nodiscard]] bool supports(const PeerId& peer, std::string_view protocol) const;
   [[nodiscard]] std::string_view protocol_name(ProtocolId id) const {
-    return names_[id];
+    return names_.name(id);
   }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   /// Every entry, in first-seen order.
@@ -108,17 +100,14 @@ class Peerstore {
   /// The peer's slot, created (and announced to observers) when new;
   /// bumps last_seen, as every mutator does.
   Slot see(const PeerId& peer, SimTime now);
-  [[nodiscard]] std::optional<ProtocolId> find_protocol(std::string_view name) const;
-  ProtocolId intern(std::string_view name);
   [[nodiscard]] bool name_less(ProtocolId a, ProtocolId b) const {
-    return names_[a] < names_[b];
+    return names_.name(a) < names_.name(b);
   }
 
   std::vector<Entry> entries_;
   std::unordered_map<PeerId, Slot> index_;
-  /// Interned protocol names; a deque so the views in ids_ stay valid.
-  std::deque<std::string> names_;
-  std::unordered_map<std::string_view, ProtocolId> ids_;
+  /// Interned protocol names; the observers' views point into them.
+  common::InternedNames names_;
   /// set_protocols' sorted, de-duplicated input, reused across calls.
   std::vector<ProtocolId> incoming_;
   std::vector<PeerstoreObserver*> observers_;

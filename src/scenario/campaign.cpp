@@ -1012,10 +1012,12 @@ struct CampaignEngine::Impl {
       const p2p::Connection* connection = vantage.swarm->find(conn_id);
       if (connection == nullptr) return;  // closed before identify finished
       const RemotePeer& peer = population.peers()[index];
-      if (peer.agent.empty()) return;  // the "missing" stream never identifies
+      const std::string& agent = population.agent(peer.agent);
+      if (agent.empty()) return;  // the "missing" stream never identifies
       const SimTime now = simulation.now();
-      vantage.swarm->peerstore().set_agent(peer.pid, peer.agent, now);
-      vantage.swarm->peerstore().set_protocols(peer.pid, peer.protocols, now);
+      vantage.swarm->peerstore().set_agent(peer.pid, agent, now);
+      vantage.swarm->peerstore().set_protocols(peer.pid,
+                                               population.protocols(peer.protocols), now);
       // A slice of the identified DHT servers lands in the vantage's
       // routing table; go-ipfs tags those peers and their connections
       // survive trims — the paper's long-lived remnant (Peer-type averages
@@ -1210,13 +1212,8 @@ struct CampaignEngine::Impl {
     measure::CrawlObservation snapshot;
     snapshot.at = simulation.now();
     if (auto* phase = current_phase()) ++phase->crawls;
-    const std::string kad_protocol(proto::kKad);
     for (const RemotePeer& peer : population.peers()) {
-      if (!peer.dht_server) continue;
-      const bool announces_kad =
-          std::find(peer.protocols.begin(), peer.protocols.end(), kad_protocol) !=
-          peer.protocols.end();
-      if (!announces_kad) continue;
+      if (!peer.dht_server || !population.announces_kad(peer.protocols)) continue;
       const CategoryParams& params = config.population.params(peer.category);
       if (peer_states.online[peer.index] != 0) {
         if (prng.bernoulli(params.crawl_visibility)) {
@@ -1287,7 +1284,8 @@ struct CampaignEngine::Impl {
     std::vector<std::uint32_t> autonat_candidates;
     std::vector<std::uint32_t> non_go_ipfs;
     for (const RemotePeer& peer : population.peers()) {
-      const bool go = peer.agent.rfind("go-ipfs/", 0) == 0;
+      const std::string& agent = population.agent(peer.agent);
+      const bool go = agent.starts_with("go-ipfs/");
       switch (peer.category) {
         case Category::kCoreServer:
         case Category::kCoreClient:
@@ -1303,7 +1301,7 @@ struct CampaignEngine::Impl {
         kad_flappers.push_back(peer.index);
       }
       if (go) autonat_candidates.push_back(peer.index);
-      if (!go && !peer.agent.empty() && peer.category == Category::kNormalUser) {
+      if (!go && !agent.empty() && peer.category == Category::kNormalUser) {
         non_go_ipfs.push_back(peer.index);
       }
     }
@@ -1332,9 +1330,9 @@ struct CampaignEngine::Impl {
       }
       for (std::size_t i = 0; i < rounds(216); ++i) {
         const std::uint32_t index = pick(go_ipfs_stable);
-        RemotePeer& peer = population.peers()[index];
-        if (peer.agent.find("-dirty") == std::string::npos && mrng.bernoulli(0.96)) {
-          peer.agent += "-dirty";  // pre-seed a dirty build
+        const std::string& agent = population.agent(population.peers()[index].agent);
+        if (agent.find("-dirty") == std::string::npos && mrng.bernoulli(0.96)) {
+          population.set_agent(index, agent + "-dirty");  // pre-seed a dirty build
         }
         planned.push_back({index, common::VersionChangeKind::kChange});
       }
@@ -1359,15 +1357,15 @@ struct CampaignEngine::Impl {
     }
 
     // Protocol flapping: kad (server<->client role switches) and autonat.
-    schedule_flapping(mrng, kad_flappers, rounds(2481), 34.0 * days / 3.0,
-                      std::string(proto::kKad));
+    schedule_flapping(mrng, kad_flappers, rounds(2481), 34.0 * days / 3.0, proto::kKad);
     schedule_flapping(mrng, autonat_candidates, rounds(3603), 30.0 * days / 3.0,
-                      std::string(proto::kAutonat));
+                      proto::kAutonat);
   }
 
+  /// `protocol` must outlive the run: the toggle events capture the view.
   void schedule_flapping(common::Rng& mrng, const std::vector<std::uint32_t>& pool,
                          std::size_t peer_count, double toggles_per_peer,
-                         const std::string& protocol) {
+                         std::string_view protocol) {
     if (pool.empty() || peer_count == 0 || toggles_per_peer <= 0.0) return;
     peer_count = std::min(peer_count, pool.size());
     // Deterministic choice of flapping peers: sample without replacement.
@@ -1382,7 +1380,7 @@ struct CampaignEngine::Impl {
     }
   }
 
-  void schedule_next_toggle(std::uint32_t index, const std::string& protocol,
+  void schedule_next_toggle(std::uint32_t index, std::string_view protocol,
                             double mean_interval, std::uint64_t seed) {
     common::Rng prng(seed);
     const auto delay = std::max<SimDuration>(
@@ -1396,31 +1394,25 @@ struct CampaignEngine::Impl {
     });
   }
 
-  void toggle_protocol(std::uint32_t index, const std::string& protocol) {
-    RemotePeer& peer = population.peers()[index];
-    const auto it = std::find(peer.protocols.begin(), peer.protocols.end(), protocol);
-    if (it == peer.protocols.end()) {
-      peer.protocols.push_back(protocol);
-    } else {
-      peer.protocols.erase(it);
-    }
+  void toggle_protocol(std::uint32_t index, std::string_view protocol) {
+    population.toggle_protocol(index, protocol);
     publish_protocols(index);
   }
 
   void apply_version_change(std::uint32_t index, common::VersionChangeKind kind) {
-    RemotePeer& peer = population.peers()[index];
+    const RemotePeer& peer = population.peers()[index];
     common::Rng prng = peer_rng(index ^ 0x01000000u);
-    set_peer_agent(index, mutate_agent(prng, peer.agent, kind));
+    set_peer_agent(index, mutate_agent(prng, population.agent(peer.agent), kind));
   }
 
-  void set_peer_agent(std::uint32_t index, std::string agent) {
-    RemotePeer& peer = population.peers()[index];
-    if (peer.agent == agent) return;
-    peer.agent = std::move(agent);
+  void set_peer_agent(std::uint32_t index, std::string_view agent) {
+    if (!population.set_agent(index, agent)) return;
     // Identify-push to every vantage that already knows the peer.
+    const RemotePeer& peer = population.peers()[index];
     for (Vantage& vantage : vantages) {
       if (vantage.swarm->peerstore().find(peer.pid) != nullptr) {
-        vantage.swarm->peerstore().set_agent(peer.pid, peer.agent, simulation.now());
+        vantage.swarm->peerstore().set_agent(peer.pid, population.agent(peer.agent),
+                                             simulation.now());
       }
     }
   }
@@ -1431,8 +1423,8 @@ struct CampaignEngine::Impl {
       const auto* entry = vantage.swarm->peerstore().find(peer.pid);
       // Only identified peers re-announce (we have no channel otherwise).
       if (entry != nullptr && !entry->agent.empty()) {
-        vantage.swarm->peerstore().set_protocols(peer.pid, peer.protocols,
-                                                 simulation.now());
+        vantage.swarm->peerstore().set_protocols(
+            peer.pid, population.protocols(peer.protocols), simulation.now());
       }
     }
   }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+
+#include "p2p/protocols.hpp"
 
 namespace ipfs::scenario {
 
@@ -12,8 +15,51 @@ using common::kSecond;
 
 Population::Population(const PopulationSpec& spec, common::SimDuration duration,
                        common::Rng rng)
-    : spec_(spec), rng_(rng), ips_(rng.child(0x1b5)) {
-  build(duration);
+    : spec_(spec) {
+  // Id 0 of each table is the empty agent and the empty set.
+  agents_.intern("");
+  intern_protocols({});
+  build(duration, rng);
+}
+
+ProtocolSetId Population::intern_protocols(std::span<const std::string_view> names) {
+  key_ids_.clear();
+  for (const std::string_view name : names) {
+    key_ids_.push_back(protocol_names_.intern(name));
+  }
+  std::ranges::sort(key_ids_);
+  key_ids_.erase(std::ranges::unique(key_ids_).begin(), key_ids_.end());
+  key_.resize(key_ids_.size() * sizeof(std::uint32_t));
+  if (!key_.empty()) std::memcpy(key_.data(), key_ids_.data(), key_.size());
+  if (const auto it = set_ids_.find(key_); it != set_ids_.end()) return it->second;
+
+  ProtocolSet set;
+  for (const std::uint32_t id : key_ids_) set.names.emplace_back(protocol_names_.name(id));
+  std::ranges::sort(set.names);
+  set.kad = std::ranges::find(set.names, p2p::protocols::kKad) != set.names.end();
+  const auto id = static_cast<ProtocolSetId>(sets_.size());
+  sets_.push_back(std::move(set));
+  set_ids_.emplace(key_, id);
+  return id;
+}
+
+bool Population::set_agent(std::uint32_t index, std::string_view agent) {
+  const AgentId id = agents_.intern(agent);
+  if (peers_[index].agent == id) return false;
+  peers_[index].agent = id;
+  return true;
+}
+
+void Population::toggle_protocol(std::uint32_t index, std::string_view protocol) {
+  RemotePeer& peer = peers_[index];
+  const auto current = protocols(peer.protocols);
+  scratch_.assign(current.begin(), current.end());
+  if (const auto it = std::ranges::find(scratch_, protocol); it != scratch_.end()) {
+    scratch_.erase(it);
+  } else {
+    scratch_.push_back(protocol);
+  }
+  peer.protocols = intern_protocols(scratch_);
 }
 
 std::uint32_t Population::scaled(std::uint32_t base) const {
@@ -33,15 +79,14 @@ std::size_t Population::dht_server_count() const {
       peers_.begin(), peers_.end(), [](const RemotePeer& p) { return p.dht_server; }));
 }
 
-RemotePeer& Population::emplace_peer(Category category, common::Rng& rng) {
-  RemotePeer peer;
-  peer.index = static_cast<std::uint32_t>(peers_.size());
+RemotePeer& Population::emplace_peer(Category category, common::Rng& rng,
+                                     net::IpAllocator& ips) {
+  RemotePeer& peer = peers_.emplace_back();
+  peer.index = static_cast<std::uint32_t>(peers_.size() - 1);
   peer.category = category;
   peer.pid = p2p::PeerId::random(rng);
-  peer.ip = ips_.unique_v4();  // may be overridden by shared-IP policies
-  peer.port = 4001;
-  peers_.push_back(std::move(peer));
-  return peers_.back();
+  peer.ip = ips.unique_v4();  // may be overridden by shared-IP policies
+  return peer;
 }
 
 void Population::assign_one_shot_window(RemotePeer& peer, common::SimDuration duration,
@@ -62,37 +107,49 @@ void Population::assign_one_shot_window(RemotePeer& peer, common::SimDuration du
   peer.session_length = length;
 }
 
-void Population::build(common::SimDuration duration) {
-  common::Rng rng = rng_.child(0xa11);
+void Population::build(common::SimDuration duration, common::Rng root) {
+  // Both streams branch off the same root state; the allocator (and its
+  // set of used addresses) lives only as long as the build.
+  net::IpAllocator ips(common::Rng(root).child(0x1b5));
+  common::Rng rng = root.child(0xa11);
   const double days = static_cast<double>(duration) / static_cast<double>(kDay);
   const auto per_day = [&](std::uint32_t base_per_day) {
     return static_cast<std::uint32_t>(
         std::llround(static_cast<double>(scaled(base_per_day)) * days));
   };
+  const PopulationCounts& counts = spec_.counts;
+  const std::uint32_t hydra_heads = scaled(counts.hydra_heads);
+  // Reserve 2 heads for the shared go-ipfs IP when the population is big
+  // enough to express the anomaly.
+  const std::uint32_t co_located = hydra_heads >= 30 ? 2 : 0;
+  // Every category's count; the hydra loop below may place fewer heads.
+  peers_.reserve(std::size_t{hydra_heads} + co_located + scaled(counts.core_servers) +
+                 scaled(counts.core_clients) + scaled(counts.normal_users) +
+                 scaled(counts.light_servers) + scaled(counts.light_clients) +
+                 scaled(counts.crawlers) + per_day(counts.one_time_per_day) +
+                 per_day(counts.ephemeral_per_day) +
+                 per_day(counts.rotating_pids_per_day) + counts.ethereum_nodes);
 
   // --- Hydra heads: 11 IP clusters (9x100, 98, 28) + 2 heads co-located
   // with two go-ipfs nodes on a shared IP (§V-A).
   {
-    const std::uint32_t total = scaled(spec_.counts.hydra_heads);
     std::uint32_t placed = 0;
     int pool_index = 0;
-    // Reserve 2 heads for the shared go-ipfs IP when the population is big
-    // enough to express the anomaly.
-    const std::uint32_t co_located = total >= 30 ? 2 : 0;
-    const auto shared_ip = ips_.shared_v4("hydra-with-goipfs");
-    while (placed < total - co_located) {
+    const auto shared_ip = ips.shared_v4("hydra-with-goipfs");
+    while (placed < hydra_heads - co_located) {
       const std::uint32_t pool_target = [&]() -> std::uint32_t {
         if (pool_index < 9) return scaled(100);
         if (pool_index == 9) return scaled(98);
         return scaled(28);
       }();
       const auto pool_ip =
-          ips_.shared_v4("hydra-dc-" + std::to_string(pool_index));
-      for (std::uint32_t i = 0; i < pool_target && placed < total - co_located; ++i) {
-        RemotePeer& peer = emplace_peer(Category::kHydra, rng);
+          ips.shared_v4("hydra-dc-" + std::to_string(pool_index));
+      for (std::uint32_t i = 0; i < pool_target && placed < hydra_heads - co_located;
+           ++i) {
+        RemotePeer& peer = emplace_peer(Category::kHydra, rng, ips);
         peer.ip = pool_ip;
         peer.port = static_cast<std::uint16_t>(3001 + i);
-        peer.agent = "hydra-booster/0.7.4";
+        peer.agent = agents_.intern("hydra-booster/0.7.4");
         peer.dht_server = true;
         ++placed;
       }
@@ -100,19 +157,19 @@ void Population::build(common::SimDuration duration) {
       if (pool_index > 64) break;  // scaled populations: stop splitting
     }
     for (std::uint32_t i = 0; i < co_located; ++i) {
-      RemotePeer& peer = emplace_peer(Category::kHydra, rng);
+      RemotePeer& peer = emplace_peer(Category::kHydra, rng, ips);
       peer.ip = shared_ip;
       peer.port = static_cast<std::uint16_t>(3001 + i);
-      peer.agent = "hydra-booster/0.7.4";
+      peer.agent = agents_.intern("hydra-booster/0.7.4");
       peer.dht_server = true;
     }
     // The two go-ipfs nodes sharing that IP.
     if (co_located > 0) {
       for (int i = 0; i < 2; ++i) {
-        RemotePeer& peer = emplace_peer(Category::kCoreServer, rng);
+        RemotePeer& peer = emplace_peer(Category::kCoreServer, rng, ips);
         peer.ip = shared_ip;
         peer.port = static_cast<std::uint16_t>(4001 + i);
-        peer.agent = sample_go_ipfs_agent(rng);
+        peer.agent = agents_.intern(sample_go_ipfs_agent(rng));
         peer.dht_server = true;
       }
     }
@@ -120,24 +177,24 @@ void Population::build(common::SimDuration duration) {
 
   // --- Core servers (always-on go-ipfs DHT servers).
   for (std::uint32_t i = 0; i < scaled(spec_.counts.core_servers); ++i) {
-    RemotePeer& peer = emplace_peer(Category::kCoreServer, rng);
-    peer.agent = sample_go_ipfs_agent(rng);
+    RemotePeer& peer = emplace_peer(Category::kCoreServer, rng, ips);
+    peer.agent = agents_.intern(sample_go_ipfs_agent(rng));
     peer.dht_server = true;
   }
 
   // --- Core clients (the always-on user base).
   for (std::uint32_t i = 0; i < scaled(spec_.counts.core_clients); ++i) {
-    RemotePeer& peer = emplace_peer(Category::kCoreClient, rng);
-    peer.agent = rng.bernoulli(0.90) ? sample_go_ipfs_agent(rng)
-                                     : sample_other_agent(rng);
+    RemotePeer& peer = emplace_peer(Category::kCoreClient, rng, ips);
+    peer.agent = agents_.intern(rng.bernoulli(0.90) ? sample_go_ipfs_agent(rng)
+                                                  : sample_other_agent(rng));
     peer.dht_server = false;
   }
 
   // --- Normal users: one multi-hour session; 9 % run as servers.
   for (std::uint32_t i = 0; i < scaled(spec_.counts.normal_users); ++i) {
-    RemotePeer& peer = emplace_peer(Category::kNormalUser, rng);
-    peer.agent = rng.bernoulli(0.85) ? sample_go_ipfs_agent(rng)
-                                     : sample_other_agent(rng);
+    RemotePeer& peer = emplace_peer(Category::kNormalUser, rng, ips);
+    peer.agent = agents_.intern(rng.bernoulli(0.85) ? sample_go_ipfs_agent(rng)
+                                                  : sample_other_agent(rng));
     peer.dht_server = rng.bernoulli(0.09);
     assign_one_shot_window(peer, duration, rng);
   }
@@ -148,44 +205,43 @@ void Population::build(common::SimDuration duration) {
     const std::uint32_t total = scaled(spec_.counts.light_servers);
     const std::uint32_t storm = std::min(scaled(spec_.counts.disguised_storm), total);
     for (std::uint32_t i = 0; i < total; ++i) {
-      RemotePeer& peer = emplace_peer(Category::kLightServer, rng);
+      RemotePeer& peer = emplace_peer(Category::kLightServer, rng, ips);
       peer.dht_server = true;
       if (i < storm) {
-        peer.agent = "go-ipfs/0.8.0/ce3f20a";  // uniform botnet build
+        peer.agent = agents_.intern("go-ipfs/0.8.0/ce3f20a");  // uniform botnet build
       } else {
-        peer.agent = sample_go_ipfs_agent(rng);
+        peer.agent = agents_.intern(sample_go_ipfs_agent(rng));
       }
     }
   }
 
   // --- Light clients.
   for (std::uint32_t i = 0; i < scaled(spec_.counts.light_clients); ++i) {
-    RemotePeer& peer = emplace_peer(Category::kLightClient, rng);
-    peer.agent = rng.bernoulli(0.40) ? sample_go_ipfs_agent(rng)
-                                     : sample_other_agent(rng);
+    RemotePeer& peer = emplace_peer(Category::kLightClient, rng, ips);
+    peer.agent = agents_.intern(rng.bernoulli(0.40) ? sample_go_ipfs_agent(rng)
+                                                  : sample_other_agent(rng));
     peer.dht_server = false;
   }
 
   // --- Crawler agents.
   for (std::uint32_t i = 0; i < scaled(spec_.counts.crawlers); ++i) {
-    RemotePeer& peer = emplace_peer(Category::kCrawler, rng);
-    peer.agent = rng.bernoulli(0.5) ? "nebula-crawler/1.1.0" : "ipfs crawler";
+    RemotePeer& peer = emplace_peer(Category::kCrawler, rng, ips);
+    peer.agent = agents_.intern(rng.bernoulli(0.5) ? "nebula-crawler/1.1.0" : "ipfs crawler");
     peer.dht_server = false;
   }
 
   // --- One-time arrivals (scaled per day).
   for (std::uint32_t i = 0; i < per_day(spec_.counts.one_time_per_day); ++i) {
-    RemotePeer& peer = emplace_peer(Category::kOneTime, rng);
-    peer.agent = rng.bernoulli(0.85) ? sample_go_ipfs_agent(rng)
-                                     : sample_other_agent(rng);
+    RemotePeer& peer = emplace_peer(Category::kOneTime, rng, ips);
+    peer.agent = agents_.intern(rng.bernoulli(0.85) ? sample_go_ipfs_agent(rng)
+                                                  : sample_other_agent(rng));
     peer.dht_server = rng.bernoulli(0.32);
     assign_one_shot_window(peer, duration, rng);
   }
 
   // --- Ephemeral arrivals: gone before identify completes ("missing").
   for (std::uint32_t i = 0; i < per_day(spec_.counts.ephemeral_per_day); ++i) {
-    RemotePeer& peer = emplace_peer(Category::kEphemeral, rng);
-    peer.agent.clear();
+    RemotePeer& peer = emplace_peer(Category::kEphemeral, rng, ips);
     peer.dht_server = false;
     assign_one_shot_window(peer, duration, rng);
   }
@@ -193,12 +249,11 @@ void Population::build(common::SimDuration duration) {
   // --- The rotating-PID operator: every PID shares one IP, one agent, one
   // protocol set (the paper's 2'156-PID group).
   {
-    const auto rotator_ip = ips_.shared_v4("rotating-operator");
-    const std::string rotator_agent = "go-ipfs/0.11.0/9e3b7a11";
+    const auto rotator_ip = ips.shared_v4("rotating-operator");
     for (std::uint32_t i = 0; i < per_day(spec_.counts.rotating_pids_per_day); ++i) {
-      RemotePeer& peer = emplace_peer(Category::kRotatingPid, rng);
+      RemotePeer& peer = emplace_peer(Category::kRotatingPid, rng, ips);
       peer.ip = rotator_ip;
-      peer.agent = rotator_agent;
+      peer.agent = agents_.intern("go-ipfs/0.11.0/9e3b7a11");
       peer.dht_server = false;
       assign_one_shot_window(peer, duration, rng);
       // Rotation is sequential: spread starts evenly, not uniformly.
@@ -211,16 +266,16 @@ void Population::build(common::SimDuration duration) {
 
   // --- The lone go-ethereum curiosity.
   for (std::uint32_t i = 0; i < spec_.counts.ethereum_nodes; ++i) {
-    RemotePeer& peer = emplace_peer(Category::kEthereum, rng);
-    peer.agent = "go-ethereum/v1.10.13-stable";
+    RemotePeer& peer = emplace_peer(Category::kEthereum, rng, ips);
+    peer.agent = agents_.intern("go-ethereum/v1.10.13-stable");
     peer.dht_server = false;
   }
 
   // Protocol sets (needs final agent + server flag).
+  std::vector<std::string_view> names;
   for (RemotePeer& peer : peers_) {
-    if (peer.protocols.empty()) {
-      peer.protocols = protocols_for(peer.category, peer.dht_server, peer.agent, rng);
-    }
+    protocols_for(peer.category, peer.dht_server, agent(peer.agent), rng, names);
+    peer.protocols = intern_protocols(names);
   }
 
   // A slice of the population is dual-homed (laptop + mobile uplink, or a
@@ -236,15 +291,15 @@ void Population::build(common::SimDuration duration) {
       }
     }();
     if (multi_ip_probability > 0.0 && rng.bernoulli(multi_ip_probability)) {
-      peer.alt_ip = ips_.unique_v4();
+      peer.alt_ip = ips.unique_v4();
       peer.has_alt_ip = true;
     }
   }
 
-  assign_nat_groups(rng);
+  assign_nat_groups(rng, ips);
 }
 
-void Population::assign_nat_groups(common::Rng& rng) {
+void Population::assign_nat_groups(common::Rng& rng, net::IpAllocator& ips) {
   // Collect peers eligible for shared household/cloud IPs.
   std::vector<std::uint32_t> eligible;
   for (const RemotePeer& peer : peers_) {
@@ -269,7 +324,7 @@ void Population::assign_nat_groups(common::Rng& rng) {
     const auto size = static_cast<std::size_t>(rng.uniform_int(
         spec_.counts.nat_group_min, spec_.counts.nat_group_max));
     if (cursor + size > eligible.size()) break;
-    const auto ip = ips_.shared_v4("nat-" + std::to_string(g));
+    const auto ip = ips.shared_v4("nat-" + std::to_string(g));
     for (std::size_t i = 0; i < size; ++i) {
       peers_[eligible[cursor++]].ip = ip;
     }

@@ -210,6 +210,10 @@ const CategoryParams& PopulationSpec::params(Category category) const {
 
 namespace {
 
+/// The one custom protocol under /x/ some go-ipfs builds announce.
+constexpr std::string_view kXCustom = "/x/custom/1.0";
+static_assert(kXCustom.starts_with(proto::kX));
+
 struct VersionWeight {
   const char* version;
   double weight;
@@ -314,12 +318,12 @@ std::string sample_other_agent(common::Rng& rng) {
   return kOtherAgents[0].agent;
 }
 
-std::vector<std::string> protocols_for(Category category, bool dht_server,
-                                       const std::string& agent, common::Rng& rng) {
-  std::vector<std::string> protocols;
-  auto add = [&protocols](std::string_view p) { protocols.emplace_back(p); };
+void protocols_for(Category category, bool dht_server, std::string_view agent,
+                   common::Rng& rng, std::vector<std::string_view>& out) {
+  out.clear();
+  auto add = [&out](std::string_view p) { out.push_back(p); };
 
-  if (agent.empty()) return protocols;  // identify never completed
+  if (agent.empty()) return;  // identify never completed
 
   // Baseline libp2p surface nearly everyone announces (Fig. 4: id/ping/
   // relay at ≈ full height).
@@ -331,12 +335,12 @@ std::vector<std::string> protocols_for(Category category, bool dht_server,
 
   if (dht_server) add(proto::kKad);
 
-  const bool is_go_ipfs = agent.rfind("go-ipfs/", 0) == 0;
+  const bool is_go_ipfs = agent.starts_with("go-ipfs/");
   const bool is_disguised_storm = is_go_ipfs && category == Category::kLightServer &&
-                                  agent.find("/0.8.0/") != std::string::npos;
+                                  agent.find("/0.8.0/") != std::string_view::npos;
   const bool is_storm = agent == "storm";
   const bool is_ioi = agent == "ioi";
-  const bool is_hydra = agent.rfind("hydra-booster", 0) == 0;
+  const bool is_hydra = agent.starts_with("hydra-booster");
   const bool is_crawler = category == Category::kCrawler;
 
   if (is_storm || is_disguised_storm) {
@@ -345,19 +349,19 @@ std::vector<std::string> protocols_for(Category category, bool dht_server,
     add(proto::kSbptp);
     add(proto::kSfst1);
     if (rng.bernoulli(0.5)) add(proto::kSfst2);
-    return protocols;
+    return;
   }
   if (is_ioi) {
     add(proto::kIoiDial);
     add(proto::kIoiPortssub);
     add(proto::kFloodsub);
-    return protocols;
+    return;
   }
   if (is_hydra) {
-    return protocols;  // heads serve DHT + base protocols only
+    return;  // heads serve DHT + base protocols only
   }
   if (is_crawler) {
-    return protocols;  // crawlers identify but serve nothing
+    return;  // crawlers identify but serve nothing
   }
 
   if (is_go_ipfs) {
@@ -370,7 +374,7 @@ std::vector<std::string> protocols_for(Category category, bool dht_server,
     if (rng.bernoulli(0.72)) add(proto::kAutonat);
     if (rng.bernoulli(0.2)) add(proto::kFetch);
     if (rng.bernoulli(0.1)) add(proto::kDelta);
-    if (rng.bernoulli(0.03)) add(std::string(proto::kX) + "custom/1.0");
+    if (rng.bernoulli(0.03)) add(kXCustom);
   } else {
     // Other libp2p stacks: partial surfaces.
     if (rng.bernoulli(0.55)) add(proto::kBitswap120);
@@ -378,7 +382,6 @@ std::vector<std::string> protocols_for(Category category, bool dht_server,
     if (rng.bernoulli(0.3)) add(proto::kFloodsub);
     if (rng.bernoulli(0.25)) add(proto::kAutonat);
   }
-  return protocols;
 }
 
 }  // namespace ipfs::scenario

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -90,24 +91,35 @@ struct CategoryParams {
   [[nodiscard]] bool operator==(const CategoryParams&) const = default;
 };
 
-/// A fully materialised remote peer.
+/// A `Population`'s interned agent string (`Population::agent`); 0 is the
+/// empty agent.
+using AgentId = std::uint32_t;
+/// A `Population`'s interned protocol set (`Population::protocols`); 0 is
+/// the empty set.
+using ProtocolSetId = std::uint32_t;
+
+/// A fully materialised remote peer, as a fixed-size record.  The agent and
+/// the protocol set are ids into tables its `Population` owns, shared by
+/// every peer announcing the same strings; a change gives the peer another
+/// id and never edits a shared entry (DESIGN.md §7, "Population layout").
 struct RemotePeer {
-  std::uint32_t index = 0;
-  Category category = Category::kOneTime;
   p2p::PeerId pid;
   p2p::IpAddress ip;
   /// Some peers (dual-homed / address-churning) connect from a second IP;
   /// this is what makes §V-A's group count smaller than its IP count.
   p2p::IpAddress alt_ip;
-  bool has_alt_ip = false;
-  std::uint16_t port = 4001;
-  std::string agent;  ///< empty: identify never completes ("missing")
-  std::vector<std::string> protocols;
-  bool dht_server = false;
   /// Pre-sampled one-shot session window (kOneShot only).
   common::SimTime session_start = 0;
   SimDuration session_length = 0;
+  std::uint32_t index = 0;
+  AgentId agent = 0;  ///< 0 (empty): identify never completes ("missing")
+  ProtocolSetId protocols = 0;
+  std::uint16_t port = 4001;
+  Category category = Category::kOneTime;
+  bool has_alt_ip = false;
+  bool dht_server = false;
 };
+static_assert(sizeof(RemotePeer) <= 128, "RemotePeer is the population's record");
 
 /// Absolute-count knobs (3-day baseline, scaled by `scale`).
 struct PopulationCounts {
@@ -174,10 +186,10 @@ struct PopulationSpec {
 /// go-qkfile, ant, …).
 [[nodiscard]] std::string sample_other_agent(common::Rng& rng);
 
-/// Protocol sets per role (Fig. 4).
-[[nodiscard]] std::vector<std::string> protocols_for(Category category,
-                                                     bool dht_server,
-                                                     const std::string& agent,
-                                                     common::Rng& rng);
+/// The protocol set a peer of this role announces (Fig. 4), written to
+/// `out` (cleared first).  Every name is a constant, so the views never
+/// dangle.
+void protocols_for(Category category, bool dht_server, std::string_view agent,
+                   common::Rng& rng, std::vector<std::string_view>& out);
 
 }  // namespace ipfs::scenario

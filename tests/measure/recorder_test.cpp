@@ -9,6 +9,8 @@ namespace {
 
 using common::kMinute;
 using common::kSecond;
+/// A protocol list as identify hands it to set_protocols.
+using Names = std::vector<std::string_view>;
 
 class RecorderTest : public ::testing::Test {
  protected:
@@ -126,7 +128,7 @@ TEST_F(RecorderTest, ProtocolEventsAndServerFlag) {
   recorder.start();
   const auto pid = p2p::PeerId::from_seed(2);
   const std::string kad(p2p::protocols::kKad);
-  swarm.peerstore().set_protocols(pid, {kad}, sim.now());
+  swarm.peerstore().set_protocols(pid, Names{kad}, sim.now());
   sim.run_until(kMinute);
   swarm.peerstore().set_protocols(pid, {}, sim.now());
   recorder.finish();
@@ -151,7 +153,7 @@ TEST_F(RecorderTest, InternsEachNameOncePerDataset) {
   for (const std::uint64_t seed : {2, 3}) {
     const auto pid = p2p::PeerId::from_seed(seed);
     swarm.peerstore().set_agent(pid, "go-ipfs/0.11.0/b", sim.now());
-    swarm.peerstore().set_protocols(pid, {ping, kad}, sim.now());
+    swarm.peerstore().set_protocols(pid, Names{ping, kad}, sim.now());
     swarm.open_connection(pid, addr(7), p2p::Direction::kInbound);
   }
   recorder.finish();
@@ -182,7 +184,7 @@ TEST_F(RecorderTest, DestroyedRecorderDetachesFromPeerstore) {
   const auto pid = p2p::PeerId::from_seed(2);
   swarm.peerstore().touch(pid, sim.now());
   swarm.peerstore().set_agent(pid, "go-ipfs/0.11.0/a", sim.now());
-  swarm.peerstore().set_protocols(pid, {std::string(p2p::protocols::kKad)}, sim.now());
+  swarm.peerstore().set_protocols(pid, Names{p2p::protocols::kKad}, sim.now());
   swarm.peerstore().add_address(pid, addr(2), sim.now());
   recorder.finish();
   const PeerRecord* record = recorder.dataset().find(pid);

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
+#include <vector>
 
 #include "p2p/protocols.hpp"
 
 namespace ipfs::p2p {
 namespace {
+
+/// A protocol list as identify hands it to set_protocols.
+using Names = std::vector<std::string_view>;
 
 struct EventLog : PeerstoreObserver {
   struct AgentChange {
@@ -80,8 +85,8 @@ TEST_F(PeerstoreTest, SetAgentFiresOnChangeOnly) {
 }
 
 TEST_F(PeerstoreTest, SetProtocolsComputesDiff) {
-  store.set_protocols(pid, {"a", "b"}, 10);
-  store.set_protocols(pid, {"b", "c"}, 20);
+  store.set_protocols(pid, Names{"a", "b"}, 10);
+  store.set_protocols(pid, Names{"b", "c"}, 20);
   ASSERT_EQ(log.protocol_changes.size(), 2u);
   EXPECT_EQ(log.protocol_changes[0].first, (std::vector<std::string>{"a", "b"}));
   EXPECT_TRUE(log.protocol_changes[0].second.empty());
@@ -90,7 +95,7 @@ TEST_F(PeerstoreTest, SetProtocolsComputesDiff) {
 
   // Unsorted input with repeats is a set: the diff is in name order and
   // names each protocol once.
-  store.set_protocols(pid, {"e", "c", "d", "e", "b", "d"}, 30);
+  store.set_protocols(pid, Names{"e", "c", "d", "e", "b", "d"}, 30);
   ASSERT_EQ(log.protocol_changes.size(), 3u);
   EXPECT_EQ(log.protocol_changes[2].first, (std::vector<std::string>{"d", "e"}));
   EXPECT_TRUE(log.protocol_changes[2].second.empty());
@@ -104,8 +109,8 @@ TEST_F(PeerstoreTest, SetProtocolsComputesDiff) {
   Peerstore fresh;
   EventLog fresh_log;
   fresh.add_observer(&fresh_log);
-  fresh.set_protocols(pid, {"z", "b"}, 10);
-  fresh.set_protocols(pid, {"y", "a", "c"}, 20);
+  fresh.set_protocols(pid, Names{"z", "b"}, 10);
+  fresh.set_protocols(pid, Names{"y", "a", "c"}, 20);
   ASSERT_EQ(fresh_log.protocol_changes.size(), 2u);
   EXPECT_EQ(fresh_log.protocol_changes[0].first, (std::vector<std::string>{"b", "z"}));
   EXPECT_EQ(fresh_log.protocol_changes[1].first,
@@ -115,17 +120,17 @@ TEST_F(PeerstoreTest, SetProtocolsComputesDiff) {
 }
 
 TEST_F(PeerstoreTest, SetProtocolsIdenticalIsSilent) {
-  store.set_protocols(pid, {"a"}, 10);
-  store.set_protocols(pid, {"a"}, 20);
+  store.set_protocols(pid, Names{"a"}, 10);
+  store.set_protocols(pid, Names{"a"}, 20);
   EXPECT_EQ(log.protocol_changes.size(), 1u);
-  store.set_protocols(pid, {"b", "a"}, 30);
-  store.set_protocols(pid, {"a", "b", "a"}, 40);  // same set, reordered
+  store.set_protocols(pid, Names{"b", "a"}, 30);
+  store.set_protocols(pid, Names{"a", "b", "a"}, 40);  // same set, reordered
   EXPECT_EQ(log.protocol_changes.size(), 2u);
   EXPECT_EQ(store.find(pid)->last_seen, 40);
 }
 
 TEST_F(PeerstoreTest, KadAnnouncementMarksServerForever) {
-  store.set_protocols(pid, {std::string(protocols::kKad)}, 10);
+  store.set_protocols(pid, Names{protocols::kKad}, 10);
   EXPECT_TRUE(store.find(pid)->ever_dht_server);
   store.set_protocols(pid, {}, 20);  // role switch to client
   EXPECT_TRUE(store.find(pid)->ever_dht_server);
@@ -133,11 +138,11 @@ TEST_F(PeerstoreTest, KadAnnouncementMarksServerForever) {
 }
 
 TEST_F(PeerstoreTest, SupportsChecksCurrentSet) {
-  store.set_protocols(pid, {std::string(protocols::kPing)}, 10);
+  store.set_protocols(pid, Names{protocols::kPing}, 10);
   EXPECT_TRUE(store.supports(pid, protocols::kPing));
   EXPECT_FALSE(store.supports(pid, protocols::kKad));
   EXPECT_FALSE(store.supports(PeerId::from_seed(99), protocols::kPing));
-  store.set_protocols(pid, {std::string(protocols::kKad)}, 20);
+  store.set_protocols(pid, Names{protocols::kKad}, 20);
   EXPECT_FALSE(store.supports(pid, protocols::kPing));
   EXPECT_TRUE(store.supports(pid, protocols::kKad));
 
@@ -199,7 +204,7 @@ TEST_F(PeerstoreTest, RemovedObserverReceivesNothing) {
   store.remove_observer(&other);
   store.touch(PeerId::from_seed(2), 20);
   store.set_agent(pid, "a", 30);
-  store.set_protocols(pid, {"x"}, 40);
+  store.set_protocols(pid, Names{"x"}, 40);
   store.add_address(pid, Multiaddr{IpAddress::v4(42), Transport::kTcp, 4001}, 50);
   EXPECT_EQ(other.added_peers.size(), 1u);
   EXPECT_TRUE(other.agent_changes.empty());
@@ -224,7 +229,7 @@ TEST_F(PeerstoreTest, MultiplePeersIndependent) {
   // first-seen order.
   constexpr std::uint64_t kPeers = 1'500;
   for (std::uint64_t seed = 3; seed <= kPeers; ++seed) {
-    store.set_protocols(PeerId::from_seed(seed), {seed % 2 == 0 ? "even" : "odd"},
+    store.set_protocols(PeerId::from_seed(seed), Names{seed % 2 == 0 ? "even" : "odd"},
                         static_cast<common::SimTime>(seed));
   }
   ASSERT_EQ(store.size(), kPeers);
