@@ -76,10 +76,6 @@ FitResult finish_fit(SessionDistribution dist,
   return fit;
 }
 
-std::string_view family_name(SessionDistribution::Kind kind) {
-  return scenario::to_string(kind);
-}
-
 // ---- trace parsing helpers (strict, field-path errors) ---------------------
 
 using ParseError = std::optional<std::string>;
@@ -271,7 +267,7 @@ std::size_t censored_count(const std::vector<Observation>& sample) {
 
 void write_distribution(JsonWriter& json, const SessionDistribution& dist) {
   json.begin_object();
-  json.field("kind", family_name(dist.kind));
+  json.field("kind", scenario::to_string(dist.kind));
   switch (dist.kind) {
     case SessionDistribution::Kind::kExponential:
       json.field("mean_ms", dist.mean_ms);

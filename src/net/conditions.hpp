@@ -132,7 +132,7 @@ struct DisturbanceSpec {
     std::string_view name) noexcept;
 
 /// The full declarative condition description — the `"network"` section of
-/// a scenario file, or the argument of `TestbedBuilder::conditions`.
+/// a scenario file.
 /// Default-constructed, it reproduces the legacy flat fabric exactly.
 struct ConditionSpec {
   LatencyModel latency;  ///< flat fallback + the shared jitter fraction

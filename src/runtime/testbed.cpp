@@ -1,6 +1,5 @@
 #include "runtime/testbed.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -12,8 +11,6 @@ constexpr std::uint64_t kNetworkBranch = 0x6e21;
 constexpr std::uint64_t kAddressBranch = 0x1bad;
 constexpr std::uint64_t kEntityBranch = 0x1d5e;
 constexpr std::uint64_t kConditionsBranch = 0x2c0d;
-constexpr std::uint64_t kChurnBranch = 0xc402;
-constexpr std::uint64_t kContentBranch = 0xc047;
 }  // namespace
 
 // ---- NodeHandle ------------------------------------------------------------
@@ -56,23 +53,12 @@ void NodeHandle::stop() const { node().stop(); }
 
 // ---- Testbed ---------------------------------------------------------------
 
-Testbed::Testbed(std::uint64_t seed, net::ConditionSpec conditions,
-                 std::optional<scenario::ChurnSpec> churn,
-                 std::optional<scenario::ContentSpec> content)
+Testbed::Testbed(std::uint64_t seed)
     : seed_(seed),
       network_(simulation_, common::Rng(common::mix64(seed, kNetworkBranch)),
-               net::ConditionModel(std::move(conditions),
+               net::ConditionModel(net::ConditionSpec{},
                                    common::mix64(seed, kConditionsBranch))),
-      ips_(common::Rng(common::mix64(seed, kAddressBranch))) {
-  if (churn) {
-    churn_model_.emplace(std::move(*churn), common::mix64(seed, kChurnBranch));
-  }
-  if (content) {
-    content_model_.emplace(std::move(*content),
-                           common::mix64(seed, kContentBranch));
-    content_records_ = std::make_unique<dht::RecordStore>();
-  }
-}
+      ips_(common::Rng(common::mix64(seed, kAddressBranch))) {}
 
 common::Rng Testbed::entity_rng(std::uint64_t label) noexcept {
   return common::Rng(
@@ -134,145 +120,6 @@ crawler::Crawler& Testbed::add_crawler(crawler::CrawlerConfig config) {
       net::swarm_tcp_addr(ips_.unique_v4()), std::move(config)));
   crawlers_.back()->start();
   return *crawlers_.back();
-}
-
-Testbed& Testbed::churn(NodeHandle handle) {
-  if (!churn_model_) return *this;  // no model declared on the builder
-  Entry& entry = entries_.at(handle.index_);
-  if (entry.churned) return *this;
-  entry.churned = true;
-  const auto index = handle.index_;
-  const auto node = static_cast<std::uint32_t>(index);
-  if (churn_model_->initially_online(node)) {
-    // The node is already started (add_node starts it); session 0 begins
-    // now and the first leave lands one session length out.
-    schedule_churn_session(index, 0, 0);
-  } else {
-    entry.node->stop();
-    schedule_churn_session(
-        index, 0,
-        std::max<common::SimDuration>(
-            churn_model_->gap_length(node, 0, simulation_.now()),
-            common::kSecond));
-  }
-  return *this;
-}
-
-Testbed& Testbed::churn_all_except(NodeHandle vantage) {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (i != vantage.index_) churn(NodeHandle(*this, i));
-  }
-  return *this;
-}
-
-Testbed& Testbed::content(NodeHandle handle) {
-  if (!content_model_) return *this;  // no model declared on the builder
-  Entry& entry = entries_.at(handle.index_);
-  if (entry.content) return *this;
-  entry.content = true;
-  schedule_content_maintenance();
-  const auto node = static_cast<std::uint32_t>(handle.index_);
-  // Testbed nodes carry no population Category; the kNormalUser slot
-  // resolves to the spec's top-level rates unless explicitly overridden.
-  const std::uint32_t count =
-      content_model_->publish_count(node, scenario::Category::kNormalUser);
-  for (std::uint32_t slot = 0; slot < count; ++slot) {
-    schedule_content_provide(handle.index_, slot, 0,
-                             content_model_->initial_publish_delay(node, slot));
-  }
-  schedule_content_fetch(handle.index_);
-  return *this;
-}
-
-Testbed& Testbed::content_all_except(NodeHandle vantage) {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (i != vantage.index_) content(NodeHandle(*this, i));
-  }
-  return *this;
-}
-
-dht::RecordStore& Testbed::content_records() {
-  assert(content_records_ != nullptr && "declare a content model on the builder");
-  return *content_records_;
-}
-
-void Testbed::schedule_content_provide(std::size_t index, std::uint32_t slot,
-                                       std::uint32_t cycle,
-                                       common::SimDuration delay) {
-  // Provide, then chain the next republish cycle with its drawn jitter —
-  // every key, time and cycle is a pure function of (node index, slot,
-  // cycle, testbed seed), as in the campaign engine (DESIGN.md §5/§11).
-  simulation_.schedule_after(delay, [this, index, slot, cycle] {
-    const auto node = static_cast<std::uint32_t>(index);
-    const scenario::ContentSpec& spec = content_model_->spec();
-    const std::uint32_t key = content_model_->key_for(node, slot, spec.keys);
-    const p2p::PeerId cid = content_model_->key_cid(key);
-    content_records_->put(cid, entries_[index].node->id(), simulation_.now(),
-                          spec.provider_ttl);
-    entries_[index].node->bitswap().add_block(cid);
-    schedule_content_provide(
-        index, slot, cycle + 1,
-        spec.republish_interval +
-            content_model_->republish_jitter(node, slot, cycle + 1));
-  });
-}
-
-void Testbed::schedule_content_fetch(std::size_t index) {
-  if (content_model_->fetch_rate(scenario::Category::kNormalUser) <= 0.0) return;
-  const auto node = static_cast<std::uint32_t>(index);
-  const std::uint32_t fetch = entries_[index].content_fetches++;
-  const auto gap = std::max<common::SimDuration>(
-      content_model_->fetch_gap(node, fetch, scenario::Category::kNormalUser),
-      common::kSecond);
-  simulation_.schedule_after(gap, [this, index, fetch] {
-    const auto node = static_cast<std::uint32_t>(index);
-    const std::uint32_t key =
-        content_model_->fetch_key(node, fetch, content_model_->spec().keys);
-    const p2p::PeerId cid = content_model_->key_cid(key);
-    node::GoIpfsNode& fetcher = *entries_[index].node;
-    // A live provider we are already connected to serves the block over a
-    // genuine Bitswap want/block exchange; otherwise the fetch fizzles
-    // (testbed fetchers do not dial — campaigns model that path).
-    for (const p2p::PeerId& provider :
-         content_records_->get(cid, simulation_.now())) {
-      if (provider == fetcher.id()) continue;
-      if (network_.connected(fetcher.id(), provider)) {
-        fetcher.bitswap().want_block(provider, cid, nullptr);
-        break;
-      }
-    }
-    schedule_content_fetch(index);
-  });
-}
-
-void Testbed::schedule_content_maintenance() {
-  if (content_maintenance_scheduled_) return;
-  content_maintenance_scheduled_ = true;
-  simulation_.schedule_every(content_model_->spec().bucket_refresh_interval,
-                             [this] { content_records_->sweep(simulation_.now()); });
-}
-
-void Testbed::schedule_churn_session(std::size_t index, std::uint32_t session,
-                                     common::SimDuration delay) {
-  // Join (unless already up for session 0), stay one drawn session length,
-  // leave, and come back after a drawn gap.  Every length is a pure
-  // function of (node index, session, testbed seed) — DESIGN.md §5/§10.
-  simulation_.schedule_after(delay, [this, index, session] {
-    node::GoIpfsNode& node = *entries_[index].node;
-    node.start();  // no-op when already started (session 0, initially online)
-    const auto node_id = static_cast<std::uint32_t>(index);
-    const auto length = std::max<common::SimDuration>(
-        churn_model_->session_length(node_id, session), common::kSecond);
-    simulation_.schedule_after(length, [this, index, session] {
-      node::GoIpfsNode& node = *entries_[index].node;
-      node.stop();  // remotes observe kPeerOffline; entries go stale
-      const auto node_id = static_cast<std::uint32_t>(index);
-      const auto gap = std::max<common::SimDuration>(
-          churn_model_->gap_length(node_id, session + 1, simulation_.now()),
-          common::kSecond);
-      schedule_churn_session(index, session + 1, gap);
-    });
-  });
 }
 
 Testbed& Testbed::run_for(common::SimDuration duration) {

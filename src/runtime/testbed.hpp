@@ -17,19 +17,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "crawler/crawler.hpp"
-#include "dht/record_store.hpp"
 #include "hydra/hydra_node.hpp"
 #include "measure/recorder.hpp"
 #include "measure/sink.hpp"
 #include "net/ip_allocator.hpp"
 #include "net/network.hpp"
 #include "node/go_ipfs_node.hpp"
-#include "scenario/churn.hpp"
-#include "scenario/content.hpp"
 #include "sim/simulation.hpp"
 
 namespace ipfs::runtime {
@@ -99,36 +95,6 @@ class Testbed {
   /// Add a started active crawler (nebula-style baseline).
   crawler::Crawler& add_crawler(crawler::CrawlerConfig config = {});
 
-  /// Drive `handle` with the builder's session-churn model
-  /// (`TestbedBuilder::churn`): leaves call `GoIpfsNode::stop()` — remotes
-  /// observe peer-offline closes, routing-table entries go genuinely stale
-  /// — and rejoins restart the node with its PeerId intact.  Draws are
-  /// pure per (node index, session), so two equally seeded testbeds churn
-  /// identically.  No-op when the builder declared no churn model.
-  Testbed& churn(NodeHandle handle);
-
-  /// `churn()` for every node except `vantage` (the measuring node stays
-  /// up, as the paper's did).
-  Testbed& churn_all_except(NodeHandle vantage);
-
-  /// Drive `handle` with the builder's content-workload model
-  /// (`TestbedBuilder::content`): the node provides its drawn keys on the
-  /// publish/republish cycle — records land in `content_records()`, blocks
-  /// in the node's real Bitswap store — and runs a fetch chain that looks
-  /// providers up in the record store and exchanges genuine want/block
-  /// messages with connected providers.  Draws are pure per (node index,
-  /// slot/fetch, cycle), so equally seeded testbeds agree on every
-  /// provide and fetch.  No-op when the builder declared no content model.
-  Testbed& content(NodeHandle handle);
-
-  /// `content()` for every node except `vantage`.
-  Testbed& content_all_except(NodeHandle vantage);
-
-  /// The shared provider-record store content-driven nodes publish into
-  /// (the vantage's view); swept every `bucket_refresh_interval`.
-  /// Requires a builder-declared content model.
-  [[nodiscard]] dht::RecordStore& content_records();
-
   // ---- execution -----------------------------------------------------------
 
   Testbed& run_for(common::SimDuration duration);
@@ -152,25 +118,13 @@ class Testbed {
   friend class TestbedBuilder;
   friend class NodeHandle;
 
-  Testbed(std::uint64_t seed, net::ConditionSpec conditions,
-          std::optional<scenario::ChurnSpec> churn,
-          std::optional<scenario::ContentSpec> content);
+  explicit Testbed(std::uint64_t seed);
 
   struct Entry {
     std::unique_ptr<node::GoIpfsNode> node;
     std::unique_ptr<measure::Recorder> recorder;
     bool bootstrapped = false;
-    bool churned = false;
-    bool content = false;
-    std::uint32_t content_fetches = 0;  ///< next fetch-chain index
   };
-
-  void schedule_churn_session(std::size_t index, std::uint32_t session,
-                              common::SimDuration delay);
-  void schedule_content_provide(std::size_t index, std::uint32_t slot,
-                                std::uint32_t cycle, common::SimDuration delay);
-  void schedule_content_fetch(std::size_t index);
-  void schedule_content_maintenance();
 
   /// Deterministic per-entity generator: depends only on the testbed seed
   /// and the entity's creation index, never on call interleaving.
@@ -180,18 +134,14 @@ class Testbed {
   sim::Simulation simulation_;
   net::Network network_;
   net::IpAllocator ips_;
-  std::optional<scenario::ChurnModel> churn_model_;
-  std::optional<scenario::ContentModel> content_model_;
-  std::unique_ptr<dht::RecordStore> content_records_;
-  bool content_maintenance_scheduled_ = false;
   std::uint64_t next_entity_ = 0;
   std::vector<Entry> entries_;
   std::vector<std::unique_ptr<hydra::HydraNode>> hydras_;
   std::vector<std::unique_ptr<crawler::Crawler>> crawlers_;
 };
 
-/// Fluent builder over the testbed's global knobs.  `build()` performs all
-/// Simulation/Network/IpAllocator/RNG-tree wiring.
+/// Fluent builder over the testbed's one global knob, the root seed.
+/// `build()` performs all Simulation/Network/IpAllocator/RNG-tree wiring.
 class TestbedBuilder {
  public:
   /// Root of the RNG tree: every identity, address and latency sample in
@@ -201,52 +151,10 @@ class TestbedBuilder {
     return *this;
   }
 
-  /// Flat latency shortcut; equivalent to `conditions({.latency = model})`.
-  TestbedBuilder& latency(net::LatencyModel model) {
-    conditions_.latency = model;
-    return *this;
-  }
-
-  /// Full network-condition description: zones, loss, NAT classes and
-  /// scheduled disturbances (net/conditions.hpp).  The model is seeded
-  /// from the testbed seed, so two testbeds with equal seeds agree on
-  /// every zone assignment and loss verdict.
-  TestbedBuilder& conditions(net::ConditionSpec spec) {
-    conditions_ = std::move(spec);
-    return *this;
-  }
-
-  /// Session-churn description for nodes registered with
-  /// `Testbed::churn(...)` (scenario/churn.hpp, DESIGN.md §10).  Seeded
-  /// from the testbed seed like the condition model.  Testbed nodes have
-  /// no population `Category`, so only the spec's top-level `session` /
-  /// `gap` distributions (and `diurnal` / `initial_online`) apply here;
-  /// per-category overrides take effect in campaign runs only.
-  TestbedBuilder& churn(scenario::ChurnSpec spec) {
-    churn_ = std::move(spec);
-    return *this;
-  }
-
-  /// Content-workload description for nodes registered with
-  /// `Testbed::content(...)` (scenario/content.hpp, DESIGN.md §11).
-  /// Seeded from the testbed seed like the churn model.  Testbed nodes
-  /// have no population `Category`, so the spec's top-level
-  /// `publishes_per_peer` / `fetches_per_hour` apply; per-category
-  /// overrides take effect in campaign runs only.
-  TestbedBuilder& content(scenario::ContentSpec spec) {
-    content_ = std::move(spec);
-    return *this;
-  }
-
-  [[nodiscard]] Testbed build() const {
-    return Testbed(seed_, conditions_, churn_, content_);
-  }
+  [[nodiscard]] Testbed build() const { return Testbed(seed_); }
 
  private:
   std::uint64_t seed_ = 20211203;
-  net::ConditionSpec conditions_{};
-  std::optional<scenario::ChurnSpec> churn_;
-  std::optional<scenario::ContentSpec> content_;
 };
 
 }  // namespace ipfs::runtime

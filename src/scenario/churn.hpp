@@ -7,9 +7,7 @@
 // runtime form: it answers "how long is node n's session number s?" and
 // "how long does n stay away after it?" for the consumers that animate
 // lifecycles on the simulation clock — `scenario::CampaignEngine` when a
-// scenario file carries a `"churn"` section (docs/SCENARIOS.md), and
-// `runtime::Testbed` for protocol-fidelity nodes registered through
-// `TestbedBuilder::churn`.
+// scenario file carries a `"churn"` section (docs/SCENARIOS.md).
 //
 // Determinism contract (DESIGN.md §5): every draw is a *pure function* of
 // (node, session-index, model seed) — a fresh generator is derived per
@@ -116,7 +114,7 @@ struct ChurnCategorySpec {
 };
 
 /// The full declarative churn description — the `"churn"` section of a
-/// scenario file, or the argument of `TestbedBuilder::churn`.
+/// scenario file.
 struct ChurnSpec {
   /// Default session length: ~3.5 h heavy-tailed (Weibull shape < 1), the
   /// regime the paper's Fig. 7 session CDF sits in.
@@ -152,7 +150,8 @@ class ChurnModel {
   [[nodiscard]] const ChurnSpec& spec() const noexcept { return spec_; }
 
   /// Length of node `node`'s session number `session` (>= 0 ms; consumers
-  /// clamp to their own floor).  Category-less overload for testbed nodes.
+  /// clamp to their own floor).  The category-less overload draws from the
+  /// spec's top-level distributions.
   [[nodiscard]] common::SimDuration session_length(std::uint32_t node,
                                                    std::uint32_t session) const;
   [[nodiscard]] common::SimDuration session_length(std::uint32_t node,

@@ -9,8 +9,7 @@
 // and when?", "when does n fetch next, and what?" for the consumers that
 // animate content flows on the simulation clock —
 // `scenario::CampaignEngine` when a scenario file carries a `"content"`
-// section (docs/SCENARIOS.md), and `runtime::Testbed` for
-// protocol-fidelity nodes registered through `TestbedBuilder::content`.
+// section (docs/SCENARIOS.md).
 //
 // Determinism contract (DESIGN.md §5): every draw is a *pure function*
 // of (node, key/slot, cycle-index, model seed) — a fresh generator is
@@ -43,8 +42,7 @@ struct ContentCategorySpec {
 };
 
 /// The full declarative content-workload description — the `"content"`
-/// section of a scenario file, or the argument of
-/// `TestbedBuilder::content`.
+/// section of a scenario file.
 struct ContentSpec {
   /// Size of the keyspace before population scaling; the engine scales it
   /// by `PopulationSpec::scale` (floor 1) so smoke runs stay cheap.

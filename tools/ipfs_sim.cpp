@@ -56,6 +56,7 @@
 #include "analysis/calibration.hpp"
 #include "common/atomic_output.hpp"
 #include "common/parse.hpp"
+#include "common/sim_time.hpp"
 #include "measure/sink.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/sharded.hpp"
@@ -155,6 +156,33 @@ bool option_positive(const char* command, const std::string& option,
   }
   out = *parsed;
   return true;
+}
+
+/// A positive span in seconds, converted to simulated milliseconds.  Spans
+/// that do not fit a SimDuration are rejected before the conversion, which
+/// would otherwise be undefined.
+bool option_seconds(const char* command, const std::string& option,
+                    const std::string& text, ipfs::common::SimDuration& out) {
+  double seconds = 0.0;
+  if (!option_positive(command, option, text, seconds)) return false;
+  constexpr auto kLimit =
+      static_cast<double>(std::numeric_limits<ipfs::common::SimDuration>::max());
+  if (seconds * static_cast<double>(ipfs::common::kSecond) >= kLimit) {
+    std::cerr << command << ": " << option << ": out of range: '" << text
+              << "'\n";
+    return false;
+  }
+  out = ipfs::common::from_seconds(seconds);
+  return true;
+}
+
+/// Flush stdout; on failure print "COMMAND: error writing stdout" and
+/// return false, so a full pipe or disk never passes for success.
+bool flush_stdout(const char* command) {
+  std::cout.flush();
+  if (std::cout) return true;
+  std::cerr << command << ": error writing stdout\n";
+  return false;
 }
 
 /// A SCENARIO argument: an existing file path, else a builtin name.
@@ -326,7 +354,7 @@ int cmd_run(const std::vector<std::string>& args) {
   std::optional<std::uint32_t> trials_override;
   std::optional<std::uint64_t> seed_override;
   std::optional<double> scale_override;
-  std::optional<double> duration_override;  // simulated seconds
+  std::optional<ipfs::common::SimDuration> duration_override;
   std::optional<std::uint32_t> shards;
   std::uint32_t shard_workers = 0;        // 0 = lease from the worker budget
   bool quiet = false;
@@ -370,9 +398,9 @@ int cmd_run(const std::vector<std::string>& args) {
       if (!option_positive(kCommand, arg, value, scale)) return 2;
       scale_override = scale;
     } else if (arg == "--duration") {
-      double seconds = 0.0;
-      if (!option_positive(kCommand, arg, value, seconds)) return 2;
-      duration_override = seconds;
+      ipfs::common::SimDuration duration = 0;
+      if (!option_seconds(kCommand, arg, value, duration)) return 2;
+      duration_override = duration;
     } else if (arg == "--shards") {
       std::uint32_t count = 0;
       if (!option_u32(kCommand, arg, value, count)) return 2;
@@ -397,9 +425,7 @@ int cmd_run(const std::vector<std::string>& args) {
   if (trials_override) spec.campaign.trials = *trials_override;
   if (seed_override) spec.campaign.seed = *seed_override;
   if (scale_override) spec.population.scale = *scale_override;
-  if (duration_override) {
-    spec.period.duration = ipfs::common::from_seconds(*duration_override);
-  }
+  if (duration_override) spec.period.duration = *duration_override;
   if (auto invalid = ScenarioSpec::validate(spec)) {
     std::cerr << "ipfs_sim run: " << *invalid << "\n";
     return 1;
@@ -496,6 +522,7 @@ int cmd_run(const std::vector<std::string>& args) {
 // ---- export -----------------------------------------------------------------
 
 int cmd_export(const std::vector<std::string>& args) {
+  constexpr const char* kCommand = "ipfs_sim export";
   std::optional<std::string> name;
   std::optional<std::string> out_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -524,9 +551,9 @@ int cmd_export(const std::vector<std::string>& args) {
   }
   if (!out_path) {
     std::cout << spec->to_json_string();
-    return 0;
+    return flush_stdout(kCommand) ? 0 : 1;
   }
-  if (!write_file("ipfs_sim export", *out_path, spec->to_json_string())) return 1;
+  if (!write_file(kCommand, *out_path, spec->to_json_string())) return 1;
   std::cout << "wrote " << *out_path << "\n";
   return 0;
 }
@@ -576,10 +603,7 @@ int cmd_calibrate(const std::vector<std::string>& args) {
     } else if (arg == "--seed") {
       if (!option_u64(kCommand, arg, value, options.seed)) return 2;
     } else if (arg == "--gap") {
-      double gap_seconds = 0.0;
-      if (!option_positive(kCommand, arg, value, gap_seconds)) return 2;
-      options.max_gap = static_cast<ipfs::common::SimDuration>(
-          gap_seconds * ipfs::common::kSecond);
+      if (!option_seconds(kCommand, arg, value, options.max_gap)) return 2;
     } else if (arg == "--verify-scale") {
       if (!option_positive(kCommand, arg, value, options.verify_scale)) return 2;
     } else if (arg == "--ks-threshold") {
@@ -626,15 +650,15 @@ int cmd_calibrate(const std::vector<std::string>& args) {
   }
 
   if (out_path) {
-    if (!write_file("ipfs_sim calibrate", *out_path,
-                    result->scenario.to_json_string())) {
+    if (!write_file(kCommand, *out_path, result->scenario.to_json_string())) {
       return 1;
     }
   } else {
     std::cout << result->scenario.to_json_string();
+    if (!flush_stdout(kCommand)) return 1;
   }
   if (report_path &&
-      !write_file("ipfs_sim calibrate", *report_path, result->report_json())) {
+      !write_file(kCommand, *report_path, result->report_json())) {
     return 1;
   }
   if (result->loop.ran && !result->loop.pass) {
