@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/json.hpp"
+#include "common/json_schema.hpp"
 #include "measure/sink.hpp"
 #include "scenario/campaign.hpp"
 
@@ -76,138 +77,133 @@ FitResult finish_fit(SessionDistribution dist,
   return fit;
 }
 
-// ---- trace parsing helpers (strict, field-path errors) ---------------------
+// ---- trace records (the Dataset::export_json schema) -----------------------
 
-using ParseError = std::optional<std::string>;
+using namespace common::json_schema;
 
-std::string join(const std::string& path, std::string_view key) {
-  return path.empty() ? std::string(key) : path + "." + std::string(key);
-}
-
-std::string indexed(const std::string& path, std::string_view key,
-                    std::size_t index) {
-  return join(path, key) + "[" + std::to_string(index) + "]";
-}
-
-ParseError check_keys(const JsonValue& value, const std::string& path,
-                      std::initializer_list<std::string_view> allowed) {
-  for (const JsonValue::Member& member : value.as_object()) {
-    bool known = false;
-    for (const std::string_view key : allowed) {
-      if (member.first == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return path + ": unknown field '" + member.first + "'";
-  }
-  return std::nullopt;
-}
-
-ParseError require_object(const JsonValue& value, const std::string& path) {
-  if (value.is_object()) return std::nullopt;
-  return path + ": expected an object, got " + std::string(value.type_name());
-}
-
-ParseError require_string(const JsonValue& object, std::string_view key,
-                          const std::string& path, std::string& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path, key) + ": missing required field";
-  if (!value->is_string()) return join(path, key) + ": expected a string";
-  out = value->as_string();
-  return std::nullopt;
-}
-
-ParseError require_time(const JsonValue& object, std::string_view key,
-                        const std::string& path, SimTime& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path, key) + ": missing required field";
-  const auto integral = value->is_number() ? value->as_int64() : std::nullopt;
-  if (!integral) return join(path, key) + ": expected an integer";
-  out = *integral;
-  return std::nullopt;
-}
-
-ParseError optional_bool(const JsonValue& object, std::string_view key,
-                         const std::string& path, bool& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  if (!value->is_bool()) return join(path, key) + ": expected true or false";
-  out = value->as_bool();
-  return std::nullopt;
-}
-
-ParseError require_array(const JsonValue& object, std::string_view key,
-                         const std::string& path, const JsonValue*& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path, key) + ": missing required field";
-  if (!value->is_array()) return join(path, key) + ": expected an array";
-  out = value;
-  return std::nullopt;
-}
-
-/// One entry of a trace peer's "agents" list.
 struct TraceAgent {
   SimTime at = 0;
   std::string agent;
 };
 
-ParseError parse_peer(const JsonValue& value, const std::string& path,
-                      SimTime& first_seen, SimTime& last_seen,
-                      bool& ever_dht_server, std::vector<TraceAgent>& agents) {
-  if (auto error = require_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"pid", "first_seen_ms", "last_seen_ms",
-                               "ever_dht_server", "agents", "protocols_ever",
-                               "connected_ips"})) {
-    return error;
-  }
+struct TracePeer {
   std::string pid;
-  if (auto error = require_string(value, "pid", path, pid)) return error;
-  if (auto error = require_time(value, "first_seen_ms", path, first_seen)) {
-    return error;
+  SimTime first_seen = 0;
+  SimTime last_seen = 0;
+  bool ever_dht_server = false;
+  std::vector<TraceAgent> agents;
+  std::vector<std::string> protocols_ever;
+  std::vector<std::string> connected_ips;
+};
+
+struct TraceConnection {
+  std::uint64_t peer = 0;
+  SimTime opened = 0;
+  SimTime closed = 0;
+  std::string direction;
+  std::string reason;
+};
+
+struct Trace {
+  std::string vantage;
+  SimTime measurement_start = 0;
+  SimTime measurement_end = 0;
+  std::vector<TracePeer> peers;
+  /// Engaged by a "connections" array, even an empty one.
+  std::optional<std::vector<TraceConnection>> connections;
+};
+
+constexpr Field<TraceAgent> kAgentFields[] = {
+    {"at_ms", &TraceAgent::at, kRequired},
+    {"agent", &TraceAgent::agent, kRequired},
+};
+
+constexpr Field<TracePeer> kPeerFields[] = {
+    {"pid", &TracePeer::pid, kRequired},
+    {"first_seen_ms", &TracePeer::first_seen, kRequired},
+    {"last_seen_ms", &TracePeer::last_seen, kRequired},
+    {"ever_dht_server", &TracePeer::ever_dht_server},
+    {"agents", object_array<&TracePeer::agents, kAgentFields>()},
+    {"protocols_ever", scalar_array<&TracePeer::protocols_ever>()},
+    {"connected_ips", scalar_array<&TracePeer::connected_ips>()},
+};
+
+// Direction and close reason are checked as strings; calibration reads
+// neither.
+constexpr Field<TraceConnection> kConnectionFields[] = {
+    {"peer", &TraceConnection::peer, kRequired},
+    {"opened_ms", &TraceConnection::opened, kRequired},
+    {"closed_ms", &TraceConnection::closed, kRequired},
+    {"direction", &TraceConnection::direction},
+    {"reason", &TraceConnection::reason},
+};
+
+constexpr Codec<std::vector<TraceConnection>> kConnectionList{
+    read_array<kConnectionFields, TraceConnection>,
+    write_array<kConnectionFields, TraceConnection>};
+
+constexpr Field<Trace> kTraceFields[] = {
+    {"vantage", &Trace::vantage, kRequired},
+    {"measurement_start_ms", &Trace::measurement_start, kRequired},
+    {"measurement_end_ms", &Trace::measurement_end, kRequired},
+    {"peers", object_array<&Trace::peers, kPeerFields>(), kRequired},
+    {"connections", optional_sub_object<&Trace::connections, kConnectionList>()},
+};
+
+/// The rules across fields, then the dataset: one record per peer, and
+/// the trace's connections or, for peer-record-only traces (the
+/// JsonExportSink default), one per peer spanning first..last seen.
+std::expected<measure::Dataset, std::string> build_dataset(const Trace& trace) {
+  if (trace.measurement_end < trace.measurement_start) {
+    return std::unexpected("measurement_end_ms: must be >= measurement_start_ms");
   }
-  if (auto error = require_time(value, "last_seen_ms", path, last_seen)) {
-    return error;
+  if (trace.peers.empty()) {
+    return std::unexpected("peers: dataset is empty — nothing to calibrate");
   }
-  if (last_seen < first_seen) {
-    return join(path, "last_seen_ms") + ": must be >= first_seen_ms";
-  }
-  if (auto error = optional_bool(value, "ever_dht_server", path,
-                                 ever_dht_server)) {
-    return error;
-  }
-  if (const JsonValue* list = value.find("agents")) {
-    if (!list->is_array()) return join(path, "agents") + ": expected an array";
-    for (std::size_t i = 0; i < list->as_array().size(); ++i) {
-      const JsonValue& entry = list->as_array()[i];
-      const std::string entry_path = indexed(path, "agents", i);
-      if (auto error = require_object(entry, entry_path)) return error;
-      if (auto error = check_keys(entry, entry_path, {"at_ms", "agent"})) {
-        return error;
-      }
-      TraceAgent event;
-      if (auto error = require_time(entry, "at_ms", entry_path, event.at)) {
-        return error;
-      }
-      if (auto error = require_string(entry, "agent", entry_path, event.agent)) {
-        return error;
-      }
-      agents.push_back(std::move(event));
+  measure::Dataset dataset;
+  dataset.vantage = trace.vantage;
+  dataset.measurement_start = trace.measurement_start;
+  dataset.measurement_end = trace.measurement_end;
+  for (std::size_t i = 0; i < trace.peers.size(); ++i) {
+    const TracePeer& peer = trace.peers[i];
+    if (peer.last_seen < peer.first_seen) {
+      return std::unexpected("peers[" + std::to_string(i) +
+                             "].last_seen_ms: must be >= first_seen_ms");
+    }
+    // The PID string is identity only here; re-intern a synthetic PeerId
+    // per index (PeerIds are opaque hashes, not parseable strings).
+    const measure::PeerIndex index =
+        dataset.intern(p2p::PeerId::from_seed(i), peer.first_seen);
+    measure::PeerRecord& record = dataset.record(index);
+    record.first_seen = peer.first_seen;
+    record.last_seen = peer.last_seen;
+    record.ever_dht_server = peer.ever_dht_server;
+    for (const TraceAgent& event : peer.agents) {
+      dataset.add_agent(index, event.at, event.agent);
     }
   }
-  for (const std::string_view key : {"protocols_ever", "connected_ips"}) {
-    if (const JsonValue* list = value.find(key)) {
-      if (!list->is_array()) return join(path, key) + ": expected an array";
-      for (std::size_t i = 0; i < list->as_array().size(); ++i) {
-        if (!list->as_array()[i].is_string()) {
-          return join(path, key) + "[" + std::to_string(i) +
-                 "]: expected a string";
-        }
-      }
+  if (!trace.connections) {
+    for (measure::PeerIndex i = 0; i < trace.peers.size(); ++i) {
+      dataset.add_connection({.peer = i,
+                              .opened = trace.peers[i].first_seen,
+                              .closed = trace.peers[i].last_seen});
     }
+    return dataset;
   }
-  return std::nullopt;
+  for (std::size_t i = 0; i < trace.connections->size(); ++i) {
+    const TraceConnection& connection = (*trace.connections)[i];
+    const std::string path = "connections[" + std::to_string(i) + "]";
+    if (connection.peer >= dataset.peer_count()) {
+      return std::unexpected(path + ".peer: index out of range");
+    }
+    if (connection.closed < connection.opened) {
+      return std::unexpected(path + ".closed_ms: must be >= opened_ms");
+    }
+    dataset.add_connection({.peer = static_cast<measure::PeerIndex>(connection.peer),
+                            .opened = connection.opened,
+                            .closed = connection.closed});
+  }
+  return dataset;
 }
 
 // ---- observation extraction ------------------------------------------------
@@ -265,31 +261,12 @@ std::size_t censored_count(const std::vector<Observation>& sample) {
 
 // ---- report rendering ------------------------------------------------------
 
-void write_distribution(JsonWriter& json, const SessionDistribution& dist) {
-  json.begin_object();
-  json.field("kind", scenario::to_string(dist.kind));
-  switch (dist.kind) {
-    case SessionDistribution::Kind::kExponential:
-      json.field("mean_ms", dist.mean_ms);
-      break;
-    case SessionDistribution::Kind::kWeibull:
-      json.field("shape", dist.shape);
-      json.field("scale_ms", dist.scale_ms);
-      break;
-    case SessionDistribution::Kind::kLognormal:
-      json.field("median_ms", dist.median_ms);
-      json.field("sigma", dist.sigma);
-      break;
-  }
-  json.end_object();
-}
-
 void write_fit(JsonWriter& json, const FitResult& fit) {
   json.begin_object();
   json.field("ok", fit.ok);
   if (fit.ok) {
     json.key("params");
-    write_distribution(json, fit.dist);
+    scenario::write_distribution(json, fit.dist);
     json.field("ks", fit.ks);
     json.field("ad", fit.ad);
     json.field("analytic_mean_ms", fit.dist.analytic_mean());
@@ -562,152 +539,14 @@ FamilySelection select_family(const std::vector<Observation>& sample) {
 
 // ---- trace ingestion -------------------------------------------------------
 
-std::string_view first_document(std::string_view text) {
-  std::size_t start = 0;
-  while (start < text.size() &&
-         (text[start] == ' ' || text[start] == '\t' || text[start] == '\n' ||
-          text[start] == '\r')) {
-    ++start;
-  }
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = start; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 0) return text.substr(start, i - start + 1);
-    }
-  }
-  return text.substr(start);  // unbalanced — let the parser report it
-}
-
 std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) {
-  const auto parsed = JsonValue::parse(first_document(text));
+  const auto parsed = JsonValue::parse_first(text);
   if (!parsed) return std::unexpected("trace: " + parsed.error());
-  const JsonValue& root = *parsed;
-  if (auto error = require_object(root, "trace")) return std::unexpected(*error);
-  if (auto error = check_keys(root, "trace",
-                              {"vantage", "measurement_start_ms",
-                               "measurement_end_ms", "peers", "connections"})) {
-    return std::unexpected(*error);
+  Trace trace;
+  if (auto error = read_document<Trace>(*parsed, "trace", kTraceFields, trace)) {
+    return std::unexpected(std::move(*error));
   }
-  measure::Dataset dataset;
-  if (auto error = require_string(root, "vantage", "", dataset.vantage)) {
-    return std::unexpected(*error);
-  }
-  if (auto error = require_time(root, "measurement_start_ms", "",
-                                dataset.measurement_start)) {
-    return std::unexpected(*error);
-  }
-  if (auto error = require_time(root, "measurement_end_ms", "",
-                                dataset.measurement_end)) {
-    return std::unexpected(*error);
-  }
-  if (dataset.measurement_end < dataset.measurement_start) {
-    return std::unexpected(
-        "measurement_end_ms: must be >= measurement_start_ms");
-  }
-  const JsonValue* peers = nullptr;
-  if (auto error = require_array(root, "peers", "", peers)) {
-    return std::unexpected(*error);
-  }
-  if (peers->as_array().empty()) {
-    return std::unexpected("peers: dataset is empty — nothing to calibrate");
-  }
-  for (std::size_t i = 0; i < peers->as_array().size(); ++i) {
-    const std::string path = "peers[" + std::to_string(i) + "]";
-    SimTime first_seen = 0;
-    SimTime last_seen = 0;
-    bool ever_dht_server = false;
-    std::vector<TraceAgent> agents;
-    if (auto error = parse_peer(peers->as_array()[i], path, first_seen,
-                                last_seen, ever_dht_server, agents)) {
-      return std::unexpected(*error);
-    }
-    // The PID string is identity only here; re-intern a synthetic PeerId
-    // per index (PeerIds are opaque hashes, not parseable strings).
-    const measure::PeerIndex index =
-        dataset.intern(p2p::PeerId::from_seed(i), first_seen);
-    measure::PeerRecord& record = dataset.record(index);
-    record.first_seen = first_seen;
-    record.last_seen = last_seen;
-    record.ever_dht_server = ever_dht_server;
-    for (const TraceAgent& event : agents) {
-      dataset.add_agent(index, event.at, event.agent);
-    }
-  }
-  if (const JsonValue* connections = root.find("connections")) {
-    if (!connections->is_array()) {
-      return std::unexpected("connections: expected an array");
-    }
-    for (std::size_t i = 0; i < connections->as_array().size(); ++i) {
-      const JsonValue& entry = connections->as_array()[i];
-      const std::string path = "connections[" + std::to_string(i) + "]";
-      if (auto error = require_object(entry, path)) {
-        return std::unexpected(*error);
-      }
-      if (auto error = check_keys(
-              entry, path, {"peer", "opened_ms", "closed_ms", "direction",
-                            "reason"})) {
-        return std::unexpected(*error);
-      }
-      measure::ConnRecord record;
-      SimTime peer_index = 0;
-      if (auto error = require_time(entry, "peer", path, peer_index)) {
-        return std::unexpected(*error);
-      }
-      if (peer_index < 0 ||
-          static_cast<std::size_t>(peer_index) >= dataset.peer_count()) {
-        return std::unexpected(join(path, "peer") + ": index out of range");
-      }
-      record.peer = static_cast<measure::PeerIndex>(peer_index);
-      if (auto error = require_time(entry, "opened_ms", path, record.opened)) {
-        return std::unexpected(*error);
-      }
-      if (auto error = require_time(entry, "closed_ms", path, record.closed)) {
-        return std::unexpected(*error);
-      }
-      if (record.closed < record.opened) {
-        return std::unexpected(join(path, "closed_ms") +
-                               ": must be >= opened_ms");
-      }
-      for (const std::string_view key : {"direction", "reason"}) {
-        if (const JsonValue* field = entry.find(key)) {
-          if (!field->is_string()) {
-            return std::unexpected(join(path, key) + ": expected a string");
-          }
-        }
-      }
-      dataset.add_connection(record);
-    }
-  } else {
-    // Peer-record-only traces (the JsonExportSink default): approximate
-    // each peer's presence by one connection spanning first..last seen.
-    for (measure::PeerIndex i = 0; i < dataset.peer_count(); ++i) {
-      const measure::PeerRecord& record = dataset.record(i);
-      measure::ConnRecord conn;
-      conn.peer = i;
-      conn.opened = record.first_seen;
-      conn.closed = record.last_seen;
-      dataset.add_connection(conn);
-    }
-  }
-  return dataset;
+  return build_dataset(trace);
 }
 
 // ---- the pipeline ----------------------------------------------------------
@@ -880,9 +719,9 @@ std::string Result::report_json() const {
   json.field("name", scenario.name);
   if (scenario.churn) {
     json.key("session");
-    write_distribution(json, scenario.churn->session);
+    scenario::write_distribution(json, scenario.churn->session);
     json.key("gap");
-    write_distribution(json, scenario.churn->gap);
+    scenario::write_distribution(json, scenario.churn->gap);
     json.field("initial_online", scenario.churn->initial_online);
   }
   json.field("population_scale", scenario.population.scale);

@@ -105,13 +105,11 @@ inline constexpr double kKsTieTolerance = 0.01;
 
 // ---- trace ingestion -------------------------------------------------------
 
-/// The first standalone JSON document in `text` — a JsonExportSink file
-/// carries the dataset document first, then optional sample-stream
-/// documents (`population_samples`, …), which calibration ignores.
-[[nodiscard]] std::string_view first_document(std::string_view text);
-
 /// Parse a peer-record trace (the `Dataset::export_json` schema) back into
-/// a `measure::Dataset`.  Strict: unknown fields, wrong types, a
+/// a `measure::Dataset`.  Only the first JSON document of `text` is read:
+/// a JsonExportSink file carries the dataset document first, then optional
+/// sample-stream documents (`population_samples`, …), which calibration
+/// ignores.  Strict: unknown or repeated fields, wrong types, a
 /// non-monotone `first_seen_ms`/`last_seen_ms` pair, out-of-range
 /// connection peer indices and an empty `peers` array all fail with a
 /// field-path error ("peers[3].last_seen_ms: must be >= first_seen_ms").

@@ -173,10 +173,11 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  std::expected<JsonValue, std::string> run() {
+  /// The first value in the text; with `whole`, nothing may follow it.
+  std::expected<JsonValue, std::string> run(bool whole) {
     skip_whitespace();
     auto value = parse_value();
-    if (!value) return value;
+    if (!value || !whole) return value;
     skip_whitespace();
     if (pos_ != text_.size()) return fail("trailing content after document");
     return value;
@@ -574,7 +575,11 @@ JsonValue JsonValue::make_object(Object o) {
 }
 
 std::expected<JsonValue, std::string> JsonValue::parse(std::string_view text) {
-  return Parser(text).run();
+  return Parser(text).run(/*whole=*/true);
+}
+
+std::expected<JsonValue, std::string> JsonValue::parse_first(std::string_view text) {
+  return Parser(text).run(/*whole=*/false);
 }
 
 std::string JsonWriter::escape(std::string_view text) {

@@ -95,8 +95,9 @@ class JsonWriter {
   std::vector<Scope> scopes_;
 };
 
-/// A parsed JSON document (RFC 8259 subset: no duplicate-key policy beyond
-/// first-wins, no \uXXXX surrogate pairs outside the BMP).
+/// A parsed JSON document (RFC 8259 subset: no \uXXXX surrogate pairs
+/// outside the BMP).  Repeated keys are all kept, in order; the strict
+/// readers of common/json_schema.hpp reject them.
 ///
 /// Numbers remember whether their lexical form was integral so that 64-bit
 /// seeds survive a parse → write round trip without drifting through a
@@ -122,6 +123,10 @@ class JsonValue {
   /// Parse a complete document.  Errors carry a 1-based line:column prefix,
   /// e.g. "3:17: expected ':' after object key".
   [[nodiscard]] static std::expected<JsonValue, std::string> parse(
+      std::string_view text);
+  /// Parse the first document of `text` and ignore whatever follows it (a
+  /// stream of concatenated documents, such as a JsonExportSink file).
+  [[nodiscard]] static std::expected<JsonValue, std::string> parse_first(
       std::string_view text);
 
   [[nodiscard]] Type type() const noexcept;

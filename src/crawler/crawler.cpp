@@ -16,6 +16,8 @@ Crawler::Crawler(sim::Simulation& simulation, net::Network& network, p2p::PeerId
              p2p::Swarm::Config{p2p::ConnManagerConfig::with_watermarks(0, 0),
                                 /*trim_enabled=*/false}) {}
 
+Crawler::~Crawler() { stop(); }
+
 void Crawler::start() { network_.add_host(*this); }
 
 void Crawler::stop() {

@@ -50,9 +50,11 @@ class Crawler : public net::Host {
  public:
   Crawler(sim::Simulation& simulation, net::Network& network, p2p::PeerId id,
           p2p::Multiaddr address, CrawlerConfig config);
+  /// Deregisters (`stop`), so a crawler may die before its network.
+  ~Crawler() override;
 
   void start();  ///< register with the network
-  void stop();
+  void stop();   ///< cancel periodic crawls and deregister; idempotent
 
   /// Crawl once, starting from the bootstrap peers; `done` receives the
   /// snapshot when the frontier is exhausted.

@@ -218,8 +218,6 @@ class ReplaySink final : public MeasurementSink {
   /// are moved out; a ReplaySink replays once.
   void replay(MeasurementSink& sink);
 
-  [[nodiscard]] std::size_t event_count() const noexcept { return events_.size(); }
-
  private:
   struct BeginEvent {
     std::string description;

@@ -178,7 +178,6 @@ class ConditionModel {
   explicit ConditionModel(ConditionSpec spec = {}, std::uint64_t seed = 0);
 
   [[nodiscard]] const ConditionSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] bool has_zones() const noexcept { return !spec_.zones.empty(); }
 
   /// Zone index of `id` (stable weighted hash), kNoZone without zones.
   [[nodiscard]] std::size_t zone_of(const p2p::PeerId& id) const noexcept;

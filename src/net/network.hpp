@@ -75,7 +75,6 @@ class Network {
   [[nodiscard]] bool online(const p2p::PeerId& id) const {
     return hosts_.contains(id);
   }
-  [[nodiscard]] std::size_t host_count() const noexcept { return hosts_.size(); }
 
   /// Asynchronously dial `to` from `from`.  `on_done(success)` fires after
   /// one RTT.  Fails when either side is offline, the target refuses, the

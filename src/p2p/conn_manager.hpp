@@ -54,9 +54,6 @@ class ConnManager {
   /// Protected peers are never trimmed (bootstrap peers etc.).
   void protect(const PeerId& peer) { protected_.insert(peer); }
   void unprotect(const PeerId& peer) { protected_.erase(peer); }
-  [[nodiscard]] bool is_protected(const PeerId& peer) const {
-    return protected_.contains(peer);
-  }
 
   /// Given the currently open connections, return the ids to close so the
   /// table returns to LowWater.  Empty unless `open.size() > HighWater`.

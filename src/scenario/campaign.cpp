@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -1546,6 +1547,11 @@ std::optional<std::string> CampaignEngine::validate(const CampaignConfig& config
     return "hydra watermarks must satisfy 0 <= LowWater <= HighWater";
   }
   if (!(config.population.scale > 0.0)) return "population scale must be positive";
+  if (Population::planned_size(config.population, period.duration) >
+      std::numeric_limits<std::uint32_t>::max()) {
+    return "period.duration_ms, population.scale: the population would pass "
+           "2^32 - 1 peers, the width of a peer index";
+  }
   if (config.vantage_visibility <= 0.0 || config.vantage_visibility > 1.0) {
     return "vantage_visibility must be in (0, 1]";
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "p2p/protocols.hpp"
 
@@ -12,6 +14,60 @@ using common::kDay;
 using common::kHour;
 using common::kMinute;
 using common::kSecond;
+
+namespace {
+
+/// One past the largest 32-bit peer index.  Counts saturate here, so a
+/// planned size cannot overflow and any size this large is refused.
+constexpr std::uint64_t kCountCap = std::uint64_t{1} << 32;
+
+/// `std::llround(x)` of a count, saturating at kCountCap (NaN included).
+std::uint64_t round_count(double x) {
+  if (!(x < static_cast<double>(kCountCap))) return kCountCap;
+  return x > 0.0 ? static_cast<std::uint64_t>(std::llround(x)) : 0;
+}
+
+/// A standing category's count: `base` at `scale`, at least 1 when both
+/// are positive.
+std::uint64_t scaled_count(std::uint32_t base, double scale) {
+  const std::uint64_t value = round_count(static_cast<double>(base) * scale);
+  return base > 0 && scale > 0.0 ? std::max<std::uint64_t>(value, 1) : value;
+}
+
+/// An arrival-stream category's count over `days`.
+std::uint64_t per_day_count(std::uint32_t base_per_day, double scale, double days) {
+  return round_count(static_cast<double>(scaled_count(base_per_day, scale)) * days);
+}
+
+double days_of(common::SimDuration duration) {
+  return static_cast<double>(duration) / static_cast<double>(kDay);
+}
+
+/// Hydra heads sharing one IP with two go-ipfs nodes (§V-A), when the
+/// population is big enough to express the anomaly.
+std::uint32_t co_located_heads(std::uint64_t hydra_heads) {
+  return hydra_heads >= 30 ? 2 : 0;
+}
+
+}  // namespace
+
+std::uint64_t Population::planned_size(const PopulationSpec& spec,
+                                       common::SimDuration duration) {
+  const double days = days_of(duration);
+  const auto scaled = [&](std::uint32_t base) { return scaled_count(base, spec.scale); };
+  const auto per_day = [&](std::uint32_t base) {
+    return per_day_count(base, spec.scale, days);
+  };
+  const PopulationCounts& counts = spec.counts;
+  const std::uint64_t hydra_heads = scaled(counts.hydra_heads);
+  // Every category's count, and the two go-ipfs nodes on the heads' IP.
+  return hydra_heads + co_located_heads(hydra_heads) + scaled(counts.core_servers) +
+         scaled(counts.core_clients) + scaled(counts.normal_users) +
+         scaled(counts.light_servers) + scaled(counts.light_clients) +
+         scaled(counts.crawlers) + per_day(counts.one_time_per_day) +
+         per_day(counts.ephemeral_per_day) + per_day(counts.rotating_pids_per_day) +
+         counts.ethereum_nodes;
+}
 
 Population::Population(const PopulationSpec& spec, common::SimDuration duration,
                        common::Rng rng)
@@ -63,9 +119,7 @@ void Population::toggle_protocol(std::uint32_t index, std::string_view protocol)
 }
 
 std::uint32_t Population::scaled(std::uint32_t base) const {
-  const auto value = static_cast<std::uint32_t>(
-      std::llround(static_cast<double>(base) * spec_.scale));
-  return base > 0 && spec_.scale > 0.0 ? std::max<std::uint32_t>(value, 1) : value;
+  return static_cast<std::uint32_t>(scaled_count(base, spec_.scale));
 }
 
 std::size_t Population::count(Category category) const {
@@ -112,23 +166,18 @@ void Population::build(common::SimDuration duration, common::Rng root) {
   // set of used addresses) lives only as long as the build.
   net::IpAllocator ips(common::Rng(root).child(0x1b5));
   common::Rng rng = root.child(0xa11);
-  const double days = static_cast<double>(duration) / static_cast<double>(kDay);
+  // Every count below fits 32 bits once the planned size does.
+  const std::uint64_t planned = planned_size(spec_, duration);
+  if (planned > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("population of more than 2^32 - 1 peers");
+  }
+  peers_.reserve(planned);
+  const double days = days_of(duration);
   const auto per_day = [&](std::uint32_t base_per_day) {
-    return static_cast<std::uint32_t>(
-        std::llround(static_cast<double>(scaled(base_per_day)) * days));
+    return static_cast<std::uint32_t>(per_day_count(base_per_day, spec_.scale, days));
   };
-  const PopulationCounts& counts = spec_.counts;
-  const std::uint32_t hydra_heads = scaled(counts.hydra_heads);
-  // Reserve 2 heads for the shared go-ipfs IP when the population is big
-  // enough to express the anomaly.
-  const std::uint32_t co_located = hydra_heads >= 30 ? 2 : 0;
-  // Every category's count; the hydra loop below may place fewer heads.
-  peers_.reserve(std::size_t{hydra_heads} + co_located + scaled(counts.core_servers) +
-                 scaled(counts.core_clients) + scaled(counts.normal_users) +
-                 scaled(counts.light_servers) + scaled(counts.light_clients) +
-                 scaled(counts.crawlers) + per_day(counts.one_time_per_day) +
-                 per_day(counts.ephemeral_per_day) +
-                 per_day(counts.rotating_pids_per_day) + counts.ethereum_nodes);
+  const std::uint32_t hydra_heads = scaled(spec_.counts.hydra_heads);
+  const std::uint32_t co_located = co_located_heads(hydra_heads);
 
   // --- Hydra heads: 11 IP clusters (9x100, 98, 28) + 2 heads co-located
   // with two go-ipfs nodes on a shared IP (§V-A).

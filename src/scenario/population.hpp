@@ -34,6 +34,14 @@ class Population {
   Population(const PopulationSpec& spec, common::SimDuration duration,
              common::Rng rng);
 
+  /// The number of peers a build of `spec` over `duration` reserves (the
+  /// hydra loop may place fewer).  Counted in 64 bits with each category
+  /// saturating at 2^32, so a size past the 32-bit peer index shows as
+  /// > UINT32_MAX instead of wrapping; building one throws
+  /// std::length_error.
+  [[nodiscard]] static std::uint64_t planned_size(const PopulationSpec& spec,
+                                                  common::SimDuration duration);
+
   [[nodiscard]] const std::vector<RemotePeer>& peers() const noexcept {
     return peers_;
   }

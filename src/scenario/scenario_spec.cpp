@@ -1,16 +1,14 @@
 #include "scenario/scenario_spec.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <span>
 #include <sstream>
 #include <type_traits>
 #include <utility>
-#include <variant>
+
+#include "common/json_schema.hpp"
 
 namespace ipfs::scenario {
 
@@ -26,300 +24,7 @@ using common::SimDuration;
 
 namespace {
 
-/// Parse-stage error: nullopt means the extraction succeeded.
-using ParseError = std::optional<std::string>;
-
-std::string join(const std::string& path, std::string_view key) {
-  return path.empty() ? std::string(key) : path + "." + std::string(key);
-}
-
-ParseError expect_object(const JsonValue& value, const std::string& path) {
-  if (value.is_object()) return std::nullopt;
-  return path + ": expected an object, got " + std::string(value.type_name());
-}
-
-// ---- scalar fields ----------------------------------------------------------
-// One reader per member type, so a field list dispatches on the type of the
-// member it names.  `SimDuration` members are integer milliseconds (the
-// library's SimTime unit), so specs round-trip without floating-point drift.
-
-ParseError read(const JsonValue& value, const std::string& path, bool& out) {
-  if (!value.is_bool()) return path + ": expected true or false";
-  out = value.as_bool();
-  return std::nullopt;
-}
-
-ParseError read(const JsonValue& value, const std::string& path, double& out) {
-  if (!value.is_number()) return path + ": expected a number";
-  out = value.as_double();
-  return std::nullopt;
-}
-
-ParseError read(const JsonValue& value, const std::string& path, std::string& out) {
-  if (!value.is_string()) return path + ": expected a string";
-  out = value.as_string();
-  return std::nullopt;
-}
-
-ParseError read(const JsonValue& value, const std::string& path,
-                std::uint64_t& out) {
-  const auto parsed = value.as_uint64();
-  if (!parsed) return path + ": expected a non-negative integer";
-  out = *parsed;
-  return std::nullopt;
-}
-
-ParseError read(const JsonValue& value, const std::string& path,
-                std::uint32_t& out) {
-  const auto parsed = value.as_uint64();
-  if (!parsed || *parsed > 0xffffffffULL) {
-    return path + ": expected an integer in [0, 2^32)";
-  }
-  out = static_cast<std::uint32_t>(*parsed);
-  return std::nullopt;
-}
-
-ParseError read(const JsonValue& value, const std::string& path, int& out) {
-  const auto parsed = value.as_int64();
-  if (!parsed || *parsed < std::numeric_limits<int>::min() ||
-      *parsed > std::numeric_limits<int>::max()) {
-    return path + ": expected an integer";
-  }
-  out = static_cast<int>(*parsed);
-  return std::nullopt;
-}
-
-ParseError read(const JsonValue& value, const std::string& path,
-                SimDuration& out) {
-  const auto parsed = value.as_int64();
-  if (!parsed) return path + ": expected an integer number of milliseconds";
-  out = *parsed;
-  return std::nullopt;
-}
-
-template <class V>
-void write(JsonWriter& writer, const V& value) {
-  if constexpr (std::is_same_v<V, std::uint32_t>) {
-    writer.value(static_cast<std::uint64_t>(value));
-  } else {
-    writer.value(value);
-  }
-}
-
-// ---- field lists ------------------------------------------------------------
-// Each record's schema is written once, as a list of (key, member) pairs in
-// schema order.  That one list drives the strict key check, parsing and
-// `to_json`, so the three cannot drift apart.
-
-/// A field with its own reader and writer: enums with bespoke messages,
-/// sub-objects, arrays and per-category maps.
-template <class T>
-struct Custom {
-  ParseError (*read)(const JsonValue& value, const std::string& path, T& out);
-  /// Writes the key and value, or nothing for a field left unset.
-  void (*write)(JsonWriter& writer, std::string_view key, const T& in);
-};
-
-template <class T>
-struct Field {
-  using Owner = T;
-  std::string_view key;
-  std::variant<bool T::*, int T::*, std::uint32_t T::*, std::uint64_t T::*,
-               double T::*, std::string T::*, SimDuration T::*, Custom<T>>
-      member;
-};
-
-template <class T>
-using Fields = std::span<const Field<T>>;
-
-/// A record read and written by hand: one whose field list depends on a
-/// discriminator ("kind", "mode"), or that checks rules across fields.
-template <class T>
-struct Codec {
-  ParseError (*read)(const JsonValue& value, const std::string& path, T& out);
-  void (*write)(JsonWriter& writer, const T& in);
-};
-
-/// Strict schemas: a member not in `fields`, or one given twice, is an
-/// error — typos fail `ipfs_sim validate` instead of being ignored, and a
-/// repeated key cannot silently shadow the other.
-template <class T>
-ParseError check_fields(const JsonValue& value, const std::string& path,
-                        std::type_identity_t<Fields<T>> fields) {
-  const JsonValue::Object& members = value.as_object();
-  for (auto member = members.begin(); member != members.end(); ++member) {
-    const std::string& name = member->first;
-    if (std::ranges::none_of(
-            fields, [&](const Field<T>& field) { return field.key == name; })) {
-      return path + ": unknown field '" + name + "'";
-    }
-    if (std::any_of(members.begin(), member, [&](const JsonValue::Member& earlier) {
-          return earlier.first == name;
-        })) {
-      return path + ": duplicate field '" + name + "'";
-    }
-  }
-  return std::nullopt;
-}
-
-/// Reads the present `fields` of an already-checked object, in list order.
-template <class T>
-ParseError read_fields(const JsonValue& value, const std::string& path,
-                       std::type_identity_t<Fields<T>> fields, T& out) {
-  for (const Field<T>& field : fields) {
-    const JsonValue* member = value.find(field.key);
-    if (member == nullptr) continue;
-    const std::string field_path = join(path, field.key);
-    ParseError error = std::visit(
-        [&]<class M>(const M& m) -> ParseError {
-          if constexpr (std::is_same_v<M, Custom<T>>) {
-            return m.read(*member, field_path, out);
-          } else {
-            return read(*member, field_path, out.*m);
-          }
-        },
-        field.member);
-    if (error) return error;
-  }
-  return std::nullopt;
-}
-
-template <class T>
-ParseError read_record(const JsonValue& value, const std::string& path,
-                       std::type_identity_t<Fields<T>> fields, T& out) {
-  if (auto error = expect_object(value, path)) return error;
-  if (auto error = check_fields<T>(value, path, fields)) return error;
-  return read_fields<T>(value, path, fields, out);
-}
-
-template <class T>
-void write_record(JsonWriter& writer, std::type_identity_t<Fields<T>> fields,
-                  const T& in) {
-  writer.begin_object();
-  for (const Field<T>& field : fields) {
-    std::visit(
-        [&]<class M>(const M& m) {
-          if constexpr (std::is_same_v<M, Custom<T>>) {
-            m.write(writer, field.key, in);
-          } else {
-            writer.key(field.key);
-            write(writer, in.*m);
-          }
-        },
-        field.member);
-  }
-  writer.end_object();
-}
-
-/// Concatenates field lists, for variant records whose kinds share fields.
-template <class T, std::size_t... N>
-constexpr std::array<Field<T>, (N + ...)> concat(const Field<T> (&... lists)[N]) {
-  std::array<Field<T>, (N + ...)> all{};
-  auto next = all.begin();
-  ((next = std::ranges::copy(lists, next).out), ...);
-  return all;
-}
-
-// A schema is a field list or a Codec.
-template <const auto& kSchema, class T>
-ParseError read_schema(const JsonValue& value, const std::string& path, T& out) {
-  if constexpr (requires { kSchema.read; }) {
-    return kSchema.read(value, path, out);
-  } else {
-    return read_record<T>(value, path, kSchema, out);
-  }
-}
-
-template <const auto& kSchema, class T>
-void write_schema(JsonWriter& writer, const T& in) {
-  if constexpr (requires { kSchema.write; }) {
-    kSchema.write(writer, in);
-  } else {
-    write_record<T>(writer, kSchema, in);
-  }
-}
-
-template <class M>
-struct MemberOf;
-template <class C, class V>
-struct MemberOf<V C::*> {
-  using Owner = C;
-  using Value = V;
-};
-
-/// `"key": {...}` stored in the member `kMember`.
-template <auto kMember, const auto& kSchema>
-constexpr auto sub_object() {
-  using Owner = typename MemberOf<decltype(kMember)>::Owner;
-  return Custom<Owner>{
-      [](const JsonValue& value, const std::string& path, Owner& out) {
-        return read_schema<kSchema>(value, path, out.*kMember);
-      },
-      [](JsonWriter& writer, std::string_view key, const Owner& in) {
-        writer.key(key);
-        write_schema<kSchema>(writer, in.*kMember);
-      }};
-}
-
-/// An optional section: present engages it, and an unengaged one is not
-/// written, so files without it round-trip byte-identically.
-template <auto kMember, const auto& kSchema>
-constexpr auto optional_sub_object() {
-  using Owner = typename MemberOf<decltype(kMember)>::Owner;
-  return Custom<Owner>{
-      [](const JsonValue& value, const std::string& path, Owner& out) {
-        return read_schema<kSchema>(value, path, (out.*kMember).emplace());
-      },
-      [](JsonWriter& writer, std::string_view key, const Owner& in) {
-        if (!(in.*kMember)) return;
-        writer.key(key);
-        write_schema<kSchema>(writer, *(in.*kMember));
-      }};
-}
-
-/// `"key": [{...}, ...]` stored in the vector member `kMember`.
-template <auto kMember, const auto& kSchema>
-constexpr auto object_array() {
-  using Owner = typename MemberOf<decltype(kMember)>::Owner;
-  using Element = typename MemberOf<decltype(kMember)>::Value::value_type;
-  return Custom<Owner>{
-      [](const JsonValue& value, const std::string& path, Owner& out) -> ParseError {
-        if (!value.is_array()) return path + ": expected an array";
-        for (std::size_t i = 0; i < value.as_array().size(); ++i) {
-          Element element;
-          if (auto error = read_schema<kSchema>(
-                  value.as_array()[i], path + "[" + std::to_string(i) + "]",
-                  element)) {
-            return error;
-          }
-          (out.*kMember).push_back(std::move(element));
-        }
-        return std::nullopt;
-      },
-      [](JsonWriter& writer, std::string_view key, const Owner& in) {
-        writer.key(key);
-        writer.begin_array();
-        for (const Element& element : in.*kMember) {
-          write_schema<kSchema>(writer, element);
-        }
-        writer.end_array();
-      }};
-}
-
-/// A sub-object whose fields are members of the enclosing record itself
-/// (period.go_ipfs, campaign.crawler).
-template <const auto& kFields>
-constexpr auto nested() {
-  using Owner = typename std::remove_cvref_t<decltype(kFields[0])>::Owner;
-  return Custom<Owner>{
-      [](const JsonValue& value, const std::string& path, Owner& out) {
-        return read_record<Owner>(value, path, kFields, out);
-      },
-      [](JsonWriter& writer, std::string_view key, const Owner& in) {
-        writer.key(key);
-        write_record<Owner>(writer, kFields, in);
-      }};
-}
+using namespace common::json_schema;
 
 /// Reads a `{"<category name>": entry, ...}` map, handing each entry to
 /// `read_entry(entry, entry_path, category)`.
@@ -351,41 +56,6 @@ void write_categories(JsonWriter& writer, std::string_view key,
     write_record<Entry>(writer, fields, entry);
   }
   writer.end_object();
-}
-
-/// A string that may be left empty, and then is not written.
-template <auto kMember>
-constexpr auto optional_string() {
-  using Owner = typename MemberOf<decltype(kMember)>::Owner;
-  return Custom<Owner>{
-      [](const JsonValue& value, const std::string& path, Owner& out) {
-        return read(value, path, out.*kMember);
-      },
-      [](JsonWriter& writer, std::string_view key, const Owner& in) {
-        if (!(in.*kMember).empty()) writer.field(key, in.*kMember);
-      }};
-}
-
-/// The discriminator entry of a variant record: its reader picked the
-/// field list, so only the writer has work left.
-template <auto kMember>
-constexpr auto discriminator() {
-  using Owner = typename MemberOf<decltype(kMember)>::Owner;
-  return Custom<Owner>{
-      [](const JsonValue&, const std::string&, Owner&) -> ParseError {
-        return std::nullopt;
-      },
-      [](JsonWriter& writer, std::string_view key, const Owner& in) {
-        writer.field(key, to_string(in.*kMember));
-      }};
-}
-
-/// The discriminator's name: "" when absent, so the unknown-name message
-/// covers it too.
-ParseError read_discriminator(const JsonValue& value, std::string_view key,
-                              const std::string& path, std::string& out) {
-  const JsonValue* member = value.find(key);
-  return member == nullptr ? std::nullopt : read(*member, join(path, key), out);
 }
 
 // ---- "period" (PeriodSpec) --------------------------------------------------
@@ -583,27 +253,11 @@ constexpr Field<net::NatSpec> kNatFields[] = {
     {"categories", kNatCategories},
 };
 
-constexpr Custom<DisturbanceSpec> kPartitionZones{
-    [](const JsonValue& value, const std::string& path,
-       DisturbanceSpec& out) -> ParseError {
-      if (!value.is_array()) return path + ": expected an array of zone names";
-      for (const JsonValue& zone : value.as_array()) {
-        if (!zone.is_string()) return path + ": expected an array of zone names";
-        out.zones.push_back(zone.as_string());
-      }
-      return std::nullopt;
-    },
-    [](JsonWriter& writer, std::string_view key, const DisturbanceSpec& in) {
-      writer.key(key);
-      writer.begin_array();
-      for (const std::string& zone : in.zones) writer.value(zone);
-      writer.end_array();
-    }};
-
 constexpr Field<DisturbanceSpec> kDisturbanceKind[] = {
     {"kind", discriminator<&DisturbanceSpec::kind>()}};
 constexpr Field<DisturbanceSpec> kOutageTarget[] = {{"zone", &DisturbanceSpec::zone}};
-constexpr Field<DisturbanceSpec> kPartitionTarget[] = {{"zones", kPartitionZones}};
+constexpr Field<DisturbanceSpec> kPartitionTarget[] = {
+    {"zones", scalar_array<&DisturbanceSpec::zones>()}};
 // A degrade's zone is optional ("" = global).
 constexpr Field<DisturbanceSpec> kDegradeTarget[] = {
     {"zone", optional_string<&DisturbanceSpec::zone>()}};
@@ -723,10 +377,6 @@ ParseError read_distribution(const JsonValue& value, const std::string& path,
   }
   out = parsed;
   return std::nullopt;
-}
-
-void write_distribution(JsonWriter& writer, const SessionDistribution& in) {
-  write_record<SessionDistribution>(writer, distribution_fields(in.kind), in);
 }
 
 constexpr Codec<SessionDistribution> kDistribution{read_distribution,
@@ -899,7 +549,7 @@ constexpr Custom<PhaseProgramSpec> kDiurnalClock{
 
 constexpr Field<PhaseProgramSpec> kPhasesFields[] = {
     {"diurnal_clock", kDiurnalClock},
-    {"program", object_array<&PhaseProgramSpec::program, kPhase>()},
+    {"program", object_array<&PhaseProgramSpec::program, kPhase>(), kRequired},
 };
 
 ParseError read_phases(const JsonValue& value, const std::string& path,
@@ -907,7 +557,6 @@ ParseError read_phases(const JsonValue& value, const std::string& path,
   if (auto error = read_record<PhaseProgramSpec>(value, path, kPhasesFields, out)) {
     return error;
   }
-  if (value.find("program") == nullptr) return join(path, "program") + ": required";
   // Value-range rules (positivity, population in (0, 1], flash bounds):
   // one source of truth for files and programmatic specs alike.
   return PhaseProgramSpec::validate(out);
@@ -985,14 +634,11 @@ constexpr Field<ScenarioSpec> kDocumentFields[] = {
 std::expected<ScenarioSpec, std::string> parse_document(std::string_view text) {
   auto document = JsonValue::parse(text);
   if (!document) return std::unexpected(std::move(document).error());
-  // The root's own errors say "document"; its fields are top-level paths.
   ScenarioSpec spec;
-  ParseError error = expect_object(*document, "document");
-  if (!error) {
-    error = check_fields<ScenarioSpec>(*document, "document", kDocumentFields);
+  if (auto error = read_document<ScenarioSpec>(*document, "document",
+                                               kDocumentFields, spec)) {
+    return std::unexpected(std::move(*error));
   }
-  if (!error) error = read_fields<ScenarioSpec>(*document, "", kDocumentFields, spec);
-  if (error) return std::unexpected(std::move(*error));
   return spec;
 }
 
@@ -1028,6 +674,10 @@ std::optional<std::string> validate_category(const CategoryParams& params,
 }  // namespace
 
 // ---- (de)serialisation ------------------------------------------------------
+
+void write_distribution(JsonWriter& writer, const SessionDistribution& dist) {
+  write_record<SessionDistribution>(writer, distribution_fields(dist.kind), dist);
+}
 
 std::expected<ScenarioSpec, std::string> ScenarioSpec::from_json(
     std::string_view text) {

@@ -160,4 +160,8 @@ struct ScenarioSpec {
   [[nodiscard]] static std::optional<ScenarioSpec> builtin(std::string_view name);
 };
 
+/// Writes `dist` as a scenario file's distribution object: `"kind"`, then
+/// that kind's parameters (the calibration report uses the same form).
+void write_distribution(common::JsonWriter& writer, const SessionDistribution& dist);
+
 }  // namespace ipfs::scenario

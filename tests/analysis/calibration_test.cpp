@@ -1,8 +1,8 @@
 // Unit tests for the churn-calibration module (analysis/calibration.hpp):
 // censored-MLE fitter recovery on synthetic draws from each distribution
 // family, KS-based family selection with the parsimony tie-break, the
-// goodness-of-fit statistics against analytic oracles, the multi-document
-// splitter, and the strict malformed-trace corpus.
+// goodness-of-fit statistics against analytic oracles, and the strict
+// malformed-trace corpus.
 #include "analysis/calibration.hpp"
 
 #include <gtest/gtest.h>
@@ -187,20 +187,6 @@ TEST(CalibrationStats, TwoSampleKsBounds) {
   EXPECT_NEAR(two_sample_ks({1, 2, 3, 4}, {3, 4, 5, 6}), 0.5, 1e-12);
 }
 
-// ---- the document splitter -------------------------------------------------
-
-TEST(CalibrationTrace, FirstDocumentStopsAtTheFirstBalancedClose) {
-  const std::string text =
-      "{\n  \"a\": \"}{ not a brace\",\n  \"b\": [1, 2]\n}\n{\n  \"second\": 1\n}\n";
-  EXPECT_EQ(first_document(text),
-            "{\n  \"a\": \"}{ not a brace\",\n  \"b\": [1, 2]\n}");
-}
-
-TEST(CalibrationTrace, FirstDocumentHandlesEscapedQuotes) {
-  const std::string text = "{\"a\": \"\\\"}\"}{\"b\": 2}";
-  EXPECT_EQ(first_document(text), "{\"a\": \"\\\"}\"}");
-}
-
 // ---- the malformed-trace corpus --------------------------------------------
 
 /// A minimal two-peer trace; tests mutate pieces of it.
@@ -284,6 +270,19 @@ TEST(CalibrationTrace, RejectsUnknownFields) {
   const auto nested = parse_trace(valid_trace(peer_json(", \"typo\": true")));
   ASSERT_FALSE(nested.has_value());
   EXPECT_EQ(nested.error(), "peers[0]: unknown field 'typo'");
+}
+
+TEST(CalibrationTrace, RejectsDuplicateFields) {
+  // A repeated key must not shadow the other, at the root or in a record.
+  const auto top = parse_trace(valid_trace(
+      peer_json(), ", \"peers\": [" + peer_json() + ", " + peer_json() + "]"));
+  ASSERT_FALSE(top.has_value());
+  EXPECT_EQ(top.error(), "trace: duplicate field 'peers'");
+
+  const auto nested =
+      parse_trace(valid_trace(peer_json(", \"last_seen_ms\": 500")));
+  ASSERT_FALSE(nested.has_value());
+  EXPECT_EQ(nested.error(), "peers[0]: duplicate field 'last_seen_ms'");
 }
 
 TEST(CalibrationTrace, RejectsBadConnections) {

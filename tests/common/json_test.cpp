@@ -361,6 +361,29 @@ TEST(JsonValue, RejectsMalformedDocuments) {
   }
 }
 
+TEST(JsonValue, ParseFirstStopsAtTheFirstDocument) {
+  // A JsonExportSink file: the dataset document, then sample documents.
+  const std::string text =
+      "{\n  \"a\": \"}{ not a brace\",\n  \"b\": [1, 2]\n}\n{\n  \"second\": 1\n}\n";
+  EXPECT_FALSE(JsonValue::parse(text).has_value());
+  const auto first = JsonValue::parse_first(text);
+  ASSERT_TRUE(first.has_value()) << first.error();
+  ASSERT_EQ(first->as_object().size(), 2u);
+  EXPECT_EQ(first->find("a")->as_string(), "}{ not a brace");
+  EXPECT_EQ(first->find("b")->as_array().size(), 2u);
+  EXPECT_EQ(first->find("second"), nullptr);
+  // Whatever follows is never read, but the first document must be whole.
+  EXPECT_TRUE(JsonValue::parse_first("[1] trailing").has_value());
+  EXPECT_FALSE(JsonValue::parse_first("{\"a\": [1, 2}").has_value());
+}
+
+TEST(JsonValue, ParseFirstHandlesEscapedQuotes) {
+  const auto first = JsonValue::parse_first("{\"a\": \"\\\"}\"}{\"b\": 2}");
+  ASSERT_TRUE(first.has_value()) << first.error();
+  ASSERT_EQ(first->as_object().size(), 1u);
+  EXPECT_EQ(first->find("a")->as_string(), "\"}");
+}
+
 TEST(JsonValue, WriterOutputParsesBack) {
   std::ostringstream out;
   JsonWriter json(out, /*pretty=*/true);

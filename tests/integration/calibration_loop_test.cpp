@@ -2,7 +2,8 @@
 // (scenarios/traces/passive_measurement_small.json): the full pipeline
 // must fit every peer group, emit a scenario that validates and
 // round-trips byte-exactly, pass the closed-loop KS check against a
-// re-simulation, and produce identical bytes on every run.
+// re-simulation, and produce identical bytes on every run.  A campaign's
+// own multi-document export must read back as the dataset it exported.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,6 +12,8 @@
 
 #include "analysis/calibration.hpp"
 #include "common/sim_time.hpp"
+#include "measure/sink.hpp"
+#include "scenario/campaign.hpp"
 #include "scenario/scenario_spec.hpp"
 
 namespace ipfs::analysis::calibrate {
@@ -97,6 +100,57 @@ TEST(CalibrationLoop, GapOptionChangesTheCensoringHorizon) {
   ASSERT_TRUE(merged.has_value()) << merged.error();
   // A wider gap threshold merges sessions: strictly fewer of them.
   EXPECT_LT(merged->measured.session_count, narrow->measured.session_count);
+}
+
+TEST(CalibrationLoop, CampaignExportReadsBackAsItsDataset) {
+  // A churned run exported with connections: the vantage dataset document,
+  // then a population_samples document the reader must skip.
+  scenario::ScenarioSpec spec = *scenario::ScenarioSpec::builtin("churn-baseline");
+  spec.population.scale = 0.002;
+  measure::CollectingSink collected;
+  std::ostringstream out;
+  {
+    measure::JsonExportSink exported(
+        out, {.include_connections = true,
+              .role_filter = measure::DatasetRole::kVantage});
+    measure::FanOutSink both{&collected, &exported};
+    auto engine = scenario::CampaignEngine::create(spec.to_campaign_config());
+    ASSERT_TRUE(engine.has_value()) << engine.error();
+    engine->run(both);
+  }
+  const std::string text = out.str();
+  ASSERT_NE(text.find("\"population_samples\""), std::string::npos);
+  const measure::Dataset* expected = collected.find(measure::DatasetRole::kVantage);
+  ASSERT_NE(expected, nullptr);
+  ASSERT_GT(expected->connection_count(), 0u);
+
+  const auto parsed = parse_trace(text);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error();
+  EXPECT_EQ(parsed->vantage, expected->vantage);
+  EXPECT_EQ(parsed->measurement_start, expected->measurement_start);
+  EXPECT_EQ(parsed->measurement_end, expected->measurement_end);
+  ASSERT_EQ(parsed->peer_count(), expected->peer_count());
+  for (measure::PeerIndex i = 0; i < expected->peer_count(); ++i) {
+    const measure::PeerRecord& want = expected->record(i);
+    const measure::PeerRecord& got = parsed->record(i);
+    EXPECT_EQ(got.first_seen, want.first_seen) << "peer " << i;
+    EXPECT_EQ(got.last_seen, want.last_seen) << "peer " << i;
+    EXPECT_EQ(got.ever_dht_server, want.ever_dht_server) << "peer " << i;
+    ASSERT_EQ(got.agent_history.size(), want.agent_history.size()) << "peer " << i;
+    for (std::size_t e = 0; e < want.agent_history.size(); ++e) {
+      EXPECT_EQ(got.agent_history[e].at, want.agent_history[e].at);
+      EXPECT_EQ(parsed->agent_name(got.agent_history[e].agent),
+                expected->agent_name(want.agent_history[e].agent));
+    }
+  }
+  ASSERT_EQ(parsed->connection_count(), expected->connection_count());
+  for (std::size_t c = 0; c < expected->connection_count(); ++c) {
+    const measure::ConnRecord& want = expected->connections()[c];
+    const measure::ConnRecord& got = parsed->connections()[c];
+    EXPECT_EQ(got.peer, want.peer) << "connection " << c;
+    EXPECT_EQ(got.opened, want.opened) << "connection " << c;
+    EXPECT_EQ(got.closed, want.closed) << "connection " << c;
+  }
 }
 
 }  // namespace

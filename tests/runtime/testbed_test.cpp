@@ -125,6 +125,21 @@ TEST(Testbed, HydraAndCrawlerHandles) {
   hydra.stop();
 }
 
+TEST(Testbed, UnstoppedCrawlerDestructsCleanly) {
+  // A crawler left registered deregisters itself when the testbed tears
+  // it down, before the nodes whose teardown closes its connections.
+  {
+    auto testbed = TestbedBuilder().seed(8).build();
+    auto bootstrap_node = testbed.add_server();
+    testbed.add_servers(4).bootstrap_all_via(bootstrap_node);
+    crawler::Crawler& crawler = testbed.add_crawler();
+    crawler.crawl({bootstrap_node.id()}, [](crawler::CrawlResult) {});
+    testbed.run_for(10 * kMinute);
+    EXPECT_TRUE(testbed.network().online(crawler.swarm().local_id()));
+  }
+  SUCCEED();
+}
+
 TEST(Testbed, ExportMatchesPinnedDigest) {
   // FNV-1a (common::hash64) of the vantage's JSON export for a fixed mix
   // of servers, clients, a hydra and a crawler.  Every node identity,

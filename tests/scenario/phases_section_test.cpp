@@ -39,7 +39,7 @@ TEST(PhasesSection, MalformedCorpusRejectedWithFieldPaths) {
       {"not an object", R"("surge")", "phases: expected an object, got string"},
       {"unknown field", R"({"programme":[]})",
        "phases: unknown field 'programme'"},
-      {"program missing", R"({})", "phases.program: required"},
+      {"program missing", R"({})", "phases.program: missing required field"},
       {"program not an array", R"({"program":{}})",
        "phases.program: expected an array"},
       {"empty program", R"({"program":[]})",

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -53,6 +55,24 @@ TEST_F(PopulationTest, ArrivalCategoriesScaleWithDuration) {
   // Standing categories do not scale with duration.
   EXPECT_EQ(long_run.count(Category::kCoreClient),
             short_run.count(Category::kCoreClient));
+}
+
+TEST_F(PopulationTest, PlannedSizeCountsTheBuildWithoutWrapping) {
+  const PopulationSpec spec = PopulationSpec::test_scale(0.05);
+  EXPECT_EQ(Population::planned_size(spec, 3 * kDay),
+            build(0.05, 3 * kDay).peers().size());
+  // ~1e11 days of arrivals: far past the 32-bit peer index, and counted as
+  // such instead of wrapping to a small or random size.
+  constexpr common::SimDuration kHuge = 9'200'000'000'000'000'000;
+  EXPECT_GT(Population::planned_size(spec, kHuge),
+            std::uint64_t{std::numeric_limits<std::uint32_t>::max()});
+  EXPECT_THROW(Population(spec, kHuge, common::Rng(1)), std::length_error);
+  CampaignConfig config;
+  config.population = spec;
+  config.period.duration = kHuge;
+  const auto error = CampaignEngine::validate(config);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_TRUE(error->starts_with("period.duration_ms, population.scale: ")) << *error;
 }
 
 TEST_F(PopulationTest, PidsAreUnique) {

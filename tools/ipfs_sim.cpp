@@ -48,6 +48,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -726,12 +727,7 @@ int cmd_selftest() {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) return usage(std::cerr, 2);
-  const std::string command = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
+int dispatch(const std::string& command, const std::vector<std::string>& args) {
   if (command == "help" || command == "--help" || command == "-h") {
     return usage(std::cout, 0);
   }
@@ -744,4 +740,21 @@ int main(int argc, char** argv) {
   if (command == "selftest") return cmd_selftest();
   std::cerr << "ipfs_sim: unknown command '" << command << "'\n";
   return usage(std::cerr, 2);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) return usage(std::cerr, 2);
+  const std::string command = argv[1];
+  const std::vector<std::string> args(argv + 2, argv + argc);
+  // A run too large for this host's memory (validation bounds only what a
+  // run can index) fails like any other run error; a pending --out file
+  // is left untouched.
+  try {
+    return dispatch(command, args);
+  } catch (const std::bad_alloc&) {
+    std::cerr << "ipfs_sim " << command << ": out of memory\n";
+    return 1;
+  }
 }
