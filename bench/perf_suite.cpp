@@ -43,9 +43,10 @@
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
 //   --out             output path, default ./BENCH_core.json
-//   --check-baseline  compare event_queue.ns_per_event against a committed
-//                     BENCH_core.json; exit 1 on a >25% regression (the
-//                     scheduler guardrail — see DESIGN.md §12), when this
+//   --check-baseline  compare event_queue.speedup_vs_heap, measured at the
+//                     committed event count, against a committed
+//                     BENCH_core.json; exit 1 when it falls more than 25%
+//                     (the scheduler guardrail — see DESIGN.md §12), when this
 //                     run's conn_trim idle tick costs more than 1% of its
 //                     trimming tick (the table snapshot came back — see
 //                     DESIGN.md §7), when this run's dataset copy costs
@@ -70,6 +71,7 @@
 #include <malloc.h>
 #include <memory>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -275,9 +277,9 @@ double hold_workload_ns(std::size_t events) {
   return ns;
 }
 
-EventQueueNumbers bench_event_queue(bool smoke) {
+EventQueueNumbers bench_event_queue(std::size_t events) {
   EventQueueNumbers numbers;
-  numbers.events = smoke ? 50'000 : 2'000'000;
+  numbers.events = events;
   numbers.ns_per_event = bulk_workload_ns<ipfs::sim::Simulation>(numbers.events);
   numbers.hold_ns_per_event = hold_workload_ns(numbers.events);
   // Same workload, same process, same host: the retained binary-heap engine
@@ -1044,11 +1046,46 @@ PopulationNumbers bench_population(bool smoke) {
 
 // ---- baseline guardrail -----------------------------------------------------
 
+/// The committed baseline, or nullopt after printing why it is unusable.
+std::optional<ipfs::common::JsonValue> read_baseline(const std::string& baseline_path) {
+  std::ifstream in(baseline_path);
+  if (!in) {
+    std::cerr << "check-baseline: cannot open " << baseline_path << "\n";
+    return std::nullopt;
+  }
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  auto parsed = ipfs::common::JsonValue::parse(text);
+  if (!parsed.has_value()) {
+    std::cerr << "check-baseline: " << baseline_path << ": " << parsed.error()
+              << "\n";
+    return std::nullopt;
+  }
+  return std::move(*parsed);
+}
+
+/// The baseline's event_queue.events, or nullopt after printing why not.
+std::optional<std::size_t> baseline_event_count(const std::string& baseline_path) {
+  const auto parsed = read_baseline(baseline_path);
+  if (!parsed) return std::nullopt;
+  const ipfs::common::JsonValue* section = parsed->find("event_queue");
+  const ipfs::common::JsonValue* events =
+      section != nullptr ? section->find("events") : nullptr;
+  const auto count = events != nullptr ? events->as_uint64() : std::nullopt;
+  if (!count || *count == 0) {
+    std::cerr << "check-baseline: " << baseline_path
+              << " has no positive event_queue.events\n";
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(*count);
+}
+
 /// Compares a fresh event_queue measurement against the committed
 /// BENCH_core.json and checks this run's conn_trim and dataset_export
 /// ratios, its dataset and peerstore allocation counts and its population's
-/// heap per peer.  Returns false (after printing why) when the scheduler
-/// regressed more than 25% — the CI guardrail for the ladder-queue engine —
+/// heap per peer.  Returns false (after printing why) when the scheduler's
+/// speedup over the binary heap fell more than 25% — the CI guardrail for
+/// the ladder-queue engine —
 /// when an idle trim tick costs more than 1% of a trimming one, when a
 /// dataset copy costs more than 1% of an export, when recording a known
 /// protocol or an unchanged re-identify allocates, or when a population
@@ -1063,25 +1100,14 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
                     const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset,
                     const PeerstoreNumbers& peerstore,
                     const PopulationNumbers& population) {
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::cerr << "check-baseline: cannot open " << baseline_path << "\n";
-    return false;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const auto parsed = ipfs::common::JsonValue::parse(text);
-  if (!parsed.has_value()) {
-    std::cerr << "check-baseline: " << baseline_path << ": " << parsed.error()
-              << "\n";
-    return false;
-  }
+  const auto parsed = read_baseline(baseline_path);
+  if (!parsed) return false;
   const ipfs::common::JsonValue* section = parsed->find("event_queue");
-  const ipfs::common::JsonValue* ns =
-      section != nullptr ? section->find("ns_per_event") : nullptr;
-  if (ns == nullptr || !ns->is_number()) {
+  const ipfs::common::JsonValue* speedup =
+      section != nullptr ? section->find("speedup_vs_heap") : nullptr;
+  if (speedup == nullptr || !speedup->is_number()) {
     std::cerr << "check-baseline: " << baseline_path
-              << " has no event_queue.ns_per_event\n";
+              << " has no event_queue.speedup_vs_heap\n";
     return false;
   }
   // Field-coverage guard: a committed baseline must carry every section
@@ -1120,16 +1146,18 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
   }
 
   bool ok = true;
-  const double committed = ns->as_double();
+  // Both engines run in this process on this host, so their ratio holds
+  // where absolute ns/event swing with the host's load.
+  const double committed = speedup->as_double();
   constexpr double kTolerance = 1.25;
-  std::cout << "\ncheck-baseline: event_queue " << fresh.ns_per_event
-            << " ns/event vs committed " << committed << " (limit "
-            << committed * kTolerance << ")\n";
-  if (fresh.ns_per_event > committed * kTolerance) {
-    std::cerr << "check-baseline: FAIL — event_queue regressed more than 25% "
-              << "(got " << fresh.ns_per_event << " ns/event, committed "
-              << committed << "); if the change is intentional, regenerate "
-              << "BENCH_core.json (bench/README.md)\n";
+  std::cout << "\ncheck-baseline: event_queue " << fresh.speedup_vs_heap
+            << "x the binary heap at " << fresh.events << " events vs committed "
+            << committed << "x (limit " << committed / kTolerance << "x)\n";
+  if (fresh.speedup_vs_heap < committed / kTolerance) {
+    std::cerr << "check-baseline: FAIL — event_queue's speedup over the binary "
+              << "heap fell more than 25% (got " << fresh.speedup_vs_heap
+              << "x, committed " << committed << "x); if the change is "
+              << "intentional, regenerate BENCH_core.json (bench/README.md)\n";
     ok = false;
   }
 
@@ -1227,7 +1255,15 @@ int main(int argc, char** argv) {
             << lookup.baseline_ns / lookup.closest_ns << "x)\n";
 
   std::cout << "[2/12] event queue: schedule + drain ...\n";
-  const EventQueueNumbers events = bench_event_queue(smoke);
+  // The guard compares speedups at the baseline's own event count: the
+  // ladder queue's lead over the heap grows with the queue's depth.
+  std::size_t event_count = smoke ? 50'000 : 2'000'000;
+  if (!baseline_path.empty()) {
+    const auto committed = baseline_event_count(baseline_path);
+    if (!committed) return 1;
+    event_count = *committed;
+  }
+  const EventQueueNumbers events = bench_event_queue(event_count);
   std::cout << "      " << events.events << " events, " << events.ns_per_event
             << " ns/event bulk (" << 1e9 / events.ns_per_event
             << " events/s), " << events.hold_ns_per_event

@@ -100,8 +100,8 @@ struct TraceConnection {
   std::uint64_t peer = 0;
   SimTime opened = 0;
   SimTime closed = 0;
-  std::string direction;
-  std::string reason;
+  p2p::Direction direction = p2p::Direction::kInbound;
+  p2p::CloseReason reason = p2p::CloseReason::kNone;
 };
 
 struct Trace {
@@ -128,14 +128,45 @@ constexpr Field<TracePeer> kPeerFields[] = {
     {"connected_ips", scalar_array<&TracePeer::connected_ips>()},
 };
 
-// Direction and close reason are checked as strings; calibration reads
-// neither.
+// Direction and close reason by the names Dataset::export_json writes.
+constexpr Custom<TraceConnection> kDirection{
+    [](const JsonValue& value, const std::string& path,
+       TraceConnection& out) -> ParseError {
+      std::string name;
+      if (auto error = read(value, path, name)) return error;
+      const auto direction = p2p::direction_from_string(name);
+      if (!direction) return path + ": expected \"inbound\" or \"outbound\"";
+      out.direction = *direction;
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const TraceConnection& in) {
+      writer.field(key, p2p::to_string(in.direction));
+    }};
+
+constexpr Custom<TraceConnection> kReason{
+    [](const JsonValue& value, const std::string& path,
+       TraceConnection& out) -> ParseError {
+      std::string name;
+      if (auto error = read(value, path, name)) return error;
+      const auto reason = p2p::close_reason_from_string(name);
+      if (!reason) {
+        return path + ": expected \"none\", \"local-trim\", \"remote-trim\", "
+                      "\"remote-close\", \"local-close\", \"peer-offline\", "
+                      "\"error\" or \"measurement-end\"";
+      }
+      out.reason = *reason;
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const TraceConnection& in) {
+      writer.field(key, p2p::to_string(in.reason));
+    }};
+
 constexpr Field<TraceConnection> kConnectionFields[] = {
     {"peer", &TraceConnection::peer, kRequired},
     {"opened_ms", &TraceConnection::opened, kRequired},
     {"closed_ms", &TraceConnection::closed, kRequired},
-    {"direction", &TraceConnection::direction},
-    {"reason", &TraceConnection::reason},
+    {"direction", kDirection},
+    {"reason", kReason},
 };
 
 constexpr Codec<std::vector<TraceConnection>> kConnectionList{
@@ -201,7 +232,9 @@ std::expected<measure::Dataset, std::string> build_dataset(const Trace& trace) {
     }
     dataset.add_connection({.peer = static_cast<measure::PeerIndex>(connection.peer),
                             .opened = connection.opened,
-                            .closed = connection.closed});
+                            .closed = connection.closed,
+                            .direction = connection.direction,
+                            .reason = connection.reason});
   }
   return dataset;
 }

@@ -1,7 +1,5 @@
 #include "bitswap/bitswap.hpp"
 
-#include <iterator>
-
 #include "p2p/protocols.hpp"
 
 namespace ipfs::bitswap {
@@ -15,11 +13,12 @@ void BitswapEngine::want_block(const p2p::PeerId& from, const Cid& cid,
 }
 
 void BitswapEngine::cancel_wants(const p2p::PeerId& peer) {
-  for (auto it = wanted_.begin(); it != wanted_.end();) {
-    std::erase_if(it->second,
+  // order-free: each CID's wants are filtered on their own.
+  wanted_.erase_if([&peer](auto& entry) {
+    std::erase_if(entry.second,
                   [&peer](const PendingWant& want) { return want.peer == peer; });
-    it = it->second.empty() ? wanted_.erase(it) : std::next(it);
-  }
+    return entry.second.empty();
+  });
 }
 
 bool BitswapEngine::handle_message(const p2p::PeerId& from,
@@ -28,10 +27,9 @@ bool BitswapEngine::handle_message(const p2p::PeerId& from,
   const auto* message = std::any_cast<BitswapMessage>(&envelope.body);
   if (message == nullptr) return true;
 
-  Ledger& ledger = ledgers_[from];
-
   // Serve wants we can satisfy; answer want-have probes either way.
   BitswapMessage reply;
+  std::uint64_t sent = 0;
   for (const WantEntry& want : message->wants) {
     if (want.cancel) continue;
     if (store_.contains(want.cid)) {
@@ -39,20 +37,20 @@ bool BitswapEngine::handle_message(const p2p::PeerId& from,
         reply.have.push_back(want.cid);
       } else {
         reply.blocks.push_back(want.cid);
-        ++ledger.blocks_sent;
-        ledger.bytes_sent += kBlockSize;
+        ++sent;
       }
     } else {
       reply.dont_have.push_back(want.cid);
     }
   }
 
-  // Accept blocks we asked for.
+  // Accept blocks we asked for.  The ledger is looked up after the want
+  // callbacks, which may insert into this engine's tables.
+  std::uint64_t received = 0;
   for (const Cid& block : message->blocks) {
     const auto it = wanted_.find(block);
     if (it == wanted_.end()) continue;  // unsolicited block: drop
-    ++ledger.blocks_received;
-    ledger.bytes_received += kBlockSize;
+    ++received;
     store_.insert(block);
     auto pending = std::move(it->second);
     wanted_.erase(it);
@@ -60,6 +58,11 @@ bool BitswapEngine::handle_message(const p2p::PeerId& from,
       if (want.callback) want.callback(block);
     }
   }
+  Ledger& ledger = ledgers_[from];
+  ledger.blocks_sent += sent;
+  ledger.bytes_sent += sent * kBlockSize;
+  ledger.blocks_received += received;
+  ledger.bytes_received += received * kBlockSize;
 
   if (!reply.blocks.empty() || !reply.have.empty() || !reply.dont_have.empty()) {
     send(from, std::move(reply));
@@ -74,7 +77,7 @@ const Ledger* BitswapEngine::ledger_for(const p2p::PeerId& peer) const {
 
 void BitswapEngine::send(const p2p::PeerId& to, BitswapMessage message) {
   net::Message envelope;
-  envelope.protocol = std::string(p2p::protocols::kBitswap120);
+  envelope.protocol = p2p::protocols::kBitswap120;
   envelope.body = std::move(message);
   network_.send(self_, to, std::move(envelope));
 }

@@ -10,11 +10,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "net/network.hpp"
 #include "p2p/peer_id.hpp"
 
@@ -92,9 +90,9 @@ class BitswapEngine {
 
   net::Network& network_;
   p2p::PeerId self_;
-  std::unordered_set<Cid> store_;
-  std::unordered_map<Cid, std::vector<PendingWant>> wanted_;
-  std::unordered_map<p2p::PeerId, Ledger> ledgers_;
+  common::FlatSet<Cid, p2p::PeerIdHash> store_;
+  common::FlatMap<Cid, std::vector<PendingWant>, p2p::PeerIdHash> wanted_;
+  common::FlatMap<p2p::PeerId, Ledger, p2p::PeerIdHash> ledgers_;
 };
 
 }  // namespace ipfs::bitswap

@@ -125,7 +125,7 @@ void Crawler::send_probes(const p2p::PeerId& peer) {
         common::mix64(peer.prefix64(), 0x9e3779b97f4a7c15ULL * (depth + 1)));
     request.request_id = request_id;
     net::Message message;
-    message.protocol = std::string(proto::kKad);
+    message.protocol = proto::kKad;
     message.body = request;
     network_.send(swarm_.local_id(), peer, std::move(message));
 

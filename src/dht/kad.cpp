@@ -26,7 +26,7 @@ bool KadEngine::handle_message(const PeerId& from, const net::Message& message) 
     response.request_id = request->request_id;
     response.closer_peers = table_.closest(request->target, kReplication);
     net::Message reply;
-    reply.protocol = std::string(p2p::protocols::kKad);
+    reply.protocol = p2p::protocols::kKad;
     reply.body = std::move(response);
     network_.send(self_, from, std::move(reply));
     // Querying peers are useful contacts; servers learn them too (the
@@ -64,7 +64,7 @@ void KadEngine::send_find_node(std::uint64_t lookup_id, const PeerId& to) {
   request.target = lookups_.at(lookup_id).target;
   request.request_id = request_id;
   net::Message message;
-  message.protocol = std::string(p2p::protocols::kKad);
+  message.protocol = p2p::protocols::kKad;
   message.body = request;
 
   // Dial-then-query when not yet connected; the short-lived query

@@ -37,6 +37,7 @@ bool RecordStore::has_provider(const RecordKey& key, common::SimTime now) const 
 
 std::size_t RecordStore::sweep(common::SimTime now) {
   std::size_t removed = 0;
+  // order-free: each key's expired records are dropped on their own.
   for (auto it = records_.begin(); it != records_.end();) {
     auto& providers = it->second;
     const auto new_end =

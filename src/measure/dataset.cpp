@@ -100,19 +100,19 @@ Dataset::Body& Dataset::mutable_body() {
 
 PeerIndex Dataset::intern(const p2p::PeerId& pid, SimTime now) {
   Body& body = mutable_body();
-  const auto it = body.index.find(pid);
-  if (it != body.index.end()) {
-    PeerRecord& existing = body.peers[it->second];
+  const auto [it, inserted] =
+      body.index.try_emplace(pid, static_cast<PeerIndex>(body.peers.size()));
+  const PeerIndex index = it->second;
+  if (!inserted) {
+    PeerRecord& existing = body.peers[index];
     existing.last_seen = std::max(existing.last_seen, now);
-    return it->second;
+    return index;
   }
-  const auto index = static_cast<PeerIndex>(body.peers.size());
   PeerRecord record;
   record.pid = pid;
   record.first_seen = now;
   record.last_seen = now;
   body.peers.push_back(std::move(record));
-  body.index.emplace(pid, index);
   by_peer_cache_.lists.clear();
   return index;
 }

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/sim_time.hpp"
 #include "p2p/connection.hpp"
 #include "p2p/multiaddr.hpp"
@@ -198,7 +199,7 @@ class Dataset {
   /// The storage copies share.  Written only while one handle owns it.
   struct Body {
     std::vector<PeerRecord> peers;
-    std::unordered_map<p2p::PeerId, PeerIndex> index;
+    common::FlatMap<p2p::PeerId, PeerIndex, p2p::PeerIdHash> index;
     std::vector<ConnRecord> connections;
     NameTable agents;
     NameTable protocols;

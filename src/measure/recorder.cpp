@@ -38,6 +38,7 @@ void Recorder::finish() {
   dataset_.measurement_end = simulation_.now();
   // Paper convention: "All connections still active at the end of the
   // measurement are considered to be closed at that moment."
+  // hash-order: ROADMAP item 1 (the records are appended in this order).
   for (const auto& [id, open] : open_) {
     ConnRecord record;
     record.peer = open.peer;

@@ -9,8 +9,8 @@
 
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "p2p/multiaddr.hpp"
 
@@ -33,9 +33,12 @@ class IpAllocator {
 
   [[nodiscard]] std::size_t allocated_count() const noexcept { return used_.size(); }
 
+  /// Room for `count` addresses without growing the used set.
+  void reserve(std::size_t count) { used_.reserve(count); }
+
  private:
   common::Rng rng_;
-  std::unordered_set<p2p::IpAddress> used_;
+  common::FlatSet<p2p::IpAddress> used_;
   std::unordered_map<std::string, p2p::IpAddress> pools_;
 };
 

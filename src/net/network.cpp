@@ -9,6 +9,7 @@ Network::Network(sim::Simulation& simulation, common::Rng rng,
     : simulation_(simulation), rng_(rng), conditions_(std::move(conditions)) {}
 
 Network::~Network() {
+  // order-free: each host detaches its own tap.
   for (auto& [id, host] : hosts_) {
     host->swarm().remove_observer(taps_[id].get());
   }
@@ -32,7 +33,7 @@ void Network::remove_host(const p2p::PeerId& id) {
   host->swarm().close_all(p2p::CloseReason::kPeerOffline);
   host->swarm().remove_observer(taps_[id].get());
   taps_.erase(id);
-  hosts_.erase(it);
+  hosts_.erase(id);  // by key: the closes' observers may have moved entries
 }
 
 common::SimDuration Network::latency(const p2p::PeerId& a, const p2p::PeerId& b) {
@@ -57,18 +58,9 @@ void Network::dial(const p2p::PeerId& from, const p2p::PeerId& to,
       p2p::Swarm& listener = to_it->second->swarm();
       // Register the link before the swarms fire their open observers, so
       // protocol handlers (identify!) can already send() over it.
-      Link& link = links_[make_key(from, to)];
-      const auto out_id = dialer.open_connection(to, listener.listen_address(),
-                                                 p2p::Direction::kOutbound);
-      const auto in_id = listener.open_connection(from, dialer.listen_address(),
-                                                  p2p::Direction::kInbound);
-      if (from < to) {
-        link.conn_in_a = out_id;
-        link.conn_in_b = in_id;
-      } else {
-        link.conn_in_a = in_id;
-        link.conn_in_b = out_id;
-      }
+      links_.insert(make_key(from, to));
+      dialer.open_connection(to, listener.listen_address(), p2p::Direction::kOutbound);
+      listener.open_connection(from, dialer.listen_address(), p2p::Direction::kInbound);
     }
     if (on_done) on_done(success);
   });

@@ -16,9 +16,9 @@
 #include <any>
 #include <functional>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "net/conditions.hpp"
 #include "p2p/swarm.hpp"
@@ -28,7 +28,9 @@ namespace ipfs::net {
 
 /// Typed message envelope; `body` is a protocol-specific struct.
 struct Message {
-  std::string protocol;
+  /// A view of static storage: one of the `p2p::protocols` constants or a
+  /// string literal, never a temporary string.
+  std::string_view protocol;
   std::any body;
 };
 
@@ -102,15 +104,12 @@ class Network {
   }
 
  private:
-  struct Link {
-    p2p::ConnectionId conn_in_a = 0;  ///< connection id in the lower peer's swarm
-    p2p::ConnectionId conn_in_b = 0;  ///< connection id in the higher peer's swarm
-  };
   /// Key with deterministic order so (a,b) and (b,a) collide.
   using LinkKey = std::pair<p2p::PeerId, p2p::PeerId>;
   struct LinkKeyHash {
     std::size_t operator()(const LinkKey& key) const noexcept {
-      return key.first.prefix64() ^ (key.second.prefix64() * 0x9e3779b97f4a7c15ULL);
+      const p2p::PeerIdHash hash;
+      return hash(key.first) ^ (hash(key.second) * 0x9e3779b97f4a7c15ULL);
     }
   };
 
@@ -132,9 +131,11 @@ class Network {
   sim::Simulation& simulation_;
   common::Rng rng_;
   ConditionModel conditions_;
-  std::unordered_map<p2p::PeerId, Host*> hosts_;
-  std::unordered_map<p2p::PeerId, std::unique_ptr<SwarmTap>> taps_;
-  std::unordered_map<LinkKey, Link, LinkKeyHash> links_;
+  common::FlatMap<p2p::PeerId, Host*, p2p::PeerIdHash> hosts_;
+  common::FlatMap<p2p::PeerId, std::unique_ptr<SwarmTap>, p2p::PeerIdHash> taps_;
+  /// Connected pairs.  A set: dial's opens can trim, and a trim erases
+  /// other links, so no entry may be held across them.
+  common::FlatSet<LinkKey, LinkKeyHash> links_;
   /// True while the network itself is closing a counterpart connection;
   /// suppresses infinite mirror recursion.
   bool mirroring_ = false;

@@ -113,7 +113,7 @@ void GoIpfsNode::ping(const p2p::PeerId& peer,
   const std::uint64_t nonce = next_ping_nonce_++;
   pending_pings_[nonce] = {simulation_.now(), std::move(on_pong)};
   net::Message message;
-  message.protocol = std::string(proto::kPing);
+  message.protocol = proto::kPing;
   message.body = PingRequest{nonce};
   network_.send(id(), peer, std::move(message));
 }
@@ -130,7 +130,7 @@ void GoIpfsNode::handle_message(const p2p::PeerId& from, const net::Message& mes
   if (message.protocol == proto::kPing) {
     if (const auto* request = std::any_cast<PingRequest>(&message.body)) {
       net::Message reply;
-      reply.protocol = std::string(proto::kPing);
+      reply.protocol = proto::kPing;
       reply.body = PingResponse{request->nonce};
       network_.send(id(), from, std::move(reply));
     } else if (const auto* response = std::any_cast<PingResponse>(&message.body)) {
@@ -163,7 +163,7 @@ void GoIpfsNode::send_identify(const p2p::PeerId& to, bool push) {
   snapshot.listen_address = swarm_.listen_address();
   snapshot.is_push = push;
   net::Message message;
-  message.protocol = std::string(push ? proto::kIdentifyPush : proto::kIdentify);
+  message.protocol = push ? proto::kIdentifyPush : proto::kIdentify;
   message.body = std::move(snapshot);
   network_.send(id(), to, std::move(message));
 }

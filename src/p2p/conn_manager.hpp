@@ -8,10 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/sim_time.hpp"
 #include "p2p/connection.hpp"
 #include "p2p/peer_id.hpp"
@@ -68,8 +67,8 @@ class ConnManager {
 
  private:
   ConnManagerConfig config_;
-  std::unordered_map<PeerId, int> tags_;
-  std::unordered_set<PeerId> protected_;
+  common::FlatMap<PeerId, int, PeerIdHash> tags_;
+  common::FlatSet<PeerId, PeerIdHash> protected_;
 };
 
 }  // namespace ipfs::p2p

@@ -20,4 +20,21 @@ std::string_view to_string(CloseReason reason) noexcept {
   return "?";
 }
 
+std::optional<Direction> direction_from_string(std::string_view name) noexcept {
+  for (const Direction direction : {Direction::kInbound, Direction::kOutbound}) {
+    if (to_string(direction) == name) return direction;
+  }
+  return std::nullopt;
+}
+
+std::optional<CloseReason> close_reason_from_string(std::string_view name) noexcept {
+  for (auto value = static_cast<std::uint8_t>(CloseReason::kNone);
+       value <= static_cast<std::uint8_t>(CloseReason::kMeasurementEnd); ++value) {
+    if (to_string(static_cast<CloseReason>(value)) == name) {
+      return static_cast<CloseReason>(value);
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace ipfs::p2p

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "common/sim_time.hpp"
@@ -35,6 +36,10 @@ enum class CloseReason : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(Direction direction) noexcept;
 [[nodiscard]] std::string_view to_string(CloseReason reason) noexcept;
+/// The inverses of to_string; nullopt for any other name.
+[[nodiscard]] std::optional<Direction> direction_from_string(std::string_view name) noexcept;
+[[nodiscard]] std::optional<CloseReason> close_reason_from_string(
+    std::string_view name) noexcept;
 
 using ConnectionId = std::uint64_t;
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -82,6 +83,17 @@ class PeerId {
 
  private:
   std::array<std::uint64_t, kWords> words_{};
+};
+
+/// Hash over all four words, for the flat peer tables (common::FlatMap).
+/// std::hash<PeerId> stays the first word, so the node-based maps that are
+/// still walked in hash order keep their order.
+struct PeerIdHash {
+  std::size_t operator()(const PeerId& id) const noexcept {
+    const auto& w = id.words();
+    return static_cast<std::size_t>(w[0] ^ std::rotl(w[1], 17) ^ std::rotl(w[2], 31) ^
+                                    std::rotl(w[3], 47));
+  }
 };
 
 }  // namespace ipfs::p2p

@@ -9,7 +9,7 @@ namespace ipfs::p2p {
 Peerstore::Slot Peerstore::see(const PeerId& peer, SimTime now) {
   const auto [it, inserted] =
       index_.try_emplace(peer, static_cast<Slot>(entries_.size()));
-  // Copied out: an observer that adds a peer may rehash index_.
+  // Copied out: an observer that adds a peer may move index_'s entries.
   const Slot slot = it->second;
   if (!inserted) {
     Entry& entry = entries_[slot];

@@ -6,8 +6,8 @@
 // here receive those change events synchronously.
 //
 // Layout (DESIGN.md §7, "Peerstore layout and identify cost"): one flat
-// table of entries in first-seen order, indexed by PeerId, with every
-// protocol name interned once per store.
+// table of entries in first-seen order, indexed by PeerId through an
+// open-addressing table, with every protocol name interned once per store.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +15,9 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/interned_names.hpp"
 #include "common/sim_time.hpp"
 #include "p2p/multiaddr.hpp"
@@ -105,7 +105,7 @@ class Peerstore {
   }
 
   std::vector<Entry> entries_;
-  std::unordered_map<PeerId, Slot> index_;
+  common::FlatMap<PeerId, Slot, PeerIdHash> index_;
   /// Interned protocol names; the observers' views point into them.
   common::InternedNames names_;
   /// set_protocols' sorted, de-duplicated input, reused across calls.

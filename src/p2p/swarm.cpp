@@ -41,7 +41,8 @@ ConnectionId Swarm::open_connection(const PeerId& remote,
   const Peerstore::Slot slot =
       peerstore_.connect(remote, remote_address, connection.opened);
   if (slot >= open_per_slot_.size()) open_per_slot_.resize(slot + 1);
-  ++open_per_slot_[slot];
+  ++open_per_slot_[slot].count;
+  open_per_slot_[slot].ids_xor ^= id;
 
   const auto [it, _] = open_.emplace(id, Open{std::move(connection), slot});
   ++opened_total_;
@@ -60,7 +61,8 @@ bool Swarm::close_connection(ConnectionId id, CloseReason reason) {
   const auto it = open_.find(id);
   if (it == open_.end()) return false;
   Connection connection = std::move(it->second.connection);
-  --open_per_slot_[it->second.slot];
+  --open_per_slot_[it->second.slot].count;
+  open_per_slot_[it->second.slot].ids_xor ^= id;
   open_.erase(it);
   connection.closed = simulation_.now();
   connection.reason = reason;
@@ -72,11 +74,17 @@ std::size_t Swarm::close_peer(const PeerId& remote, CloseReason reason) {
   const auto slot = peerstore_.slot(remote);
   const std::size_t count = slot.has_value() ? open_on(*slot) : 0;
   if (count == 0) return 0;
+  // The common case, one connection, needs no walk: its id is the slot's XOR.
+  if (count == 1) {
+    close_connection(open_per_slot_[*slot].ids_xor, reason);
+    return 1;
+  }
   // The remote's open count, kept per peerstore slot, bounds the walk:
   // stop once every connection to `remote` is collected.  Ids and their
   // order are those of a full walk.
   std::vector<ConnectionId> ids;
   ids.reserve(count);
+  // hash-order: ROADMAP item 1 (the close order reaches the observers).
   for (const auto& [id, open] : open_) {
     if (open.slot != *slot) continue;
     ids.push_back(id);
@@ -89,6 +97,7 @@ std::size_t Swarm::close_peer(const PeerId& remote, CloseReason reason) {
 void Swarm::close_all(CloseReason reason) {
   std::vector<ConnectionId> ids;
   ids.reserve(open_.size());
+  // hash-order: ROADMAP item 1 (the close order reaches the observers).
   for (const auto& [id, _] : open_) ids.push_back(id);
   for (const ConnectionId id : ids) close_connection(id, reason);
 }
@@ -104,12 +113,13 @@ bool Swarm::connected_to(const PeerId& remote) const {
 }
 
 std::size_t Swarm::open_on(Peerstore::Slot slot) const {
-  return slot < open_per_slot_.size() ? open_per_slot_[slot] : 0;
+  return slot < open_per_slot_.size() ? open_per_slot_[slot].count : 0;
 }
 
 std::vector<const Connection*> Swarm::open_connections() const {
   std::vector<const Connection*> connections;
   connections.reserve(open_.size());
+  // hash-order: ROADMAP item 1 (plan_trim's ties follow this order).
   for (const auto& [_, open] : open_) connections.push_back(&open.connection);
   return connections;
 }

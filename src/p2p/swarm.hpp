@@ -110,8 +110,14 @@ class Swarm {
     Peerstore::Slot slot;
   };
   std::unordered_map<ConnectionId, Open> open_;
-  /// Open connections per remote, indexed by peerstore slot.
-  std::vector<std::uint32_t> open_per_slot_;
+  /// A remote's open connections: how many, and the XOR of their ids,
+  /// which is the id itself while there is one.
+  struct OpenOnSlot {
+    std::uint32_t count = 0;
+    ConnectionId ids_xor = 0;
+  };
+  /// Indexed by peerstore slot.
+  std::vector<OpenOnSlot> open_per_slot_;
   std::vector<SwarmObserver*> observers_;
   ConnectionId next_connection_id_ = 1;
   std::size_t opened_total_ = 0;

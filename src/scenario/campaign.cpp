@@ -282,6 +282,7 @@ struct CampaignEngine::Impl {
 
     peer_states.assign(population.peers().size());
     maintained_flags.assign(population.peers().size() * vantages.size(), 0);
+    server_pos.assign(population.peers().size(), kNotOnlineServer);
   }
 
   [[nodiscard]] bool visible(const RemotePeer& peer, const Vantage& vantage) const {
@@ -549,6 +550,7 @@ struct CampaignEngine::Impl {
           sample.online = true_online_count();
           std::unordered_set<std::uint32_t> connected;
           for (const Vantage& vantage : vantages) {
+            // order-free: only counts distinct peers into a set.
             for (const auto& [conn_id, meta] : vantage.conns) {
               connected.insert(meta.peer);
             }
@@ -577,6 +579,7 @@ struct CampaignEngine::Impl {
     // `contact_allowed` / `fetch_served` verdicts, so outcomes stay pure.
     content_network = std::make_unique<net::Network>(
         simulation, common::Rng(common::mix64(config.seed, 0xb175)));
+    fetcher_hosts.resize(population.peers().size());
     for (std::size_t v = 0; v < vantages.size(); ++v) {
       if (!vantages[v].is_server) continue;
       ContentVantage cv;
@@ -749,9 +752,9 @@ struct CampaignEngine::Impl {
     BitswapHost& fetcher = fetcher_host(index);
     const SimTime start = simulation.now();
     auto send_want = [this, index, key, start, vantage_pid, cid] {
-      const auto it = fetcher_hosts.find(index);
-      if (it == fetcher_hosts.end()) return;  // left before the dial finished
-      it->second->engine_.want_block(
+      BitswapHost* host = fetcher_hosts[index].get();
+      if (host == nullptr) return;  // left before the dial finished
+      host->engine_.want_block(
           vantage_pid, cid, [this, key, start](const bitswap::Cid&) {
             measure::FetchSample served;
             served.at = simulation.now();
@@ -786,28 +789,27 @@ struct CampaignEngine::Impl {
   }
 
   [[nodiscard]] BitswapHost& fetcher_host(std::uint32_t index) {
-    auto it = fetcher_hosts.find(index);
-    if (it == fetcher_hosts.end()) {
+    std::unique_ptr<BitswapHost>& host = fetcher_hosts[index];
+    if (!host) {
       const RemotePeer& peer = population.peers()[index];
-      auto host = std::make_unique<BitswapHost>(
+      host = std::make_unique<BitswapHost>(
           simulation, *content_network, peer.pid,
           p2p::Multiaddr{peer.ip, p2p::Transport::kTcp, peer.port});
       content_network->add_host(*host);
-      it = fetcher_hosts.emplace(index, std::move(host)).first;
     }
-    return *it->second;
+    return *host;
   }
 
   /// Session hook: a departing fetcher cancels its in-flight wants (the
   /// bound on `pending_wants()` under churn) and leaves the network.
   void end_content_session(std::uint32_t index) {
-    const auto it = fetcher_hosts.find(index);
-    if (it == fetcher_hosts.end()) return;
+    std::unique_ptr<BitswapHost>& host = fetcher_hosts[index];
+    if (!host) return;
     for (const ContentVantage& cv : content_vantages) {
-      it->second->engine_.cancel_wants(vantages[cv.vantage].swarm->local_id());
+      host->engine_.cancel_wants(vantages[cv.vantage].swarm->local_id());
     }
-    content_network->remove_host(it->second->swarm_.local_id());
-    fetcher_hosts.erase(it);
+    content_network->remove_host(host->swarm_.local_id());
+    host.reset();
   }
 
   /// The vantage maintenance cadence (go-ipfs bucket refresh): sweep
@@ -1074,19 +1076,18 @@ struct CampaignEngine::Impl {
   // ---- online-server index (client-vantage dial targets) -------------------
 
   void add_online_server(std::uint32_t index) {
-    server_pos[index] = online_servers.size();
+    server_pos[index] = static_cast<std::uint32_t>(online_servers.size());
     online_servers.push_back(index);
   }
 
   void remove_online_server(std::uint32_t index) {
-    const auto it = server_pos.find(index);
-    if (it == server_pos.end()) return;
-    const std::size_t pos = it->second;
+    const std::uint32_t pos = server_pos[index];
+    if (pos == kNotOnlineServer) return;
     const std::uint32_t last = online_servers.back();
     online_servers[pos] = last;
     server_pos[last] = pos;
     online_servers.pop_back();
-    server_pos.erase(it);
+    server_pos[index] = kNotOnlineServer;
   }
 
   void schedule_client_dials() {
@@ -1513,7 +1514,8 @@ struct CampaignEngine::Impl {
   // Hosts must outlive the content network (net::Host lifetime contract),
   // so the network is declared *after* every host container below.
   std::vector<ContentVantage> content_vantages;
-  std::unordered_map<std::uint32_t, std::unique_ptr<BitswapHost>> fetcher_hosts;
+  /// Each remote's Bitswap host while it fetches, by population index.
+  std::vector<std::unique_ptr<BitswapHost>> fetcher_hosts;
   std::unique_ptr<net::Network> content_network;
   std::vector<sim::TaskId> content_tasks;
   measure::MeasurementSink* content_sink = nullptr;  ///< valid during run()
@@ -1521,7 +1523,9 @@ struct CampaignEngine::Impl {
   PeerStates peer_states;
   std::vector<std::uint8_t> maintained_flags;
   std::vector<std::uint32_t> online_servers;
-  std::unordered_map<std::uint32_t, std::size_t> server_pos;
+  /// Each peer's position in online_servers, by population index.
+  std::vector<std::uint32_t> server_pos;
+  static constexpr std::uint32_t kNotOnlineServer = 0xffffffffu;
   sim::TaskId crawler_task = sim::kInvalidTask;
   sim::TaskId population_task = sim::kInvalidTask;
   // Intra-trial sharding (DESIGN.md §13); all empty/null unless

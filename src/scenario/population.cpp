@@ -172,6 +172,7 @@ void Population::build(common::SimDuration duration, common::Rng root) {
     throw std::length_error("population of more than 2^32 - 1 peers");
   }
   peers_.reserve(planned);
+  ips.reserve(planned);
   const double days = days_of(duration);
   const auto per_day = [&](std::uint32_t base_per_day) {
     return static_cast<std::uint32_t>(per_day_count(base_per_day, spec_.scale, days));

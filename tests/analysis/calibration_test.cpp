@@ -218,10 +218,16 @@ TEST(CalibrationTrace, ParsesExplicitConnections) {
   const auto dataset = parse_trace(valid_trace(
       peer_json(), ", \"connections\": [{\"peer\": 0, \"opened_ms\": 1000, "
                    "\"closed_ms\": 1500, \"direction\": \"inbound\", "
-                   "\"reason\": \"none\"}]"));
+                   "\"reason\": \"none\"}, {\"peer\": 0, \"opened_ms\": 1600, "
+                   "\"closed_ms\": 1700, \"direction\": \"outbound\", "
+                   "\"reason\": \"remote-trim\"}]"));
   ASSERT_TRUE(dataset.has_value()) << dataset.error();
-  ASSERT_EQ(dataset->connection_count(), 1u);
+  ASSERT_EQ(dataset->connection_count(), 2u);
   EXPECT_EQ(dataset->connections()[0].closed, 1500);
+  EXPECT_EQ(dataset->connections()[0].direction, p2p::Direction::kInbound);
+  EXPECT_EQ(dataset->connections()[0].reason, p2p::CloseReason::kNone);
+  EXPECT_EQ(dataset->connections()[1].direction, p2p::Direction::kOutbound);
+  EXPECT_EQ(dataset->connections()[1].reason, p2p::CloseReason::kRemoteTrim);
 }
 
 TEST(CalibrationTrace, RejectsMissingRequiredFields) {
@@ -297,6 +303,21 @@ TEST(CalibrationTrace, RejectsBadConnections) {
       ", \"connections\": [{\"peer\": 0, \"opened_ms\": 5, \"closed_ms\": 1}]"));
   ASSERT_FALSE(inverted.has_value());
   EXPECT_EQ(inverted.error(), "connections[0].closed_ms: must be >= opened_ms");
+
+  const std::string connection =
+      "{\"peer\": 0, \"opened_ms\": 0, \"closed_ms\": 1";
+  const auto direction = parse_trace(valid_trace(
+      peer_json(), ", \"connections\": [" + connection + "}, " + connection +
+                       ", \"direction\": \"sideways\"}]"));
+  ASSERT_FALSE(direction.has_value());
+  EXPECT_EQ(direction.error(),
+            "connections[1].direction: expected \"inbound\" or \"outbound\"");
+
+  const auto reason = parse_trace(valid_trace(
+      peer_json(), ", \"connections\": [" + connection + ", \"reason\": \"Local-Trim\"}]"));
+  ASSERT_FALSE(reason.has_value());
+  EXPECT_TRUE(reason.error().starts_with("connections[0].reason: expected \"none\", "))
+      << reason.error();
 }
 
 TEST(CalibrationTrace, RejectsMalformedJson) {

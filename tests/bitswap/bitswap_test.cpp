@@ -134,7 +134,7 @@ TEST(Bitswap, UnsolicitedBlocksDropped) {
   BitswapMessage message;
   message.blocks.push_back(Cid::from_seed(5));
   net::Message envelope;
-  envelope.protocol = std::string(p2p::protocols::kBitswap120);
+  envelope.protocol = p2p::protocols::kBitswap120;
   envelope.body = message;
   EXPECT_TRUE(engine.handle_message(p2p::PeerId::from_seed(2), envelope));
   EXPECT_FALSE(engine.has_block(Cid::from_seed(5)));

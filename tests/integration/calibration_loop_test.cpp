@@ -150,6 +150,8 @@ TEST(CalibrationLoop, CampaignExportReadsBackAsItsDataset) {
     EXPECT_EQ(got.peer, want.peer) << "connection " << c;
     EXPECT_EQ(got.opened, want.opened) << "connection " << c;
     EXPECT_EQ(got.closed, want.closed) << "connection " << c;
+    EXPECT_EQ(got.direction, want.direction) << "connection " << c;
+    EXPECT_EQ(got.reason, want.reason) << "connection " << c;
   }
 }
 

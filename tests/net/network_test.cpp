@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "testing/hosts.hpp"
 
 namespace ipfs::net {
@@ -164,6 +167,39 @@ TEST_F(NetworkTest, LatencyIsSymmetricAndPositive) {
   const auto ab = network.latency(alice.swarm().local_id(), bob.swarm().local_id());
   EXPECT_GT(ab, 0);
   EXPECT_LE(ab, 200 * common::kMillisecond);
+}
+
+TEST(NetworkTrim, DialsThatTrimOtherLinksKeepTheLinkTableConsistent) {
+  // The listener trims to 2 whenever it holds more than 3 connections, with
+  // no grace period, so the inbound open inside each Network::dial closes
+  // other links, or this one, while the dial is still registering it.
+  sim::Simulation sim;
+  p2p::ConnManagerConfig trimming = p2p::ConnManagerConfig::with_watermarks(2, 3);
+  trimming.grace_period = 0;
+  std::vector<std::unique_ptr<ipfs::testing::ScriptedHost>> hosts;
+  hosts.push_back(std::make_unique<ipfs::testing::ScriptedHost>(
+      sim, 1, p2p::Swarm::Config{trimming, true}));
+  for (std::uint64_t seed = 2; seed <= 24; ++seed) {
+    hosts.push_back(std::make_unique<ipfs::testing::ScriptedHost>(sim, seed));
+  }
+  Network network(sim, common::Rng(7));
+  for (const auto& host : hosts) network.add_host(*host);
+  const PeerId listener = hosts[0]->id();
+
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 1; i < hosts.size(); ++i) network.dial(hosts[i]->id(), listener);
+    sim.run();
+    EXPECT_LE(hosts[0]->swarm().open_count(), 3u);
+    std::size_t linked = 0;
+    for (std::size_t i = 1; i < hosts.size(); ++i) {
+      const bool link = network.connected(hosts[i]->id(), listener);
+      EXPECT_EQ(link, hosts[i]->swarm().connected_to(listener)) << "host " << i;
+      EXPECT_EQ(link, hosts[0]->swarm().connected_to(hosts[i]->id())) << "host " << i;
+      linked += link ? 1 : 0;
+    }
+    EXPECT_EQ(linked, hosts[0]->swarm().open_count());
+  }
+  EXPECT_GT(hosts[0]->swarm().opened_total(), 3 * (hosts.size() - 1) / 2);
 }
 
 TEST(LatencyModel, DeterministicBasePerPair) {

@@ -20,13 +20,15 @@
 namespace ipfs::testing {
 
 /// Minimal scripted host: records delivered messages and optionally
-/// refuses inbound dials.
+/// refuses inbound dials.  Its swarm never trims unless `config` says so.
 struct ScriptedHost : net::Host {
-  ScriptedHost(sim::Simulation& sim, std::uint64_t seed)
+  ScriptedHost(sim::Simulation& sim, std::uint64_t seed,
+               p2p::Swarm::Config config = {p2p::ConnManagerConfig::with_watermarks(0, 0),
+                                            false})
       : swarm_(sim, p2p::PeerId::from_seed(seed),
                p2p::Multiaddr{p2p::IpAddress::v4(static_cast<std::uint32_t>(seed)),
                               p2p::Transport::kTcp, 4001},
-               {p2p::ConnManagerConfig::with_watermarks(0, 0), false}) {}
+               config) {}
 
   p2p::Swarm& swarm() override { return swarm_; }
   bool accept_inbound(const p2p::PeerId&) override { return accept; }
