@@ -7,16 +7,13 @@
 #include <utility>
 
 #include "common/json.hpp"
-#include "common/json_schema.hpp"
 #include "measure/sink.hpp"
 #include "scenario/campaign.hpp"
 
 namespace ipfs::analysis::calibrate {
 
-using common::JsonValue;
 using common::JsonWriter;
 using common::SimDuration;
-using common::SimTime;
 using scenario::SessionDistribution;
 
 namespace {
@@ -75,168 +72,6 @@ FitResult finish_fit(SessionDistribution dist,
   fit.ad = ad_statistic(sample, dist);
   fit.ok = true;
   return fit;
-}
-
-// ---- trace records (the Dataset::export_json schema) -----------------------
-
-using namespace common::json_schema;
-
-struct TraceAgent {
-  SimTime at = 0;
-  std::string agent;
-};
-
-struct TracePeer {
-  std::string pid;
-  SimTime first_seen = 0;
-  SimTime last_seen = 0;
-  bool ever_dht_server = false;
-  std::vector<TraceAgent> agents;
-  std::vector<std::string> protocols_ever;
-  std::vector<std::string> connected_ips;
-};
-
-struct TraceConnection {
-  std::uint64_t peer = 0;
-  SimTime opened = 0;
-  SimTime closed = 0;
-  p2p::Direction direction = p2p::Direction::kInbound;
-  p2p::CloseReason reason = p2p::CloseReason::kNone;
-};
-
-struct Trace {
-  std::string vantage;
-  SimTime measurement_start = 0;
-  SimTime measurement_end = 0;
-  std::vector<TracePeer> peers;
-  /// Engaged by a "connections" array, even an empty one.
-  std::optional<std::vector<TraceConnection>> connections;
-};
-
-constexpr Field<TraceAgent> kAgentFields[] = {
-    {"at_ms", &TraceAgent::at, kRequired},
-    {"agent", &TraceAgent::agent, kRequired},
-};
-
-constexpr Field<TracePeer> kPeerFields[] = {
-    {"pid", &TracePeer::pid, kRequired},
-    {"first_seen_ms", &TracePeer::first_seen, kRequired},
-    {"last_seen_ms", &TracePeer::last_seen, kRequired},
-    {"ever_dht_server", &TracePeer::ever_dht_server},
-    {"agents", object_array<&TracePeer::agents, kAgentFields>()},
-    {"protocols_ever", scalar_array<&TracePeer::protocols_ever>()},
-    {"connected_ips", scalar_array<&TracePeer::connected_ips>()},
-};
-
-// Direction and close reason by the names Dataset::export_json writes.
-constexpr Custom<TraceConnection> kDirection{
-    [](const JsonValue& value, const std::string& path,
-       TraceConnection& out) -> ParseError {
-      std::string name;
-      if (auto error = read(value, path, name)) return error;
-      const auto direction = p2p::direction_from_string(name);
-      if (!direction) return path + ": expected \"inbound\" or \"outbound\"";
-      out.direction = *direction;
-      return std::nullopt;
-    },
-    [](JsonWriter& writer, std::string_view key, const TraceConnection& in) {
-      writer.field(key, p2p::to_string(in.direction));
-    }};
-
-constexpr Custom<TraceConnection> kReason{
-    [](const JsonValue& value, const std::string& path,
-       TraceConnection& out) -> ParseError {
-      std::string name;
-      if (auto error = read(value, path, name)) return error;
-      const auto reason = p2p::close_reason_from_string(name);
-      if (!reason) {
-        return path + ": expected \"none\", \"local-trim\", \"remote-trim\", "
-                      "\"remote-close\", \"local-close\", \"peer-offline\", "
-                      "\"error\" or \"measurement-end\"";
-      }
-      out.reason = *reason;
-      return std::nullopt;
-    },
-    [](JsonWriter& writer, std::string_view key, const TraceConnection& in) {
-      writer.field(key, p2p::to_string(in.reason));
-    }};
-
-constexpr Field<TraceConnection> kConnectionFields[] = {
-    {"peer", &TraceConnection::peer, kRequired},
-    {"opened_ms", &TraceConnection::opened, kRequired},
-    {"closed_ms", &TraceConnection::closed, kRequired},
-    {"direction", kDirection},
-    {"reason", kReason},
-};
-
-constexpr Codec<std::vector<TraceConnection>> kConnectionList{
-    read_array<kConnectionFields, TraceConnection>,
-    write_array<kConnectionFields, TraceConnection>};
-
-constexpr Field<Trace> kTraceFields[] = {
-    {"vantage", &Trace::vantage, kRequired},
-    {"measurement_start_ms", &Trace::measurement_start, kRequired},
-    {"measurement_end_ms", &Trace::measurement_end, kRequired},
-    {"peers", object_array<&Trace::peers, kPeerFields>(), kRequired},
-    {"connections", optional_sub_object<&Trace::connections, kConnectionList>()},
-};
-
-/// The rules across fields, then the dataset: one record per peer, and
-/// the trace's connections or, for peer-record-only traces (the
-/// JsonExportSink default), one per peer spanning first..last seen.
-std::expected<measure::Dataset, std::string> build_dataset(const Trace& trace) {
-  if (trace.measurement_end < trace.measurement_start) {
-    return std::unexpected("measurement_end_ms: must be >= measurement_start_ms");
-  }
-  if (trace.peers.empty()) {
-    return std::unexpected("peers: dataset is empty — nothing to calibrate");
-  }
-  measure::Dataset dataset;
-  dataset.vantage = trace.vantage;
-  dataset.measurement_start = trace.measurement_start;
-  dataset.measurement_end = trace.measurement_end;
-  for (std::size_t i = 0; i < trace.peers.size(); ++i) {
-    const TracePeer& peer = trace.peers[i];
-    if (peer.last_seen < peer.first_seen) {
-      return std::unexpected("peers[" + std::to_string(i) +
-                             "].last_seen_ms: must be >= first_seen_ms");
-    }
-    // The PID string is identity only here; re-intern a synthetic PeerId
-    // per index (PeerIds are opaque hashes, not parseable strings).
-    const measure::PeerIndex index =
-        dataset.intern(p2p::PeerId::from_seed(i), peer.first_seen);
-    measure::PeerRecord& record = dataset.record(index);
-    record.first_seen = peer.first_seen;
-    record.last_seen = peer.last_seen;
-    record.ever_dht_server = peer.ever_dht_server;
-    for (const TraceAgent& event : peer.agents) {
-      dataset.add_agent(index, event.at, event.agent);
-    }
-  }
-  if (!trace.connections) {
-    for (measure::PeerIndex i = 0; i < trace.peers.size(); ++i) {
-      dataset.add_connection({.peer = i,
-                              .opened = trace.peers[i].first_seen,
-                              .closed = trace.peers[i].last_seen});
-    }
-    return dataset;
-  }
-  for (std::size_t i = 0; i < trace.connections->size(); ++i) {
-    const TraceConnection& connection = (*trace.connections)[i];
-    const std::string path = "connections[" + std::to_string(i) + "]";
-    if (connection.peer >= dataset.peer_count()) {
-      return std::unexpected(path + ".peer: index out of range");
-    }
-    if (connection.closed < connection.opened) {
-      return std::unexpected(path + ".closed_ms: must be >= opened_ms");
-    }
-    dataset.add_connection({.peer = static_cast<measure::PeerIndex>(connection.peer),
-                            .opened = connection.opened,
-                            .closed = connection.closed,
-                            .direction = connection.direction,
-                            .reason = connection.reason});
-  }
-  return dataset;
 }
 
 // ---- observation extraction ------------------------------------------------
@@ -570,23 +405,11 @@ FamilySelection select_family(const std::vector<Observation>& sample) {
   return selection;
 }
 
-// ---- trace ingestion -------------------------------------------------------
-
-std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) {
-  const auto parsed = JsonValue::parse_first(text);
-  if (!parsed) return std::unexpected("trace: " + parsed.error());
-  Trace trace;
-  if (auto error = read_document<Trace>(*parsed, "trace", kTraceFields, trace)) {
-    return std::unexpected(std::move(*error));
-  }
-  return build_dataset(trace);
-}
-
 // ---- the pipeline ----------------------------------------------------------
 
 std::expected<Result, std::string> run(std::string_view trace_text,
                                        const Options& options) {
-  auto dataset = parse_trace(trace_text);
+  auto dataset = measure::read_dataset(trace_text);
   if (!dataset) return std::unexpected(dataset.error());
 
   Result result;

@@ -8,7 +8,8 @@
 // `scenario::ScenarioSpec`, and (b) a fit report with per-group
 // parameters, goodness-of-fit statistics and censoring counts.
 //
-// Pipeline: parse the trace (strict, field-path errors) → reconstruct
+// Pipeline: read the trace with `measure::read_dataset` (the dataset
+// document's own strict reader, field-path errors) → reconstruct
 // sessions with the gap-threshold logic of `analysis::churn_stats` →
 // fit exponential / Weibull / lognormal session-length and
 // intersession-gap distributions by maximum likelihood *with
@@ -102,22 +103,6 @@ inline constexpr double kKsTieTolerance = 0.01;
 /// exposed so tests can cross-check against `analytic_median`).
 [[nodiscard]] double distribution_cdf(const scenario::SessionDistribution& dist,
                                       double t_ms);
-
-// ---- trace ingestion -------------------------------------------------------
-
-/// Parse a peer-record trace (the `Dataset::export_json` schema) back into
-/// a `measure::Dataset`.  Only the first JSON document of `text` is read:
-/// a JsonExportSink file carries the dataset document first, then optional
-/// sample-stream documents (`population_samples`, …), which calibration
-/// ignores.  Strict: unknown or repeated fields, wrong types, a
-/// non-monotone `first_seen_ms`/`last_seen_ms` pair, out-of-range
-/// connection peer indices and an empty `peers` array all fail with a
-/// field-path error ("peers[3].last_seen_ms: must be >= first_seen_ms").
-/// Traces without a `connections` array get one synthesized connection per
-/// peer spanning [first_seen, last_seen].  PIDs are re-interned as
-/// synthetic `PeerId`s (identity only; calibration never reads PID bytes).
-[[nodiscard]] std::expected<measure::Dataset, std::string> parse_trace(
-    std::string_view text);
 
 // ---- the pipeline ----------------------------------------------------------
 

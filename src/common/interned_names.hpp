@@ -2,8 +2,9 @@
 //
 // The strings live in a deque, which never moves its elements, so a
 // reference or view handed out stays valid while the table grows, and
-// across a move of the table.  A copy would hold views into the source's
-// strings, so the table is move-only.
+// across a move of the table.  A copy holds its own strings, and its index
+// is rebuilt over them rather than copied, so it never points into the
+// source's storage.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,11 @@ namespace ipfs::common {
 class InternedNames {
  public:
   InternedNames() = default;
-  InternedNames(const InternedNames&) = delete;
+  InternedNames(const InternedNames& other) : names_(other.names_) {
+    ids_.reserve(names_.size());
+    std::uint32_t id = 0;
+    for (const std::string& name : names_) ids_.emplace(name, id++);
+  }
   InternedNames& operator=(const InternedNames&) = delete;
   InternedNames(InternedNames&&) = default;
   InternedNames& operator=(InternedNames&&) = default;

@@ -6,8 +6,10 @@
 // the four cannot drift apart.  Every error carries the field path
 // ("network.disturbances[2].zones[0]: expected a string").
 //
-// The program's two outside documents are read this way: scenario files
-// (`scenario::ScenarioSpec`) and measured traces (`analysis::calibrate`).
+// The program's two documents are read and written this way: scenario
+// files (`scenario::ScenarioSpec`) and the peer-record dataset document
+// (`measure::Dataset::export_json` writes it, `measure::read_dataset` reads
+// it back, and `analysis::calibrate` reads measured traces through it).
 #pragma once
 
 #include <algorithm>
@@ -59,6 +61,14 @@ inline ParseError read(const JsonValue& value, const std::string& path, double& 
 
 inline ParseError read(const JsonValue& value, const std::string& path,
                        std::string& out) {
+  if (!value.is_string()) return path + ": expected a string";
+  out = value.as_string();
+  return std::nullopt;
+}
+
+/// A view into the parsed document: valid while the document lives.
+inline ParseError read(const JsonValue& value, const std::string& path,
+                       std::string_view& out) {
   if (!value.is_string()) return path + ": expected a string";
   out = value.as_string();
   return std::nullopt;
@@ -121,7 +131,7 @@ struct Custom {
 };
 
 /// The third entry of a field that must be present:
-/// `{"pid", &TracePeer::pid, kRequired}`.
+/// `{"pid", &PeerDoc::pid, kRequired}`.
 inline constexpr bool kRequired = true;
 
 template <class T>
@@ -129,7 +139,8 @@ struct Field {
   using Owner = T;
   std::string_view key;
   std::variant<bool T::*, int T::*, std::uint32_t T::*, std::uint64_t T::*,
-               double T::*, std::string T::*, SimDuration T::*, Custom<T>>
+               double T::*, std::string T::*, std::string_view T::*,
+               SimDuration T::*, Custom<T>>
       member;
   /// Absent is an error ("<path>: missing required field"), not a default.
   bool required = false;

@@ -4,8 +4,12 @@
 #include <atomic>
 #include <numeric>
 #include <ostream>
+#include <span>
+#include <unordered_map>
+#include <utility>
 
 #include "common/json.hpp"
+#include "common/json_schema.hpp"
 
 namespace ipfs::measure {
 
@@ -26,47 +30,7 @@ void union_remapped(std::vector<std::uint32_t>& ours,
   ours.erase(std::unique(ours.begin(), ours.end()), ours.end());
 }
 
-/// One table's ids in the order of their values, and each id's position in
-/// that order: the export sorts a peer's ids by position, which lists them
-/// as a std::set of the values would.
-struct ValueOrder {
-  std::vector<std::uint32_t> order;  ///< position -> id
-  std::vector<std::uint32_t> rank;   ///< id -> position
-
-  template <typename Less>
-  ValueOrder(std::size_t size, Less less) : order(size), rank(size) {
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), less);
-    for (std::uint32_t position = 0; position < size; ++position) {
-      rank[order[position]] = position;
-    }
-  }
-
-  /// `ids` as positions in value order, ascending, in `buffer`.
-  const std::vector<std::uint32_t>& positions(const std::vector<std::uint32_t>& ids,
-                                              std::vector<std::uint32_t>& buffer) const {
-    buffer.clear();
-    for (const std::uint32_t id : ids) buffer.push_back(rank[id]);
-    std::sort(buffer.begin(), buffer.end());
-    return buffer;
-  }
-};
-
 }  // namespace
-
-std::uint32_t Dataset::NameTable::intern(std::string_view name) {
-  if (const auto it = ids_.find(name); it != ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(names_.back(), id);
-  return id;
-}
-
-std::optional<std::uint32_t> Dataset::NameTable::find(std::string_view name) const {
-  const auto it = ids_.find(name);
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
-}
 
 IpId Dataset::Body::intern_ip(const p2p::IpAddress& ip) {
   const auto [it, inserted] = ip_ids.try_emplace(ip, static_cast<IpId>(ips.size()));
@@ -177,7 +141,8 @@ void Dataset::merge(const Dataset& other) {
 
   // Translate their table ids into ours before reading any of their ids.
   Body& body = mutable_body();
-  const auto remap_names = [](NameTable& ours, const NameTable& theirs) {
+  const auto remap_names = [](common::InternedNames& ours,
+                               const common::InternedNames& theirs) {
     std::vector<std::uint32_t> ids(theirs.size());
     for (std::uint32_t id = 0; id < ids.size(); ++id) {
       ids[id] = ours.intern(theirs.name(id));
@@ -222,74 +187,265 @@ void Dataset::merge(const Dataset& other) {
   by_peer_cache_.lists.clear();
 }
 
+// ---- the dataset document ---------------------------------------------------
+//
+// One field list per record (DESIGN.md §8) both writes the document and
+// reads it back, so the two cannot drift apart.  Peers stream through one
+// staging record, `PeerDoc`, reused for every peer so its lists keep their
+// capacity; connections are read and written as `ConnRecord`s directly.
+
+namespace {
+
+using namespace common::json_schema;
+using common::JsonValue;
+using common::JsonWriter;
+
+struct AgentDoc {
+  SimTime at = 0;
+  std::string_view agent;
+};
+
+/// One peer as the document spells it.  The strings are views: into the
+/// dataset's tables while writing, into the parsed document while reading.
+/// The writer lists protocols and IPs in value order, as the std::set
+/// fields their ids replaced did, whatever order the dataset saw them in.
+struct PeerDoc {
+  std::string_view pid;
+  SimTime first_seen = 0;
+  SimTime last_seen = 0;
+  bool ever_dht_server = false;
+  std::vector<AgentDoc> agents;
+  std::vector<std::string_view> protocols_ever;
+  std::vector<p2p::IpAddress> connected_ips;
+};
+
+constexpr Field<AgentDoc> kAgentFields[] = {
+    {"at_ms", &AgentDoc::at, kRequired},
+    {"agent", &AgentDoc::agent, kRequired},
+};
+
+constexpr Custom<PeerDoc> kConnectedIps{
+    [](const JsonValue& value, const std::string& path, PeerDoc& out) -> ParseError {
+      if (!value.is_array()) return path + ": expected an array";
+      for (std::size_t i = 0; i < value.as_array().size(); ++i) {
+        const JsonValue& element = value.as_array()[i];
+        const auto ip = element.is_string() ? p2p::IpAddress::parse(element.as_string())
+                                            : std::nullopt;
+        if (!ip) return path + "[" + std::to_string(i) + "]: expected an IP address";
+        out.connected_ips.push_back(*ip);
+      }
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const PeerDoc& in) {
+      writer.key(key);
+      writer.begin_array();
+      for (const p2p::IpAddress& ip : in.connected_ips) writer.value(ip.to_string());
+      writer.end_array();
+    }};
+
+constexpr Field<PeerDoc> kPeerFields[] = {
+    {"pid", &PeerDoc::pid, kRequired},
+    {"first_seen_ms", &PeerDoc::first_seen, kRequired},
+    {"last_seen_ms", &PeerDoc::last_seen, kRequired},
+    {"ever_dht_server", &PeerDoc::ever_dht_server},
+    {"agents", object_array<&PeerDoc::agents, kAgentFields>()},
+    {"protocols_ever", scalar_array<&PeerDoc::protocols_ever>()},
+    {"connected_ips", kConnectedIps},
+};
+
+/// A connection's direction or close reason, by its p2p::to_string name;
+/// `kNames` lists the names for the error.
+template <auto kMember, auto kFromString, const char* kNames>
+constexpr Custom<ConnRecord> kNamed{
+    [](const JsonValue& value, const std::string& path, ConnRecord& out) -> ParseError {
+      std::string_view name;
+      if (auto error = read(value, path, name)) return error;
+      const auto parsed = kFromString(name);
+      if (!parsed) return path + ": expected " + kNames;
+      out.*kMember = *parsed;
+      return std::nullopt;
+    },
+    [](JsonWriter& writer, std::string_view key, const ConnRecord& in) {
+      writer.field(key, p2p::to_string(in.*kMember));
+    }};
+
+constexpr char kDirections[] = R"("inbound" or "outbound")";
+constexpr char kReasons[] =
+    R"("none", "local-trim", "remote-trim", "remote-close", "local-close", )"
+    R"("peer-offline", "error" or "measurement-end")";
+
+constexpr Field<ConnRecord> kConnectionFields[] = {
+    {"peer", &ConnRecord::peer, kRequired},
+    {"opened_ms", &ConnRecord::opened, kRequired},
+    {"closed_ms", &ConnRecord::closed, kRequired},
+    {"direction", kNamed<&ConnRecord::direction, p2p::direction_from_string, kDirections>},
+    {"reason", kNamed<&ConnRecord::reason, p2p::close_reason_from_string, kReasons>},
+};
+
+/// A name table's ids in the order of their names, and each id's position
+/// in that order: the export sorts a peer's ids by position.
+struct NameOrder {
+  std::vector<std::uint32_t> order;  ///< position -> id
+  std::vector<std::uint32_t> rank;   ///< id -> position
+
+  explicit NameOrder(const common::InternedNames& names)
+      : order(names.size()), rank(names.size()) {
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&names](std::uint32_t a, std::uint32_t b) {
+      return names.name(a) < names.name(b);
+    });
+    for (std::uint32_t position = 0; position < order.size(); ++position) {
+      rank[order[position]] = position;
+    }
+  }
+};
+
+}  // namespace
+
+struct Dataset::Schema {
+  static ParseError read_peers(const JsonValue& value, const std::string& path,
+                               Dataset& out) {
+    if (!value.is_array()) return path + ": expected an array";
+    const JsonValue::Array& peers = value.as_array();
+    Body& body = out.mutable_body();
+    body.peers.reserve(peers.size());
+    std::unordered_map<std::string_view, std::size_t> first_with_pid;
+    PeerDoc doc;
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      const std::string at = path + "[" + std::to_string(i) + "]";
+      doc.agents.clear();
+      doc.protocols_ever.clear();
+      doc.connected_ips.clear();
+      if (auto error = read_record<PeerDoc>(peers[i], at, kPeerFields, doc)) return error;
+      if (doc.last_seen < doc.first_seen) {
+        return at + ".last_seen_ms: must be >= first_seen_ms";
+      }
+      if (const auto [first, inserted] = first_with_pid.try_emplace(doc.pid, i);
+          !inserted) {
+        return at + ".pid: repeats " + path + "[" + std::to_string(first->second) + "]";
+      }
+      // PeerIds are opaque hashes, not parseable strings: peer i gets a
+      // synthetic one.
+      PeerRecord& record = body.peers[out.intern(p2p::PeerId::from_seed(i), doc.first_seen)];
+      record.last_seen = doc.last_seen;
+      record.ever_dht_server = doc.ever_dht_server;
+      for (const AgentDoc& agent : doc.agents) {
+        record.agent_history.push_back({agent.at, body.agents.intern(agent.agent)});
+      }
+      for (const std::string_view protocol : doc.protocols_ever) {
+        insert_sorted(record.protocols_ever, body.protocols.intern(protocol));
+      }
+      for (const p2p::IpAddress& ip : doc.connected_ips) {
+        insert_sorted(record.connected_ips, body.intern_ip(ip));
+      }
+    }
+    return std::nullopt;
+  }
+
+  static void write_peers(JsonWriter& writer, std::string_view key, const Dataset& in) {
+    const Body& body = in.body();
+    const NameOrder protocol_order(body.protocols);
+    std::vector<std::uint32_t> positions;
+    std::string pid;
+    PeerDoc doc;
+    writer.key(key);
+    writer.begin_array();
+    for (const PeerRecord& peer : body.peers) {
+      pid = peer.pid.to_string();
+      doc.pid = pid;
+      doc.first_seen = peer.first_seen;
+      doc.last_seen = peer.last_seen;
+      doc.ever_dht_server = peer.ever_dht_server;
+      doc.agents.clear();
+      for (const AgentEvent& event : peer.agent_history) {
+        doc.agents.push_back({event.at, body.agents.name(event.agent)});
+      }
+      positions.clear();
+      for (const ProtocolId id : peer.protocols_ever) {
+        positions.push_back(protocol_order.rank[id]);
+      }
+      std::sort(positions.begin(), positions.end());
+      doc.protocols_ever.clear();
+      for (const std::uint32_t position : positions) {
+        doc.protocols_ever.push_back(body.protocols.name(protocol_order.order[position]));
+      }
+      doc.connected_ips.clear();
+      for (const IpId id : peer.connected_ips) doc.connected_ips.push_back(body.ips[id]);
+      std::sort(doc.connected_ips.begin(), doc.connected_ips.end());
+      write_record<PeerDoc>(writer, kPeerFields, doc);
+    }
+    writer.end_array();
+  }
+
+  static ParseError read_connections(const JsonValue& value, const std::string& path,
+                                     Dataset& out) {
+    std::vector<ConnRecord>& connections = out.mutable_body().connections;
+    if (auto error = read_array<kConnectionFields>(value, path, connections)) {
+      return error;
+    }
+    for (std::size_t i = 0; i < connections.size(); ++i) {
+      const ConnRecord& connection = connections[i];
+      if (connection.peer >= out.peer_count()) {
+        return path + "[" + std::to_string(i) + "].peer: index out of range";
+      }
+      if (connection.closed < connection.opened) {
+        return path + "[" + std::to_string(i) + "].closed_ms: must be >= opened_ms";
+      }
+    }
+    return std::nullopt;
+  }
+
+  static void write_connections(JsonWriter& writer, std::string_view key,
+                                const Dataset& in) {
+    writer.key(key);
+    write_array<kConnectionFields>(writer, in.body().connections);
+  }
+
+  /// Read in list order, so `peers` is complete before `connections` is
+  /// checked against it.  `connections` comes last, for export_json's
+  /// form without it.
+  static constexpr Field<Dataset> kFields[] = {
+      {"vantage", &Dataset::vantage, kRequired},
+      {"measurement_start_ms", &Dataset::measurement_start, kRequired},
+      {"measurement_end_ms", &Dataset::measurement_end, kRequired},
+      {"peers", Custom<Dataset>{read_peers, write_peers}, kRequired},
+      {"connections", Custom<Dataset>{read_connections, write_connections}},
+  };
+};
+
 void Dataset::export_json(std::ostream& out, bool include_connections,
                           bool pretty) const {
-  const Body& body = this->body();
-  // Names and IPs print in value order, as the std::set fields these ids
-  // replaced did, whatever order the dataset first saw them in.
-  const ValueOrder protocol_order(
-      body.protocols.size(), [&body](ProtocolId a, ProtocolId b) {
-        return body.protocols.name(a) < body.protocols.name(b);
-      });
-  const ValueOrder ip_order(body.ips.size(), [&body](IpId a, IpId b) {
-    return body.ips[a] < body.ips[b];
-  });
-  std::vector<std::uint32_t> buffer;
-
-  common::JsonWriter json(out, pretty);
-  json.begin_object();
-  json.field("vantage", vantage);
-  json.field("measurement_start_ms", measurement_start);
-  json.field("measurement_end_ms", measurement_end);
-  json.key("peers");
-  json.begin_array();
-  for (const PeerRecord& peer : body.peers) {
-    json.begin_object();
-    json.field("pid", peer.pid.to_string());
-    json.field("first_seen_ms", peer.first_seen);
-    json.field("last_seen_ms", peer.last_seen);
-    json.field("ever_dht_server", peer.ever_dht_server);
-    json.key("agents");
-    json.begin_array();
-    for (const AgentEvent& event : peer.agent_history) {
-      json.begin_object();
-      json.field("at_ms", event.at);
-      json.field("agent", body.agents.name(event.agent));
-      json.end_object();
-    }
-    json.end_array();
-    json.key("protocols_ever");
-    json.begin_array();
-    for (const std::uint32_t pos :
-         protocol_order.positions(peer.protocols_ever, buffer)) {
-      json.value(body.protocols.name(protocol_order.order[pos]));
-    }
-    json.end_array();
-    json.key("connected_ips");
-    json.begin_array();
-    for (const std::uint32_t pos : ip_order.positions(peer.connected_ips, buffer)) {
-      json.value(body.ips[ip_order.order[pos]].to_string());
-    }
-    json.end_array();
-    json.end_object();
-  }
-  json.end_array();
-  if (include_connections) {
-    json.key("connections");
-    json.begin_array();
-    for (const ConnRecord& record : body.connections) {
-      json.begin_object();
-      json.field("peer", static_cast<std::uint64_t>(record.peer));
-      json.field("opened_ms", record.opened);
-      json.field("closed_ms", record.closed);
-      json.field("direction", p2p::to_string(record.direction));
-      json.field("reason", p2p::to_string(record.reason));
-      json.end_object();
-    }
-    json.end_array();
-  }
-  json.end_object();
+  const std::span<const Field<Dataset>> fields = Schema::kFields;
+  common::JsonWriter writer(out, pretty);
+  write_record<Dataset>(
+      writer, include_connections ? fields : fields.first(fields.size() - 1), *this);
   out << '\n';
+}
+
+std::expected<Dataset, std::string> read_dataset(std::string_view text) {
+  const auto parsed = JsonValue::parse_first(text);
+  if (!parsed) return std::unexpected("trace: " + parsed.error());
+  Dataset dataset;
+  if (auto error =
+          read_document<Dataset>(*parsed, "trace", Dataset::Schema::kFields, dataset)) {
+    return std::unexpected(std::move(*error));
+  }
+  if (dataset.measurement_end < dataset.measurement_start) {
+    return std::unexpected("measurement_end_ms: must be >= measurement_start_ms");
+  }
+  if (dataset.peer_count() == 0) {
+    return std::unexpected("peers: dataset is empty — nothing to calibrate");
+  }
+  if (parsed->find("connections") == nullptr) {
+    // Peer records only (the JsonExportSink default): presence
+    // approximated by one connection per peer spanning first..last seen.
+    for (PeerIndex i = 0; i < dataset.peer_count(); ++i) {
+      const PeerRecord& peer = std::as_const(dataset).record(i);
+      const ConnRecord span{.peer = i, .opened = peer.first_seen, .closed = peer.last_seen};
+      dataset.add_connection(span);
+    }
+  }
+  return dataset;
 }
 
 }  // namespace ipfs::measure

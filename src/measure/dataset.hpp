@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <expected>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/interned_names.hpp"
 #include "common/sim_time.hpp"
 #include "p2p/connection.hpp"
 #include "p2p/multiaddr.hpp"
@@ -170,39 +171,24 @@ class Dataset {
   /// their own timestamps; peer metadata merges field-wise.
   void merge(const Dataset& other);
 
-  /// Export in the spirit of the paper's periodic JSON dumps.
+  /// Export in the spirit of the paper's periodic JSON dumps: the document
+  /// `read_dataset` reads back.  Without connections the document ends
+  /// after `peers`.
   void export_json(std::ostream& out, bool include_connections = true,
                    bool pretty = true) const;
 
  private:
-  /// Distinct strings numbered in first-seen order.  The index owns its
-  /// keys, so a copied table never points into another table's storage;
-  /// lookups hash a string_view and allocate nothing.
-  class NameTable {
-   public:
-    std::uint32_t intern(std::string_view name);
-    [[nodiscard]] std::optional<std::uint32_t> find(std::string_view name) const;
-    [[nodiscard]] const std::string& name(std::uint32_t id) const { return names_[id]; }
-    [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
-
-   private:
-    struct Hash {
-      using is_transparent = void;
-      std::size_t operator()(std::string_view text) const noexcept {
-        return std::hash<std::string_view>{}(text);
-      }
-    };
-    std::vector<std::string> names_;
-    std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>> ids_;
-  };
+  /// The document's field lists (dataset.cpp), one per record.
+  struct Schema;
+  friend std::expected<Dataset, std::string> read_dataset(std::string_view text);
 
   /// The storage copies share.  Written only while one handle owns it.
   struct Body {
     std::vector<PeerRecord> peers;
     common::FlatMap<p2p::PeerId, PeerIndex, p2p::PeerIdHash> index;
     std::vector<ConnRecord> connections;
-    NameTable agents;
-    NameTable protocols;
+    common::InternedNames agents;
+    common::InternedNames protocols;
     std::vector<p2p::IpAddress> ips;
     std::unordered_map<p2p::IpAddress, IpId> ip_ids;
 
@@ -236,5 +222,17 @@ class Dataset {
   std::shared_ptr<Body> body_;
   mutable ByPeerCache by_peer_cache_;
 };
+
+/// Read the document `Dataset::export_json` writes, e.g. a measured trace
+/// (DESIGN.md §15).  Only the first JSON document of `text` is read, so
+/// the sample-stream documents of a JsonExportSink file are ignored.
+/// Strict: every fault fails with a field-path error ("peers[3].pid:
+/// repeats peers[1]"), and text that is not JSON as "trace: <line:col>: …".
+/// Without a `connections` array, each peer gets one connection spanning
+/// [first_seen, last_seen]; an empty array stays empty.  PID strings are
+/// identity only: peer i gets `PeerId::from_seed(i)`.  Everything else
+/// the document holds is kept, so exporting what was read from an export
+/// gives its bytes back, PID values aside.
+[[nodiscard]] std::expected<Dataset, std::string> read_dataset(std::string_view text);
 
 }  // namespace ipfs::measure

@@ -33,6 +33,12 @@ class Population {
   /// categories are duration-independent.
   Population(const PopulationSpec& spec, common::SimDuration duration,
              common::Rng rng);
+  // The protocol sets hold views into this population's name table, so a
+  // copy would point into the source's strings: move-only.
+  Population(const Population&) = delete;
+  Population& operator=(const Population&) = delete;
+  Population(Population&&) = default;
+  Population& operator=(Population&&) = default;
 
   /// The number of peers a build of `spec` over `duration` reserves (the
   /// hydra loop may place fewer).  Counted in 64 bits with each category

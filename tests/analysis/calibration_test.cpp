@@ -2,7 +2,7 @@
 // censored-MLE fitter recovery on synthetic draws from each distribution
 // family, KS-based family selection with the parsimony tie-break, the
 // goodness-of-fit statistics against analytic oracles, and the strict
-// malformed-trace corpus.
+// malformed-trace corpus of the dataset reader (measure::read_dataset).
 #include "analysis/calibration.hpp"
 
 #include <gtest/gtest.h>
@@ -204,7 +204,7 @@ std::string peer_json(const std::string& overrides = "") {
 }
 
 TEST(CalibrationTrace, ParsesAValidTraceAndSynthesizesConnections) {
-  const auto dataset = parse_trace(valid_trace(peer_json()));
+  const auto dataset = measure::read_dataset(valid_trace(peer_json()));
   ASSERT_TRUE(dataset.has_value()) << dataset.error();
   EXPECT_EQ(dataset->vantage, "go-ipfs");
   EXPECT_EQ(dataset->peer_count(), 1u);
@@ -215,7 +215,7 @@ TEST(CalibrationTrace, ParsesAValidTraceAndSynthesizesConnections) {
 }
 
 TEST(CalibrationTrace, ParsesExplicitConnections) {
-  const auto dataset = parse_trace(valid_trace(
+  const auto dataset = measure::read_dataset(valid_trace(
       peer_json(), ", \"connections\": [{\"peer\": 0, \"opened_ms\": 1000, "
                    "\"closed_ms\": 1500, \"direction\": \"inbound\", "
                    "\"reason\": \"none\"}, {\"peer\": 0, \"opened_ms\": 1600, "
@@ -230,14 +230,37 @@ TEST(CalibrationTrace, ParsesExplicitConnections) {
   EXPECT_EQ(dataset->connections()[1].reason, p2p::CloseReason::kRemoteTrim);
 }
 
+TEST(CalibrationTrace, AnEmptyConnectionsArrayStaysEmpty) {
+  const auto dataset =
+      measure::read_dataset(valid_trace(peer_json(), ", \"connections\": []"));
+  ASSERT_TRUE(dataset.has_value()) << dataset.error();
+  EXPECT_EQ(dataset->peer_count(), 1u);
+  EXPECT_EQ(dataset->connection_count(), 0u);
+}
+
+TEST(CalibrationTrace, KeepsProtocolsAndConnectedIps) {
+  const auto dataset = measure::read_dataset(valid_trace(peer_json(
+      ", \"protocols_ever\": [\"/ipfs/id/1.0.0\", \"/ipfs/kad/1.0.0\"], "
+      "\"connected_ips\": [\"9.0.0.1\", \"2001:db8:0:0:0:0:0:1\"]")));
+  ASSERT_TRUE(dataset.has_value()) << dataset.error();
+  const measure::PeerRecord& peer = dataset->peers()[0];
+  ASSERT_EQ(peer.protocols_ever.size(), 2u);
+  EXPECT_EQ(dataset->protocol_name(peer.protocols_ever[0]), "/ipfs/id/1.0.0");
+  EXPECT_EQ(dataset->protocol_name(peer.protocols_ever[1]), "/ipfs/kad/1.0.0");
+  EXPECT_TRUE(peer.protocol_events.empty()) << "no change log is invented";
+  ASSERT_EQ(peer.connected_ips.size(), 2u);
+  EXPECT_EQ(dataset->ip(peer.connected_ips[0]).to_string(), "9.0.0.1");
+  EXPECT_EQ(dataset->ip(peer.connected_ips[1]).to_string(), "2001:db8:0:0:0:0:0:1");
+}
+
 TEST(CalibrationTrace, RejectsMissingRequiredFields) {
-  const auto no_last_seen = parse_trace(valid_trace(
+  const auto no_last_seen = measure::read_dataset(valid_trace(
       "{\"pid\": \"QmPeer\", \"first_seen_ms\": 1000}"));
   ASSERT_FALSE(no_last_seen.has_value());
   EXPECT_EQ(no_last_seen.error(),
             "peers[0].last_seen_ms: missing required field");
 
-  const auto no_vantage = parse_trace(
+  const auto no_vantage = measure::read_dataset(
       "{\"measurement_start_ms\": 0, \"measurement_end_ms\": 1, "
       "\"peers\": [" + peer_json() + "]}");
   ASSERT_FALSE(no_vantage.has_value());
@@ -245,14 +268,14 @@ TEST(CalibrationTrace, RejectsMissingRequiredFields) {
 }
 
 TEST(CalibrationTrace, RejectsNonMonotoneSeenTimes) {
-  const auto bad = parse_trace(valid_trace(
+  const auto bad = measure::read_dataset(valid_trace(
       "{\"pid\": \"QmPeer\", \"first_seen_ms\": 2000, \"last_seen_ms\": 1000}"));
   ASSERT_FALSE(bad.has_value());
   EXPECT_EQ(bad.error(), "peers[0].last_seen_ms: must be >= first_seen_ms");
 }
 
 TEST(CalibrationTrace, RejectsNonMonotoneMeasurementWindow) {
-  const auto bad = parse_trace(
+  const auto bad = measure::read_dataset(
       "{\"vantage\": \"v\", \"measurement_start_ms\": 10, "
       "\"measurement_end_ms\": 5, \"peers\": [" + peer_json() + "]}");
   ASSERT_FALSE(bad.has_value());
@@ -260,45 +283,45 @@ TEST(CalibrationTrace, RejectsNonMonotoneMeasurementWindow) {
 }
 
 TEST(CalibrationTrace, RejectsAnEmptyDataset) {
-  const auto empty = parse_trace(valid_trace(""));
+  const auto empty = measure::read_dataset(valid_trace(""));
   ASSERT_FALSE(empty.has_value());
   EXPECT_NE(empty.error().find("dataset is empty"), std::string::npos);
 }
 
 TEST(CalibrationTrace, RejectsUnknownFields) {
-  const auto top = parse_trace(
+  const auto top = measure::read_dataset(
       "{\"vantage\": \"v\", \"measurement_start_ms\": 0, "
       "\"measurement_end_ms\": 1, \"peers\": [" + peer_json() + "], "
       "\"bogus\": 1}");
   ASSERT_FALSE(top.has_value());
   EXPECT_EQ(top.error(), "trace: unknown field 'bogus'");
 
-  const auto nested = parse_trace(valid_trace(peer_json(", \"typo\": true")));
+  const auto nested = measure::read_dataset(valid_trace(peer_json(", \"typo\": true")));
   ASSERT_FALSE(nested.has_value());
   EXPECT_EQ(nested.error(), "peers[0]: unknown field 'typo'");
 }
 
 TEST(CalibrationTrace, RejectsDuplicateFields) {
   // A repeated key must not shadow the other, at the root or in a record.
-  const auto top = parse_trace(valid_trace(
+  const auto top = measure::read_dataset(valid_trace(
       peer_json(), ", \"peers\": [" + peer_json() + ", " + peer_json() + "]"));
   ASSERT_FALSE(top.has_value());
   EXPECT_EQ(top.error(), "trace: duplicate field 'peers'");
 
   const auto nested =
-      parse_trace(valid_trace(peer_json(", \"last_seen_ms\": 500")));
+      measure::read_dataset(valid_trace(peer_json(", \"last_seen_ms\": 500")));
   ASSERT_FALSE(nested.has_value());
   EXPECT_EQ(nested.error(), "peers[0]: duplicate field 'last_seen_ms'");
 }
 
 TEST(CalibrationTrace, RejectsBadConnections) {
-  const auto out_of_range = parse_trace(valid_trace(
+  const auto out_of_range = measure::read_dataset(valid_trace(
       peer_json(),
       ", \"connections\": [{\"peer\": 7, \"opened_ms\": 0, \"closed_ms\": 1}]"));
   ASSERT_FALSE(out_of_range.has_value());
   EXPECT_EQ(out_of_range.error(), "connections[0].peer: index out of range");
 
-  const auto inverted = parse_trace(valid_trace(
+  const auto inverted = measure::read_dataset(valid_trace(
       peer_json(),
       ", \"connections\": [{\"peer\": 0, \"opened_ms\": 5, \"closed_ms\": 1}]"));
   ASSERT_FALSE(inverted.has_value());
@@ -306,22 +329,43 @@ TEST(CalibrationTrace, RejectsBadConnections) {
 
   const std::string connection =
       "{\"peer\": 0, \"opened_ms\": 0, \"closed_ms\": 1";
-  const auto direction = parse_trace(valid_trace(
+  const auto direction = measure::read_dataset(valid_trace(
       peer_json(), ", \"connections\": [" + connection + "}, " + connection +
                        ", \"direction\": \"sideways\"}]"));
   ASSERT_FALSE(direction.has_value());
   EXPECT_EQ(direction.error(),
             "connections[1].direction: expected \"inbound\" or \"outbound\"");
 
-  const auto reason = parse_trace(valid_trace(
+  const auto reason = measure::read_dataset(valid_trace(
       peer_json(), ", \"connections\": [" + connection + ", \"reason\": \"Local-Trim\"}]"));
   ASSERT_FALSE(reason.has_value());
   EXPECT_TRUE(reason.error().starts_with("connections[0].reason: expected \"none\", "))
       << reason.error();
 }
 
+TEST(CalibrationTrace, RejectsAConnectedIpThatIsNotAnIp) {
+  const auto bad = measure::read_dataset(
+      valid_trace(peer_json(", \"connected_ips\": [\"9.0.0.1\", \"9.0.0.256\"]")));
+  ASSERT_FALSE(bad.has_value());
+  EXPECT_EQ(bad.error(), "peers[0].connected_ips[1]: expected an IP address");
+
+  const auto number =
+      measure::read_dataset(valid_trace(peer_json(", \"connected_ips\": [7]")));
+  ASSERT_FALSE(number.has_value());
+  EXPECT_EQ(number.error(), "peers[0].connected_ips[0]: expected an IP address");
+}
+
+TEST(CalibrationTrace, RejectsARepeatedPid) {
+  const std::string other =
+      "{\"pid\": \"QmOther\", \"first_seen_ms\": 1000, \"last_seen_ms\": 2000}";
+  const auto bad = measure::read_dataset(
+      valid_trace(peer_json() + ", " + other + ", " + other + ", " + peer_json()));
+  ASSERT_FALSE(bad.has_value());
+  EXPECT_EQ(bad.error(), "peers[2].pid: repeats peers[1]");
+}
+
 TEST(CalibrationTrace, RejectsMalformedJson) {
-  const auto bad = parse_trace("{\"vantage\": ");
+  const auto bad = measure::read_dataset("{\"vantage\": ");
   ASSERT_FALSE(bad.has_value());
   EXPECT_EQ(bad.error().rfind("trace: ", 0), 0u) << bad.error();
 }

@@ -3,15 +3,19 @@
 // must fit every peer group, emit a scenario that validates and
 // round-trips byte-exactly, pass the closed-loop KS check against a
 // re-simulation, and produce identical bytes on every run.  A campaign's
-// own multi-document export must read back as the dataset it exported.
+// own multi-document export must read back as the dataset it exported,
+// protocols and connected IPs included.
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/calibration.hpp"
 #include "common/sim_time.hpp"
+#include "measure/dataset.hpp"
 #include "measure/sink.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/scenario_spec.hpp"
@@ -21,6 +25,26 @@ namespace {
 
 constexpr const char* kTracePath =
     IPFS_SOURCE_DIR "/scenarios/traces/passive_measurement_small.json";
+
+/// The peer's protocols_ever as names and its connected IPs as values,
+/// each in value order: ids differ between datasets, these do not.
+std::vector<std::string> protocol_names(const measure::Dataset& dataset,
+                                        const measure::PeerRecord& peer) {
+  std::vector<std::string> names;
+  for (const measure::ProtocolId id : peer.protocols_ever) {
+    names.push_back(dataset.protocol_name(id));
+  }
+  std::ranges::sort(names);
+  return names;
+}
+
+std::vector<p2p::IpAddress> connected_ips(const measure::Dataset& dataset,
+                                          const measure::PeerRecord& peer) {
+  std::vector<p2p::IpAddress> ips;
+  for (const measure::IpId id : peer.connected_ips) ips.push_back(dataset.ip(id));
+  std::ranges::sort(ips);
+  return ips;
+}
 
 std::string read_trace() {
   std::ifstream in(kTracePath, std::ios::binary);
@@ -124,12 +148,14 @@ TEST(CalibrationLoop, CampaignExportReadsBackAsItsDataset) {
   ASSERT_NE(expected, nullptr);
   ASSERT_GT(expected->connection_count(), 0u);
 
-  const auto parsed = parse_trace(text);
+  const auto parsed = measure::read_dataset(text);
   ASSERT_TRUE(parsed.has_value()) << parsed.error();
   EXPECT_EQ(parsed->vantage, expected->vantage);
   EXPECT_EQ(parsed->measurement_start, expected->measurement_start);
   EXPECT_EQ(parsed->measurement_end, expected->measurement_end);
   ASSERT_EQ(parsed->peer_count(), expected->peer_count());
+  std::size_t with_protocols = 0;
+  std::size_t with_ips = 0;
   for (measure::PeerIndex i = 0; i < expected->peer_count(); ++i) {
     const measure::PeerRecord& want = expected->record(i);
     const measure::PeerRecord& got = parsed->record(i);
@@ -142,7 +168,16 @@ TEST(CalibrationLoop, CampaignExportReadsBackAsItsDataset) {
       EXPECT_EQ(parsed->agent_name(got.agent_history[e].agent),
                 expected->agent_name(want.agent_history[e].agent));
     }
+    EXPECT_EQ(protocol_names(*parsed, got), protocol_names(*expected, want))
+        << "peer " << i;
+    EXPECT_EQ(connected_ips(*parsed, got), connected_ips(*expected, want))
+        << "peer " << i;
+    EXPECT_TRUE(got.protocol_events.empty()) << "peer " << i;
+    with_protocols += want.protocols_ever.empty() ? 0 : 1;
+    with_ips += want.connected_ips.empty() ? 0 : 1;
   }
+  EXPECT_GT(with_protocols, 0u);
+  EXPECT_GT(with_ips, 0u);
   ASSERT_EQ(parsed->connection_count(), expected->connection_count());
   for (std::size_t c = 0; c < expected->connection_count(); ++c) {
     const measure::ConnRecord& want = expected->connections()[c];
