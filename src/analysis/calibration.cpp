@@ -351,23 +351,26 @@ double ad_statistic(const std::vector<Observation>& sample,
   return -static_cast<double>(n) - sum / static_cast<double>(n);
 }
 
-double two_sample_ks(std::vector<double> a, std::vector<double> b) {
-  if (a.empty() || b.empty()) return 1.0;
+KsDistance two_sample_ks(std::vector<double> a, std::vector<double> b) {
+  if (a.empty() || b.empty()) return {};
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
   std::size_t ia = 0;
   std::size_t ib = 0;
-  double d = 0.0;
+  KsDistance worst{.distance = 0.0};
   while (ia < a.size() && ib < b.size()) {
     const double x = std::min(a[ia], b[ib]);
     while (ia < a.size() && a[ia] <= x) ++ia;
     while (ib < b.size() && b[ib] <= x) ++ib;
-    d = std::max(d, std::abs(static_cast<double>(ia) / na -
-                             static_cast<double>(ib) / nb));
+    const double cdf_a = static_cast<double>(ia) / na;
+    const double cdf_b = static_cast<double>(ib) / nb;
+    if (std::abs(cdf_a - cdf_b) > worst.distance) {
+      worst = {std::abs(cdf_a - cdf_b), x, cdf_a, cdf_b};
+    }
   }
-  return d;
+  return worst;
 }
 
 FamilySelection select_family(const std::vector<Observation>& sample) {
@@ -527,8 +530,12 @@ std::expected<Result, std::string> run(std::string_view trace_text,
     result.loop.scale = options.verify_scale;
     result.loop.seed = options.seed;
     result.loop.simulated_sessions = simulated_ms.size();
-    result.loop.ks = two_sample_ks(std::move(measured_ms),
-                                   std::move(simulated_ms));
+    const KsDistance ks =
+        two_sample_ks(std::move(measured_ms), std::move(simulated_ms));
+    result.loop.ks = ks.distance;
+    result.loop.ks_length_ms = ks.at;
+    result.loop.measured_cdf = ks.cdf_a;
+    result.loop.simulated_cdf = ks.cdf_b;
     result.loop.pass = result.loop.ks <= options.ks_threshold;
   }
   return result;

@@ -96,8 +96,16 @@ inline constexpr double kKsTieTolerance = 0.01;
 [[nodiscard]] double ad_statistic(const std::vector<Observation>& sample,
                                   const scenario::SessionDistribution& dist);
 
+/// A two-sample KS distance and where it is reached.
+struct KsDistance {
+  double distance = 1.0;  ///< sup |F_a - F_b|; 1 when a sample is empty
+  double at = 0.0;        ///< the first sample value reaching it
+  double cdf_a = 0.0;     ///< F_a(at)
+  double cdf_b = 0.0;     ///< F_b(at)
+};
+
 /// Two-sample KS distance between empirical CDFs (the closed-loop metric).
-[[nodiscard]] double two_sample_ks(std::vector<double> a, std::vector<double> b);
+[[nodiscard]] KsDistance two_sample_ks(std::vector<double> a, std::vector<double> b);
 
 /// CDF of `dist` at `t_ms` (the analytic form the KS/AD statistics use;
 /// exposed so tests can cross-check against `analytic_median`).
@@ -138,6 +146,9 @@ struct ClosedLoop {
   std::uint64_t seed = 0;
   std::size_t simulated_sessions = 0;  ///< completed sessions, re-simulated
   double ks = 0.0;                     ///< two-sample KS, measured vs simulated
+  double ks_length_ms = 0.0;  ///< the session length where `ks` is reached
+  double measured_cdf = 0.0;   ///< measured CDF at `ks_length_ms`
+  double simulated_cdf = 0.0;  ///< simulated CDF at `ks_length_ms`
   double threshold = 0.0;
   bool pass = true;  ///< ks <= threshold (true when !ran)
 };

@@ -755,7 +755,9 @@ struct CampaignEngine::Impl {
       BitswapHost* host = fetcher_hosts[index].get();
       if (host == nullptr) return;  // left before the dial finished
       host->engine_.want_block(
-          vantage_pid, cid, [this, key, start](const bitswap::Cid&) {
+          vantage_pid, cid, [this, host, key, start](const bitswap::Cid& block) {
+            // Nothing asks a fetcher for blocks, so it keeps none.
+            host->engine_.remove_block(block);
             measure::FetchSample served;
             served.at = simulation.now();
             served.key = key;
@@ -1535,6 +1537,10 @@ struct CampaignEngine::Impl {
 };
 
 std::optional<std::string> CampaignEngine::validate(const CampaignConfig& config) {
+  if (auto error = PopulationSpec::validate(
+          config.population, config.conditions ? &config.conditions->nat : nullptr)) {
+    return error;
+  }
   const PeriodSpec& period = config.period;
   if (period.duration <= 0) return "period duration must be positive";
   if (!period.go_ipfs_present && period.hydra_heads <= 0) {

@@ -28,6 +28,10 @@
 #include "p2p/multiaddr.hpp"
 #include "p2p/peer_id.hpp"
 
+namespace ipfs::net {
+struct NatSpec;
+}  // namespace ipfs::net
+
 namespace ipfs::scenario {
 
 using common::SimDuration;
@@ -167,6 +171,14 @@ struct PopulationSpec {
   /// set, the calibrated default otherwise.  Population and CampaignEngine
   /// read all behaviour through this accessor.
   [[nodiscard]] const CategoryParams& params(Category category) const;
+
+  /// The rules a population must meet: consistent counts, in-range
+  /// category overrides, and NAT category keys (`nat`, the network
+  /// section's NAT spec when one is engaged) that name a `Category`.
+  /// `CampaignEngine::validate` runs them first; errors carry the field
+  /// path ("population.counts: nat_group_max must be >= nat_group_min").
+  [[nodiscard]] static std::optional<std::string> validate(
+      const PopulationSpec& spec, const net::NatSpec* nat);
 
   void set_override(Category category, CategoryParams params) {
     overrides[static_cast<std::size_t>(category)] = params;

@@ -642,35 +642,6 @@ std::expected<ScenarioSpec, std::string> parse_document(std::string_view text) {
   return spec;
 }
 
-// ---- validation helpers -----------------------------------------------------
-
-std::optional<std::string> validate_category(const CategoryParams& params,
-                                             Category category) {
-  const std::string prefix =
-      "population.categories." + std::string(to_string(category)) + ": ";
-  if (params.mean_session < 0) return prefix + "mean_session_ms must be >= 0";
-  if (params.mean_gap < 0) return prefix + "mean_gap_ms must be >= 0";
-  if (params.retention_mean < 0) return prefix + "retention_mean_ms must be >= 0";
-  if (params.query_duration_median < 0) {
-    return prefix + "query_duration_median_ms must be >= 0";
-  }
-  if (params.reconnect_backoff_mean < 0) {
-    return prefix + "reconnect_backoff_mean_ms must be >= 0";
-  }
-  if (params.maintain_probability < 0.0 || params.maintain_probability > 1.0) {
-    return prefix + "maintain_probability must be in [0, 1]";
-  }
-  if (params.crawl_visibility < 0.0 || params.crawl_visibility > 1.0) {
-    return prefix + "crawl_visibility must be in [0, 1]";
-  }
-  if (params.queries_per_hour < 0.0) return prefix + "queries_per_hour must be >= 0";
-  if (params.session == SessionKind::kRecurring && params.mean_session <= 0) {
-    return prefix + "recurring sessions need mean_session_ms > 0";
-  }
-  return std::nullopt;
-}
-
-
 }  // namespace
 
 // ---- (de)serialisation ------------------------------------------------------
@@ -715,41 +686,10 @@ std::string ScenarioSpec::to_json_string() const {
 std::optional<std::string> ScenarioSpec::validate(const ScenarioSpec& spec) {
   if (spec.name.empty()) return "name must be non-empty";
   if (spec.campaign.trials == 0) return "campaign.trials must be >= 1";
-  const PopulationCounts& counts = spec.population.counts;
-  if (counts.nat_group_min < 1) {
-    return "population.counts.nat_group_min must be >= 1";
-  }
-  if (counts.nat_group_max < counts.nat_group_min) {
-    return "population.counts: nat_group_max must be >= nat_group_min";
-  }
-  if (counts.disguised_storm > counts.light_servers) {
-    return "population.counts: disguised_storm cannot exceed light_servers";
-  }
-  for (std::size_t i = 0; i < kCategoryCount; ++i) {
-    const auto& overridden = spec.population.overrides[i];
-    if (!overridden) continue;
-    if (overridden->category != static_cast<Category>(i)) {
-      return "population.categories." +
-             std::string(to_string(static_cast<Category>(i))) +
-             ": override stored under the wrong category slot";
-    }
-    if (auto error = validate_category(*overridden, static_cast<Category>(i))) {
-      return error;
-    }
-  }
-  if (spec.network) {
-    // `ConditionSpec::validate` (run by the engine check below) treats NAT
-    // category keys as opaque; only the scenario layer knows the alphabet.
-    for (const auto& [category, class_name] : spec.network->nat.categories) {
-      if (!category_from_string(category)) {
-        return "network.nat.categories: unknown category name '" + category + "'";
-      }
-    }
-  }
-  // Everything the engine itself would refuse (duration, watermarks,
-  // visibility, crawl interval, dial rate, scale, network conditions,
-  // phase programs) — checked before the horizon rules below so a
-  // structurally broken section reports its own error first.
+  // Everything the engine itself would refuse (population rules,
+  // duration, watermarks, visibility, crawl interval, dial rate, scale,
+  // network conditions, phase programs) — checked before the horizon rules
+  // below so a structurally broken section reports its own error first.
   if (auto error = CampaignEngine::validate(spec.to_campaign_config())) {
     return error;
   }

@@ -136,8 +136,9 @@ struct ScenarioSpec {
   // ---- validation -----------------------------------------------------------
 
   /// Why this spec cannot run, or nullopt when valid.  Includes every
-  /// `CampaignEngine::validate` rule plus spec-level rules (non-empty name,
-  /// trials >= 1, probabilities in range).
+  /// `CampaignEngine::validate` rule (population rules first) plus
+  /// spec-level rules (non-empty name, trials >= 1, schedules that fit
+  /// the horizon).
   [[nodiscard]] static std::optional<std::string> validate(
       const ScenarioSpec& spec);
 

@@ -182,9 +182,26 @@ TEST(CalibrationStats, KsIsSmallForTheTrueFamilyAndLargeOtherwise) {
 
 TEST(CalibrationStats, TwoSampleKsBounds) {
   std::vector<double> a = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(two_sample_ks(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(two_sample_ks({1, 2, 3}, {100, 200, 300}), 1.0);
-  EXPECT_NEAR(two_sample_ks({1, 2, 3, 4}, {3, 4, 5, 6}), 0.5, 1e-12);
+  EXPECT_DOUBLE_EQ(two_sample_ks(a, a).distance, 0.0);
+  EXPECT_DOUBLE_EQ(two_sample_ks({1, 2, 3}, {100, 200, 300}).distance, 1.0);
+  EXPECT_NEAR(two_sample_ks({1, 2, 3, 4}, {3, 4, 5, 6}).distance, 0.5, 1e-12);
+  EXPECT_DOUBLE_EQ(two_sample_ks({}, a).distance, 1.0);
+}
+
+TEST(CalibrationStats, TwoSampleKsNamesWhereTheGapIsLargest) {
+  // F_a - F_b at 1, 2, 3, 4 is 1/4, 1/2, 1/2, 1/2: the largest gap is
+  // first reached at 2, where a has half its sample and b none.
+  const KsDistance ks = two_sample_ks({4, 3, 2, 1}, {3, 4, 5, 6});
+  EXPECT_DOUBLE_EQ(ks.distance, 0.5);
+  EXPECT_DOUBLE_EQ(ks.at, 2.0);
+  EXPECT_DOUBLE_EQ(ks.cdf_a, 0.5);
+  EXPECT_DOUBLE_EQ(ks.cdf_b, 0.0);
+  // Samples in the other order swap the two CDFs at the same place.
+  const KsDistance swapped = two_sample_ks({3, 4, 5, 6}, {1, 2, 3, 4});
+  EXPECT_DOUBLE_EQ(swapped.distance, 0.5);
+  EXPECT_DOUBLE_EQ(swapped.at, 2.0);
+  EXPECT_DOUBLE_EQ(swapped.cdf_a, 0.0);
+  EXPECT_DOUBLE_EQ(swapped.cdf_b, 0.5);
 }
 
 // ---- the malformed-trace corpus --------------------------------------------

@@ -67,6 +67,34 @@ TEST(Campaign, FactoryRejectsInvalidConfigs) {
   EXPECT_FALSE(error.error().empty());
 }
 
+TEST(Campaign, FactoryRefusesWhatTheScenarioLayerRefuses) {
+  // Population rules are checked by the engine, so a C++ config fails with
+  // the messages a scenario file gets (scenario_spec_test.cpp).
+  auto bad_groups = small_config(PeriodSpec::P4());
+  bad_groups.population.counts.nat_group_min = 6;
+  bad_groups.population.counts.nat_group_max = 2;
+  const auto groups = CampaignEngine::create(bad_groups);
+  ASSERT_FALSE(groups.has_value());
+  EXPECT_EQ(groups.error(),
+            "population.counts: nat_group_max must be >= nat_group_min");
+
+  auto bad_session = small_config(PeriodSpec::P4());
+  CategoryParams crawler = default_params(Category::kCrawler);
+  crawler.mean_session = -1;
+  bad_session.population.set_override(Category::kCrawler, crawler);
+  const auto session = CampaignEngine::create(bad_session);
+  ASSERT_FALSE(session.has_value());
+  EXPECT_EQ(session.error(),
+            "population.categories.crawler: mean_session_ms must be >= 0");
+
+  auto bad_nat = small_config(PeriodSpec::P4());
+  bad_nat.conditions.emplace();
+  bad_nat.conditions->nat.categories.emplace_back("warthog", "home");
+  const auto nat = CampaignEngine::create(bad_nat);
+  ASSERT_FALSE(nat.has_value());
+  EXPECT_EQ(nat.error(), "network.nat.categories: unknown category name 'warthog'");
+}
+
 TEST(Campaign, ProducesDatasetsPerVantage) {
   auto period = PeriodSpec::P1();
   period.duration = 6 * kHour;  // shorten for the test

@@ -1,39 +1,11 @@
 // ipfs_sim — the declarative scenario driver (DESIGN.md §8).
 //
 // Runs measurement campaigns described by `scenario::ScenarioSpec` JSON
-// files (docs/SCENARIOS.md) without recompiling anything:
-//
-//   ipfs_sim list [DIR]                 builtin + on-disk scenarios
-//   ipfs_sim validate FILE...           parse + validate scenario files
-//   ipfs_sim run SCENARIO [options]     execute a scenario
-//   ipfs_sim export NAME [--out FILE]   write a builtin spec as JSON
-//   ipfs_sim calibrate TRACE [options]  fit a trace, emit a scenario
-//   ipfs_sim reproduce [--scale X] [--seed S] [SECTION...]
-//                                       the paper's tables and figures
-//   ipfs_sim selftest                   tiny runtime::TestbedBuilder check
-//
-// SCENARIO is a path to a .json file or the name of a builtin ("p4").
-// `run` options:
-//   --out FILE     write campaign datasets there (default: stdout); a
-//                  regular file is replaced only when the run completes
-//   --workers N    worker threads for multi-trial sweeps (0 = hardware)
-//   --trials N     override the spec's trial count
-//   --seed S       override the spec's base seed
-//   --scale X      override the population scale (CI smoke runs use this)
-//   --duration S   override the measured period, in simulated seconds
-//                  (CI smoke runs pair a huge --scale with a short window)
-//   --shards N     intra-trial population shards (0 = one per core); the
-//                  export is byte-identical at any count (DESIGN.md §13)
-//   --shard-workers N
-//                  threads driving the shard fan-outs (0 = lease from the
-//                  process worker budget, shared with --workers)
-//   --quiet        suppress the progress summary on stderr
-//
-// `reproduce` (tools/reproduce.cpp) prints the paper's Tables I–IV,
-// Figs. 2–7, §V-A, the §V size estimate and two ablations next to the
-// published values; SECTION names (table1 … ablation-trim) pick some.
-// --scale defaults to 1, the full December-2021 network (minutes to hours
-// of wall clock); --seed defaults to 20211203.
+// files (docs/SCENARIOS.md) without recompiling anything, fits churn to a
+// measured trace (`calibrate`, DESIGN.md §15) and prints the paper's
+// tables and figures (`reproduce`, tools/reproduce.cpp).  `ipfs_sim help`
+// lists every command and option: each command declares its operands and
+// options once, in `kCommands` below, and one loop parses them all.
 //
 // Single-trial runs execute on a `scenario::CampaignEngine` directly
 // (through `runtime::ShardedCampaignRunner` when --shards is given);
@@ -52,6 +24,9 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "analysis/calibration.hpp"
@@ -76,39 +51,33 @@ namespace {
 
 namespace fs = std::filesystem;
 using ipfs::common::AtomicOutput;
+using ipfs::common::SimDuration;
 using ipfs::measure::JsonExportSink;
 using ipfs::measure::MeasurementSink;
 using ipfs::runtime::ParallelTrialRunner;
-using ipfs::runtime::TrialSpec;
 using ipfs::scenario::CampaignEngine;
 using ipfs::scenario::ScenarioSpec;
 
-int usage(std::ostream& out, int code) {
-  out << "usage: ipfs_sim <command> [args]\n"
-         "  list [DIR]               list builtin scenarios and *.json in DIR\n"
-         "                           (default ./scenarios when present)\n"
-         "  validate FILE...         parse + validate scenario files\n"
-         "  run SCENARIO [options]   run a scenario file or builtin name\n"
-         "      --out FILE --workers N --trials N --seed S --scale X\n"
-         "      --duration SECONDS --shards N --shard-workers N --quiet\n"
-         "  export NAME [--out FILE]  write a builtin spec as JSON\n"
-         "  calibrate TRACE [options]\n"
-         "                           fit churn distributions to a measured\n"
-         "                           trace and emit a calibrated scenario\n"
-         "      --out FILE           scenario destination (default: stdout)\n"
-         "      --report FILE        write the JSON fit report there\n"
-         "      --gap SECONDS        session gap threshold (default 1800)\n"
-         "      --name NAME          emitted scenario name (default calibrated)\n"
-         "      --seed S --verify-scale X --ks-threshold D --no-verify --quiet\n"
-         "  reproduce [--scale X] [--seed S] [SECTION...]\n"
-         "                           regenerate the paper's tables and figures\n"
-         "                           (default: every section, scale 1, seed\n"
-         "                           20211203); SECTION is one of table1..table4\n"
-         "                           fig2..fig7 sec5a size ablation-hydra\n"
-         "                           ablation-trim\n"
-         "  selftest                 run a tiny testbed experiment\n";
-  return code;
-}
+/// Everything an `ipfs_sim` command line can set.  Each option writes one
+/// member; an empty member means the option was not given.
+struct Args {
+  std::vector<std::string> operands;
+  std::optional<std::string> out;
+  std::optional<std::string> report;
+  std::optional<std::string> name;
+  std::optional<std::uint32_t> workers;
+  std::optional<std::uint32_t> trials;
+  std::optional<std::uint32_t> shards;
+  std::optional<std::uint32_t> shard_workers;
+  std::optional<std::uint64_t> seed;
+  std::optional<double> scale;
+  std::optional<double> verify_scale;
+  std::optional<double> ks_threshold;
+  std::optional<SimDuration> duration;
+  std::optional<SimDuration> gap;
+  bool quiet = false;
+  bool no_verify = false;
+};
 
 // Strict option parsing (common/parse.hpp): the whole token must parse,
 // negatives / trailing garbage / inf / overflow are rejected, and the
@@ -116,65 +85,84 @@ int usage(std::ostream& out, int code) {
 // '4x'" instead of a silently truncated value or a misleading "unknown
 // option".
 
-bool option_u32(const char* command, const std::string& option,
-                const std::string& text, std::uint32_t& out) {
+std::optional<std::uint32_t> option_u32(const char* command,
+                                        const std::string& option,
+                                        const std::string& text) {
   const auto parsed = ipfs::common::parse_u64(text);
   if (!parsed) {
     std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
-    return false;
+    return std::nullopt;
   }
   if (*parsed > std::numeric_limits<std::uint32_t>::max()) {
     std::cerr << command << ": " << option << ": out of range: '" << text
               << "'\n";
-    return false;
+    return std::nullopt;
   }
-  out = static_cast<std::uint32_t>(*parsed);
-  return true;
+  return static_cast<std::uint32_t>(*parsed);
 }
 
-bool option_u64(const char* command, const std::string& option,
-                const std::string& text, std::uint64_t& out) {
+std::optional<std::uint64_t> option_u64(const char* command,
+                                        const std::string& option,
+                                        const std::string& text) {
   const auto parsed = ipfs::common::parse_u64(text);
   if (!parsed) {
     std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
-    return false;
+    return std::nullopt;
   }
-  out = *parsed;
-  return true;
+  return *parsed;
 }
 
-bool option_positive(const char* command, const std::string& option,
-                     const std::string& text, double& out) {
+std::optional<double> option_positive(const char* command,
+                                      const std::string& option,
+                                      const std::string& text) {
   const auto parsed = ipfs::common::parse_finite_double(text);
   if (!parsed) {
     std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
-    return false;
+    return std::nullopt;
   }
   if (*parsed <= 0.0) {
     std::cerr << command << ": " << option << ": must be > 0, got '" << text
               << "'\n";
-    return false;
+    return std::nullopt;
   }
-  out = *parsed;
-  return true;
+  return *parsed;
 }
 
 /// A positive span in seconds, converted to simulated milliseconds.  Spans
 /// that do not fit a SimDuration are rejected before the conversion, which
 /// would otherwise be undefined.
-bool option_seconds(const char* command, const std::string& option,
-                    const std::string& text, ipfs::common::SimDuration& out) {
-  double seconds = 0.0;
-  if (!option_positive(command, option, text, seconds)) return false;
+std::optional<SimDuration> option_seconds(const char* command,
+                                          const std::string& option,
+                                          const std::string& text) {
+  const auto seconds = option_positive(command, option, text);
+  if (!seconds) return std::nullopt;
   constexpr auto kLimit =
-      static_cast<double>(std::numeric_limits<ipfs::common::SimDuration>::max());
-  if (seconds * static_cast<double>(ipfs::common::kSecond) >= kLimit) {
+      static_cast<double>(std::numeric_limits<SimDuration>::max());
+  if (*seconds * static_cast<double>(ipfs::common::kSecond) >= kLimit) {
     std::cerr << command << ": " << option << ": out of range: '" << text
               << "'\n";
-    return false;
+    return std::nullopt;
   }
-  out = ipfs::common::from_seconds(seconds);
-  return true;
+  return ipfs::common::from_seconds(*seconds);
+}
+
+/// Read an option's `text` into `out` with the reader for its type.
+template <typename T>
+bool read_value(const char* command, const std::string& option,
+                const std::string& text, std::optional<T>& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    out = option_u32(command, option, text);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    out = option_u64(command, option, text);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = option_positive(command, option, text);
+  } else {
+    static_assert(std::is_same_v<T, SimDuration>);
+    out = option_seconds(command, option, text);
+  }
+  return out.has_value();
 }
 
 /// Flush stdout; on failure print "COMMAND: error writing stdout" and
@@ -222,7 +210,7 @@ bool write_file(const char* command, const std::string& path,
 
 // ---- list -------------------------------------------------------------------
 
-int cmd_list(const std::vector<std::string>& args) {
+int cmd_list(const Args& args) {
   std::cout << "builtin scenarios:\n";
   for (const ScenarioSpec& spec : ScenarioSpec::builtins()) {
     // Flag workloads that reshape the fabric (DESIGN.md §9), animate a
@@ -233,9 +221,9 @@ int cmd_list(const std::vector<std::string>& args) {
               << (spec.phases ? "  [phases]" : "") << "\n      "
               << spec.description << "\n";
   }
-  const std::string dir = args.empty() ? "scenarios" : args[0];
+  const std::string dir = args.operands.empty() ? "scenarios" : args.operands[0];
   if (!fs::is_directory(dir)) {
-    if (!args.empty()) {
+    if (!args.operands.empty()) {
       std::cerr << "ipfs_sim list: " << dir << " is not a directory\n";
       return 1;
     }
@@ -262,13 +250,9 @@ int cmd_list(const std::vector<std::string>& args) {
 
 // ---- validate ---------------------------------------------------------------
 
-int cmd_validate(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::cerr << "ipfs_sim validate: no files given\n";
-    return 2;
-  }
+int cmd_validate(const Args& args) {
   int failures = 0;
-  for (const std::string& path : args) {
+  for (const std::string& path : args.operands) {
     auto spec = ScenarioSpec::from_file(path);
     if (spec) {
       std::cout << "OK    " << path << "  (" << spec->name << ", "
@@ -343,90 +327,24 @@ class ProgressSink final : public MeasurementSink {
   std::size_t content_samples_ = 0;
 };
 
-int cmd_run(const std::vector<std::string>& args) {
-  constexpr const char* kCommand = "ipfs_sim run";
-  if (args.empty()) {
-    std::cerr << "ipfs_sim run: missing SCENARIO argument\n";
-    return 2;
-  }
-  const std::string& ref = args[0];
-  std::optional<std::string> out_path;
-  std::optional<std::uint32_t> workers_override;
-  std::optional<std::uint32_t> trials_override;
-  std::optional<std::uint64_t> seed_override;
-  std::optional<double> scale_override;
-  std::optional<ipfs::common::SimDuration> duration_override;
-  std::optional<std::uint32_t> shards;
-  std::uint32_t shard_workers = 0;        // 0 = lease from the worker budget
-  bool quiet = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--quiet") {
-      quiet = true;
-      continue;
-    }
-    const bool takes_value =
-        arg == "--out" || arg == "--workers" || arg == "--trials" ||
-        arg == "--seed" || arg == "--scale" || arg == "--duration" ||
-        arg == "--shards" || arg == "--shard-workers";
-    if (!takes_value) {
-      std::cerr << "ipfs_sim run: unknown option '" << arg << "'\n";
-      return 2;
-    }
-    if (i + 1 >= args.size()) {
-      // A flag at the end of the line used to fall through to "unknown
-      // option"; name the real problem.
-      std::cerr << "ipfs_sim run: " << arg << ": missing value\n";
-      return 2;
-    }
-    const std::string& value = args[++i];
-    if (arg == "--out") {
-      out_path = value;
-    } else if (arg == "--workers") {
-      std::uint32_t workers = 0;
-      if (!option_u32(kCommand, arg, value, workers)) return 2;
-      workers_override = workers;
-    } else if (arg == "--trials") {
-      std::uint32_t trials = 0;
-      if (!option_u32(kCommand, arg, value, trials)) return 2;
-      trials_override = trials;
-    } else if (arg == "--seed") {
-      std::uint64_t seed = 0;
-      if (!option_u64(kCommand, arg, value, seed)) return 2;
-      seed_override = seed;
-    } else if (arg == "--scale") {
-      double scale = 0.0;
-      if (!option_positive(kCommand, arg, value, scale)) return 2;
-      scale_override = scale;
-    } else if (arg == "--duration") {
-      ipfs::common::SimDuration duration = 0;
-      if (!option_seconds(kCommand, arg, value, duration)) return 2;
-      duration_override = duration;
-    } else if (arg == "--shards") {
-      std::uint32_t count = 0;
-      if (!option_u32(kCommand, arg, value, count)) return 2;
-      shards = count;
-    } else {  // --shard-workers
-      if (!option_u32(kCommand, arg, value, shard_workers)) return 2;
-    }
-  }
-  if (shard_workers != 0 && !shards) {
+int cmd_run(const Args& args) {
+  if (args.shard_workers.value_or(0) != 0 && !args.shards) {
     std::cerr << "ipfs_sim run: --shard-workers needs --shards\n";
     return 2;
   }
 
   std::string error;
-  auto loaded = load_scenario(ref, error);
+  auto loaded = load_scenario(args.operands[0], error);
   if (!loaded) {
     std::cerr << "ipfs_sim run: " << error << "\n";
     return 1;
   }
   ScenarioSpec spec = std::move(*loaded);
-  if (workers_override) spec.campaign.workers = *workers_override;
-  if (trials_override) spec.campaign.trials = *trials_override;
-  if (seed_override) spec.campaign.seed = *seed_override;
-  if (scale_override) spec.population.scale = *scale_override;
-  if (duration_override) spec.period.duration = *duration_override;
+  if (args.workers) spec.campaign.workers = *args.workers;
+  if (args.trials) spec.campaign.trials = *args.trials;
+  if (args.seed) spec.campaign.seed = *args.seed;
+  if (args.scale) spec.population.scale = *args.scale;
+  if (args.duration) spec.period.duration = *args.duration;
   if (auto invalid = ScenarioSpec::validate(spec)) {
     std::cerr << "ipfs_sim run: " << *invalid << "\n";
     return 1;
@@ -435,10 +353,10 @@ int cmd_run(const std::vector<std::string>& args) {
   // A file target is replaced only once the run completes: an interrupted
   // or failed run leaves the previous export where it was.
   std::optional<AtomicOutput> file_out;
-  if (out_path) {
-    file_out.emplace(*out_path);
+  if (args.out) {
+    file_out.emplace(*args.out);
     if (!file_out->is_open()) {
-      std::cerr << "ipfs_sim run: cannot open " << *out_path << " for writing\n";
+      std::cerr << "ipfs_sim run: cannot open " << *args.out << " for writing\n";
       return 1;
     }
   }
@@ -449,10 +367,10 @@ int cmd_run(const std::vector<std::string>& args) {
   ipfs::measure::FanOutSink sink;
   // The progress line for each dataset goes out before its export.  Each
   // sink gets a handle on shared storage, so the order copies nothing.
-  if (!quiet) sink.add(progress);
+  if (!args.quiet) sink.add(progress);
   sink.add(export_sink);
 
-  if (!quiet) {
+  if (!args.quiet) {
     std::cerr << "scenario " << spec.name << ": " << spec.campaign.trials
               << (spec.campaign.trials == 1 ? " trial" : " trials") << ", scale "
               << spec.population.scale << ", seed " << spec.campaign.seed << "\n";
@@ -461,14 +379,14 @@ int cmd_run(const std::vector<std::string>& args) {
   // --shards resolves to a ShardPlan through the sharded runner, so the
   // default (0 -> one shard per core) lives in one place.
   ipfs::runtime::ShardedCampaignRunner::Options shard_options;
-  if (shards) {
-    shard_options.shards = *shards;
-    shard_options.workers = shard_workers;
+  if (args.shards) {
+    shard_options.shards = *args.shards;
+    shard_options.workers = args.shard_workers.value_or(0);
   }
 
   const auto start = std::chrono::steady_clock::now();
   if (spec.campaign.trials == 1) {
-    if (shards) {
+    if (args.shards) {
       ipfs::runtime::ShardedCampaignRunner runner(shard_options);
       auto outcome = runner.run(spec.to_campaign_config(), sink);
       if (!outcome) {
@@ -489,7 +407,7 @@ int cmd_run(const std::vector<std::string>& args) {
     options.workers = spec.campaign.workers;
     ParallelTrialRunner runner(options);
     auto base = spec.to_campaign_config();
-    if (shards) {
+    if (args.shards) {
       // Each trial's engine shards its population; auto worker counts
       // lease from the same process budget the trial pool draws on, so
       // trials x shards never oversubscribes the machine.
@@ -506,15 +424,15 @@ int cmd_run(const std::vector<std::string>& args) {
   data_out.flush();
   if (file_out ? !file_out->commit() : !data_out) {
     std::cerr << "ipfs_sim run: error writing "
-              << (out_path ? *out_path : std::string("stdout")) << "\n";
+              << args.out.value_or("stdout") << "\n";
     return 1;
   }
-  if (!quiet) {
+  if (!args.quiet) {
     const auto elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start);
     std::cerr << "done in " << elapsed.count() << " s ("
               << export_sink.exported_count() << " datasets exported";
-    if (out_path) std::cerr << " to " << *out_path;
+    if (args.out) std::cerr << " to " << *args.out;
     std::cerr << ")\n";
   }
   return 0;
@@ -522,95 +440,35 @@ int cmd_run(const std::vector<std::string>& args) {
 
 // ---- export -----------------------------------------------------------------
 
-int cmd_export(const std::vector<std::string>& args) {
+int cmd_export(const Args& args) {
   constexpr const char* kCommand = "ipfs_sim export";
-  std::optional<std::string> name;
-  std::optional<std::string> out_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--out") {
-      if (i + 1 >= args.size()) {
-        std::cerr << "ipfs_sim export: --out: missing value\n";
-        return 2;
-      }
-      out_path = args[++i];
-    } else if (!arg.starts_with("--") && !name) {
-      name = arg;
-    } else {
-      std::cerr << "ipfs_sim export: unknown option '" << arg << "'\n";
-      return 2;
-    }
-  }
-  if (!name) {
-    std::cerr << "ipfs_sim export: missing NAME argument\n";
-    return 2;
-  }
-  const auto spec = ScenarioSpec::builtin(*name);
+  const std::string& name = args.operands[0];
+  const auto spec = ScenarioSpec::builtin(name);
   if (!spec) {
-    std::cerr << "ipfs_sim export: no builtin named '" << *name << "'\n";
+    std::cerr << "ipfs_sim export: no builtin named '" << name << "'\n";
     return 1;
   }
-  if (!out_path) {
+  if (!args.out) {
     std::cout << spec->to_json_string();
     return flush_stdout(kCommand) ? 0 : 1;
   }
-  if (!write_file(kCommand, *out_path, spec->to_json_string())) return 1;
-  std::cout << "wrote " << *out_path << "\n";
+  if (!write_file(kCommand, *args.out, spec->to_json_string())) return 1;
+  std::cout << "wrote " << *args.out << "\n";
   return 0;
 }
 
 // ---- calibrate --------------------------------------------------------------
 
-int cmd_calibrate(const std::vector<std::string>& args) {
+int cmd_calibrate(const Args& args) {
   constexpr const char* kCommand = "ipfs_sim calibrate";
-  if (args.empty()) {
-    std::cerr << "ipfs_sim calibrate: missing TRACE argument\n";
-    return 2;
-  }
-  const std::string& trace_path = args[0];
-  std::optional<std::string> out_path;
-  std::optional<std::string> report_path;
+  const std::string& trace_path = args.operands[0];
   ipfs::analysis::calibrate::Options options;
-  bool quiet = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--quiet") {
-      quiet = true;
-      continue;
-    }
-    if (arg == "--no-verify") {
-      options.verify = false;
-      continue;
-    }
-    const bool takes_value = arg == "--out" || arg == "--report" ||
-                             arg == "--gap" || arg == "--name" ||
-                             arg == "--seed" || arg == "--verify-scale" ||
-                             arg == "--ks-threshold";
-    if (!takes_value) {
-      std::cerr << "ipfs_sim calibrate: unknown option '" << arg << "'\n";
-      return 2;
-    }
-    if (i + 1 >= args.size()) {
-      std::cerr << "ipfs_sim calibrate: " << arg << ": missing value\n";
-      return 2;
-    }
-    const std::string& value = args[++i];
-    if (arg == "--out") {
-      out_path = value;
-    } else if (arg == "--report") {
-      report_path = value;
-    } else if (arg == "--name") {
-      options.name = value;
-    } else if (arg == "--seed") {
-      if (!option_u64(kCommand, arg, value, options.seed)) return 2;
-    } else if (arg == "--gap") {
-      if (!option_seconds(kCommand, arg, value, options.max_gap)) return 2;
-    } else if (arg == "--verify-scale") {
-      if (!option_positive(kCommand, arg, value, options.verify_scale)) return 2;
-    } else if (arg == "--ks-threshold") {
-      if (!option_positive(kCommand, arg, value, options.ks_threshold)) return 2;
-    }
-  }
+  options.max_gap = args.gap.value_or(options.max_gap);
+  options.name = args.name.value_or(options.name);
+  options.seed = args.seed.value_or(options.seed);
+  options.verify_scale = args.verify_scale.value_or(options.verify_scale);
+  options.ks_threshold = args.ks_threshold.value_or(options.ks_threshold);
+  options.verify = !args.no_verify;
 
   std::ifstream in(trace_path, std::ios::binary);
   if (!in) {
@@ -628,7 +486,7 @@ int cmd_calibrate(const std::vector<std::string>& args) {
     return 2;
   }
 
-  if (!quiet) {
+  if (!args.quiet) {
     const auto& measured = result->measured;
     std::cerr << "== calibrate " << trace_path << " (vantage '"
               << result->trace.vantage << "')\n"
@@ -650,21 +508,24 @@ int cmd_calibrate(const std::vector<std::string>& args) {
     }
   }
 
-  if (out_path) {
-    if (!write_file(kCommand, *out_path, result->scenario.to_json_string())) {
+  if (args.out) {
+    if (!write_file(kCommand, *args.out, result->scenario.to_json_string())) {
       return 1;
     }
   } else {
     std::cout << result->scenario.to_json_string();
     if (!flush_stdout(kCommand)) return 1;
   }
-  if (report_path &&
-      !write_file(kCommand, *report_path, result->report_json())) {
+  if (args.report && !write_file(kCommand, *args.report, result->report_json())) {
     return 1;
   }
   if (result->loop.ran && !result->loop.pass) {
+    // The loop compares every reconstructed session: the "all" group.
     std::cerr << "ipfs_sim calibrate: closed-loop KS " << result->loop.ks
-              << " exceeds threshold " << result->loop.threshold << "\n";
+              << " exceeds threshold " << result->loop.threshold
+              << " (group all: at session length " << result->loop.ks_length_ms
+              << " ms, measured CDF " << result->loop.measured_cdf
+              << ", simulated CDF " << result->loop.simulated_cdf << ")\n";
     return 1;
   }
   return 0;
@@ -672,37 +533,14 @@ int cmd_calibrate(const std::vector<std::string>& args) {
 
 // ---- reproduce --------------------------------------------------------------
 
-int cmd_reproduce(const std::vector<std::string>& args) {
-  constexpr const char* kCommand = "ipfs_sim reproduce";
-  double scale = 1.0;
-  std::uint64_t seed = 20211203;
-  std::vector<std::string> sections;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (!arg.starts_with("--")) {
-      sections.push_back(arg);
-      continue;
-    }
-    if (arg != "--scale" && arg != "--seed") {
-      std::cerr << kCommand << ": unknown option '" << arg << "'\n";
-      return 2;
-    }
-    if (i + 1 >= args.size()) {
-      std::cerr << kCommand << ": " << arg << ": missing value\n";
-      return 2;
-    }
-    const std::string& value = args[++i];
-    if (arg == "--scale" ? !option_positive(kCommand, arg, value, scale)
-                         : !option_u64(kCommand, arg, value, seed)) {
-      return 2;
-    }
-  }
-  return ipfs::tools::reproduce(scale, seed, sections);
+int cmd_reproduce(const Args& args) {
+  return ipfs::tools::reproduce(args.scale.value_or(1.0),
+                                args.seed.value_or(20211203), args.operands);
 }
 
 // ---- selftest ---------------------------------------------------------------
 
-int cmd_selftest() {
+int cmd_selftest(const Args& /*args*/) {
   // A miniature testbed experiment through the runtime facade: one
   // instrumented vantage, a small bootstrapped population, 30 simulated
   // minutes.  Exercises the build end-to-end without a scenario file.
@@ -727,19 +565,174 @@ int cmd_selftest() {
   return 0;
 }
 
-int dispatch(const std::string& command, const std::vector<std::string>& args) {
-  if (command == "help" || command == "--help" || command == "-h") {
+// ---- the command tables -----------------------------------------------------
+
+/// Where an option's value goes.  The member's type is the option's kind:
+/// a flag, a string, a u32 or u64 integer, a number > 0, or a span in
+/// seconds; `read_value` picks the reader.
+using Target = std::variant<bool Args::*, std::optional<std::string> Args::*,
+                            std::optional<std::uint32_t> Args::*,
+                            std::optional<std::uint64_t> Args::*,
+                            std::optional<double> Args::*,
+                            std::optional<SimDuration> Args::*>;
+
+struct Option {
+  std::string_view name;         ///< "--out"
+  std::string_view placeholder;  ///< "FILE"; empty for a flag
+  std::string_view help;         ///< one line
+  Target target;
+};
+
+/// `max_operands` of a command that takes any number of operands.
+constexpr std::size_t kMany = std::numeric_limits<std::size_t>::max();
+
+struct Command {
+  std::string_view name;
+  std::string_view operand{};  ///< "SCENARIO"; empty when none is taken
+  std::size_t min_operands = 0;
+  std::size_t max_operands = 0;
+  int (*handler)(const Args&) = nullptr;
+  std::vector<std::string_view> help;
+  std::vector<Option> options{};
+};
+
+const std::vector<Command> kCommands = {
+    {.name = "list", .operand = "DIR", .max_operands = 1, .handler = cmd_list,
+     .help = {"list builtin scenarios and *.json in DIR (default ./scenarios)"}},
+    {.name = "validate", .operand = "FILE", .min_operands = 1,
+     .max_operands = kMany, .handler = cmd_validate,
+     .help = {"parse + validate scenario files"}},
+    {.name = "run", .operand = "SCENARIO", .min_operands = 1, .max_operands = 1,
+     .handler = cmd_run, .help = {"run a scenario file or builtin name"},
+     .options = {
+         {"--out", "FILE", "write the datasets there (default: stdout)", &Args::out},
+         {"--workers", "N", "threads for multi-trial sweeps (0 = hardware)",
+          &Args::workers},
+         {"--trials", "N", "override the spec's trial count", &Args::trials},
+         {"--seed", "S", "override the spec's base seed", &Args::seed},
+         {"--scale", "X", "override the population scale", &Args::scale},
+         {"--duration", "SECONDS", "override the measured period", &Args::duration},
+         {"--shards", "N", "intra-trial population shards (0 = one per core)",
+          &Args::shards},
+         {"--shard-workers", "N", "shard threads (0 = lease from the worker budget)",
+          &Args::shard_workers},
+         {"--quiet", "", "no progress summary on stderr", &Args::quiet},
+     }},
+    {.name = "export", .operand = "NAME", .min_operands = 1, .max_operands = 1,
+     .handler = cmd_export, .help = {"write a builtin spec as JSON"},
+     .options = {{"--out", "FILE", "destination (default: stdout)", &Args::out}}},
+    {.name = "calibrate", .operand = "TRACE", .min_operands = 1, .max_operands = 1,
+     .handler = cmd_calibrate,
+     .help = {"fit churn to a measured trace and emit a calibrated scenario"},
+     .options = {
+         {"--out", "FILE", "scenario destination (default: stdout)", &Args::out},
+         {"--report", "FILE", "write the JSON fit report there", &Args::report},
+         {"--gap", "SECONDS", "session gap threshold (default 1800)", &Args::gap},
+         {"--name", "NAME", "emitted scenario name (default calibrated)", &Args::name},
+         {"--seed", "S", "scenario and closed-loop seed (default 20211203)",
+          &Args::seed},
+         {"--verify-scale", "X", "closed-loop population scale (default 0.01)",
+          &Args::verify_scale},
+         {"--ks-threshold", "D", "closed-loop KS bound (default 0.35)",
+          &Args::ks_threshold},
+         {"--no-verify", "", "skip the closed-loop re-simulation", &Args::no_verify},
+         {"--quiet", "", "no fit summary on stderr", &Args::quiet},
+     }},
+    {.name = "reproduce", .operand = "SECTION", .max_operands = kMany,
+     .handler = cmd_reproduce,
+     .help = {"print the paper's tables and figures (default: every section);",
+              "SECTION is one of table1..table4 fig2..fig7 sec5a size",
+              "ablation-hydra ablation-trim"},
+     .options = {
+         {"--scale", "X", "population scale (default 1, the full network)",
+          &Args::scale},
+         {"--seed", "S", "base seed (default 20211203)", &Args::seed},
+     }},
+    {.name = "selftest", .handler = cmd_selftest,
+     .help = {"run a tiny testbed experiment"}},
+};
+
+int usage(std::ostream& out, int code) {
+  out << "usage: ipfs_sim <command> [args]\n";
+  for (const Command& command : kCommands) {
+    out << "  " << command.name;
+    if (!command.operand.empty()) {
+      const bool optional = command.min_operands == 0;
+      out << (optional ? " [" : " ") << command.operand
+          << (command.max_operands > 1 ? "..." : "") << (optional ? "]" : "");
+    }
+    out << (command.options.empty() ? "\n" : " [options]\n");
+    for (const std::string_view line : command.help) out << "      " << line << "\n";
+    for (const Option& option : command.options) {
+      std::string flag(option.name);
+      if (!option.placeholder.empty()) flag.append(" ").append(option.placeholder);
+      flag.resize(std::max<std::size_t>(flag.size(), 20), ' ');
+      out << "        " << flag << " " << option.help << "\n";
+    }
+  }
+  return code;
+}
+
+/// Parse `words` against `command`'s table into `args`.  A word that
+/// starts with '-' (other than "-" itself) is an option, any other word an
+/// operand, in any order; an option's value is the next word, whatever it
+/// looks like.  A usage error prints "ipfs_sim COMMAND: ..." and returns
+/// false.
+bool parse_args(const Command& command, const std::vector<std::string>& words,
+                Args& args) {
+  const std::string prefix = "ipfs_sim " + std::string(command.name);
+  const char* who = prefix.c_str();
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const std::string& word = words[i];
+    if (word.size() < 2 || word[0] != '-') {
+      if (args.operands.size() == command.max_operands) {
+        std::cerr << who << ": unexpected argument '" << word << "'\n";
+        return false;
+      }
+      args.operands.push_back(word);
+      continue;
+    }
+    const auto option = std::ranges::find(command.options, word, &Option::name);
+    if (option == command.options.end()) {
+      std::cerr << who << ": unknown option '" << word << "'\n";
+      return false;
+    }
+    const auto take = [&](auto member) {
+      auto& target = args.*member;
+      if (target) {
+        std::cerr << who << ": " << word << ": given more than once\n";
+        return false;
+      }
+      if constexpr (std::is_same_v<decltype(member), bool Args::*>) {
+        return target = true;
+      } else if (i + 1 >= words.size()) {
+        std::cerr << who << ": " << word << ": missing value\n";
+        return false;
+      } else {
+        return read_value(who, word, words[++i], target);
+      }
+    };
+    if (!std::visit(take, option->target)) return false;
+  }
+  if (args.operands.size() < command.min_operands) {
+    std::cerr << who << ": missing " << command.operand << " argument\n";
+    return false;
+  }
+  return true;
+}
+
+int dispatch(const std::string& name, const std::vector<std::string>& words) {
+  if (name == "help" || name == "--help" || name == "-h") {
     return usage(std::cout, 0);
   }
-  if (command == "list") return cmd_list(args);
-  if (command == "validate") return cmd_validate(args);
-  if (command == "run") return cmd_run(args);
-  if (command == "export") return cmd_export(args);
-  if (command == "calibrate") return cmd_calibrate(args);
-  if (command == "reproduce") return cmd_reproduce(args);
-  if (command == "selftest") return cmd_selftest();
-  std::cerr << "ipfs_sim: unknown command '" << command << "'\n";
-  return usage(std::cerr, 2);
+  const auto command = std::ranges::find(kCommands, name, &Command::name);
+  if (command == kCommands.end()) {
+    std::cerr << "ipfs_sim: unknown command '" << name << "'\n";
+    return usage(std::cerr, 2);
+  }
+  Args args;
+  if (!parse_args(*command, words, args)) return 2;
+  return command->handler(args);
 }
 
 }  // namespace
