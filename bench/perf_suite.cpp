@@ -39,6 +39,10 @@
 //   population   scenario::Population build of P4's 3-day population at
 //                scale 0.5: build time and heap per peer, and how many
 //                distinct agents and protocol sets its tables hold
+//   content_fabric
+//                one content-baseline campaign at scale 0.05, whose server
+//                vantage's Bitswap swarm trims the content fabric: wall
+//                clock and heap allocations per fetch
 //
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
@@ -56,8 +60,9 @@
 //                     §4), when an unchanged peerstore re-identify
 //                     allocates (DESIGN.md §7), when a built population
 //                     holds more than 160 heap bytes per peer (DESIGN.md
-//                     §7), or when the baseline lacks a section the suite
-//                     emits
+//                     §7), when a content campaign allocates more than
+//                     10% more per fetch than committed (DESIGN.md §11),
+//                     or when the baseline lacks a section the suite emits
 // The campaign sections run P4 at scale 0.05 (0.005 with --smoke) on seed
 // 20211203 (see bench/README.md).
 #include <algorithm>
@@ -94,11 +99,12 @@
 #include "scenario/content.hpp"
 #include "scenario/phases.hpp"
 #include "scenario/population.hpp"
+#include "scenario/scenario_spec.hpp"
 #include "sim/reference_scheduler.hpp"
 #include "sim/simulation.hpp"
 
 // Every heap allocation on a thread bumps that thread's counter, so the
-// peerstore section can count what one call allocates.
+// peerstore and content_fabric sections can count what a call allocates.
 namespace {
 thread_local std::uint64_t allocations = 0;
 }  // namespace
@@ -1044,6 +1050,59 @@ PopulationNumbers bench_population(bool smoke) {
   return numbers;
 }
 
+// ---- content_fabric: Bitswap fetches on a trimming content fabric ----------
+
+struct ContentFabricNumbers {
+  double scale = 0.0;
+  std::size_t runs = 0;
+  std::size_t fetches = 0;        ///< fetch samples one campaign publishes
+  double ns_per_fetch = 0.0;      ///< campaign run time per fetch
+  double allocs_per_fetch = 0.0;  ///< heap allocations of one run per fetch
+};
+
+/// The content_fabric check_baseline bound: at most this factor above the
+/// committed allocs_per_fetch.
+constexpr double kFabricAllocGrowth = 1.10;
+
+/// content-baseline at scale 0.05, where the server vantage's Bitswap swarm
+/// passes its 900-connection HighWater, so dials, wants, blocks, trims and
+/// their mirrors all run.  Same size under --smoke: the guard compares the
+/// allocation count, which is exact, with the committed one.
+ContentFabricNumbers bench_content_fabric(bool smoke) {
+  struct FetchCounter final : ipfs::measure::MeasurementSink {
+    std::size_t fetches = 0;
+    void on_fetch(const ipfs::measure::FetchSample&) override { ++fetches; }
+  };
+  ipfs::scenario::ScenarioSpec spec = *ipfs::scenario::ScenarioSpec::builtin(
+      "content-baseline");
+  ContentFabricNumbers numbers;
+  numbers.scale = 0.05;
+  spec.population.scale = numbers.scale;
+  const ipfs::scenario::CampaignConfig config = spec.to_campaign_config();
+  numbers.runs = smoke ? 1 : 5;
+  double run_ms = 0.0;
+  std::uint64_t run_allocations = 0;
+  for (std::size_t rep = 0; rep < numbers.runs; ++rep) {
+    ipfs::scenario::CampaignEngine engine = make_engine(config);
+    FetchCounter counter;
+    const std::uint64_t allocations_before = allocations;
+    const auto start = std::chrono::steady_clock::now();
+    engine.run(counter);
+    run_ms += elapsed_ms(start);
+    run_allocations = allocations - allocations_before;
+    numbers.fetches = counter.fetches;
+  }
+  if (numbers.fetches == 0 || run_allocations == 0) {
+    std::cerr << "content_fabric: the campaign fetched or allocated nothing "
+                 "on this thread\n";
+    std::exit(1);
+  }
+  const auto fetches = static_cast<double>(numbers.fetches);
+  numbers.ns_per_fetch = run_ms * 1e6 / static_cast<double>(numbers.runs) / fetches;
+  numbers.allocs_per_fetch = static_cast<double>(run_allocations) / fetches;
+  return numbers;
+}
+
 // ---- baseline guardrail -----------------------------------------------------
 
 /// The committed baseline, or nullopt after printing why it is unusable.
@@ -1088,18 +1147,21 @@ std::optional<std::size_t> baseline_event_count(const std::string& baseline_path
 /// the ladder-queue engine —
 /// when an idle trim tick costs more than 1% of a trimming one, when a
 /// dataset copy costs more than 1% of an export, when recording a known
-/// protocol or an unchanged re-identify allocates, or when a population
-/// holds more than 160 bytes per peer.
+/// protocol or an unchanged re-identify allocates, when a population
+/// holds more than 160 bytes per peer, or when a content campaign
+/// allocates more than 10% more per fetch than the committed run.
 /// The ratio checks compare two figures of the same run, and the
 /// allocation counts and heap bytes do not depend on the host; they fail
 /// if trim_now snapshots the table before its high-water check, if copying
 /// a Dataset duplicates its storage, if the Dataset stores a string per
 /// protocol event again, if Peerstore::set_protocols builds a set per
-/// identify, or if a RemotePeer owns strings again.
+/// identify, if a RemotePeer owns strings again, or if a fetching remote
+/// builds per-peer machinery on the content fabric again.
 bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& fresh,
                     const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset,
                     const PeerstoreNumbers& peerstore,
-                    const PopulationNumbers& population) {
+                    const PopulationNumbers& population,
+                    const ContentFabricNumbers& fabric) {
   const auto parsed = read_baseline(baseline_path);
   if (!parsed) return false;
   const ipfs::common::JsonValue* section = parsed->find("event_queue");
@@ -1129,6 +1191,7 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
       {"population",
        {"bytes_per_peer", "build_ns_per_peer", "distinct_agents",
         "distinct_protocol_sets"}},
+      {"content_fabric", {"fetches", "ns_per_fetch", "allocs_per_fetch"}},
   };
   for (const RequiredSection& required : required_sections) {
     const ipfs::common::JsonValue* found = parsed->find(required.name);
@@ -1217,6 +1280,28 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
               << "the population's tables (DESIGN.md §7)\n";
     ok = false;
   }
+
+  const ipfs::common::JsonValue* allocs =
+      parsed->find("content_fabric")->find("allocs_per_fetch");
+  if (!allocs->is_number()) {
+    std::cerr << "check-baseline: " << baseline_path
+              << " has no numeric content_fabric.allocs_per_fetch\n";
+    return false;
+  }
+  const double committed_allocs = allocs->as_double();
+  std::cout << "check-baseline: content_fabric allocates " << fabric.allocs_per_fetch
+            << " times per fetch vs committed " << committed_allocs << " (limit "
+            << committed_allocs * kFabricAllocGrowth << ")\n";
+  if (fabric.allocs_per_fetch > committed_allocs * kFabricAllocGrowth) {
+    std::cerr << "check-baseline: FAIL — a content campaign allocates "
+              << fabric.allocs_per_fetch << " times per fetch, more than 10% "
+              << "above the committed " << committed_allocs << "; a fetching "
+              << "remote is a bare Bitswap endpoint on the content fabric, with "
+              << "no swarm, peerstore or conn manager (DESIGN.md §11); if the "
+              << "change is intentional, regenerate BENCH_core.json "
+              << "(bench/README.md)\n";
+    ok = false;
+  }
   return ok;
 }
 
@@ -1247,14 +1332,14 @@ int main(int argc, char** argv) {
             << " seed=" << kCampaignSeed << "\n"
             << std::string(78, '#') << "\n";
 
-  std::cout << "[1/12] lookup: RoutingTable::closest ...\n";
+  std::cout << "[1/13] lookup: RoutingTable::closest ...\n";
   const LookupNumbers lookup = bench_lookup(smoke);
   std::cout << "      table=" << lookup.table_size << " peers, "
             << lookup.closest_ns << " ns/query (sort-everything baseline: "
             << lookup.baseline_ns << " ns/query, "
             << lookup.baseline_ns / lookup.closest_ns << "x)\n";
 
-  std::cout << "[2/12] event queue: schedule + drain ...\n";
+  std::cout << "[2/13] event queue: schedule + drain ...\n";
   // The guard compares speedups at the baseline's own event count: the
   // ladder queue's lead over the heap grows with the queue's depth.
   std::size_t event_count = smoke ? 50'000 : 2'000'000;
@@ -1271,23 +1356,23 @@ int main(int argc, char** argv) {
             << events.heap_ns_per_event << " ns/event ("
             << events.speedup_vs_heap << "x)\n";
 
-  std::cout << "[3/12] conditions: ConditionModel sampling ...\n";
+  std::cout << "[3/13] conditions: ConditionModel sampling ...\n";
   const ConditionNumbers conditions = bench_conditions(smoke);
   std::cout << "      " << conditions.samples << " samples, "
             << conditions.one_way_ns << " ns/one_way, " << conditions.gate_ns
             << " ns/dial_allowed\n";
 
-  std::cout << "[4/12] churn_model: ChurnModel sampling ...\n";
+  std::cout << "[4/13] churn_model: ChurnModel sampling ...\n";
   const ChurnModelNumbers churn = bench_churn_model(smoke);
   std::cout << "      " << churn.samples << " samples, " << churn.session_ns
             << " ns/session, " << churn.gap_ns << " ns/gap\n";
 
-  std::cout << "[5/12] content_model: ContentModel sampling ...\n";
+  std::cout << "[5/13] content_model: ContentModel sampling ...\n";
   const ContentModelNumbers content = bench_content_model(smoke);
   std::cout << "      " << content.samples << " samples, " << content.publish_ns
             << " ns/publish-chain, " << content.fetch_ns << " ns/fetch-chain\n";
 
-  std::cout << "[6/12] campaign: sequential vs parallel sweep ...\n";
+  std::cout << "[6/13] campaign: sequential vs parallel sweep ...\n";
   const CampaignNumbers campaign = bench_campaign(smoke);
   std::cout << "      " << campaign.trials << " trials @ scale "
             << campaign.scale << ": sequential " << campaign.sequential_ms
@@ -1295,21 +1380,21 @@ int main(int argc, char** argv) {
             << campaign.workers << " workers, "
             << campaign.sequential_ms / campaign.parallel_ms << "x)\n";
 
-  std::cout << "[7/12] sharded_campaign: unsharded vs sharded engine ...\n";
+  std::cout << "[7/13] sharded_campaign: unsharded vs sharded engine ...\n";
   const ShardedCampaignNumbers sharded = bench_sharded_campaign(smoke);
   std::cout << "      scale " << sharded.scale << ": sequential "
             << sharded.sequential_ms << " ms, sharded " << sharded.sharded_ms
             << " ms (" << sharded.shards << " shards, " << sharded.workers
             << " workers, exports byte-identical)\n";
 
-  std::cout << "[8/12] phase_program: rates_at lookups + campaign overhead ...\n";
+  std::cout << "[8/13] phase_program: rates_at lookups + campaign overhead ...\n";
   const PhaseProgramNumbers phases = bench_phase_program(smoke);
   std::cout << "      " << phases.samples << " lookups, " << phases.rates_ns
             << " ns/rates_at; campaign plain " << phases.plain_ms
             << " ms vs phased " << phases.phased_ms << " ms ("
             << phases.phased_ms / phases.plain_ms << "x)\n";
 
-  std::cout << "[9/12] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
+  std::cout << "[9/13] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
   const ConnTrimNumbers trim = bench_conn_trim(smoke);
   std::cout << "      " << trim.low_water << "/" << trim.high_water
             << " watermarks: idle tick (" << trim.idle_open << " open) "
@@ -1317,7 +1402,7 @@ int main(int argc, char** argv) {
             << " open, " << trim.trimmed_per_tick << " closed) "
             << trim.trim_tick_ns << " ns\n";
 
-  std::cout << "[10/12] dataset_export: Dataset::export_json and a copy ...\n";
+  std::cout << "[10/13] dataset_export: Dataset::export_json and a copy ...\n";
   const DatasetExportNumbers dataset = bench_dataset_export(smoke);
   std::cout << "      " << dataset.peers << " peers, " << dataset.connections
             << " connections: export " << dataset.export_ns << " ns ("
@@ -1326,7 +1411,7 @@ int main(int argc, char** argv) {
             << " heap bytes/peer, " << dataset.known_protocol_allocs
             << " allocations per known protocol\n";
 
-  std::cout << "[11/12] peerstore: connect, identify, re-identify ...\n";
+  std::cout << "[11/13] peerstore: connect, identify, re-identify ...\n";
   const PeerstoreNumbers peerstore = bench_peerstore(smoke);
   std::cout << "      " << peerstore.peers << " peers x "
             << peerstore.protocols_per_identify << " protocols: connect "
@@ -1335,13 +1420,19 @@ int main(int argc, char** argv) {
             << peerstore.reidentify_allocs << " allocations), reconnect "
             << peerstore.reconnect_ns << " ns\n";
 
-  std::cout << "[12/12] population: Population build ...\n";
+  std::cout << "[12/13] population: Population build ...\n";
   const PopulationNumbers population = bench_population(smoke);
   std::cout << "      " << population.peers << " peers: build "
             << population.build_ns_per_peer << " ns/peer, "
             << population.bytes_per_peer << " heap bytes/peer, "
             << population.distinct_agents << " agents, "
             << population.distinct_protocol_sets << " protocol sets\n";
+
+  std::cout << "[13/13] content_fabric: a trimming content campaign ...\n";
+  const ContentFabricNumbers fabric = bench_content_fabric(smoke);
+  std::cout << "      scale " << fabric.scale << ": " << fabric.fetches
+            << " fetches, " << fabric.ns_per_fetch << " ns/fetch, "
+            << fabric.allocs_per_fetch << " allocations/fetch\n";
 
   std::ofstream out(out_path);
   if (!out) {
@@ -1487,13 +1578,22 @@ int main(int argc, char** argv) {
   json.field("distinct_protocol_sets",
              static_cast<std::uint64_t>(population.distinct_protocol_sets));
   json.end_object();
+  json.key("content_fabric");
+  json.begin_object();
+  json.field("scale", fabric.scale);
+  json.field("runs", static_cast<std::uint64_t>(fabric.runs));
+  json.field("fetches", static_cast<std::uint64_t>(fabric.fetches));
+  json.field("ns_per_fetch", fabric.ns_per_fetch);
+  json.field("allocs_per_fetch", fabric.allocs_per_fetch);
+  json.end_object();
   json.end_object();
   out << "\n";
 
   std::cout << "\nwrote " << out_path << "\n";
 
   if (!baseline_path.empty() &&
-      !check_baseline(baseline_path, events, trim, dataset, peerstore, population)) {
+      !check_baseline(baseline_path, events, trim, dataset, peerstore, population,
+                      fabric)) {
     return 1;
   }
   return 0;

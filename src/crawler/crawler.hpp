@@ -79,8 +79,10 @@ class Crawler : public net::Host {
   /// min/max band the paper plots in Fig. 2.
   [[nodiscard]] std::pair<std::size_t, std::size_t> reached_min_max() const;
 
+  [[nodiscard]] p2p::Swarm& swarm() noexcept { return swarm_; }
+
   // net::Host
-  [[nodiscard]] p2p::Swarm& swarm() override { return swarm_; }
+  [[nodiscard]] Endpoint endpoint() override { return Endpoint::of(swarm_); }
   /// Crawlers never serve anything: inbound dials are refused (peers learn
   /// the crawler's PID from its queries and do try to dial back).
   [[nodiscard]] bool accept_inbound(const p2p::PeerId& from) override;

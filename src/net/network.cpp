@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace ipfs::net {
@@ -10,29 +11,38 @@ Network::Network(sim::Simulation& simulation, common::Rng rng,
 
 Network::~Network() {
   // order-free: each host detaches its own tap.
-  for (auto& [id, host] : hosts_) {
-    host->swarm().remove_observer(taps_[id].get());
+  for (auto& [id, attached] : hosts_) {
+    if (attached.swarm != nullptr) attached.swarm->remove_observer(attached.tap.get());
   }
 }
 
 void Network::add_host(Host& host) {
-  const p2p::PeerId id = host.swarm().local_id();
-  hosts_[id] = &host;
-  auto tap = std::make_unique<SwarmTap>();
-  tap->network = this;
-  tap->local = id;
-  host.swarm().add_observer(tap.get());
-  taps_[id] = std::move(tap);
+  const Host::Endpoint endpoint = host.endpoint();
+  Attached& attached = hosts_[endpoint.id];
+  attached.host = &host;
+  attached.swarm = endpoint.swarm;
+  attached.address = endpoint.address;
+  if (endpoint.swarm == nullptr) return;
+  attached.tap = std::make_unique<SwarmTap>();
+  attached.tap->network = this;
+  attached.tap->local = endpoint.id;
+  endpoint.swarm->add_observer(attached.tap.get());
 }
 
 void Network::remove_host(const p2p::PeerId& id) {
   const auto it = hosts_.find(id);
   if (it == hosts_.end()) return;
-  Host* host = it->second;
-  // Departing node: close all its connections; remotes see kPeerOffline.
-  host->swarm().close_all(p2p::CloseReason::kPeerOffline);
-  host->swarm().remove_observer(taps_[id].get());
-  taps_.erase(id);
+  // Departing node: close all its links; remotes see kPeerOffline.
+  if (p2p::Swarm* swarm = it->second.swarm) {
+    const std::unique_ptr<SwarmTap> tap = std::move(it->second.tap);
+    swarm->close_all(p2p::CloseReason::kPeerOffline);
+    swarm->remove_observer(tap.get());
+  } else {
+    const std::vector<p2p::PeerId> peers = std::move(it->second.links);
+    for (const p2p::PeerId& peer : peers) {
+      close_link(id, peer, p2p::CloseReason::kPeerOffline);
+    }
+  }
   hosts_.erase(id);  // by key: the closes' observers may have moved entries
 }
 
@@ -52,15 +62,24 @@ void Network::dial(const p2p::PeerId& from, const p2p::PeerId& to,
     const auto from_it = hosts_.find(from);
     const auto to_it = hosts_.find(to);
     bool success = admitted && from_it != hosts_.end() && to_it != hosts_.end() &&
-                   !connected(from, to) && to_it->second->accept_inbound(from);
+                   !connected(from, to) && to_it->second.host->accept_inbound(from);
     if (success) {
-      p2p::Swarm& dialer = from_it->second->swarm();
-      p2p::Swarm& listener = to_it->second->swarm();
+      p2p::Swarm* dialer = from_it->second.swarm;
+      p2p::Swarm* listener = to_it->second.swarm;
+      const p2p::Multiaddr dialer_address = from_it->second.address;
+      const p2p::Multiaddr listener_address = to_it->second.address;
       // Register the link before the swarms fire their open observers, so
-      // protocol handlers (identify!) can already send() over it.
+      // protocol handlers (identify!) can already send() over it.  A bare
+      // end's side is the link alone.
       links_.insert(make_key(from, to));
-      dialer.open_connection(to, listener.listen_address(), p2p::Direction::kOutbound);
-      listener.open_connection(from, dialer.listen_address(), p2p::Direction::kInbound);
+      if (dialer == nullptr) from_it->second.links.push_back(to);
+      if (listener == nullptr) to_it->second.links.push_back(from);
+      if (dialer != nullptr) {
+        dialer->open_connection(to, listener_address, p2p::Direction::kOutbound);
+      }
+      if (listener != nullptr) {
+        listener->open_connection(from, dialer_address, p2p::Direction::kInbound);
+      }
     }
     if (on_done) on_done(success);
   });
@@ -84,7 +103,7 @@ void Network::send(const p2p::PeerId& from, const p2p::PeerId& to, Message messa
         const auto it = hosts_.find(to);
         // Deliver only if the pair is still connected on arrival.
         if (it == hosts_.end() || !connected(from, to)) return;
-        it->second->handle_message(from, message);
+        it->second.host->handle_message(from, message);
       });
 }
 
@@ -92,8 +111,12 @@ void Network::disconnect(const p2p::PeerId& initiator, const p2p::PeerId& other,
                          p2p::CloseReason reason) {
   const auto it = hosts_.find(initiator);
   if (it == hosts_.end()) return;
-  // Closing our side triggers the tap, which mirrors to the counterpart.
-  it->second->swarm().close_peer(other, reason);
+  if (p2p::Swarm* swarm = it->second.swarm) {
+    // Closing our side triggers the tap, which mirrors to the counterpart.
+    swarm->close_peer(other, reason);
+  } else {
+    close_link(initiator, other, reason);
+  }
 }
 
 void Network::SwarmTap::on_connection_opened(const p2p::Connection& connection) {
@@ -107,27 +130,40 @@ void Network::SwarmTap::on_connection_closed(const p2p::Connection& connection) 
 void Network::handle_local_close(const p2p::PeerId& local,
                                  const p2p::Connection& connection) {
   if (mirroring_) return;  // this close *is* the mirror of a remote close
-  const auto key = make_key(local, connection.remote);
-  const auto it = links_.find(key);
-  if (it == links_.end()) return;
-  links_.erase(it);
+  close_link(local, connection.remote, connection.reason);
+}
+
+void Network::close_link(const p2p::PeerId& local, const p2p::PeerId& remote,
+                         p2p::CloseReason reason) {
+  if (links_.erase(make_key(local, remote)) == 0) return;
+  forget_bare_link(local, remote);
+  forget_bare_link(remote, local);
 
   // The counterpart experiences the close with the remote-attributed reason.
   p2p::CloseReason mirrored;
-  switch (connection.reason) {
+  switch (reason) {
     case p2p::CloseReason::kLocalTrim: mirrored = p2p::CloseReason::kRemoteTrim; break;
     case p2p::CloseReason::kLocalClose: mirrored = p2p::CloseReason::kRemoteClose; break;
-    default: mirrored = connection.reason; break;
+    default: mirrored = reason; break;
   }
-  const p2p::PeerId remote = connection.remote;
   const auto delay = latency(local, remote);
+  const auto it = hosts_.find(remote);
+  if (it != hosts_.end() && it->second.swarm == nullptr) return;
   simulation_.schedule_after(delay, [this, remote, local, mirrored] {
     const auto host_it = hosts_.find(remote);
-    if (host_it == hosts_.end()) return;
+    if (host_it == hosts_.end() || host_it->second.swarm == nullptr) return;
     mirroring_ = true;
-    host_it->second->swarm().close_peer(local, mirrored);
+    host_it->second.swarm->close_peer(local, mirrored);
     mirroring_ = false;
   });
+}
+
+void Network::forget_bare_link(const p2p::PeerId& owner, const p2p::PeerId& peer) {
+  const auto it = hosts_.find(owner);
+  if (it == hosts_.end() || it->second.swarm != nullptr) return;
+  std::vector<p2p::PeerId>& links = it->second.links;
+  const auto found = std::ranges::find(links, peer);
+  if (found != links.end()) links.erase(found);
 }
 
 }  // namespace ipfs::net

@@ -57,10 +57,11 @@ class GoIpfsNode : public net::Host, private p2p::SwarmObserver {
   void bootstrap(const std::vector<p2p::PeerId>& peers);
 
   // net::Host
-  [[nodiscard]] p2p::Swarm& swarm() override { return swarm_; }
+  [[nodiscard]] Endpoint endpoint() override { return Endpoint::of(swarm_); }
   [[nodiscard]] bool accept_inbound(const p2p::PeerId& from) override;
   void handle_message(const p2p::PeerId& from, const net::Message& message) override;
 
+  [[nodiscard]] p2p::Swarm& swarm() noexcept { return swarm_; }
   [[nodiscard]] const p2p::PeerId& id() const noexcept { return swarm_.local_id(); }
   [[nodiscard]] dht::KadEngine& dht() noexcept { return *kad_; }
   [[nodiscard]] const dht::KadEngine& dht() const noexcept { return *kad_; }

@@ -212,22 +212,27 @@ struct CampaignEngine::Impl {
     }
   };
 
-  /// A minimal Bitswap participant on the content network: one swarm (for
-  /// the network's connection mirroring) and one engine.  Server vantages
-  /// get one to serve blocks; fetching remote peers get one lazily.
+  /// A Bitswap participant on the content network: one engine and, for a
+  /// server vantage, the swarm whose conn manager trims the fabric as
+  /// go-ipfs does.  A fetching remote's host is a bare endpoint
+  /// (`net::Host`): its side of a link is the link itself (DESIGN.md §11).
   struct BitswapHost final : net::Host {
-    BitswapHost(sim::Simulation& simulation, net::Network& network,
-                p2p::PeerId pid, p2p::Multiaddr address)
-        : swarm_(simulation, pid, std::move(address), p2p::Swarm::Config{}),
+    BitswapHost(net::Network& network, p2p::PeerId pid, p2p::Multiaddr address,
+                std::unique_ptr<p2p::Swarm> swarm = nullptr)
+        : pid_(pid), address_(address), swarm_(std::move(swarm)),
           engine_(network, pid) {}
 
-    [[nodiscard]] p2p::Swarm& swarm() override { return swarm_; }
+    [[nodiscard]] Endpoint endpoint() override {
+      return {pid_, address_, swarm_.get()};
+    }
     void handle_message(const p2p::PeerId& from,
                         const net::Message& message) override {
       engine_.handle_message(from, message);
     }
 
-    p2p::Swarm swarm_;
+    p2p::PeerId pid_;
+    p2p::Multiaddr address_;
+    std::unique_ptr<p2p::Swarm> swarm_;  ///< nullptr: a bare endpoint
     bitswap::BitswapEngine engine_;
   };
 
@@ -585,9 +590,11 @@ struct CampaignEngine::Impl {
       ContentVantage cv;
       cv.vantage = v;
       cv.records = std::make_unique<dht::RecordStore>();
+      const p2p::PeerId pid = vantages[v].swarm->local_id();
+      const p2p::Multiaddr address = vantages[v].swarm->listen_address();
       cv.host = std::make_unique<BitswapHost>(
-          simulation, *content_network, vantages[v].swarm->local_id(),
-          vantages[v].swarm->listen_address());
+          *content_network, pid, address,
+          std::make_unique<p2p::Swarm>(simulation, pid, address, p2p::Swarm::Config{}));
       content_network->add_host(*cv.host);
       content_vantages.push_back(std::move(cv));
     }
@@ -720,21 +727,26 @@ struct CampaignEngine::Impl {
     sample.at = simulation.now();
     sample.key = key;
 
-    std::vector<std::size_t> candidates;
-    for (std::size_t i = 0; i < content_vantages.size(); ++i) {
-      if (visible(peer, vantages[content_vantages[i].vantage])) {
-        candidates.push_back(i);
-      }
-    }
-    if (candidates.empty()) {
+    // The pick is the (hash % count)-th visible vantage.  `visible` is a
+    // pure hash, so a count and a second walk pick what a list of the
+    // candidates would, without allocating one per fetch.
+    const auto visible_to = [&](const ContentVantage& cv) {
+      return visible(peer, vantages[cv.vantage]);
+    };
+    const auto count = static_cast<std::size_t>(
+        std::ranges::count_if(content_vantages, visible_to));
+    if (count == 0) {
       emit_fetch(sample);
       return;
     }
     const std::uint64_t pick_key = (static_cast<std::uint64_t>(index) << 32) |
                                    static_cast<std::uint64_t>(fetch);
-    ContentVantage& cv = content_vantages[candidates[static_cast<std::size_t>(
-        common::mix64(common::mix64(config.seed, 0xfe7d), pick_key) %
-        candidates.size())]];
+    std::size_t pick = static_cast<std::size_t>(
+        common::mix64(common::mix64(config.seed, 0xfe7d), pick_key) % count);
+    const auto chosen = std::ranges::find_if(
+        content_vantages,
+        [&](const ContentVantage& cv) { return visible_to(cv) && pick-- == 0; });
+    ContentVantage& cv = *chosen;
     if (!contact_allowed(peer, cv.vantage)) {
       emit_fetch(sample);  // the lookup RPC never reached the vantage
       return;
@@ -767,10 +779,10 @@ struct CampaignEngine::Impl {
             emit_fetch(served);
           });
     };
-    if (content_network->connected(fetcher.swarm_.local_id(), vantage_pid)) {
+    if (content_network->connected(fetcher.pid_, vantage_pid)) {
       send_want();
     } else {
-      content_network->dial(fetcher.swarm_.local_id(), vantage_pid,
+      content_network->dial(fetcher.pid_, vantage_pid,
                             [this, key, start, send_want](bool ok) {
                               if (!ok) {
                                 measure::FetchSample failed;
@@ -795,7 +807,7 @@ struct CampaignEngine::Impl {
     if (!host) {
       const RemotePeer& peer = population.peers()[index];
       host = std::make_unique<BitswapHost>(
-          simulation, *content_network, peer.pid,
+          *content_network, peer.pid,
           p2p::Multiaddr{peer.ip, p2p::Transport::kTcp, peer.port});
       content_network->add_host(*host);
     }
@@ -810,7 +822,7 @@ struct CampaignEngine::Impl {
     for (const ContentVantage& cv : content_vantages) {
       host->engine_.cancel_wants(vantages[cv.vantage].swarm->local_id());
     }
-    content_network->remove_host(host->swarm_.local_id());
+    content_network->remove_host(host->pid_);
     host.reset();
   }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/content_stats.hpp"
+#include "common/rng.hpp"
 #include "measure/sink.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "testing/campaign.hpp"
@@ -118,6 +119,19 @@ TEST(ContentCampaign, ContentRunsAreReproducibleAndSeedSensitive) {
   EXPECT_EQ(first, second);
   spec.campaign.seed += 1;
   EXPECT_NE(testing::run_to_json(spec.to_campaign_config()), first);
+}
+
+TEST(ContentCampaign, TrimmedFabricExportMatchesPinnedHash) {
+  // FNV-1a (common::hash64) of the content-baseline export at scale 0.04,
+  // default seed: the smallest scale (on a 0.005 grid) at which the server
+  // vantage's Bitswap swarm passes its 900-connection HighWater, so the
+  // fabric's trim -> mirror path runs (602 trims).  The pins above run at
+  // 0.002, where nothing trims.  Recorded while every fetcher still kept
+  // a whole swarm; the bare fetcher endpoints must not move it.
+  const std::string exported = testing::run_builtin("content-baseline", 0.04);
+  ASSERT_FALSE(exported.empty());
+  EXPECT_EQ(common::hash64(exported), 0xd5c04ded1d225260ULL)
+      << "content-baseline: trimmed content fabric export drifted from its pin";
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "testing/hosts.hpp"
@@ -11,6 +13,7 @@ namespace ipfs::net {
 namespace {
 
 using common::kSecond;
+using common::SimTime;
 using p2p::CloseReason;
 using p2p::Direction;
 using p2p::PeerId;
@@ -200,6 +203,178 @@ TEST(NetworkTrim, DialsThatTrimOtherLinksKeepTheLinkTableConsistent) {
     EXPECT_EQ(linked, hosts[0]->swarm().open_count());
   }
   EXPECT_GT(hosts[0]->swarm().opened_total(), 3 * (hosts.size() - 1) / 2);
+}
+
+/// A bare endpoint: an id, an address and a message log, and no swarm.
+struct BareHost : Host {
+  explicit BareHost(std::uint64_t seed)
+      : id(PeerId::from_seed(seed)),
+        address{p2p::IpAddress::v4(static_cast<std::uint32_t>(seed)),
+                p2p::Transport::kTcp, 4001} {}
+
+  Endpoint endpoint() override { return {id, address, nullptr}; }
+  void handle_message(const PeerId& from, const Message& message) override {
+    received.emplace_back(from, message.protocol);
+  }
+
+  PeerId id;
+  p2p::Multiaddr address;
+  std::vector<std::pair<PeerId, std::string>> received;
+};
+
+/// Every close a swarm reports, with its time and reason.
+struct CloseLog : p2p::SwarmObserver {
+  explicit CloseLog(sim::Simulation& sim) : sim(sim) {}
+  void on_connection_opened(const p2p::Connection&) override {}
+  void on_connection_closed(const p2p::Connection& connection) override {
+    closes.emplace_back(sim.now(), connection.reason);
+  }
+  sim::Simulation& sim;
+  std::vector<std::pair<SimTime, CloseReason>> closes;
+};
+
+/// A swarm-backed listener (seed 1) and one dialer (seed 2) on a fabric:
+/// either a bare endpoint or a swarm-backed host of the same id and
+/// address.  Hosts are declared before the network (the Host lifetime
+/// contract).
+struct DialerFabric {
+  explicit DialerFabric(bool bare_dialer, ConditionModel conditions = ConditionModel{})
+      : log(sim),
+        listener(sim, 1),
+        swarm_dialer(sim, 2),
+        bare(2),
+        network(sim, common::Rng(1), std::move(conditions)) {
+    listener.swarm().add_observer(&log);
+    network.add_host(listener);
+    network.add_host(bare_dialer ? static_cast<Host&>(bare) : swarm_dialer);
+  }
+  ~DialerFabric() { listener.swarm().remove_observer(&log); }
+
+  [[nodiscard]] PeerId dialer() const { return bare.id; }
+  [[nodiscard]] const PeerId& listener_id() { return listener.id(); }
+  void link() {
+    network.dial(dialer(), listener_id());
+    sim.run();
+  }
+  /// The listener's conn manager closes the link.
+  void trim() {
+    const p2p::ConnectionId id = listener.swarm().open_connections().at(0)->id;
+    listener.swarm().close_connection(id, CloseReason::kLocalTrim);
+  }
+
+  sim::Simulation sim;
+  CloseLog log;
+  ipfs::testing::ScriptedHost listener;
+  ipfs::testing::ScriptedHost swarm_dialer;
+  BareHost bare;
+  Network network;
+};
+
+TEST(BareEndpoint, DialOpensOnlyTheListenersConnection) {
+  DialerFabric fabric(/*bare_dialer=*/true);
+  bool success = false;
+  fabric.network.dial(fabric.dialer(), fabric.listener_id(),
+                      [&](bool ok) { success = ok; });
+  fabric.sim.run();
+  EXPECT_TRUE(success);
+  EXPECT_TRUE(fabric.network.connected(fabric.dialer(), fabric.listener_id()));
+  ASSERT_EQ(fabric.listener.swarm().open_count(), 1u);
+  const p2p::Connection& connection = *fabric.listener.swarm().open_connections()[0];
+  EXPECT_EQ(connection.remote, fabric.dialer());
+  EXPECT_EQ(connection.remote_addr, fabric.bare.address);
+  EXPECT_EQ(connection.direction, Direction::kInbound);
+  // The swarm-backed twin of the same id is not registered and opened nothing.
+  EXPECT_EQ(fabric.swarm_dialer.swarm().open_count(), 0u);
+}
+
+TEST(BareEndpoint, ListenerTrimDropsTheLinkAndSchedulesNothingForTheBareSide) {
+  DialerFabric bare(/*bare_dialer=*/true);
+  bare.link();
+  bare.trim();
+  EXPECT_FALSE(bare.network.connected(bare.dialer(), bare.listener_id()));
+  EXPECT_EQ(bare.sim.pending_events(), 0u);
+
+  // A swarm-backed dialer's side closes one latency later.
+  DialerFabric backed(/*bare_dialer=*/false);
+  backed.link();
+  backed.trim();
+  EXPECT_FALSE(backed.network.connected(backed.dialer(), backed.listener_id()));
+  EXPECT_EQ(backed.sim.pending_events(), 1u);
+  EXPECT_EQ(backed.swarm_dialer.swarm().open_count(), 1u);
+  backed.sim.run();
+  EXPECT_EQ(backed.swarm_dialer.swarm().open_count(), 0u);
+}
+
+TEST(BareEndpoint, BareAndSwarmDialersDrawTheSameLatencies) {
+  // The same script on both kinds of dialer, one step per second (a bare
+  // side's mirror is no event, so draining the queue would stop the clock
+  // earlier): links, a listener trim, a dialer-side disconnect and a
+  // departure.  The listener must see the same closes at the same times,
+  // and the fabric RNG must stand at the same next draw.
+  const auto script = [](DialerFabric& fabric) {
+    SimTime step = 0;
+    const auto next_step = [&] { fabric.sim.run_until(step += kSecond); };
+    fabric.network.dial(fabric.dialer(), fabric.listener_id());
+    next_step();
+    fabric.trim();
+    next_step();
+    fabric.network.dial(fabric.dialer(), fabric.listener_id());
+    next_step();
+    fabric.network.disconnect(fabric.dialer(), fabric.listener_id());
+    next_step();
+    fabric.network.dial(fabric.dialer(), fabric.listener_id());
+    next_step();
+    fabric.network.remove_host(fabric.dialer());
+    next_step();
+  };
+  DialerFabric bare(/*bare_dialer=*/true);
+  DialerFabric backed(/*bare_dialer=*/false);
+  script(bare);
+  script(backed);
+  ASSERT_EQ(bare.log.closes.size(), 3u);
+  EXPECT_EQ(bare.log.closes, backed.log.closes);
+  EXPECT_EQ(bare.log.closes[1].second, CloseReason::kRemoteClose);
+  EXPECT_EQ(bare.log.closes[2].second, CloseReason::kPeerOffline);
+  for (int draw = 0; draw < 4; ++draw) {
+    EXPECT_EQ(bare.network.latency(bare.dialer(), bare.listener_id()),
+              backed.network.latency(backed.dialer(), backed.listener_id()))
+        << "draw " << draw;
+  }
+}
+
+TEST(BareEndpoint, RemovalClosesTheListenerSideAsPeerOfflineAfterOneLatency) {
+  ConditionSpec steady;
+  steady.latency.jitter_fraction = 0.0;  // one latency per pair, every draw
+  DialerFabric fabric(/*bare_dialer=*/true, ConditionModel(steady));
+  fabric.link();
+  const SimTime removed_at = fabric.sim.now();
+  const auto one_way = fabric.network.latency(fabric.dialer(), fabric.listener_id());
+
+  fabric.network.remove_host(fabric.dialer());
+  EXPECT_FALSE(fabric.network.online(fabric.dialer()));
+  EXPECT_FALSE(fabric.network.connected(fabric.dialer(), fabric.listener_id()));
+  EXPECT_EQ(fabric.listener.swarm().open_count(), 1u);  // not yet mirrored
+  fabric.sim.run();
+  EXPECT_EQ(fabric.listener.swarm().open_count(), 0u);
+  const std::vector<std::pair<SimTime, CloseReason>> expected = {
+      {removed_at + one_way, CloseReason::kPeerOffline}};
+  EXPECT_EQ(fabric.log.closes, expected);
+}
+
+TEST(BareEndpoint, SendToARemovedEndpointIsDropped) {
+  DialerFabric fabric(/*bare_dialer=*/true);
+  fabric.link();
+  Message message;
+  message.protocol = "/test/1.0.0";
+  fabric.network.send(fabric.listener_id(), fabric.dialer(), message);
+  fabric.sim.run();
+  ASSERT_EQ(fabric.bare.received.size(), 1u);  // delivered while linked
+
+  fabric.network.send(fabric.listener_id(), fabric.dialer(), message);  // in flight
+  fabric.network.remove_host(fabric.dialer());
+  fabric.network.send(fabric.listener_id(), fabric.dialer(), message);  // unlinked
+  fabric.sim.run();
+  EXPECT_EQ(fabric.bare.received.size(), 1u);
 }
 
 TEST(LatencyModel, DeterministicBasePerPair) {

@@ -30,7 +30,8 @@ struct ScriptedHost : net::Host {
                               p2p::Transport::kTcp, 4001},
                config) {}
 
-  p2p::Swarm& swarm() override { return swarm_; }
+  p2p::Swarm& swarm() { return swarm_; }
+  Endpoint endpoint() override { return Endpoint::of(swarm_); }
   bool accept_inbound(const p2p::PeerId&) override { return accept; }
   void handle_message(const p2p::PeerId& from, const net::Message& message) override {
     received.emplace_back(from, message.protocol);

@@ -45,6 +45,9 @@ namespace ipfs::tools {
 /// is empty) to stdout.  Returns the exit code; 2 names an unknown section.
 int reproduce(double scale, std::uint64_t seed,
               const std::vector<std::string>& sections);
+/// tools/reproduce.cpp: every section name, in the order a full
+/// reproduction prints them.
+std::vector<std::string_view> reproduce_sections();
 }  // namespace ipfs::tools
 
 namespace {
@@ -594,6 +597,9 @@ struct Command {
   int (*handler)(const Args&) = nullptr;
   std::vector<std::string_view> help;
   std::vector<Option> options{};
+  /// The operand's choices, which usage() lists after `help`; null when
+  /// the operand is free-form.
+  std::vector<std::string_view> (*operand_values)() = nullptr;
 };
 
 const std::vector<Command> kCommands = {
@@ -640,14 +646,13 @@ const std::vector<Command> kCommands = {
      }},
     {.name = "reproduce", .operand = "SECTION", .max_operands = kMany,
      .handler = cmd_reproduce,
-     .help = {"print the paper's tables and figures (default: every section);",
-              "SECTION is one of table1..table4 fig2..fig7 sec5a size",
-              "ablation-hydra ablation-trim"},
+     .help = {"print the paper's tables and figures (default: every section)"},
      .options = {
          {"--scale", "X", "population scale (default 1, the full network)",
           &Args::scale},
          {"--seed", "S", "base seed (default 20211203)", &Args::seed},
-     }},
+     },
+     .operand_values = ipfs::tools::reproduce_sections},
     {.name = "selftest", .handler = cmd_selftest,
      .help = {"run a tiny testbed experiment"}},
 };
@@ -663,6 +668,17 @@ int usage(std::ostream& out, int code) {
     }
     out << (command.options.empty() ? "\n" : " [options]\n");
     for (const std::string_view line : command.help) out << "      " << line << "\n";
+    if (command.operand_values != nullptr) {
+      std::string line = "      " + std::string(command.operand) + " is one of";
+      for (const std::string_view value : command.operand_values()) {
+        if (line.size() + 1 + value.size() > 72) {
+          out << line << "\n";
+          line = "     ";
+        }
+        line.append(" ").append(value);
+      }
+      out << line << "\n";
+    }
     for (const Option& option : command.options) {
       std::string flag(option.name);
       if (!option.placeholder.empty()) flag.append(" ").append(option.placeholder);

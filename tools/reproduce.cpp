@@ -86,7 +86,7 @@ struct Run {
 using Runs = std::vector<std::shared_ptr<const Run>>;
 
 struct Section {
-  std::string name;
+  std::string_view name;  ///< a literal: reproduce_sections() hands out views
   std::string title;
   std::string reference;            ///< printed after "Daniel & Tschorsch 2022, "
   std::vector<PeriodSpec> periods;  ///< the shared campaigns render() reads, in order
@@ -675,6 +675,12 @@ std::vector<Section> sections() {
 }
 
 }  // namespace
+
+std::vector<std::string_view> reproduce_sections() {
+  std::vector<std::string_view> names;
+  for (const Section& section : sections()) names.push_back(section.name);
+  return names;
+}
 
 int reproduce(double scale, std::uint64_t seed, const std::vector<std::string>& names) {
   const std::vector<Section> all = sections();
