@@ -35,7 +35,9 @@
 //   peerstore    p2p::Peerstore identify bookkeeping on a P4-shaped store:
 //                first connect and identify of 32k peers, then an unchanged
 //                re-identify and a reconnect of each, counting the heap
-//                allocations a re-identify makes
+//                allocations a re-identify makes; then the same identifies
+//                by slot with pre-interned protocol lists, as the campaign
+//                engine makes them, and that path's re-identify speedup
 //   population   scenario::Population build of P4's 3-day population at
 //                scale 0.5: build time and heap per peer, and how many
 //                distinct agents and protocol sets its tables hold
@@ -58,7 +60,10 @@
 //                     storage — DESIGN.md §4), when the dataset allocates
 //                     to record an already-interned protocol (DESIGN.md
 //                     §4), when an unchanged peerstore re-identify
-//                     allocates (DESIGN.md §7), when a built population
+//                     allocates (DESIGN.md §7), when re-identifying by
+//                     slot with a pre-interned list gains more than 25%
+//                     less over the by-name path than committed (DESIGN.md
+//                     §7), when a built population
 //                     holds more than 160 heap bytes per peer (DESIGN.md
 //                     §7), when a content campaign allocates more than
 //                     10% more per fetch than committed (DESIGN.md §11),
@@ -73,6 +78,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <malloc.h>
 #include <memory>
 #include <new>
@@ -938,6 +944,9 @@ struct PeerstoreNumbers {
   double reidentify_ns = 0.0;      ///< per identical set_agent + set_protocols
   double reconnect_ns = 0.0;       ///< per connect of a known peer and address
   double reidentify_allocs = 0.0;  ///< heap allocations per re-identify
+  double identify_list_ns = 0.0;   ///< identify_ns, by slot with an interned list
+  double reidentify_list_ns = 0.0;  ///< reidentify_ns, by slot with an interned list
+  double list_speedup = 0.0;       ///< reidentify_ns / reidentify_list_ns
 };
 
 PeerstoreNumbers bench_peerstore(bool smoke) {
@@ -991,22 +1000,60 @@ PeerstoreNumbers bench_peerstore(bool smoke) {
   numbers.identify_ns = per_peer(elapsed_ms(start));
 
   const std::size_t reps = smoke ? 1 : 5;
-  const std::uint64_t allocations_before = allocations;
-  start = std::chrono::steady_clock::now();
-  for (std::size_t rep = 0; rep < reps; ++rep) identify_all(3 + static_cast<int>(rep));
-  numbers.reidentify_ns = per_peer(elapsed_ms(start)) / static_cast<double>(reps);
-  numbers.reidentify_allocs = static_cast<double>(allocations - allocations_before) /
-                              static_cast<double>(numbers.peers * reps);
-
   start = std::chrono::steady_clock::now();
   for (std::size_t rep = 0; rep < reps; ++rep) connect_all(10);
   numbers.reconnect_ns = per_peer(elapsed_ms(start)) / static_cast<double>(reps);
 
-  if (store.size() != numbers.peers ||
-      !store.supports(pids.front(), proto::kKad) ||
-      store.find(pids.back())->agent != agents[(numbers.peers - 1) % 4]) {
-    std::cerr << "peerstore: the store lost peers or identify results\n";
-    std::exit(1);
+  // The campaign's identify: the connection hands over the remote's slot,
+  // and each distinct protocol set is interned once per store.
+  p2p::Peerstore listed;
+  std::vector<p2p::Peerstore::Slot> slots;
+  slots.reserve(numbers.peers);
+  for (std::size_t i = 0; i < numbers.peers; ++i) {
+    slots.push_back(listed.connect(pids[i], addresses[i], 1));
+  }
+  const auto server_list = listed.intern_protocols(server);
+  const auto client_list = listed.intern_protocols(client);
+  const auto identify_listed = [&](ipfs::common::SimTime now) {
+    for (std::size_t i = 0; i < numbers.peers; ++i) {
+      listed.set_agent(slots[i], agents[i % 4], now);
+      listed.set_protocols(slots[i], i % 3 == 0 ? server_list : client_list, now);
+    }
+  };
+  start = std::chrono::steady_clock::now();
+  identify_listed(2);
+  numbers.identify_list_ns = per_peer(elapsed_ms(start));
+
+  // Unchanged re-identifies, by name and by slot in alternating passes, in
+  // smoke mode too.  Each figure is its path's fastest pass: list_speedup
+  // divides the two, a pass by slot takes under a millisecond, and a busy
+  // moment of the host would otherwise land on one path only.
+  constexpr int kPasses = 15;
+  numbers.reidentify_ns = std::numeric_limits<double>::infinity();
+  numbers.reidentify_list_ns = std::numeric_limits<double>::infinity();
+  std::uint64_t reidentify_allocations = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const std::uint64_t allocations_before = allocations;
+    start = std::chrono::steady_clock::now();
+    identify_all(3 + pass);
+    numbers.reidentify_ns = std::min(numbers.reidentify_ns, per_peer(elapsed_ms(start)));
+    reidentify_allocations += allocations - allocations_before;
+    start = std::chrono::steady_clock::now();
+    identify_listed(3 + pass);
+    numbers.reidentify_list_ns =
+        std::min(numbers.reidentify_list_ns, per_peer(elapsed_ms(start)));
+  }
+  numbers.reidentify_allocs = static_cast<double>(reidentify_allocations) /
+                              static_cast<double>(numbers.peers * kPasses);
+  numbers.list_speedup = numbers.reidentify_ns / numbers.reidentify_list_ns;
+
+  for (const p2p::Peerstore* checked : {&store, &listed}) {
+    if (checked->size() != numbers.peers ||
+        !checked->supports(pids.front(), proto::kKad) ||
+        checked->find(pids.back())->agent != agents[(numbers.peers - 1) % 4]) {
+      std::cerr << "peerstore: the store lost peers or identify results\n";
+      std::exit(1);
+    }
   }
   return numbers;
 }
@@ -1147,15 +1194,18 @@ std::optional<std::size_t> baseline_event_count(const std::string& baseline_path
 /// the ladder-queue engine —
 /// when an idle trim tick costs more than 1% of a trimming one, when a
 /// dataset copy costs more than 1% of an export, when recording a known
-/// protocol or an unchanged re-identify allocates, when a population
-/// holds more than 160 bytes per peer, or when a content campaign
-/// allocates more than 10% more per fetch than the committed run.
+/// protocol or an unchanged re-identify allocates, when re-identifying
+/// by slot with a pre-interned list gains more than 25% less over the
+/// by-name path than committed, when a population holds more than 160
+/// bytes per peer, or when a content campaign allocates more than 10% more
+/// per fetch than the committed run.
 /// The ratio checks compare two figures of the same run, and the
 /// allocation counts and heap bytes do not depend on the host; they fail
 /// if trim_now snapshots the table before its high-water check, if copying
 /// a Dataset duplicates its storage, if the Dataset stores a string per
 /// protocol event again, if Peerstore::set_protocols builds a set per
-/// identify, if a RemotePeer owns strings again, or if a fetching remote
+/// identify, if the slot path looks peers or names up again, if a
+/// RemotePeer owns strings again, or if a fetching remote
 /// builds per-peer machinery on the content fabric again.
 bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& fresh,
                     const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset,
@@ -1187,7 +1237,8 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
        {"export_ns", "copy_ns", "bytes_per_peer", "known_protocol_allocs"}},
       {"peerstore",
        {"connect_ns", "identify_ns", "reidentify_ns", "reconnect_ns",
-        "reidentify_allocs"}},
+        "reidentify_allocs", "identify_list_ns", "reidentify_list_ns",
+        "list_speedup"}},
       {"population",
        {"bytes_per_peer", "build_ns_per_peer", "distinct_agents",
         "distinct_protocol_sets"}},
@@ -1267,6 +1318,28 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
               << peerstore.reidentify_allocs << " heap allocations per "
               << "unchanged set_agent + set_protocols); an unchanged identify "
               << "must compare interned ids without allocating (DESIGN.md §7)\n";
+    ok = false;
+  }
+
+  // Both paths run in this process on this host, so their ratio holds
+  // where absolute ns swing with the host's load.
+  const ipfs::common::JsonValue* list_speedup =
+      parsed->find("peerstore")->find("list_speedup");
+  if (!list_speedup->is_number()) {
+    std::cerr << "check-baseline: " << baseline_path
+              << " has no numeric peerstore.list_speedup\n";
+    return false;
+  }
+  const double committed_list = list_speedup->as_double();
+  std::cout << "check-baseline: peerstore re-identify by slot with an interned list "
+            << peerstore.list_speedup << "x faster than by name vs committed "
+            << committed_list << "x (limit " << committed_list / kTolerance << "x)\n";
+  if (peerstore.list_speedup < committed_list / kTolerance) {
+    std::cerr << "check-baseline: FAIL — re-identifying by slot with a "
+              << "pre-interned protocol list gains more than 25% less over the "
+              << "by-name path than committed (got " << peerstore.list_speedup
+              << "x, committed " << committed_list << "x); the slot path must "
+              << "skip the PeerId lookup and the name interning (DESIGN.md §7)\n";
     ok = false;
   }
 
@@ -1418,7 +1491,10 @@ int main(int argc, char** argv) {
             << peerstore.connect_ns << " ns, identify " << peerstore.identify_ns
             << " ns, re-identify " << peerstore.reidentify_ns << " ns ("
             << peerstore.reidentify_allocs << " allocations), reconnect "
-            << peerstore.reconnect_ns << " ns\n";
+            << peerstore.reconnect_ns << " ns; by slot with interned lists: "
+            << "identify " << peerstore.identify_list_ns << " ns, re-identify "
+            << peerstore.reidentify_list_ns << " ns (" << peerstore.list_speedup
+            << "x)\n";
 
   std::cout << "[12/13] population: Population build ...\n";
   const PopulationNumbers population = bench_population(smoke);
@@ -1567,6 +1643,9 @@ int main(int argc, char** argv) {
   json.field("reidentify_ns", peerstore.reidentify_ns);
   json.field("reconnect_ns", peerstore.reconnect_ns);
   json.field("reidentify_allocs", peerstore.reidentify_allocs);
+  json.field("identify_list_ns", peerstore.identify_list_ns);
+  json.field("reidentify_list_ns", peerstore.reidentify_list_ns);
+  json.field("list_speedup", peerstore.list_speedup);
   json.end_object();
   json.key("population");
   json.begin_object();

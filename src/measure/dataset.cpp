@@ -68,8 +68,7 @@ PeerIndex Dataset::intern(const p2p::PeerId& pid, SimTime now) {
       body.index.try_emplace(pid, static_cast<PeerIndex>(body.peers.size()));
   const PeerIndex index = it->second;
   if (!inserted) {
-    PeerRecord& existing = body.peers[index];
-    existing.last_seen = std::max(existing.last_seen, now);
+    touch(index, now);
     return index;
   }
   PeerRecord record;
@@ -79,6 +78,11 @@ PeerIndex Dataset::intern(const p2p::PeerId& pid, SimTime now) {
   body.peers.push_back(std::move(record));
   by_peer_cache_.lists.clear();
   return index;
+}
+
+void Dataset::touch(PeerIndex index, SimTime now) {
+  PeerRecord& record = mutable_body().peers[index];
+  record.last_seen = std::max(record.last_seen, now);
 }
 
 void Dataset::add_connection(ConnRecord record) {
@@ -91,18 +95,24 @@ void Dataset::add_agent(PeerIndex peer, SimTime at, std::string_view name) {
   body.peers[peer].agent_history.push_back({at, body.agents.intern(name)});
 }
 
-void Dataset::add_protocol_event(PeerIndex peer, SimTime at, std::string_view name,
+ProtocolId Dataset::intern_protocol(std::string_view name) {
+  return mutable_body().protocols.intern(name);
+}
+
+void Dataset::add_protocol_event(PeerIndex peer, SimTime at, ProtocolId protocol,
                                  bool added) {
-  Body& body = mutable_body();
-  const ProtocolId id = body.protocols.intern(name);
-  PeerRecord& record = body.peers[peer];
-  record.protocol_events.push_back({at, id, added});
-  if (added) insert_sorted(record.protocols_ever, id);
+  PeerRecord& record = mutable_body().peers[peer];
+  record.protocol_events.push_back({at, protocol, added});
+  if (added) insert_sorted(record.protocols_ever, protocol);
 }
 
 void Dataset::add_connected_ip(PeerIndex peer, const p2p::IpAddress& ip) {
   Body& body = mutable_body();
-  insert_sorted(body.peers[peer].connected_ips, body.intern_ip(ip));
+  std::vector<IpId>& ids = body.peers[peer].connected_ips;
+  // A peer mostly reconnects from an address it used before, and its own
+  // list is a few ids: scan it before hashing into the dataset's table.
+  if (std::ranges::any_of(ids, [&](IpId id) { return body.ips[id] == ip; })) return;
+  insert_sorted(ids, body.intern_ip(ip));
 }
 
 const std::string& Dataset::current_agent(const PeerRecord& peer) const {

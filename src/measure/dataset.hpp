@@ -108,6 +108,8 @@ class Dataset {
 
   /// Find-or-create the record for a PID.
   PeerIndex intern(const p2p::PeerId& pid, SimTime now);
+  /// What intern() does to a known peer: bump its last_seen to `now`.
+  void touch(PeerIndex index, SimTime now);
 
   [[nodiscard]] const PeerRecord* find(const p2p::PeerId& pid) const;
   [[nodiscard]] PeerRecord& record(PeerIndex index) {
@@ -128,10 +130,15 @@ class Dataset {
 
   /// Append an agent observation to the peer's history.
   void add_agent(PeerIndex peer, SimTime at, std::string_view name);
+  /// The id of protocol `name`, appending it when new.
+  ProtocolId intern_protocol(std::string_view name);
   /// Append a protocol change to the peer's log; an addition also enters
   /// `protocols_ever`.
+  void add_protocol_event(PeerIndex peer, SimTime at, ProtocolId protocol, bool added);
   void add_protocol_event(PeerIndex peer, SimTime at, std::string_view name,
-                          bool added);
+                          bool added) {
+    add_protocol_event(peer, at, intern_protocol(name), added);
+  }
   /// Note an IP the peer connected from.
   void add_connected_ip(PeerIndex peer, const p2p::IpAddress& ip);
 

@@ -28,6 +28,7 @@ SimTime Recorder::observe_time(SimTime actual) const noexcept {
 
 void Recorder::start() {
   recording_ = true;
+  clear_caches();
   dataset_.measurement_start = simulation_.now();
   dataset_.measurement_end = simulation_.now();
 }
@@ -51,15 +52,47 @@ void Recorder::finish() {
   open_.clear();
 }
 
+Dataset Recorder::take_dataset() {
+  // The open connections' peer indices point into the dataset taken.
+  open_.clear();
+  clear_caches();
+  return std::move(dataset_);
+}
+
 void Recorder::publish(MeasurementSink& sink, DatasetRole role) {
   finish();
   sink.on_dataset(role, take_dataset());
 }
 
+void Recorder::clear_caches() {
+  peer_of_slot_.clear();
+  protocol_of_.clear();
+}
+
+PeerIndex Recorder::peer_index(Slot slot, const p2p::PeerId& peer, SimTime at) {
+  if (slot >= peer_of_slot_.size()) peer_of_slot_.resize(slot + 1, kUnknown);
+  PeerIndex& index = peer_of_slot_[slot];
+  if (index == kUnknown) {
+    index = dataset_.intern(peer, at);
+  } else {
+    dataset_.touch(index, at);
+  }
+  return index;
+}
+
+measure::ProtocolId Recorder::protocol_id(ProtocolId id) {
+  if (id >= protocol_of_.size()) protocol_of_.resize(id + 1, kUnknown);
+  measure::ProtocolId& ours = protocol_of_[id];
+  if (ours == kUnknown) {
+    ours = dataset_.intern_protocol(swarm_.peerstore().protocol_name(id));
+  }
+  return ours;
+}
+
 void Recorder::on_connection_opened(const p2p::Connection& connection) {
   if (!recording_) return;
   const SimTime now = observe_time(simulation_.now());
-  const PeerIndex peer = dataset_.intern(connection.remote, now);
+  const PeerIndex peer = peer_index(connection.slot, connection.remote, now);
   dataset_.add_connected_ip(peer, connection.remote_addr.ip);
   open_[connection.id] = {peer, now, connection.direction};
 }
@@ -79,51 +112,49 @@ void Recorder::on_connection_closed(const p2p::Connection& connection) {
   record.direction = open.direction;
   record.reason = connection.reason;
   dataset_.add_connection(record);
-  dataset_.record(open.peer).last_seen =
-      std::max(dataset_.record(open.peer).last_seen, record.closed);
+  dataset_.touch(open.peer, record.closed);
 }
 
-void Recorder::on_peer_added(const p2p::PeerId& peer, SimTime now) {
+void Recorder::on_peer_added(Slot slot, const p2p::PeerId& peer, SimTime now) {
   if (!recording_) return;
-  dataset_.intern(peer, observe_time(now));
+  peer_index(slot, peer, observe_time(now));
 }
 
-void Recorder::on_agent_changed(const p2p::PeerId& peer, const std::string& previous,
-                                const std::string& current, SimTime now) {
+void Recorder::on_agent_changed(Slot slot, const p2p::PeerId& peer,
+                                const std::string& previous, const std::string& current,
+                                SimTime now) {
   if (!recording_) return;
   (void)previous;
   const SimTime at = observe_time(now);
-  const PeerIndex index = dataset_.intern(peer, at);
-  dataset_.add_agent(index, at, current);
+  dataset_.add_agent(peer_index(slot, peer, at), at, current);
 }
 
-void Recorder::on_protocols_changed(const p2p::PeerId& peer,
-                                    std::span<const std::string_view> added,
-                                    std::span<const std::string_view> removed,
-                                    SimTime now) {
+void Recorder::on_protocols_changed(Slot slot, const p2p::PeerId& peer,
+                                    std::span<const ProtocolId> added,
+                                    std::span<const ProtocolId> removed, SimTime now) {
   if (!recording_) return;
   const SimTime at = observe_time(now);
-  const PeerIndex index = dataset_.intern(peer, at);
-  for (const std::string_view protocol : added) {
-    dataset_.add_protocol_event(index, at, protocol, true);
-    if (p2p::protocols::marks_dht_server(protocol)) {
+  const PeerIndex index = peer_index(slot, peer, at);
+  for (const ProtocolId protocol : added) {
+    dataset_.add_protocol_event(index, at, protocol_id(protocol), true);
+    if (p2p::protocols::marks_dht_server(swarm_.peerstore().protocol_name(protocol))) {
       dataset_.record(index).ever_dht_server = true;
     }
   }
-  for (const std::string_view protocol : removed) {
-    dataset_.add_protocol_event(index, at, protocol, false);
+  for (const ProtocolId protocol : removed) {
+    dataset_.add_protocol_event(index, at, protocol_id(protocol), false);
   }
 }
 
-void Recorder::on_address_added(const p2p::PeerId& peer, const p2p::Multiaddr& address,
-                                SimTime now) {
+void Recorder::on_address_added(Slot slot, const p2p::PeerId& peer,
+                                const p2p::Multiaddr& address, SimTime now) {
   if (!recording_) return;
   // Addresses learned via identify are *announced*, not necessarily
   // *connected*; §V-A groups by connected address, which
   // on_connection_opened captures.  We still intern the peer so
   // identify-only peers appear in the PID counts.
   (void)address;
-  dataset_.intern(peer, observe_time(now));
+  peer_index(slot, peer, observe_time(now));
 }
 
 }  // namespace ipfs::measure

@@ -9,7 +9,10 @@
 // slightly smaller than shown".
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "measure/dataset.hpp"
 #include "measure/sink.hpp"
@@ -45,11 +48,12 @@ class Recorder : public p2p::SwarmObserver, public p2p::PeerstoreObserver {
   /// with reason kMeasurementEnd — the paper's Table II convention.
   void finish();
 
+  /// The dataset so far.  Read-only: the recorder's caches index into it.
   [[nodiscard]] const Dataset& dataset() const noexcept { return dataset_; }
-  [[nodiscard]] Dataset& dataset() noexcept { return dataset_; }
 
-  /// Move the dataset out (recorder becomes inert).
-  [[nodiscard]] Dataset take_dataset() { return std::move(dataset_); }
+  /// Move the dataset out.  Recording continues into a fresh dataset;
+  /// connections open at the take are not part of it.
+  [[nodiscard]] Dataset take_dataset();
 
   /// Finish (if still recording) and move the dataset into `sink` under the
   /// given role.  The recorder becomes inert.
@@ -60,18 +64,25 @@ class Recorder : public p2p::SwarmObserver, public p2p::PeerstoreObserver {
   void on_connection_closed(const p2p::Connection& connection) override;
 
   // p2p::PeerstoreObserver
-  void on_peer_added(const p2p::PeerId& peer, SimTime now) override;
-  void on_agent_changed(const p2p::PeerId& peer, const std::string& previous,
+  void on_peer_added(Slot slot, const p2p::PeerId& peer, SimTime now) override;
+  void on_agent_changed(Slot slot, const p2p::PeerId& peer, const std::string& previous,
                         const std::string& current, SimTime now) override;
-  void on_protocols_changed(const p2p::PeerId& peer,
-                            std::span<const std::string_view> added,
-                            std::span<const std::string_view> removed,
-                            SimTime now) override;
-  void on_address_added(const p2p::PeerId& peer, const p2p::Multiaddr& address,
-                        SimTime now) override;
+  void on_protocols_changed(Slot slot, const p2p::PeerId& peer,
+                            std::span<const ProtocolId> added,
+                            std::span<const ProtocolId> removed, SimTime now) override;
+  void on_address_added(Slot slot, const p2p::PeerId& peer,
+                        const p2p::Multiaddr& address, SimTime now) override;
 
  private:
   [[nodiscard]] SimTime observe_time(SimTime actual) const noexcept;
+  /// The dataset index of the peer in peerstore `slot`: interned on first
+  /// sight, otherwise touched at `at`.
+  PeerIndex peer_index(Slot slot, const p2p::PeerId& peer, SimTime at);
+  /// The dataset id of the peerstore's protocol `id`, interned on first
+  /// sight.
+  measure::ProtocolId protocol_id(ProtocolId id);
+  /// Forget both caches, which index into the current dataset.
+  void clear_caches();
 
   sim::Simulation& simulation_;
   p2p::Swarm& swarm_;
@@ -85,6 +96,11 @@ class Recorder : public p2p::SwarmObserver, public p2p::PeerstoreObserver {
     p2p::Direction direction;
   };
   std::unordered_map<p2p::ConnectionId, OpenConn> open_;
+  /// Peerstore slot -> dataset index, kUnknown until first sight.
+  std::vector<PeerIndex> peer_of_slot_;
+  /// Peerstore ProtocolId -> dataset ProtocolId, kUnknown until first sight.
+  std::vector<measure::ProtocolId> protocol_of_;
+  static constexpr std::uint32_t kUnknown = UINT32_MAX;
   bool recording_ = false;
 };
 

@@ -49,6 +49,10 @@ struct Connection {
   PeerId remote;
   Multiaddr remote_addr;
   Direction direction = Direction::kInbound;
+  /// The remote's slot in the owning swarm's peerstore (Peerstore::Slot):
+  /// the handle the vantage stack resolves the remote by after the swarm
+  /// looked it up once.  It sits in the padding after `direction`.
+  std::uint32_t slot = 0;
   SimTime opened = 0;
   SimTime closed = -1;  ///< -1 while open
   CloseReason reason = CloseReason::kNone;

@@ -8,6 +8,9 @@
 // Layout (DESIGN.md §7, "Peerstore layout and identify cost"): one flat
 // table of entries in first-seen order, indexed by PeerId through an
 // open-addressing table, with every protocol name interned once per store.
+// A peer's slot in that table is its handle: callers that already hold it
+// (a connection carries its remote's) skip the PeerId lookup, and an
+// identify hands over a protocol list interned once per distinct set.
 #pragma once
 
 #include <cstdint>
@@ -27,22 +30,7 @@ namespace ipfs::p2p {
 
 using common::SimTime;
 
-/// Receives peerstore mutation events (used by measure::Recorder).
-class PeerstoreObserver {
- public:
-  virtual ~PeerstoreObserver() = default;
-  virtual void on_peer_added(const PeerId& peer, SimTime now) = 0;
-  virtual void on_agent_changed(const PeerId& peer, const std::string& previous,
-                                const std::string& current, SimTime now) = 0;
-  /// `added` and `removed` are in lexicographic order; the views point into
-  /// the store's interned names and stay valid as long as the store.
-  virtual void on_protocols_changed(const PeerId& peer,
-                                    std::span<const std::string_view> added,
-                                    std::span<const std::string_view> removed,
-                                    SimTime now) = 0;
-  virtual void on_address_added(const PeerId& peer, const Multiaddr& address,
-                                SimTime now) = 0;
-};
+class PeerstoreObserver;
 
 /// Address / protocol / agent books for one node.
 class Peerstore {
@@ -71,11 +59,24 @@ class Peerstore {
   /// records.  Returns the peer's slot.
   Slot connect(const PeerId& peer, const Multiaddr& address, SimTime now);
 
-  /// Record the announced agent-version string (identify result).
-  void set_agent(const PeerId& peer, const std::string& agent, SimTime now);
+  /// Record the announced agent-version string (identify result) of the
+  /// peer in `slot`.
+  void set_agent(Slot slot, const std::string& agent, SimTime now);
+  void set_agent(const PeerId& peer, const std::string& agent, SimTime now) {
+    set_agent(see(peer, now), agent, now);
+  }
 
-  /// Replace the announced protocol set (order and repeats in the list do
-  /// not matter); diffs are reported to observers.
+  /// The ids of `names`, interning the new ones: sorted by name, no
+  /// repeats — the list set_protocols takes.  Valid for the store's life,
+  /// so a caller that announces the same set again keeps the list.
+  [[nodiscard]] std::vector<ProtocolId> intern_protocols(
+      std::span<const std::string_view> names);
+
+  /// Replace the announced protocol set of the peer in `slot` with
+  /// `protocols`, a list from intern_protocols(); diffs are reported to
+  /// observers.
+  void set_protocols(Slot slot, std::span<const ProtocolId> protocols, SimTime now);
+  /// The same from names (order and repeats in the list do not matter).
   void set_protocols(const PeerId& peer, std::span<const std::string_view> protocols,
                      SimTime now);
 
@@ -100,17 +101,48 @@ class Peerstore {
   /// The peer's slot, created (and announced to observers) when new;
   /// bumps last_seen, as every mutator does.
   Slot see(const PeerId& peer, SimTime now);
+  /// The entry in `slot`, with last_seen bumped to `now`.
+  Entry& seen(Slot slot, SimTime now);
+  /// Fill `ids` with the ids of `names`, sorted by name, no repeats.
+  void intern_into(std::span<const std::string_view> names, std::vector<ProtocolId>& ids);
   [[nodiscard]] bool name_less(ProtocolId a, ProtocolId b) const {
     return names_.name(a) < names_.name(b);
   }
 
   std::vector<Entry> entries_;
   common::FlatMap<PeerId, Slot, PeerIdHash> index_;
-  /// Interned protocol names; the observers' views point into them.
+  /// Interned protocol names; protocol_name() resolves their ids.
   common::InternedNames names_;
-  /// set_protocols' sorted, de-duplicated input, reused across calls.
+  /// The id of /ipfs/kad/1.0.0, once interned.
+  std::optional<ProtocolId> kad_;
+  /// The name path's interned list and each diff, reused across calls.
   std::vector<ProtocolId> incoming_;
+  std::vector<ProtocolId> added_;
+  std::vector<ProtocolId> removed_;
   std::vector<PeerstoreObserver*> observers_;
+};
+
+/// Receives peerstore mutation events (used by measure::Recorder).  Each
+/// event names the peer by its slot as well as its PeerId.
+class PeerstoreObserver {
+ public:
+  using Slot = Peerstore::Slot;
+  using ProtocolId = Peerstore::ProtocolId;
+
+  virtual ~PeerstoreObserver() = default;
+  virtual void on_peer_added(Slot slot, const PeerId& peer, SimTime now) = 0;
+  virtual void on_agent_changed(Slot slot, const PeerId& peer,
+                                const std::string& previous,
+                                const std::string& current, SimTime now) = 0;
+  /// `added` and `removed` are the store's ids in name order;
+  /// Peerstore::protocol_name() resolves them.  The spans are valid for the
+  /// call only, and the observer must not change protocols from within it.
+  virtual void on_protocols_changed(Slot slot, const PeerId& peer,
+                                    std::span<const ProtocolId> added,
+                                    std::span<const ProtocolId> removed,
+                                    SimTime now) = 0;
+  virtual void on_address_added(Slot slot, const PeerId& peer,
+                                const Multiaddr& address, SimTime now) = 0;
 };
 
 }  // namespace ipfs::p2p

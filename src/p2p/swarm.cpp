@@ -40,15 +40,14 @@ ConnectionId Swarm::open_connection(const PeerId& remote,
 
   const Peerstore::Slot slot =
       peerstore_.connect(remote, remote_address, connection.opened);
+  connection.slot = slot;
   if (slot >= open_per_slot_.size()) open_per_slot_.resize(slot + 1);
   ++open_per_slot_[slot].count;
   open_per_slot_[slot].ids_xor ^= id;
 
-  const auto [it, _] = open_.emplace(id, Open{std::move(connection), slot});
+  const auto [it, _] = open_.emplace(id, std::move(connection));
   ++opened_total_;
-  for (SwarmObserver* observer : observers_) {
-    observer->on_connection_opened(it->second.connection);
-  }
+  for (SwarmObserver* observer : observers_) observer->on_connection_opened(it->second);
 
   // An immediate trim keeps the table under HighWater even between ticks,
   // matching go-libp2p's trim-on-connect watermark check; trim_now holds
@@ -60,9 +59,9 @@ ConnectionId Swarm::open_connection(const PeerId& remote,
 bool Swarm::close_connection(ConnectionId id, CloseReason reason) {
   const auto it = open_.find(id);
   if (it == open_.end()) return false;
-  Connection connection = std::move(it->second.connection);
-  --open_per_slot_[it->second.slot].count;
-  open_per_slot_[it->second.slot].ids_xor ^= id;
+  Connection connection = it->second;
+  --open_per_slot_[connection.slot].count;
+  open_per_slot_[connection.slot].ids_xor ^= id;
   open_.erase(it);
   connection.closed = simulation_.now();
   connection.reason = reason;
@@ -85,8 +84,8 @@ std::size_t Swarm::close_peer(const PeerId& remote, CloseReason reason) {
   std::vector<ConnectionId> ids;
   ids.reserve(count);
   // hash-order: ROADMAP item 1 (the close order reaches the observers).
-  for (const auto& [id, open] : open_) {
-    if (open.slot != *slot) continue;
+  for (const auto& [id, connection] : open_) {
+    if (connection.slot != *slot) continue;
     ids.push_back(id);
     if (ids.size() == count) break;
   }
@@ -104,7 +103,7 @@ void Swarm::close_all(CloseReason reason) {
 
 const Connection* Swarm::find(ConnectionId id) const {
   const auto it = open_.find(id);
-  return it == open_.end() ? nullptr : &it->second.connection;
+  return it == open_.end() ? nullptr : &it->second;
 }
 
 bool Swarm::connected_to(const PeerId& remote) const {
@@ -120,7 +119,7 @@ std::vector<const Connection*> Swarm::open_connections() const {
   std::vector<const Connection*> connections;
   connections.reserve(open_.size());
   // hash-order: ROADMAP item 1 (plan_trim's ties follow this order).
-  for (const auto& [_, open] : open_) connections.push_back(&open.connection);
+  for (const auto& [_, connection] : open_) connections.push_back(&connection);
   return connections;
 }
 

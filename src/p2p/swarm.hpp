@@ -104,12 +104,7 @@ class Swarm {
   Config config_;
   ConnManager conn_manager_;
   Peerstore peerstore_;
-  /// An open connection and its remote's peerstore slot.
-  struct Open {
-    Connection connection;
-    Peerstore::Slot slot;
-  };
-  std::unordered_map<ConnectionId, Open> open_;
+  std::unordered_map<ConnectionId, Connection> open_;
   /// A remote's open connections: how many, and the XOR of their ids,
   /// which is the id itself while there is one.
   struct OpenOnSlot {

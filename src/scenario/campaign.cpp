@@ -4,10 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "bitswap/bitswap.hpp"
+#include "common/flat_map.hpp"
 #include "common/version.hpp"
 #include "dht/record_store.hpp"
 #include "net/network.hpp"
@@ -173,7 +173,19 @@ struct CampaignEngine::Impl {
     std::unique_ptr<p2p::Swarm> swarm;
     std::unique_ptr<measure::Recorder> recorder;
     std::unique_ptr<VantageTap> tap;
-    std::unordered_map<p2p::ConnectionId, ConnMeta> conns;
+    common::FlatMap<p2p::ConnectionId, ConnMeta> conns;
+    /// Each population protocol set as the swarm's peerstore interned it,
+    /// by ProtocolSetId; filled on the set's first announcement here.
+    std::vector<std::optional<std::vector<p2p::Peerstore::ProtocolId>>> protocol_lists;
+
+    /// Population set `id` (of `population`) as a peerstore list.
+    std::span<const p2p::Peerstore::ProtocolId> protocol_list(const Population& population,
+                                                              ProtocolSetId id) {
+      if (id >= protocol_lists.size()) protocol_lists.resize(population.protocol_set_count());
+      auto& list = protocol_lists[id];
+      if (!list) list = swarm->peerstore().intern_protocols(population.protocols(id));
+      return *list;
+    }
   };
 
   struct VantageTap final : p2p::SwarmObserver {
@@ -1031,10 +1043,13 @@ struct CampaignEngine::Impl {
       const RemotePeer& peer = population.peers()[index];
       const std::string& agent = population.agent(peer.agent);
       if (agent.empty()) return;  // the "missing" stream never identifies
+      // The connection carries the remote's peerstore slot, and the
+      // announced set is interned once per vantage.
       const SimTime now = simulation.now();
-      vantage.swarm->peerstore().set_agent(peer.pid, agent, now);
-      vantage.swarm->peerstore().set_protocols(peer.pid,
-                                               population.protocols(peer.protocols), now);
+      const p2p::Peerstore::Slot slot = connection->slot;
+      vantage.swarm->peerstore().set_agent(slot, agent, now);
+      vantage.swarm->peerstore().set_protocols(
+          slot, vantage.protocol_list(population, peer.protocols), now);
       // A slice of the identified DHT servers lands in the vantage's
       // routing table; go-ipfs tags those peers and their connections
       // survive trims — the paper's long-lived remnant (Peer-type averages
@@ -1426,8 +1441,8 @@ struct CampaignEngine::Impl {
     // Identify-push to every vantage that already knows the peer.
     const RemotePeer& peer = population.peers()[index];
     for (Vantage& vantage : vantages) {
-      if (vantage.swarm->peerstore().find(peer.pid) != nullptr) {
-        vantage.swarm->peerstore().set_agent(peer.pid, population.agent(peer.agent),
+      if (const auto slot = vantage.swarm->peerstore().slot(peer.pid)) {
+        vantage.swarm->peerstore().set_agent(*slot, population.agent(peer.agent),
                                              simulation.now());
       }
     }
@@ -1436,11 +1451,12 @@ struct CampaignEngine::Impl {
   void publish_protocols(std::uint32_t index) {
     const RemotePeer& peer = population.peers()[index];
     for (Vantage& vantage : vantages) {
-      const auto* entry = vantage.swarm->peerstore().find(peer.pid);
+      p2p::Peerstore& store = vantage.swarm->peerstore();
+      const auto slot = store.slot(peer.pid);
       // Only identified peers re-announce (we have no channel otherwise).
-      if (entry != nullptr && !entry->agent.empty()) {
-        vantage.swarm->peerstore().set_protocols(
-            peer.pid, population.protocols(peer.protocols), simulation.now());
+      if (slot.has_value() && !store.entries()[*slot].agent.empty()) {
+        store.set_protocols(*slot, vantage.protocol_list(population, peer.protocols),
+                            simulation.now());
       }
     }
   }

@@ -202,6 +202,62 @@ TEST_F(RecorderTest, TakeDatasetMovesOut) {
   EXPECT_EQ(dataset.peer_count(), 1u);
 }
 
+TEST_F(RecorderTest, SlotIndexResetsWithTheDataset) {
+  // The recorder caches peerstore slot -> dataset index and the store's
+  // protocol ids -> the dataset's.  Both must start over with each new
+  // dataset: after a take mid-recording, and after a second start().
+  Recorder recorder = make_recorder(/*quantize=*/false);
+  recorder.start();
+  const std::string kad(p2p::protocols::kKad);
+  const std::string ping(p2p::protocols::kPing);
+  const auto identify = [&](std::uint64_t seed, const Names& protocols) {
+    const auto pid = p2p::PeerId::from_seed(seed);
+    const auto id = swarm.open_connection(pid, addr(static_cast<std::uint32_t>(seed)),
+                                          p2p::Direction::kInbound);
+    swarm.peerstore().set_agent(pid, "go-ipfs/0.11.0/" + std::to_string(seed), sim.now());
+    swarm.peerstore().set_protocols(pid, protocols, sim.now());
+    return id;
+  };
+  // Slots 0 and 1, and both protocol names, enter the caches.
+  identify(2, Names{ping});
+  const auto open = identify(3, Names{kad, ping});
+
+  const auto expect_fresh = [&](const Dataset& dataset, std::uint64_t first_seed) {
+    ASSERT_EQ(dataset.peer_count(), 2u);
+    for (PeerIndex index = 0; index < 2; ++index) {
+      const PeerRecord& record = dataset.record(index);
+      const std::uint64_t seed = first_seed + index;
+      EXPECT_EQ(record.pid, p2p::PeerId::from_seed(seed)) << index;
+      EXPECT_EQ(dataset.current_agent(record), "go-ipfs/0.11.0/" + std::to_string(seed));
+      EXPECT_EQ(record.connected_ips.size(), 1u);
+    }
+    // Peer first_seed announced kad only, so the table holds only kad.
+    ASSERT_EQ(dataset.protocol_count(), 1u);
+    EXPECT_EQ(dataset.protocol_name(0), kad);
+    EXPECT_EQ(dataset.record(0).protocols_ever, std::vector<ProtocolId>{0});
+    EXPECT_TRUE(dataset.record(0).ever_dht_server);
+    EXPECT_TRUE(dataset.record(1).protocols_ever.empty());
+  };
+
+  const Dataset first = recorder.take_dataset();
+  EXPECT_EQ(first.peer_count(), 2u);
+  // New peers in slots 2 and 3; peer 4 announces kad (a cached store id).
+  identify(4, Names{kad});
+  identify(5, {});
+  // The connection opened before the take is not part of the new dataset.
+  swarm.close_connection(open, p2p::CloseReason::kRemoteClose);
+  EXPECT_EQ(recorder.dataset().connection_count(), 0u);
+  expect_fresh(recorder.take_dataset(), 4);
+
+  recorder.finish();
+  recorder.start();
+  identify(6, Names{kad});
+  identify(7, {});
+  recorder.finish();
+  expect_fresh(recorder.dataset(), 6);
+  EXPECT_EQ(recorder.dataset().connection_count(), 2u);
+}
+
 TEST_F(RecorderTest, MeasurementWindowRecorded) {
   Recorder recorder = make_recorder();
   sim.run_until(kMinute);

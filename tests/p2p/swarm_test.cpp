@@ -9,6 +9,10 @@ namespace {
 
 using common::kSecond;
 
+// The remote's peerstore slot rides in the padding after `direction`: a
+// connection is copied into every observer event, so it must not grow.
+static_assert(sizeof(Connection) == 104);
+
 struct CloseLog : SwarmObserver {
   std::vector<Connection> opened;
   std::vector<Connection> closed;
@@ -332,6 +336,22 @@ TEST(SwarmNoTrim, DisabledTrimKeepsEverything) {
   }
   sim.run_until(120 * kSecond);
   EXPECT_EQ(swarm.open_count(), 28u);
+}
+
+TEST_F(SwarmTest, ConnectionsCarryTheRemotesPeerstoreSlot) {
+  const PeerId a = PeerId::from_seed(2);
+  const PeerId b = PeerId::from_seed(3);
+  const auto first = swarm.open_connection(a, remote_addr(2), Direction::kInbound);
+  const auto second = swarm.open_connection(b, remote_addr(3), Direction::kOutbound);
+  const auto again = swarm.open_connection(a, remote_addr(4), Direction::kInbound);
+  EXPECT_EQ(swarm.find(first)->slot, *swarm.peerstore().slot(a));
+  EXPECT_EQ(swarm.find(second)->slot, *swarm.peerstore().slot(b));
+  EXPECT_EQ(swarm.find(again)->slot, swarm.find(first)->slot);
+  ASSERT_EQ(log.opened.size(), 3u);
+  EXPECT_EQ(log.opened[1].slot, *swarm.peerstore().slot(b));
+  swarm.close_connection(second, CloseReason::kRemoteClose);
+  ASSERT_EQ(log.closed.size(), 1u);
+  EXPECT_EQ(log.closed[0].slot, *swarm.peerstore().slot(b));
 }
 
 }  // namespace
