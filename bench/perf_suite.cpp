@@ -48,7 +48,8 @@
 //
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
-//   --out             output path, default ./BENCH_core.json
+//   --out             output path, default ./BENCH_core.json; naming the
+//                     --check-baseline file exits 2 before anything runs
 //   --check-baseline  compare event_queue.speedup_vs_heap, measured at the
 //                     committed event count, against a committed
 //                     BENCH_core.json; exit 1 when it falls more than 25%
@@ -75,6 +76,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -1171,10 +1173,9 @@ std::optional<ipfs::common::JsonValue> read_baseline(const std::string& baseline
 }
 
 /// The baseline's event_queue.events, or nullopt after printing why not.
-std::optional<std::size_t> baseline_event_count(const std::string& baseline_path) {
-  const auto parsed = read_baseline(baseline_path);
-  if (!parsed) return std::nullopt;
-  const ipfs::common::JsonValue* section = parsed->find("event_queue");
+std::optional<std::size_t> baseline_event_count(const std::string& baseline_path,
+                                                const ipfs::common::JsonValue& baseline) {
+  const ipfs::common::JsonValue* section = baseline.find("event_queue");
   const ipfs::common::JsonValue* events =
       section != nullptr ? section->find("events") : nullptr;
   const auto count = events != nullptr ? events->as_uint64() : std::nullopt;
@@ -1207,14 +1208,14 @@ std::optional<std::size_t> baseline_event_count(const std::string& baseline_path
 /// identify, if the slot path looks peers or names up again, if a
 /// RemotePeer owns strings again, or if a fetching remote
 /// builds per-peer machinery on the content fabric again.
-bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& fresh,
-                    const ConnTrimNumbers& trim, const DatasetExportNumbers& dataset,
+bool check_baseline(const std::string& baseline_path,
+                    const ipfs::common::JsonValue& baseline,
+                    const EventQueueNumbers& fresh, const ConnTrimNumbers& trim,
+                    const DatasetExportNumbers& dataset,
                     const PeerstoreNumbers& peerstore,
                     const PopulationNumbers& population,
                     const ContentFabricNumbers& fabric) {
-  const auto parsed = read_baseline(baseline_path);
-  if (!parsed) return false;
-  const ipfs::common::JsonValue* section = parsed->find("event_queue");
+  const ipfs::common::JsonValue* section = baseline.find("event_queue");
   const ipfs::common::JsonValue* speedup =
       section != nullptr ? section->find("speedup_vs_heap") : nullptr;
   if (speedup == nullptr || !speedup->is_number()) {
@@ -1245,7 +1246,7 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
       {"content_fabric", {"fetches", "ns_per_fetch", "allocs_per_fetch"}},
   };
   for (const RequiredSection& required : required_sections) {
-    const ipfs::common::JsonValue* found = parsed->find(required.name);
+    const ipfs::common::JsonValue* found = baseline.find(required.name);
     const bool complete =
         found != nullptr &&
         std::ranges::all_of(required.fields, [found](const char* field) {
@@ -1324,7 +1325,7 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
   // Both paths run in this process on this host, so their ratio holds
   // where absolute ns swing with the host's load.
   const ipfs::common::JsonValue* list_speedup =
-      parsed->find("peerstore")->find("list_speedup");
+      baseline.find("peerstore")->find("list_speedup");
   if (!list_speedup->is_number()) {
     std::cerr << "check-baseline: " << baseline_path
               << " has no numeric peerstore.list_speedup\n";
@@ -1355,7 +1356,7 @@ bool check_baseline(const std::string& baseline_path, const EventQueueNumbers& f
   }
 
   const ipfs::common::JsonValue* allocs =
-      parsed->find("content_fabric")->find("allocs_per_fetch");
+      baseline.find("content_fabric")->find("allocs_per_fetch");
   if (!allocs->is_number()) {
     std::cerr << "check-baseline: " << baseline_path
               << " has no numeric content_fabric.allocs_per_fetch\n";
@@ -1397,6 +1398,19 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // The baseline is read once, before any section runs: writing --out
+  // first would let a run that overwrites the baseline check itself.
+  std::optional<ipfs::common::JsonValue> baseline;
+  if (!baseline_path.empty()) {
+    std::error_code error;
+    if (std::filesystem::equivalent(out_path, baseline_path, error)) {
+      std::cerr << "perf_suite: --out " << out_path << " is the --check-baseline "
+                << "file; write the run elsewhere (e.g. --out /tmp/BENCH.json)\n";
+      return 2;
+    }
+    baseline = read_baseline(baseline_path);
+    if (!baseline) return 1;
+  }
 
   std::cout << "\n" << std::string(78, '#') << "\n"
             << "# Core performance suite\n"
@@ -1416,8 +1430,8 @@ int main(int argc, char** argv) {
   // The guard compares speedups at the baseline's own event count: the
   // ladder queue's lead over the heap grows with the queue's depth.
   std::size_t event_count = smoke ? 50'000 : 2'000'000;
-  if (!baseline_path.empty()) {
-    const auto committed = baseline_event_count(baseline_path);
+  if (baseline) {
+    const auto committed = baseline_event_count(baseline_path, *baseline);
     if (!committed) return 1;
     event_count = *committed;
   }
@@ -1670,9 +1684,8 @@ int main(int argc, char** argv) {
 
   std::cout << "\nwrote " << out_path << "\n";
 
-  if (!baseline_path.empty() &&
-      !check_baseline(baseline_path, events, trim, dataset, peerstore, population,
-                      fabric)) {
+  if (baseline && !check_baseline(baseline_path, *baseline, events, trim, dataset,
+                                  peerstore, population, fabric)) {
     return 1;
   }
   return 0;

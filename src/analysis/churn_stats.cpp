@@ -133,21 +133,6 @@ std::vector<std::uint64_t> active_at(
 
 }  // namespace
 
-std::vector<CountSample> availability_over_time(
-    const std::vector<SessionTrace>& sessions, SimDuration step, SimTime start,
-    SimTime end) {
-  std::vector<CountSample> series;
-  if (step <= 0 || end < start) return series;
-  std::vector<SimTime> grid;
-  for (SimTime at = start; at <= end; at += step) grid.push_back(at);
-  const std::vector<std::uint64_t> counts = active_at(session_edges(sessions), grid);
-  series.reserve(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    series.push_back({grid[i], counts[i]});
-  }
-  return series;
-}
-
 std::vector<ObservedVsTrueSample> observed_vs_true(
     const std::vector<SessionTrace>& sessions,
     const std::vector<measure::PopulationSample>& truth) {

@@ -3,16 +3,15 @@
 // The paper observes churn from a passive vantage: per-PID first/last-seen
 // times and connection intervals.  This module reconstructs *sessions*
 // from those intervals (gap-threshold clustering, the standard technique
-// on passive traces), summarises their length distribution as a CDF,
-// derives availability-over-time, and — unique to the simulator — compares
-// the observed network size against the true one using the
+// on passive traces), summarises their length distribution as a CDF and —
+// unique to the simulator — compares the observed network size (peers
+// inside a reconstructed session) against the true one using the
 // `measure::PopulationSample` ground truth a churned campaign publishes.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "analysis/timeseries.hpp"
 #include "common/stats.hpp"
 #include "measure/dataset.hpp"
 #include "measure/sink.hpp"
@@ -70,12 +69,6 @@ struct ChurnStats {
 
 [[nodiscard]] ChurnStats compute_churn_stats(
     const std::vector<SessionTrace>& sessions);
-
-/// Availability over time: the number of distinct peers inside a session
-/// at each grid point `start, start+step, …, end`.
-[[nodiscard]] std::vector<CountSample> availability_over_time(
-    const std::vector<SessionTrace>& sessions, common::SimDuration step,
-    common::SimTime start, common::SimTime end);
 
 /// One aligned observed-vs-true point: how many peers the vantage believed
 /// were present versus how many truly were.

@@ -29,7 +29,6 @@ bool BitswapEngine::handle_message(const p2p::PeerId& from,
 
   // Serve wants we can satisfy; answer want-have probes either way.
   BitswapMessage reply;
-  std::uint64_t sent = 0;
   for (const WantEntry& want : message->wants) {
     if (want.cancel) continue;
     if (store_.contains(want.cid)) {
@@ -37,20 +36,16 @@ bool BitswapEngine::handle_message(const p2p::PeerId& from,
         reply.have.push_back(want.cid);
       } else {
         reply.blocks.push_back(want.cid);
-        ++sent;
       }
     } else {
       reply.dont_have.push_back(want.cid);
     }
   }
 
-  // Accept blocks we asked for.  The ledger is looked up after the want
-  // callbacks, which may insert into this engine's tables.
-  std::uint64_t received = 0;
+  // Accept blocks we asked for.
   for (const Cid& block : message->blocks) {
     const auto it = wanted_.find(block);
     if (it == wanted_.end()) continue;  // unsolicited block: drop
-    ++received;
     store_.insert(block);
     auto pending = std::move(it->second);
     wanted_.erase(it);
@@ -58,21 +53,10 @@ bool BitswapEngine::handle_message(const p2p::PeerId& from,
       if (want.callback) want.callback(block);
     }
   }
-  Ledger& ledger = ledgers_[from];
-  ledger.blocks_sent += sent;
-  ledger.bytes_sent += sent * kBlockSize;
-  ledger.blocks_received += received;
-  ledger.bytes_received += received * kBlockSize;
-
   if (!reply.blocks.empty() || !reply.have.empty() || !reply.dont_have.empty()) {
     send(from, std::move(reply));
   }
   return true;
-}
-
-const Ledger* BitswapEngine::ledger_for(const p2p::PeerId& peer) const {
-  const auto it = ledgers_.find(peer);
-  return it == ledgers_.end() ? nullptr : &it->second;
 }
 
 void BitswapEngine::send(const p2p::PeerId& to, BitswapMessage message) {

@@ -8,7 +8,6 @@
 // exchange, and so nodes have an authentic protocol announcement.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -37,19 +36,9 @@ struct BitswapMessage {
   std::vector<Cid> dont_have;   ///< DONT_HAVE responses (1.2.0)
 };
 
-/// Per-peer exchange accounting (go-bitswap's ledger).
-struct Ledger {
-  std::uint64_t blocks_sent = 0;
-  std::uint64_t blocks_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-};
-
 /// Minimal but functional Bitswap engine for one node.
 class BitswapEngine {
  public:
-  static constexpr std::uint64_t kBlockSize = 262144;  ///< default 256 KiB
-
   BitswapEngine(net::Network& network, p2p::PeerId self)
       : network_(network), self_(self) {}
 
@@ -75,7 +64,6 @@ class BitswapEngine {
   /// Handle an inbound /ipfs/bitswap message; true when consumed.
   bool handle_message(const p2p::PeerId& from, const net::Message& message);
 
-  [[nodiscard]] const Ledger* ledger_for(const p2p::PeerId& peer) const;
   [[nodiscard]] std::size_t pending_wants() const noexcept { return wanted_.size(); }
 
  private:
@@ -92,7 +80,6 @@ class BitswapEngine {
   p2p::PeerId self_;
   common::FlatSet<Cid, p2p::PeerIdHash> store_;
   common::FlatMap<Cid, std::vector<PendingWant>, p2p::PeerIdHash> wanted_;
-  common::FlatMap<p2p::PeerId, Ledger, p2p::PeerIdHash> ledgers_;
 };
 
 }  // namespace ipfs::bitswap

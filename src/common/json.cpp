@@ -582,11 +582,4 @@ std::expected<JsonValue, std::string> JsonValue::parse_first(std::string_view te
   return Parser(text).run(/*whole=*/false);
 }
 
-std::string JsonWriter::escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  append_escaped(out, text);
-  return out;
-}
-
 }  // namespace ipfs::common

@@ -72,9 +72,6 @@ class JsonWriter {
   /// Write the buffered output to the stream.
   void flush();
 
-  /// Escape a string per RFC 8259 (quotes not included).
-  [[nodiscard]] static std::string escape(std::string_view text);
-
  private:
   enum class Scope : std::uint8_t { kObject, kArray };
 

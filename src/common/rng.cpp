@@ -4,18 +4,6 @@
 
 namespace ipfs::common {
 
-std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0 || weights.empty()) return 0;
-  double point = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    point -= weights[i];
-    if (point < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) noexcept {
   if (k > n) k = n;

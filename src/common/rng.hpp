@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -126,9 +125,6 @@ class Rng {
     if (u <= 0.0) u = 0x1.0p-53;
     return x_m / std::pow(u, 1.0 / alpha);
   }
-
-  /// Index drawn according to non-negative weights (at least one positive).
-  [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) noexcept;
 
   /// Choose k distinct indices out of n (k <= n), in selection order.
   [[nodiscard]] std::vector<std::size_t> sample_without_replacement(std::size_t n,

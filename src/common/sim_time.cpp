@@ -25,10 +25,4 @@ std::string format_duration(SimDuration d) {
   return buffer;
 }
 
-std::string format_seconds(SimDuration d) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f s", to_seconds(d));
-  return buffer;
-}
-
 }  // namespace ipfs::common

@@ -30,7 +30,4 @@ inline constexpr SimDuration kDay = 24 * kHour;
 /// Render a duration as "2d 03:14:15" (days shown only when non-zero).
 [[nodiscard]] std::string format_duration(SimDuration d);
 
-/// Render a time-of-run as seconds with millisecond precision, e.g. "73.732 s".
-[[nodiscard]] std::string format_seconds(SimDuration d);
-
 }  // namespace ipfs::common

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace ipfs::common {
 
@@ -15,17 +14,7 @@ void RunningStats::add(double x) noexcept {
   }
   ++count_;
   sum_ += x;
-  sum_sq_ += x * x;
 }
-
-double RunningStats::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  const double m = mean();
-  const double v = sum_sq_ / static_cast<double>(count_) - m * m;
-  return v < 0.0 ? 0.0 : v;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double median(std::vector<double> samples) { return quantile(std::move(samples), 0.5); }
 
@@ -50,29 +39,6 @@ double Cdf::fraction_at_most(double x) const noexcept {
   return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
 }
 
-double Cdf::value_at_fraction(double fraction) const noexcept {
-  if (sorted_.empty()) return 0.0;
-  fraction = std::clamp(fraction, 0.0, 1.0);
-  const auto index = static_cast<std::size_t>(
-      fraction * static_cast<double>(sorted_.size() - 1) + 0.5);
-  return sorted_[std::min(index, sorted_.size() - 1)];
-}
-
-std::vector<std::pair<double, double>> Cdf::log_spaced_points(
-    double x_min, double x_max, std::size_t point_count) const {
-  std::vector<std::pair<double, double>> points;
-  if (point_count < 2 || x_min <= 0.0 || x_max <= x_min) return points;
-  points.reserve(point_count);
-  const double log_min = std::log10(x_min);
-  const double log_max = std::log10(x_max);
-  for (std::size_t i = 0; i < point_count; ++i) {
-    const double t = static_cast<double>(i) / static_cast<double>(point_count - 1);
-    const double x = std::pow(10.0, log_min + t * (log_max - log_min));
-    points.emplace_back(x, fraction_at_most(x));
-  }
-  return points;
-}
-
 void MinMaxBand::add(std::size_t low_candidate, std::size_t high_candidate) noexcept {
   if (count_ == 0) {
     low_ = low_candidate;
@@ -87,11 +53,6 @@ void MinMaxBand::add(std::size_t low_candidate, std::size_t high_candidate) noex
 void CountedHistogram::add(const std::string& key, std::uint64_t weight) {
   counts_[key] += weight;
   total_ += weight;
-}
-
-std::uint64_t CountedHistogram::count(const std::string& key) const noexcept {
-  const auto it = counts_.find(key);
-  return it == counts_.end() ? 0 : it->second;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> CountedHistogram::top_with_other(

@@ -11,7 +11,7 @@
 
 namespace ipfs::common {
 
-/// Incrementally accumulated first/second moments plus extrema.
+/// Incrementally accumulated count, sum and mean plus extrema.
 class RunningStats {
  public:
   void add(double x) noexcept;
@@ -21,16 +21,12 @@ class RunningStats {
   [[nodiscard]] double mean() const noexcept {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
-  /// Population variance; 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
 
  private:
   std::size_t count_ = 0;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -51,19 +47,11 @@ class Cdf {
   /// Fraction of samples <= x.
   [[nodiscard]] double fraction_at_most(double x) const noexcept;
 
-  /// Value at the given cumulative fraction (inverse CDF).
-  [[nodiscard]] double value_at_fraction(double fraction) const noexcept;
-
   [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
   [[nodiscard]] bool empty() const noexcept { return sorted_.empty(); }
   [[nodiscard]] const std::vector<double>& sorted_samples() const noexcept {
     return sorted_;
   }
-
-  /// Sample the CDF at logarithmically spaced x values (for log-x plots such
-  /// as the paper's Fig. 7); returns (x, F(x)) pairs.
-  [[nodiscard]] std::vector<std::pair<double, double>> log_spaced_points(
-      double x_min, double x_max, std::size_t point_count) const;
 
  private:
   std::vector<double> sorted_;
@@ -99,7 +87,6 @@ class CountedHistogram {
  public:
   void add(const std::string& key, std::uint64_t weight = 1);
 
-  [[nodiscard]] std::uint64_t count(const std::string& key) const noexcept;
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] std::size_t distinct() const noexcept { return counts_.size(); }
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counts() const noexcept {

@@ -78,26 +78,6 @@ AgentInfo AgentInfo::parse(std::string_view raw) {
   return info;
 }
 
-std::string_view to_string(VersionChangeKind kind) noexcept {
-  switch (kind) {
-    case VersionChangeKind::kNone: return "none";
-    case VersionChangeKind::kUpgrade: return "upgrade";
-    case VersionChangeKind::kDowngrade: return "downgrade";
-    case VersionChangeKind::kChange: return "change";
-  }
-  return "?";
-}
-
-std::string_view to_string(DirtyTransition transition) noexcept {
-  switch (transition) {
-    case DirtyTransition::kMainToMain: return "main-main";
-    case DirtyTransition::kMainToDirty: return "main-dirty";
-    case DirtyTransition::kDirtyToMain: return "dirty-main";
-    case DirtyTransition::kDirtyToDirty: return "dirty-dirty";
-  }
-  return "?";
-}
-
 VersionChangeKind classify_version_change(const AgentInfo& before,
                                           const AgentInfo& after) noexcept {
   if (before.raw == after.raw) return VersionChangeKind::kNone;

@@ -64,9 +64,6 @@ enum class DirtyTransition : std::uint8_t {
   kDirtyToDirty,
 };
 
-[[nodiscard]] std::string_view to_string(VersionChangeKind kind) noexcept;
-[[nodiscard]] std::string_view to_string(DirtyTransition transition) noexcept;
-
 /// Classify a change between two parsed agent strings per the paper's
 /// definitions.  Returns kNone when either side is not a comparable go-ipfs
 /// version or the strings are identical.

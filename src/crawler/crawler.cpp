@@ -1,6 +1,5 @@
 #include "crawler/crawler.hpp"
 
-#include "common/stats.hpp"
 #include "p2p/protocols.hpp"
 
 namespace ipfs::crawler {
@@ -20,13 +19,7 @@ Crawler::~Crawler() { stop(); }
 
 void Crawler::start() { network_.add_host(*this); }
 
-void Crawler::stop() {
-  if (periodic_task_ != sim::kInvalidTask) {
-    simulation_.cancel(periodic_task_);
-    periodic_task_ = sim::kInvalidTask;
-  }
-  network_.remove_host(swarm_.local_id());
-}
+void Crawler::stop() { network_.remove_host(swarm_.local_id()); }
 
 void Crawler::crawl(const std::vector<p2p::PeerId>& bootstrap,
                     std::function<void(CrawlResult)> done) {
@@ -41,23 +34,6 @@ void Crawler::crawl(const std::vector<p2p::PeerId>& bootstrap,
   pending_requests_.clear();
   for (const p2p::PeerId& peer : bootstrap) enqueue(peer);
   visit_next();
-}
-
-void Crawler::crawl_periodically(const std::vector<p2p::PeerId>& bootstrap,
-                                 common::SimDuration interval) {
-  auto run = [this, bootstrap] {
-    crawl(bootstrap, [this](CrawlResult result) { history_.push_back(result); });
-  };
-  run();
-  periodic_task_ = simulation_.schedule_every(interval, run);
-}
-
-std::pair<std::size_t, std::size_t> Crawler::reached_min_max() const {
-  common::MinMaxBand band;
-  for (const CrawlResult& result : history_) {
-    band.add(result.reached.size(), result.reached.size());
-  }
-  return band.band();
 }
 
 void Crawler::enqueue(const p2p::PeerId& peer) {

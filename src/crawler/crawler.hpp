@@ -54,30 +54,16 @@ class Crawler : public net::Host {
   ~Crawler() override;
 
   void start();  ///< register with the network
-  void stop();   ///< cancel periodic crawls and deregister; idempotent
+  void stop();   ///< deregister; idempotent
 
   /// Crawl once, starting from the bootstrap peers; `done` receives the
   /// snapshot when the frontier is exhausted.
   void crawl(const std::vector<p2p::PeerId>& bootstrap,
              std::function<void(CrawlResult)> done);
 
-  /// Crawl every `interval` (first immediately); results accumulate in
-  /// `history()`.
-  void crawl_periodically(const std::vector<p2p::PeerId>& bootstrap,
-                          common::SimDuration interval);
-
-  [[nodiscard]] const std::vector<CrawlResult>& history() const noexcept {
-    return history_;
-  }
-
-  /// Publish every completed crawl (from `crawl` or `crawl_periodically`)
-  /// as a `CrawlObservation` the moment its frontier drains.  Pass nullptr
-  /// to detach.
+  /// Publish every completed crawl as a `CrawlObservation` the moment its
+  /// frontier drains.  Pass nullptr to detach.
   void set_sink(measure::MeasurementSink* sink) noexcept { sink_ = sink; }
-
-  /// Smallest / largest number of reached servers across crawls — the
-  /// min/max band the paper plots in Fig. 2.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> reached_min_max() const;
 
   [[nodiscard]] p2p::Swarm& swarm() noexcept { return swarm_; }
 
@@ -114,8 +100,6 @@ class Crawler : public net::Host {
   std::unordered_map<std::uint64_t, p2p::PeerId> pending_requests_;
   std::uint64_t next_request_id_ = 1;
 
-  std::vector<CrawlResult> history_;
-  sim::TaskId periodic_task_ = sim::kInvalidTask;
   measure::MeasurementSink* sink_ = nullptr;
 };
 

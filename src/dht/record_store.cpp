@@ -17,17 +17,6 @@ void RecordStore::put(const RecordKey& key, const p2p::PeerId& provider,
   ++record_count_;
 }
 
-std::vector<p2p::PeerId> RecordStore::get(const RecordKey& key,
-                                          common::SimTime now) const {
-  std::vector<p2p::PeerId> result;
-  const auto it = records_.find(key);
-  if (it == records_.end()) return result;
-  for (const ProviderRecord& record : it->second) {
-    if (record.expires > now) result.push_back(record.provider);
-  }
-  return result;
-}
-
 bool RecordStore::has_provider(const RecordKey& key, common::SimTime now) const {
   const auto it = records_.find(key);
   if (it == records_.end()) return false;

@@ -31,12 +31,7 @@ class RecordStore {
   void put(const RecordKey& key, const p2p::PeerId& provider, common::SimTime now,
            common::SimDuration ttl = kDefaultTtl);
 
-  /// Unexpired providers for the key at time `now`.
-  [[nodiscard]] std::vector<p2p::PeerId> get(const RecordKey& key,
-                                             common::SimTime now) const;
-
-  /// Whether the key has an unexpired provider at `now`; get() without
-  /// the copy.
+  /// Whether the key has an unexpired provider at `now`.
   [[nodiscard]] bool has_provider(const RecordKey& key, common::SimTime now) const;
 
   /// Drop expired entries; returns how many records were removed.

@@ -59,11 +59,6 @@ Dataset Recorder::take_dataset() {
   return std::move(dataset_);
 }
 
-void Recorder::publish(MeasurementSink& sink, DatasetRole role) {
-  finish();
-  sink.on_dataset(role, take_dataset());
-}
-
 void Recorder::clear_caches() {
   peer_of_slot_.clear();
   protocol_of_.clear();

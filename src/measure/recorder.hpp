@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "measure/dataset.hpp"
-#include "measure/sink.hpp"
 #include "p2p/peerstore.hpp"
 #include "p2p/swarm.hpp"
 #include "sim/simulation.hpp"
@@ -54,10 +53,6 @@ class Recorder : public p2p::SwarmObserver, public p2p::PeerstoreObserver {
   /// Move the dataset out.  Recording continues into a fresh dataset;
   /// connections open at the take are not part of it.
   [[nodiscard]] Dataset take_dataset();
-
-  /// Finish (if still recording) and move the dataset into `sink` under the
-  /// given role.  The recorder becomes inert.
-  void publish(MeasurementSink& sink, DatasetRole role = DatasetRole::kOther);
 
   // p2p::SwarmObserver
   void on_connection_opened(const p2p::Connection& connection) override;

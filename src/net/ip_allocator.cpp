@@ -26,15 +26,6 @@ p2p::IpAddress IpAllocator::unique_v4() {
   }
 }
 
-p2p::IpAddress IpAllocator::unique_v6() {
-  for (;;) {
-    // 2000::/3 global unicast space.
-    const std::uint64_t hi = (rng_() & 0x1fffffffffffffffULL) | 0x2000000000000000ULL;
-    const auto ip = p2p::IpAddress::v6(hi, rng_());
-    if (used_.insert(ip).second) return ip;
-  }
-}
-
 p2p::IpAddress IpAllocator::shared_v4(const std::string& pool) {
   const auto it = pools_.find(pool);
   if (it != pools_.end()) return it->second;

@@ -24,9 +24,6 @@ class IpAllocator {
   /// A fresh globally-unique public IPv4 address.
   [[nodiscard]] p2p::IpAddress unique_v4();
 
-  /// A fresh globally-unique public IPv6 address.
-  [[nodiscard]] p2p::IpAddress unique_v6();
-
   /// The stable address of a named shared pool ("hydra-dc-3", "nat-17").
   /// First use allocates; later uses return the same address.
   [[nodiscard]] p2p::IpAddress shared_v4(const std::string& pool);

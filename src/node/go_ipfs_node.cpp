@@ -90,64 +90,19 @@ std::vector<std::string> GoIpfsNode::announced_protocols() const {
   return protocols;
 }
 
-void GoIpfsNode::set_agent(std::string agent) {
-  if (config_.agent == agent) return;
-  config_.agent = std::move(agent);
-  push_identify_to_all();
-}
-
-void GoIpfsNode::set_dht_mode(dht::Mode mode) {
-  if (kad_->mode() == mode) return;
-  kad_->set_mode(mode);
-  push_identify_to_all();
-}
-
-void GoIpfsNode::set_autonat(bool announced) {
-  if (config_.announce_autonat == announced) return;
-  config_.announce_autonat = announced;
-  push_identify_to_all();
-}
-
-void GoIpfsNode::ping(const p2p::PeerId& peer,
-                      std::function<void(common::SimDuration)> on_pong) {
-  const std::uint64_t nonce = next_ping_nonce_++;
-  pending_pings_[nonce] = {simulation_.now(), std::move(on_pong)};
-  net::Message message;
-  message.protocol = proto::kPing;
-  message.body = PingRequest{nonce};
-  network_.send(id(), peer, std::move(message));
-}
-
 void GoIpfsNode::handle_message(const p2p::PeerId& from, const net::Message& message) {
   if (kad_->handle_message(from, message)) return;
   if (bitswap_->handle_message(from, message)) return;
-  if (message.protocol == proto::kIdentify || message.protocol == proto::kIdentifyPush) {
+  if (message.protocol == proto::kIdentify) {
     if (const auto* snapshot = std::any_cast<IdentifySnapshot>(&message.body)) {
       handle_identify(from, *snapshot);
     }
-    return;
-  }
-  if (message.protocol == proto::kPing) {
-    if (const auto* request = std::any_cast<PingRequest>(&message.body)) {
-      net::Message reply;
-      reply.protocol = proto::kPing;
-      reply.body = PingResponse{request->nonce};
-      network_.send(id(), from, std::move(reply));
-    } else if (const auto* response = std::any_cast<PingResponse>(&message.body)) {
-      const auto it = pending_pings_.find(response->nonce);
-      if (it != pending_pings_.end()) {
-        auto [sent_at, callback] = std::move(it->second);
-        pending_pings_.erase(it);
-        if (callback) callback(simulation_.now() - sent_at);
-      }
-    }
-    return;
   }
 }
 
 void GoIpfsNode::on_connection_opened(const p2p::Connection& connection) {
   // Identify fires right after the connection is up, as in go-libp2p.
-  send_identify(connection.remote, /*push=*/false);
+  send_identify(connection.remote);
 }
 
 void GoIpfsNode::on_connection_closed(const p2p::Connection& connection) {
@@ -156,23 +111,15 @@ void GoIpfsNode::on_connection_closed(const p2p::Connection& connection) {
   // happens on query timeout (KadEngine does exactly that).
 }
 
-void GoIpfsNode::send_identify(const p2p::PeerId& to, bool push) {
+void GoIpfsNode::send_identify(const p2p::PeerId& to) {
   IdentifySnapshot snapshot;
   snapshot.agent = config_.agent;
   snapshot.protocols = announced_protocols();
   snapshot.listen_address = swarm_.listen_address();
-  snapshot.is_push = push;
   net::Message message;
-  message.protocol = push ? proto::kIdentifyPush : proto::kIdentify;
+  message.protocol = proto::kIdentify;
   message.body = std::move(snapshot);
   network_.send(id(), to, std::move(message));
-}
-
-void GoIpfsNode::push_identify_to_all() {
-  if (!started_) return;
-  for (const p2p::Connection* connection : swarm_.open_connections()) {
-    send_identify(connection->remote, /*push=*/true);
-  }
 }
 
 void GoIpfsNode::handle_identify(const p2p::PeerId& from,

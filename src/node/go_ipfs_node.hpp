@@ -2,7 +2,7 @@
 //
 // Composes the substrates exactly as go-ipfs does: a swarm with the
 // watermark connection manager, a Kademlia DHT in server or client mode, a
-// Bitswap engine, and the identify/ping protocols.  The paper's
+// Bitswap engine, and the identify protocol.  The paper's
 // measurement client is this node with instrumentation attached (see
 // measure::Recorder); the node itself is a faithful network citizen that
 // answers queries, performs refreshes and trims connections.
@@ -73,28 +73,12 @@ class GoIpfsNode : public net::Host, private p2p::SwarmObserver {
 
   [[nodiscard]] const std::string& agent() const noexcept { return config_.agent; }
 
-  /// Change the agent string (client up/downgrade); pushed to all
-  /// connected peers via identify push (§IV-B, Table III).
-  void set_agent(std::string agent);
-
-  /// Switch DHT server/client role; the changed kad announcement is pushed
-  /// (§IV-B: 2'481 peers flapped this 68'396 times).
-  void set_dht_mode(dht::Mode mode);
-
-  /// Toggle the autonat announcement (the other flapping protocol).
-  void set_autonat(bool announced);
-
-  /// Measure application-level RTT to a connected peer.
-  void ping(const p2p::PeerId& peer,
-            std::function<void(common::SimDuration)> on_pong);
-
  private:
   // p2p::SwarmObserver
   void on_connection_opened(const p2p::Connection& connection) override;
   void on_connection_closed(const p2p::Connection& connection) override;
 
-  void send_identify(const p2p::PeerId& to, bool push);
-  void push_identify_to_all();
+  void send_identify(const p2p::PeerId& to);
   void handle_identify(const p2p::PeerId& from, const IdentifySnapshot& snapshot);
 
   sim::Simulation& simulation_;
@@ -104,10 +88,6 @@ class GoIpfsNode : public net::Host, private p2p::SwarmObserver {
   std::unique_ptr<dht::KadEngine> kad_;
   std::unique_ptr<bitswap::BitswapEngine> bitswap_;
   sim::TaskId refresh_task_ = sim::kInvalidTask;
-  std::uint64_t next_ping_nonce_ = 1;
-  std::unordered_map<std::uint64_t,
-                     std::pair<common::SimTime, std::function<void(common::SimDuration)>>>
-      pending_pings_;
   bool started_ = false;
 };
 

@@ -1,9 +1,10 @@
-// The identify protocol (/ipfs/id/1.0.0 and /ipfs/id/push/1.0.0).
+// The identify protocol (/ipfs/id/1.0.0).
 //
 // Identify is how the paper's measurement nodes learn everything in
 // §IV-B: agent-version strings, supported protocols and multiaddresses all
-// arrive via identify exchanges shortly after a connection opens, and later
-// changes arrive via identify *push*.  A peer whose connection dies before
+// arrive via identify exchanges shortly after a connection opens.  (go-ipfs
+// pushes later changes via /ipfs/id/push/1.0.0; the campaign engine draws
+// those changes per peer instead.)  A peer whose connection dies before
 // identify completes stays in the dataset with no version string — the
 // paper's 3'059 "missing" agents.
 #pragma once
@@ -21,15 +22,6 @@ struct IdentifySnapshot {
   std::string agent;
   std::vector<std::string> protocols;
   p2p::Multiaddr listen_address;
-  bool is_push = false;
-};
-
-/// Ping RPC bodies (/ipfs/ping/1.0.0).
-struct PingRequest {
-  std::uint64_t nonce = 0;
-};
-struct PingResponse {
-  std::uint64_t nonce = 0;
 };
 
 }  // namespace ipfs::node

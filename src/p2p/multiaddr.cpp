@@ -81,52 +81,4 @@ std::string IpAddress::to_string() const {
   return buffer;
 }
 
-std::string_view to_string(Transport transport) noexcept {
-  switch (transport) {
-    case Transport::kTcp: return "tcp";
-    case Transport::kQuic: return "quic";
-    case Transport::kWebsocket: return "ws";
-  }
-  return "?";
-}
-
-std::string Multiaddr::to_string() const {
-  std::string out = ip.is_v6() ? "/ip6/" : "/ip4/";
-  out += ip.to_string();
-  switch (transport) {
-    case Transport::kTcp:
-      out += "/tcp/" + std::to_string(port);
-      break;
-    case Transport::kQuic:
-      out += "/udp/" + std::to_string(port) + "/quic";
-      break;
-    case Transport::kWebsocket:
-      out += "/tcp/" + std::to_string(port) + "/ws";
-      break;
-  }
-  return out;
-}
-
-std::optional<Multiaddr> Multiaddr::parse(std::string_view text) {
-  auto parts = split(text, '/');
-  // Leading '/' produces an empty first element.
-  if (parts.size() < 5 || !parts[0].empty()) return std::nullopt;
-  if (parts[1] != "ip4" && parts[1] != "ip6") return std::nullopt;
-  Multiaddr addr;
-  const auto ip = IpAddress::parse(parts[2]);
-  if (!ip) return std::nullopt;
-  addr.ip = *ip;
-  if (!parse_number(parts[4], addr.port)) return std::nullopt;
-  if (parts[3] == "tcp") {
-    addr.transport =
-        (parts.size() >= 6 && parts[5] == "ws") ? Transport::kWebsocket : Transport::kTcp;
-  } else if (parts[3] == "udp") {
-    if (parts.size() < 6 || parts[5] != "quic") return std::nullopt;
-    addr.transport = Transport::kQuic;
-  } else {
-    return std::nullopt;
-  }
-  return addr;
-}
-
 }  // namespace ipfs::p2p

@@ -57,17 +57,12 @@ class IpAddress {
 /// Transport part of a multiaddress.
 enum class Transport : std::uint8_t { kTcp, kQuic, kWebsocket };
 
-[[nodiscard]] std::string_view to_string(Transport transport) noexcept;
-
 /// A simplified multiaddress: IP + transport + port, e.g.
 /// "/ip4/147.28.0.5/tcp/4001" or "/ip4/10.0.0.1/udp/4001/quic".
 struct Multiaddr {
   IpAddress ip;
   Transport transport = Transport::kTcp;
   std::uint16_t port = 4001;
-
-  [[nodiscard]] std::string to_string() const;
-  [[nodiscard]] static std::optional<Multiaddr> parse(std::string_view text);
 
   [[nodiscard]] constexpr auto operator<=>(const Multiaddr&) const noexcept = default;
 };

@@ -32,23 +32,6 @@ measure::Recorder& NodeHandle::attach_recorder(measure::RecorderConfig config) c
   return *entry.recorder;
 }
 
-bool NodeHandle::has_recorder() const {
-  return testbed_->entries_.at(index_).recorder != nullptr;
-}
-
-measure::Recorder& NodeHandle::recorder() const {
-  Testbed::Entry& entry = testbed_->entries_.at(index_);
-  assert(entry.recorder != nullptr && "attach_recorder first");
-  return *entry.recorder;
-}
-
-const NodeHandle& NodeHandle::bootstrap(const std::vector<p2p::PeerId>& peers) const {
-  Testbed::Entry& entry = testbed_->entries_.at(index_);
-  entry.node->bootstrap(peers);
-  entry.bootstrapped = true;
-  return *this;
-}
-
 void NodeHandle::stop() const { node().stop(); }
 
 // ---- Testbed ---------------------------------------------------------------
@@ -80,10 +63,6 @@ NodeHandle Testbed::add_server(node::NodeConfig config) {
   return add_node(std::move(config));
 }
 
-NodeHandle Testbed::add_client(node::NodeConfig config) {
-  return add_node(std::move(config));
-}
-
 Testbed& Testbed::add_servers(int count, node::NodeConfig config) {
   for (int i = 0; i < count; ++i) add_node(config);
   return *this;
@@ -105,14 +84,6 @@ Testbed& Testbed::bootstrap_all_via(NodeHandle vantage) {
   return *this;
 }
 
-hydra::HydraNode& Testbed::add_hydra(hydra::HydraConfig config) {
-  common::Rng rng = entity_rng(next_entity_++);
-  hydras_.push_back(std::make_unique<hydra::HydraNode>(
-      simulation_, network_, rng, ips_.unique_v4(), std::move(config)));
-  hydras_.back()->start();
-  return *hydras_.back();
-}
-
 crawler::Crawler& Testbed::add_crawler(crawler::CrawlerConfig config) {
   common::Rng rng = entity_rng(next_entity_++);
   crawlers_.push_back(std::make_unique<crawler::Crawler>(
@@ -124,20 +95,6 @@ crawler::Crawler& Testbed::add_crawler(crawler::CrawlerConfig config) {
 
 Testbed& Testbed::run_for(common::SimDuration duration) {
   simulation_.run_until(simulation_.now() + duration);
-  return *this;
-}
-
-Testbed& Testbed::run_until(common::SimTime limit) {
-  simulation_.run_until(limit);
-  return *this;
-}
-
-Testbed& Testbed::publish_recorders(measure::MeasurementSink& sink) {
-  for (Entry& entry : entries_) {
-    if (entry.recorder != nullptr) {
-      entry.recorder->publish(sink, measure::DatasetRole::kOther);
-    }
-  }
   return *this;
 }
 

@@ -20,9 +20,7 @@
 #include <vector>
 
 #include "crawler/crawler.hpp"
-#include "hydra/hydra_node.hpp"
 #include "measure/recorder.hpp"
-#include "measure/sink.hpp"
 #include "net/ip_allocator.hpp"
 #include "net/network.hpp"
 #include "node/go_ipfs_node.hpp"
@@ -43,13 +41,6 @@ class NodeHandle {
   /// Attach a measurement recorder to this node's swarm and start it
   /// recording immediately.  One recorder per node.
   measure::Recorder& attach_recorder(measure::RecorderConfig config = {}) const;
-  [[nodiscard]] bool has_recorder() const;
-  /// The attached recorder; attach_recorder must have been called.
-  [[nodiscard]] measure::Recorder& recorder() const;
-
-  /// Dial the given peers and run the boot lookups (go-ipfs boot
-  /// behaviour); marks the node as bootstrapped for `bootstrap_all_via`.
-  const NodeHandle& bootstrap(const std::vector<p2p::PeerId>& peers) const;
 
   /// Deregister from the network (node churn: remotes observe
   /// peer-offline closes).
@@ -78,7 +69,6 @@ class Testbed {
   /// deterministic per-node identity.
   NodeHandle add_node(node::NodeConfig config);
   NodeHandle add_server(node::NodeConfig config = node::NodeConfig::dht_server());
-  NodeHandle add_client(node::NodeConfig config = node::NodeConfig::dht_client());
 
   Testbed& add_servers(int count,
                        node::NodeConfig config = node::NodeConfig::dht_server());
@@ -89,20 +79,12 @@ class Testbed {
   /// (the vantage itself is skipped).
   Testbed& bootstrap_all_via(NodeHandle vantage);
 
-  /// Add a started multi-head hydra deployment.
-  hydra::HydraNode& add_hydra(hydra::HydraConfig config = {});
-
   /// Add a started active crawler (nebula-style baseline).
   crawler::Crawler& add_crawler(crawler::CrawlerConfig config = {});
 
   // ---- execution -----------------------------------------------------------
 
   Testbed& run_for(common::SimDuration duration);
-  Testbed& run_until(common::SimTime limit);
-
-  /// Finish every attached recorder and publish its dataset into `sink`
-  /// (role kOther), in node-addition order.
-  Testbed& publish_recorders(measure::MeasurementSink& sink);
 
   // ---- access --------------------------------------------------------------
 
@@ -136,7 +118,6 @@ class Testbed {
   net::IpAllocator ips_;
   std::uint64_t next_entity_ = 0;
   std::vector<Entry> entries_;
-  std::vector<std::unique_ptr<hydra::HydraNode>> hydras_;
   std::vector<std::unique_ptr<crawler::Crawler>> crawlers_;
 };
 

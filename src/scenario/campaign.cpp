@@ -1657,11 +1657,8 @@ CampaignEngine::CampaignEngine(CampaignConfig config)
     : impl_(std::make_unique<Impl>(std::move(config))) {}
 
 CampaignEngine::CampaignEngine(CampaignEngine&&) noexcept = default;
-CampaignEngine& CampaignEngine::operator=(CampaignEngine&&) noexcept = default;
 CampaignEngine::~CampaignEngine() = default;
 
 void CampaignEngine::run(measure::MeasurementSink& sink) { impl_->run(sink); }
-
-sim::Simulation& CampaignEngine::simulation() { return impl_->simulation; }
 
 }  // namespace ipfs::scenario

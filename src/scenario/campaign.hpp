@@ -34,7 +34,6 @@
 #include "scenario/period.hpp"
 #include "scenario/phases.hpp"
 #include "scenario/population.hpp"
-#include "sim/simulation.hpp"
 
 namespace ipfs::scenario {
 
@@ -146,16 +145,12 @@ class CampaignEngine {
       CampaignConfig config);
 
   CampaignEngine(CampaignEngine&&) noexcept;
-  CampaignEngine& operator=(CampaignEngine&&) noexcept;
   CampaignEngine(const CampaignEngine&) = delete;
   CampaignEngine& operator=(const CampaignEngine&) = delete;
   ~CampaignEngine();
 
   /// Execute the full period, streaming observations into `sink`.
   void run(measure::MeasurementSink& sink);
-
-  /// The simulation clock (exposed for tests that step manually).
-  [[nodiscard]] sim::Simulation& simulation();
 
  private:
   explicit CampaignEngine(CampaignConfig config);

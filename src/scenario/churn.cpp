@@ -168,23 +168,10 @@ common::Rng ChurnModel::draw_rng(std::uint64_t salt, std::uint32_t node,
 }
 
 common::SimDuration ChurnModel::session_length(std::uint32_t node,
-                                               std::uint32_t session) const {
-  common::Rng rng = draw_rng(0x5e55, node, session);
-  return static_cast<SimDuration>(spec_.session.sample(rng));
-}
-
-common::SimDuration ChurnModel::session_length(std::uint32_t node,
                                                std::uint32_t session,
                                                Category category) const {
   common::Rng rng = draw_rng(0x5e55, node, session);
   return static_cast<SimDuration>(session_for(category).sample(rng));
-}
-
-common::SimDuration ChurnModel::gap_length(std::uint32_t node,
-                                           std::uint32_t session,
-                                           common::SimTime at) const {
-  common::Rng rng = draw_rng(0x6a90, node, session);
-  return static_cast<SimDuration>(spec_.gap.sample(rng) / rate_multiplier(at));
 }
 
 common::SimDuration ChurnModel::gap_length(std::uint32_t node,

@@ -150,19 +150,14 @@ class ChurnModel {
   [[nodiscard]] const ChurnSpec& spec() const noexcept { return spec_; }
 
   /// Length of node `node`'s session number `session` (>= 0 ms; consumers
-  /// clamp to their own floor).  The category-less overload draws from the
-  /// spec's top-level distributions.
-  [[nodiscard]] common::SimDuration session_length(std::uint32_t node,
-                                                   std::uint32_t session) const;
+  /// clamp to their own floor), from `category`'s override or else the
+  /// spec's top-level distribution.
   [[nodiscard]] common::SimDuration session_length(std::uint32_t node,
                                                    std::uint32_t session,
                                                    Category category) const;
 
   /// Offline gap following session `session`, with diurnal modulation
   /// evaluated at `at` (the gap's start on the simulation clock).
-  [[nodiscard]] common::SimDuration gap_length(std::uint32_t node,
-                                               std::uint32_t session,
-                                               common::SimTime at) const;
   [[nodiscard]] common::SimDuration gap_length(std::uint32_t node,
                                                std::uint32_t session,
                                                common::SimTime at,

@@ -122,17 +122,6 @@ std::uint32_t Population::scaled(std::uint32_t base) const {
   return static_cast<std::uint32_t>(scaled_count(base, spec_.scale));
 }
 
-std::size_t Population::count(Category category) const {
-  return static_cast<std::size_t>(
-      std::count_if(peers_.begin(), peers_.end(),
-                    [category](const RemotePeer& p) { return p.category == category; }));
-}
-
-std::size_t Population::dht_server_count() const {
-  return static_cast<std::size_t>(std::count_if(
-      peers_.begin(), peers_.end(), [](const RemotePeer& p) { return p.dht_server; }));
-}
-
 RemotePeer& Population::emplace_peer(Category category, common::Rng& rng,
                                      net::IpAllocator& ips) {
   RemotePeer& peer = peers_.emplace_back();

@@ -54,11 +54,6 @@ class Population {
   [[nodiscard]] std::vector<RemotePeer>& peers() noexcept { return peers_; }
   [[nodiscard]] const PopulationSpec& spec() const noexcept { return spec_; }
 
-  [[nodiscard]] std::size_t count(Category category) const;
-
-  /// Peers announcing /ipfs/kad/1.0.0 (potential crawler targets).
-  [[nodiscard]] std::size_t dht_server_count() const;
-
   /// The agent string behind `id`; valid as long as the population.
   [[nodiscard]] const std::string& agent(AgentId id) const { return agents_.name(id); }
   /// The protocol names of set `id`, sorted; the views stay valid as long as

@@ -136,15 +136,18 @@ TEST(ChurnStats, EmptyDatasetYieldsEmptyStats) {
 
 TEST(ChurnStats, AvailabilitySweepCountsInSessionPeers) {
   const auto sessions = reconstruct_sessions(two_peer_dataset(), 30 * kMinute);
-  const auto series =
-      availability_over_time(sessions, 10 * kMinute, 0, 150 * kMinute);
+  std::vector<measure::PopulationSample> grid(16);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    grid[i].at = static_cast<common::SimTime>(i) * 10 * kMinute;
+  }
+  const auto series = observed_vs_true(sessions, grid);
   ASSERT_EQ(series.size(), 16u);
-  EXPECT_EQ(series[0].count, 1u);   // t=0: peer 0 only
-  EXPECT_EQ(series[1].count, 2u);   // t=10 min: both (session edges inclusive)
-  EXPECT_EQ(series[3].count, 1u);   // t=30 min: peer 1 only
-  EXPECT_EQ(series[7].count, 0u);   // t=70 min: silence
-  EXPECT_EQ(series[14].count, 1u);  // t=140 min: peer 0 is back
-  EXPECT_EQ(series[15].count, 1u);
+  EXPECT_EQ(series[0].observed, 1u);   // t=0: peer 0 only
+  EXPECT_EQ(series[1].observed, 2u);   // t=10 min: both (session edges inclusive)
+  EXPECT_EQ(series[3].observed, 1u);   // t=30 min: peer 1 only
+  EXPECT_EQ(series[7].observed, 0u);   // t=70 min: silence
+  EXPECT_EQ(series[14].observed, 1u);  // t=140 min: peer 0 is back
+  EXPECT_EQ(series[15].observed, 1u);
 }
 
 TEST(ChurnStats, ObservedVsTrueEvaluatesOnTheTruthGrid) {

@@ -38,10 +38,10 @@ TEST(AgentHistogram, CountsFirstObservedAgent) {
   add_peer(dataset, 4, "storm");
   add_peer(dataset, 5, "");
   const auto histogram = agent_histogram(dataset);
-  EXPECT_EQ(histogram.count("0.11.0"), 2u);
-  EXPECT_EQ(histogram.count("0.8.0"), 1u);
-  EXPECT_EQ(histogram.count("storm"), 1u);
-  EXPECT_EQ(histogram.count("missing"), 1u);
+  EXPECT_EQ(histogram.counts().at("0.11.0"), 2u);
+  EXPECT_EQ(histogram.counts().at("0.8.0"), 1u);
+  EXPECT_EQ(histogram.counts().at("storm"), 1u);
+  EXPECT_EQ(histogram.counts().at("missing"), 1u);
   EXPECT_EQ(histogram.total(), 5u);
 }
 
@@ -50,8 +50,8 @@ TEST(ProtocolHistogram, CountsPerPeerOnce) {
   add_peer(dataset, 1, "a", {std::string(proto::kPing), std::string(proto::kKad)});
   add_peer(dataset, 2, "b", {std::string(proto::kPing)});
   const auto histogram = protocol_histogram(dataset);
-  EXPECT_EQ(histogram.count(std::string(proto::kPing)), 2u);
-  EXPECT_EQ(histogram.count(std::string(proto::kKad)), 1u);
+  EXPECT_EQ(histogram.counts().at(std::string(proto::kPing)), 2u);
+  EXPECT_EQ(histogram.counts().at(std::string(proto::kKad)), 1u);
 }
 
 TEST(MetadataSummary, CategorisesAgents) {

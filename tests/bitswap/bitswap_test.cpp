@@ -39,27 +39,6 @@ TEST(Bitswap, BlockTransfersBetweenConnectedNodes) {
   EXPECT_EQ(requester.bitswap().pending_wants(), 0u);
 }
 
-TEST(Bitswap, LedgersTrackExchange) {
-  FidelityNet net;
-  auto& provider = net.add_node();
-  auto& requester = net.add_node();
-  net.bootstrap_all();
-
-  const Cid cid = Cid::from_seed(42);
-  provider.bitswap().add_block(cid);
-  requester.bitswap().want_block(provider.id(), cid, {});
-  net.sim().run_until(net.sim().now() + 10 * kSecond);
-
-  const Ledger* provider_ledger = provider.bitswap().ledger_for(requester.id());
-  ASSERT_NE(provider_ledger, nullptr);
-  EXPECT_EQ(provider_ledger->blocks_sent, 1u);
-  EXPECT_EQ(provider_ledger->bytes_sent, BitswapEngine::kBlockSize);
-
-  const Ledger* requester_ledger = requester.bitswap().ledger_for(provider.id());
-  ASSERT_NE(requester_ledger, nullptr);
-  EXPECT_EQ(requester_ledger->blocks_received, 1u);
-}
-
 TEST(Bitswap, MissingBlockNeverDelivers) {
   FidelityNet net;
   auto& provider = net.add_node();

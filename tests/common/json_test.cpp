@@ -52,12 +52,24 @@ TEST(JsonWriter, NestedArrays) {
   EXPECT_EQ(out.str(), R"({"values":[1,2,[3]]})");
 }
 
+/// `text` as the writer escapes it inside a string value (quotes not
+/// included).
+std::string escaped(std::string_view text) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_array();
+  json.value(text);
+  json.end_array();
+  const std::string document = out.str();
+  return document.substr(2, document.size() - 4);
+}
+
 TEST(JsonWriter, EscapesSpecialCharacters) {
-  EXPECT_EQ(JsonWriter::escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonWriter::escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonWriter::escape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(JsonWriter::escape("tab\there"), "tab\\there");
-  EXPECT_EQ(JsonWriter::escape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(escaped("a\"b"), "a\\\"b");
+  EXPECT_EQ(escaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(escaped("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(escaped("tab\there"), "tab\\there");
+  EXPECT_EQ(escaped(std::string_view("\x01", 1)), "\\u0001");
 }
 
 TEST(JsonWriter, EscapedStringValue) {
@@ -117,14 +129,14 @@ TEST(JsonWriter, DoubleRoundTripsExactly) {
 }
 
 TEST(JsonWriter, ControlCharactersAnywhereInAString) {
-  EXPECT_EQ(JsonWriter::escape(std::string_view("\x01start", 6)), "\\u0001start");
-  EXPECT_EQ(JsonWriter::escape(std::string_view("mid\x1f\x02" "dle", 8)),
+  EXPECT_EQ(escaped(std::string_view("\x01start", 6)), "\\u0001start");
+  EXPECT_EQ(escaped(std::string_view("mid\x1f\x02" "dle", 8)),
             "mid\\u001f\\u0002dle");
-  EXPECT_EQ(JsonWriter::escape(std::string_view("end\b\f", 5)), "end\\u0008\\u000c");
-  EXPECT_EQ(JsonWriter::escape(std::string_view("\0", 1)), "\\u0000");
-  EXPECT_EQ(JsonWriter::escape("\"\\"), "\\\"\\\\");
-  EXPECT_EQ(JsonWriter::escape("plain \x7f text"), "plain \x7f text");
-  EXPECT_EQ(JsonWriter::escape(""), "");
+  EXPECT_EQ(escaped(std::string_view("end\b\f", 5)), "end\\u0008\\u000c");
+  EXPECT_EQ(escaped(std::string_view("\0", 1)), "\\u0000");
+  EXPECT_EQ(escaped("\"\\"), "\\\"\\\\");
+  EXPECT_EQ(escaped("plain \x7f text"), "plain \x7f text");
+  EXPECT_EQ(escaped(""), "");
 
   std::ostringstream out;
   JsonWriter json(out);

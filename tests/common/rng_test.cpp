@@ -117,25 +117,6 @@ TEST(Rng, BernoulliFrequencyMatchesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / kSamples, 0.3, 0.01);
 }
 
-TEST(Rng, WeightedIndexFollowsWeights) {
-  Rng rng(12);
-  const std::vector<double> weights{1.0, 3.0, 6.0};
-  std::vector<int> counts(3, 0);
-  constexpr int kSamples = 100000;
-  for (int i = 0; i < kSamples; ++i) {
-    ++counts[rng.weighted_index(weights)];
-  }
-  EXPECT_NEAR(counts[0] / double(kSamples), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / double(kSamples), 0.3, 0.012);
-  EXPECT_NEAR(counts[2] / double(kSamples), 0.6, 0.012);
-}
-
-TEST(Rng, WeightedIndexHandlesZeroTotal) {
-  Rng rng(13);
-  const std::vector<double> weights{0.0, 0.0};
-  EXPECT_EQ(rng.weighted_index(weights), 0u);
-}
-
 TEST(Rng, SampleWithoutReplacementIsDistinct) {
   Rng rng(14);
   for (int round = 0; round < 50; ++round) {

@@ -32,10 +32,5 @@ TEST(SimTime, FormatDurationNegative) {
   EXPECT_EQ(format_duration(-kMinute), "-00:01:00");
 }
 
-TEST(SimTime, FormatSeconds) {
-  EXPECT_EQ(format_seconds(73732), "73.732 s");
-  EXPECT_EQ(format_seconds(0), "0.000 s");
-}
-
 }  // namespace
 }  // namespace ipfs::common

@@ -146,13 +146,5 @@ INSTANTIATE_TEST_SUITE_P(
         DirtyCase{"go-ipfs/0.10.0/a-dirty", "go-ipfs/0.11.0/b-dirty",
                   DirtyTransition::kDirtyToDirty}));
 
-TEST(VersionStrings, ToStringLabels) {
-  EXPECT_EQ(to_string(VersionChangeKind::kUpgrade), "upgrade");
-  EXPECT_EQ(to_string(VersionChangeKind::kDowngrade), "downgrade");
-  EXPECT_EQ(to_string(VersionChangeKind::kChange), "change");
-  EXPECT_EQ(to_string(DirtyTransition::kMainToMain), "main-main");
-  EXPECT_EQ(to_string(DirtyTransition::kDirtyToDirty), "dirty-dirty");
-}
-
 }  // namespace
 }  // namespace ipfs::common

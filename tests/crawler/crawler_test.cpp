@@ -81,20 +81,6 @@ TEST_F(CrawlerTest, OfflineNodesCountAsDialFailures) {
   crawler->stop();
 }
 
-TEST_F(CrawlerTest, PeriodicCrawlsAccumulateHistory) {
-  CrawlerConfig config;
-  auto crawler = make_network(8, 0, config);
-  crawler->crawl_periodically({net.node(0).id()}, 8 * common::kHour);
-  net.sim().run_until(net.sim().now() + 25 * common::kHour);
-  // First crawl immediately + one per 8 h.
-  EXPECT_GE(crawler->history().size(), 3u);
-  const auto [min_reached, max_reached] = crawler->reached_min_max();
-  EXPECT_GT(min_reached, 0u);
-  EXPECT_LE(min_reached, max_reached);
-  EXPECT_LE(max_reached, 8u);
-  crawler->stop();
-}
-
 TEST_F(CrawlerTest, CrawlerConnectionsAreShortLived) {
   auto crawler = make_network(10, 0);
   CrawlResult result;

@@ -12,16 +12,13 @@ TEST(RecordStore, PutAndGet) {
   const RecordKey key = RecordKey::from_seed(1);
   const p2p::PeerId provider = p2p::PeerId::from_seed(2);
   store.put(key, provider, 0);
-  const auto providers = store.get(key, 1000);
-  ASSERT_EQ(providers.size(), 1u);
-  EXPECT_EQ(providers[0], provider);
+  EXPECT_TRUE(store.has_provider(key, 1000));
   EXPECT_EQ(store.key_count(), 1u);
   EXPECT_EQ(store.record_count(), 1u);
 }
 
 TEST(RecordStore, GetUnknownKeyIsEmpty) {
   RecordStore store;
-  EXPECT_TRUE(store.get(RecordKey::from_seed(1), 0).empty());
   EXPECT_FALSE(store.has_provider(RecordKey::from_seed(1), 0));
 }
 
@@ -29,8 +26,6 @@ TEST(RecordStore, RecordsExpire) {
   RecordStore store;
   const RecordKey key = RecordKey::from_seed(1);
   store.put(key, p2p::PeerId::from_seed(2), 0, 10 * kHour);
-  EXPECT_EQ(store.get(key, 9 * kHour).size(), 1u);
-  EXPECT_TRUE(store.get(key, 10 * kHour).empty());
   EXPECT_TRUE(store.has_provider(key, 9 * kHour));
   EXPECT_FALSE(store.has_provider(key, 10 * kHour));
   // One live provider among expired ones is enough.
@@ -44,7 +39,7 @@ TEST(RecordStore, ReannounceExtendsExpiry) {
   const p2p::PeerId provider = p2p::PeerId::from_seed(2);
   store.put(key, provider, 0, 10 * kHour);
   store.put(key, provider, 8 * kHour, 10 * kHour);
-  EXPECT_EQ(store.get(key, 15 * kHour).size(), 1u);
+  EXPECT_TRUE(store.has_provider(key, 15 * kHour));
   EXPECT_EQ(store.record_count(), 1u);  // same provider, not duplicated
 }
 
@@ -53,7 +48,7 @@ TEST(RecordStore, MultipleProvidersPerKey) {
   const RecordKey key = RecordKey::from_seed(1);
   store.put(key, p2p::PeerId::from_seed(2), 0);
   store.put(key, p2p::PeerId::from_seed(3), 0);
-  EXPECT_EQ(store.get(key, 1).size(), 2u);
+  EXPECT_TRUE(store.has_provider(key, 1));
   EXPECT_EQ(store.key_count(), 1u);
   EXPECT_EQ(store.record_count(), 2u);
 }
@@ -96,14 +91,14 @@ TEST(RecordStore, SweepUnderRepublishLoadStaysBounded) {
     EXPECT_LE(store.key_count(), static_cast<std::size_t>(kKeys));
   }
   // Just before hour 108 every provider has lapsed except the longest
-  // lived one (p=7, last announce at 7*12h=84h, expires at exactly 108h).
+  // lived one (p=7, last announce at 7*12h=84h, expires at exactly 108h):
+  // one live record per key.
   const common::SimTime end = 9 * kCycle - kHour;
   store.sweep(end);
   for (int k = 0; k < kKeys; ++k) {
-    const auto providers =
-        store.get(RecordKey::from_seed(static_cast<std::uint64_t>(k)), end);
-    ASSERT_EQ(providers.size(), 1u) << "key " << k;
-    EXPECT_EQ(providers[0], p2p::PeerId::from_seed(107));
+    EXPECT_TRUE(
+        store.has_provider(RecordKey::from_seed(static_cast<std::uint64_t>(k)), end))
+        << "key " << k;
   }
   EXPECT_EQ(store.record_count(), static_cast<std::size_t>(kKeys));
   // One final sweep past every expiry empties the store completely.
@@ -116,8 +111,8 @@ TEST(RecordStore, DefaultTtlIsOneDay) {
   RecordStore store;
   const RecordKey key = RecordKey::from_seed(1);
   store.put(key, p2p::PeerId::from_seed(2), 0);
-  EXPECT_EQ(store.get(key, 23 * kHour).size(), 1u);
-  EXPECT_TRUE(store.get(key, 25 * kHour).empty());
+  EXPECT_TRUE(store.has_provider(key, 23 * kHour));
+  EXPECT_FALSE(store.has_provider(key, 25 * kHour));
 }
 
 }  // namespace

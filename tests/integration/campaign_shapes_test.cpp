@@ -125,9 +125,9 @@ TEST(CampaignShapes, AgentMixAnchors_Fig3) {
 
 TEST(CampaignShapes, ProtocolAnchors_Fig4) {
   const auto histogram = analysis::protocol_histogram(p4_vantage());
-  const auto kad = histogram.count(std::string(p2p::protocols::kKad));
-  const auto bitswap = histogram.count(std::string(p2p::protocols::kBitswap120));
-  const auto identify = histogram.count(std::string(p2p::protocols::kIdentify));
+  const auto kad = histogram.counts().at(std::string(p2p::protocols::kKad));
+  const auto bitswap = histogram.counts().at(std::string(p2p::protocols::kBitswap120));
+  const auto identify = histogram.counts().at(std::string(p2p::protocols::kIdentify));
   // Identify > bitswap > kad, as in Fig. 4 (18'845 kad vs 44'463 bitswap).
   EXPECT_GT(identify, bitswap);
   EXPECT_GT(bitswap, kad);

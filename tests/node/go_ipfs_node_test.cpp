@@ -75,63 +75,6 @@ TEST(GoIpfsNode, IdentifiedServersEnterRoutingTable) {
   EXPECT_FALSE(a.dht().routing_table().contains(c.id()));
 }
 
-TEST(GoIpfsNode, AgentChangePushedToConnectedPeers) {
-  FidelityNet net;
-  auto& a = net.add_node(NodeConfig::dht_server());
-  auto& b = net.add_node(NodeConfig::dht_server());
-  net.network().dial(a.id(), b.id());
-  net.sim().run_until(5 * kSecond);
-
-  a.set_agent("go-ipfs/0.12.0/deadbeef");
-  net.sim().run_until(net.sim().now() + 5 * kSecond);
-  const auto* entry = b.swarm().peerstore().find(a.id());
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->agent, "go-ipfs/0.12.0/deadbeef");
-}
-
-TEST(GoIpfsNode, RoleSwitchPushedViaIdentify) {
-  FidelityNet net;
-  auto& a = net.add_node(NodeConfig::dht_server());
-  auto& b = net.add_node(NodeConfig::dht_server());
-  net.network().dial(a.id(), b.id());
-  net.sim().run_until(5 * kSecond);
-  ASSERT_TRUE(b.swarm().peerstore().supports(a.id(), proto::kKad));
-
-  a.set_dht_mode(dht::Mode::kClient);
-  net.sim().run_until(net.sim().now() + 5 * kSecond);
-  EXPECT_FALSE(b.swarm().peerstore().supports(a.id(), proto::kKad));
-  // The paper's ever-server marker survives the role switch.
-  EXPECT_TRUE(b.swarm().peerstore().find(a.id())->ever_dht_server);
-  // And b's routing table drops the demoted peer.
-  EXPECT_FALSE(b.dht().routing_table().contains(a.id()));
-}
-
-TEST(GoIpfsNode, AutonatToggleChangesAnnouncement) {
-  FidelityNet net;
-  auto& a = net.add_node(NodeConfig::dht_server());
-  auto& b = net.add_node(NodeConfig::dht_server());
-  net.network().dial(a.id(), b.id());
-  net.sim().run_until(5 * kSecond);
-  ASSERT_TRUE(b.swarm().peerstore().supports(a.id(), proto::kAutonat));
-  a.set_autonat(false);
-  net.sim().run_until(net.sim().now() + 5 * kSecond);
-  EXPECT_FALSE(b.swarm().peerstore().supports(a.id(), proto::kAutonat));
-}
-
-TEST(GoIpfsNode, PingMeasuresRtt) {
-  FidelityNet net;
-  auto& a = net.add_node();
-  auto& b = net.add_node();
-  net.network().dial(a.id(), b.id());
-  net.sim().run_until(5 * kSecond);
-
-  common::SimDuration rtt = -1;
-  a.ping(b.id(), [&](common::SimDuration measured) { rtt = measured; });
-  net.sim().run_until(net.sim().now() + 5 * kSecond);
-  EXPECT_GT(rtt, 0);
-  EXPECT_LT(rtt, 1 * kSecond);
-}
-
 TEST(GoIpfsNode, StopDisconnectsFromNetwork) {
   FidelityNet net;
   auto& a = net.add_node();

@@ -1,6 +1,6 @@
 // Tests for the `ipfs::runtime` facade: quickstart-shaped smoke coverage,
-// determinism of the seed-derived RNG tree, sink publication, and a pinned
-// export digest.
+// determinism of the seed-derived RNG tree, publication into a sink, and a
+// pinned export digest.
 #include "runtime/testbed.hpp"
 
 #include <gtest/gtest.h>
@@ -68,7 +68,7 @@ TEST(Testbed, DifferentSeedsProduceDifferentNetworks) {
 TEST(Testbed, NodesGetDistinctIdentitiesAndAddresses) {
   auto testbed = TestbedBuilder().seed(3).build();
   auto a = testbed.add_server();
-  auto b = testbed.add_client();
+  auto b = testbed.add_node(node::NodeConfig::dht_client());
   EXPECT_NE(a.id(), b.id());
   EXPECT_NE(a.swarm().listen_address().ip, b.swarm().listen_address().ip);
   EXPECT_EQ(testbed.node_count(), 2u);
@@ -78,8 +78,13 @@ TEST(Testbed, NodesGetDistinctIdentitiesAndAddresses) {
 TEST(Testbed, BootstrapAllViaSkipsVantageAndAlreadyBootstrapped) {
   auto testbed = TestbedBuilder().seed(4).build();
   auto vantage = testbed.add_server();
-  auto early = testbed.add_server();
-  early.bootstrap({vantage.id()});
+  testbed.add_server();
+  testbed.bootstrap_all_via(vantage);
+  const std::size_t early_events = testbed.simulation().pending_events();
+  EXPECT_GT(early_events, 0u);
+  // Bootstrapping again has nobody left to bootstrap.
+  testbed.bootstrap_all_via(vantage);
+  EXPECT_EQ(testbed.simulation().pending_events(), early_events);
   testbed.add_servers(4).bootstrap_all_via(vantage);
   testbed.run_for(5 * kMinute);
   // Everyone (and only everyone else) connected through the vantage.
@@ -89,25 +94,23 @@ TEST(Testbed, BootstrapAllViaSkipsVantageAndAlreadyBootstrapped) {
 TEST(Testbed, RecordersPublishThroughSink) {
   auto testbed = TestbedBuilder().seed(5).build();
   auto vantage = testbed.add_server();
-  vantage.attach_recorder();
-  EXPECT_TRUE(vantage.has_recorder());
+  measure::Recorder& recorder = vantage.attach_recorder();
   testbed.add_servers(5).bootstrap_all_via(vantage);
   testbed.run_for(10 * kMinute);
+  recorder.finish();
 
   measure::CollectingSink sink;
-  testbed.publish_recorders(sink);
+  sink.on_dataset(measure::DatasetRole::kOther, recorder.take_dataset());
   ASSERT_EQ(sink.datasets().size(), 1u);
   EXPECT_EQ(sink.datasets().front().role, measure::DatasetRole::kOther);
   EXPECT_GE(sink.datasets().front().dataset.peer_count(), 5u);
+  // The recorder goes on into a fresh dataset.
+  EXPECT_EQ(recorder.dataset().peer_count(), 0u);
 }
 
 TEST(Testbed, HydraAndCrawlerHandles) {
   auto testbed = TestbedBuilder().seed(6).build();
   auto bootstrap_node = testbed.add_server();
-  hydra::HydraConfig hydra_config;
-  hydra_config.head_count = 2;
-  hydra::HydraNode& hydra = testbed.add_hydra(hydra_config);
-  hydra.bootstrap({bootstrap_node.id()});
   testbed.add_servers(6).bootstrap_all_via(bootstrap_node);
   testbed.run_for(10 * kMinute);
 
@@ -117,12 +120,9 @@ TEST(Testbed, HydraAndCrawlerHandles) {
                 [&](crawler::CrawlResult r) { crawl = std::move(r); });
   testbed.run_for(10 * kMinute);
 
-  EXPECT_EQ(hydra.head_count(), 2u);
-  EXPECT_GT(hydra.union_known_pids().size(), 0u);
-  // The crawler reaches the bootstrap node, the servers and both heads.
+  // The crawler reaches the bootstrap node and the servers.
   EXPECT_GE(crawl.reached.size(), 7u);
   crawler.stop();
-  hydra.stop();
 }
 
 TEST(Testbed, UnstoppedCrawlerDestructsCleanly) {
@@ -142,35 +142,31 @@ TEST(Testbed, UnstoppedCrawlerDestructsCleanly) {
 
 TEST(Testbed, ExportMatchesPinnedDigest) {
   // FNV-1a (common::hash64) of the vantage's JSON export for a fixed mix
-  // of servers, clients, a hydra and a crawler.  Every node identity,
-  // address, latency sample and close reason feeds these bytes, so a
-  // refactor of the facade that moves any RNG branch or wiring step shows
-  // here.  A change of this constant is a determinism regression, not a
-  // value to refresh.
+  // of servers, clients and a crawler.  Every node identity, address,
+  // latency sample and close reason feeds these bytes, so a refactor of
+  // the facade that moves any RNG branch or wiring step shows here.  A
+  // change of this constant is a determinism regression, not a value to
+  // refresh.
   auto testbed = TestbedBuilder().seed(2021).build();
   auto vantage = testbed.add_server(node::NodeConfig::dht_server(8, 12));
-  vantage.attach_recorder();
+  measure::Recorder& recorder = vantage.attach_recorder();
   testbed.add_servers(8).add_clients(4).bootstrap_all_via(vantage);
-  hydra::HydraConfig hydra_config;
-  hydra_config.head_count = 2;
-  hydra::HydraNode& hydra = testbed.add_hydra(hydra_config);
-  hydra.bootstrap({vantage.id()});
   testbed.run_for(10 * kMinute);
   crawler::Crawler& crawler = testbed.add_crawler();
   crawler.crawl({vantage.id()}, [](crawler::CrawlResult) {});
   testbed.run_for(20 * kMinute);
   crawler.stop();
-  hydra.stop();
+  recorder.finish();
 
   std::ostringstream out;
   {
     measure::JsonExportSink sink(
         out, measure::JsonExportSink::Options{.include_connections = true});
-    testbed.publish_recorders(sink);
+    sink.on_dataset(measure::DatasetRole::kOther, recorder.take_dataset());
   }
   const std::string exported = out.str();
   ASSERT_FALSE(exported.empty());
-  EXPECT_EQ(common::hash64(exported), 0x2e523778b7064196ULL)
+  EXPECT_EQ(common::hash64(exported), 0xe38171321511a08cULL)
       << "testbed export drifted: " << exported.size() << " bytes";
 }
 

@@ -18,13 +18,18 @@ namespace {
 using common::kHour;
 using common::kMinute;
 
+/// Specs here override no category, so every draw through this category
+/// comes from the spec's top-level distributions.
+constexpr Category kTopLevel = Category::kNormalUser;
+
 /// Draw `count` samples through the model's pure per-(node, session) API.
 std::vector<double> draw_sessions(const ChurnModel& model, std::size_t count) {
   std::vector<double> samples;
   samples.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    samples.push_back(static_cast<double>(model.session_length(
-        static_cast<std::uint32_t>(i % 512), static_cast<std::uint32_t>(i / 512))));
+    samples.push_back(static_cast<double>(
+        model.session_length(static_cast<std::uint32_t>(i % 512),
+                             static_cast<std::uint32_t>(i / 512), kTopLevel)));
   }
   return samples;
 }
@@ -108,20 +113,22 @@ TEST(ChurnSamplers, DrawsArePureFunctionsOfNodeSessionSeed) {
 
   // Same (node, session, seed) => same value, regardless of call order or
   // model instance; different coordinates decorrelate.
-  const auto a = model.session_length(7, 3);
-  (void)model.session_length(1000, 55);  // interleaved calls must not matter
-  (void)model.gap_length(7, 3, 5 * kHour);
-  EXPECT_EQ(model.session_length(7, 3), a);
-  EXPECT_EQ(twin.session_length(7, 3), a);
-  EXPECT_EQ(twin.gap_length(7, 3, 5 * kHour), model.gap_length(7, 3, 5 * kHour));
-  EXPECT_NE(model.session_length(7, 4), a);
-  EXPECT_NE(model.session_length(8, 3), a);
+  const auto a = model.session_length(7, 3, kTopLevel);
+  (void)model.session_length(1000, 55, kTopLevel);  // interleaved calls must not matter
+  (void)model.gap_length(7, 3, 5 * kHour, kTopLevel);
+  EXPECT_EQ(model.session_length(7, 3, kTopLevel), a);
+  EXPECT_EQ(twin.session_length(7, 3, kTopLevel), a);
+  EXPECT_EQ(twin.gap_length(7, 3, 5 * kHour, kTopLevel),
+            model.gap_length(7, 3, 5 * kHour, kTopLevel));
+  EXPECT_NE(model.session_length(7, 4, kTopLevel), a);
+  EXPECT_NE(model.session_length(8, 3, kTopLevel), a);
 
   const ChurnModel reseeded(spec, 43);
-  EXPECT_NE(reseeded.session_length(7, 3), a);
+  EXPECT_NE(reseeded.session_length(7, 3, kTopLevel), a);
 
   // Session and gap streams are decorrelated even at equal coordinates.
-  EXPECT_NE(model.gap_length(7, 3, 0), model.session_length(7, 3));
+  EXPECT_NE(model.gap_length(7, 3, 0, kTopLevel),
+            model.session_length(7, 3, kTopLevel));
 }
 
 TEST(ChurnSamplers, SameSeedProducesSameTrace) {
@@ -134,9 +141,10 @@ TEST(ChurnSamplers, SameSeedProducesSameTrace) {
   const ChurnModel b(spec, 0x7ace);
   for (std::uint32_t node = 0; node < 64; ++node) {
     for (std::uint32_t session = 0; session < 8; ++session) {
-      ASSERT_EQ(a.session_length(node, session), b.session_length(node, session));
-      ASSERT_EQ(a.gap_length(node, session, node * kMinute),
-                b.gap_length(node, session, node * kMinute));
+      ASSERT_EQ(a.session_length(node, session, kTopLevel),
+                b.session_length(node, session, kTopLevel));
+      ASSERT_EQ(a.gap_length(node, session, node * kMinute, kTopLevel),
+                b.gap_length(node, session, node * kMinute, kTopLevel));
       ASSERT_EQ(a.initially_online(node), b.initially_online(node));
       ASSERT_EQ(a.redraw_address(node, session), b.redraw_address(node, session));
     }
@@ -179,8 +187,9 @@ TEST(ChurnModel, DiurnalModulationShortensGapsAtThePeak) {
   common::RunningStats at_peak;
   common::RunningStats at_trough;
   for (std::uint32_t i = 0; i < 4'000; ++i) {
-    at_peak.add(static_cast<double>(model.gap_length(i, 0, 12 * kHour)));
-    at_trough.add(static_cast<double>(model.gap_length(i, 0, 0)));
+    at_peak.add(
+        static_cast<double>(model.gap_length(i, 0, 12 * kHour, kTopLevel)));
+    at_trough.add(static_cast<double>(model.gap_length(i, 0, 0, kTopLevel)));
   }
   // Rate ratio 1.8 / 0.2 = 9x; the same underlying draws are scaled, so
   // the sample ratio is exact up to integer truncation.

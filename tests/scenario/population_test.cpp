@@ -50,11 +50,13 @@ TEST_F(PopulationTest, ScaleControlsSize) {
 TEST_F(PopulationTest, ArrivalCategoriesScaleWithDuration) {
   const Population short_run = build(0.05, 1 * kDay);
   const Population long_run = build(0.05, 6 * kDay);
-  EXPECT_GT(long_run.count(Category::kOneTime),
-            4 * short_run.count(Category::kOneTime));
+  const auto count = [](const Population& population, Category category) {
+    return std::ranges::count(population.peers(), category, &RemotePeer::category);
+  };
+  EXPECT_GT(count(long_run, Category::kOneTime), 4 * count(short_run, Category::kOneTime));
   // Standing categories do not scale with duration.
-  EXPECT_EQ(long_run.count(Category::kCoreClient),
-            short_run.count(Category::kCoreClient));
+  EXPECT_EQ(count(long_run, Category::kCoreClient),
+            count(short_run, Category::kCoreClient));
 }
 
 TEST_F(PopulationTest, PlannedSizeCountsTheBuildWithoutWrapping) {
@@ -218,7 +220,9 @@ TEST_F(PopulationTest, GoIpfsAgentStringsParse) {
 
 TEST_F(PopulationTest, DhtServerShareNearPaper) {
   const Population population = build(0.3);
-  const double share = static_cast<double>(population.dht_server_count()) /
+  const auto servers =
+      std::ranges::count(population.peers(), true, &RemotePeer::dht_server);
+  const double share = static_cast<double>(servers) /
                        static_cast<double>(population.peers().size());
   // Paper: 18'845 kad supporters of 65'853 PIDs = 28.6 %.
   EXPECT_NEAR(share, 0.286, 0.05);
