@@ -4,8 +4,8 @@
 // binary times the hot paths the simulator lives on and emits the
 // results as machine-readable JSON (`BENCH_core.json`):
 //
-//   lookup       RoutingTable::closest throughput, new bucket-walk
-//                selection vs. the old sort-everything baseline
+//   lookup       RoutingTable::add and ::closest throughput, the
+//                bucket-walk selection vs. the old sort-everything baseline
 //   event_queue  sim::Simulation schedule + drain churn
 //   conditions   net::ConditionModel sampling (zoned one-way latency and
 //                the composite dial gate) — the per-dial/per-send hot path
@@ -46,36 +46,26 @@
 //                vantage's Bitswap swarm trims the content fabric: wall
 //                clock and heap allocations per fetch
 //
+// Each section's output is one json_schema field list beside its numbers
+// struct (DESIGN.md §8).  That list writes the section into the JSON, prints
+// it as the section's one-line summary, and reads a committed baseline
+// strictly: a missing or unknown field fails with its path.
+//
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
 //   --out             output path, default ./BENCH_core.json; naming the
 //                     --check-baseline file exits 2 before anything runs
-//   --check-baseline  compare event_queue.speedup_vs_heap, measured at the
-//                     committed event count, against a committed
-//                     BENCH_core.json; exit 1 when it falls more than 25%
-//                     (the scheduler guardrail — see DESIGN.md §12), when this
-//                     run's conn_trim idle tick costs more than 1% of its
-//                     trimming tick (the table snapshot came back — see
-//                     DESIGN.md §7), when this run's dataset copy costs
-//                     more than 1% of its export (copies stopped sharing
-//                     storage — DESIGN.md §4), when the dataset allocates
-//                     to record an already-interned protocol (DESIGN.md
-//                     §4), when an unchanged peerstore re-identify
-//                     allocates (DESIGN.md §7), when re-identifying by
-//                     slot with a pre-interned list gains more than 25%
-//                     less over the by-name path than committed (DESIGN.md
-//                     §7), when a built population
-//                     holds more than 160 heap bytes per peer (DESIGN.md
-//                     §7), when a content campaign allocates more than
-//                     10% more per fetch than committed (DESIGN.md §11),
-//                     or when the baseline lacks a section the suite emits
+//   --check-baseline  read a committed BENCH_core.json before any section
+//                     runs (exit 1 when it does not match the schema), then
+//                     check this run against the guards of kGuards below
+//                     (exit 1 when one fails)
+// Each flag may be given once.
 // The campaign sections run P4 at scale 0.05 (0.005 with --smoke) on seed
 // 20211203 (see bench/README.md).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -88,10 +78,13 @@
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/json_schema.hpp"
 #include "common/rng.hpp"
 #include "dht/routing_table.hpp"
 #include "measure/dataset.hpp"
@@ -143,6 +136,9 @@ ipfs::scenario::CampaignEngine make_engine(ipfs::scenario::CampaignConfig config
   return std::move(*engine);
 }
 
+using namespace ipfs::common::json_schema;
+using ipfs::common::JsonValue;
+using ipfs::common::JsonWriter;
 using ipfs::common::Rng;
 using ipfs::dht::closer_to;
 using ipfs::dht::RoutingTable;
@@ -158,8 +154,19 @@ double elapsed_ms(const std::chrono::steady_clock::time_point start) {
 struct LookupNumbers {
   std::size_t table_size = 0;
   std::size_t queries = 0;
+  double add_ns = 0.0;       ///< per RoutingTable::add while filling the table
   double closest_ns = 0.0;   ///< per query, bucket-walk selection
   double baseline_ns = 0.0;  ///< per query, all_peers() + full sort
+  double speedup = 0.0;      ///< baseline_ns / closest_ns
+};
+
+constexpr Field<LookupNumbers> kLookupFields[] = {
+    {"table_size", &LookupNumbers::table_size, kRequired},
+    {"queries", &LookupNumbers::queries, kRequired},
+    {"add_ns_per_insert", &LookupNumbers::add_ns, kRequired},
+    {"closest_ns_per_query", &LookupNumbers::closest_ns, kRequired},
+    {"sort_baseline_ns_per_query", &LookupNumbers::baseline_ns, kRequired},
+    {"speedup", &LookupNumbers::speedup, kRequired},
 };
 
 /// The pre-optimization implementation, kept callable as the baseline.
@@ -178,18 +185,23 @@ LookupNumbers bench_lookup(bool smoke) {
   const PeerId self = PeerId::random(rng);
   RoutingTable table(self);
   // Random identities fill the shallow buckets; near-self identities fill
-  // the deep ones — together a realistically shaped table.
-  const int inserts = smoke ? 5'000 : 200'000;
-  for (int i = 0; i < inserts; ++i) {
-    const PeerId peer =
+  // the deep ones — together a realistically shaped table.  They are drawn
+  // before the timed inserts, most of which find their bucket full.
+  const std::size_t inserts = smoke ? 5'000 : 200'000;
+  std::vector<PeerId> identities;
+  identities.reserve(inserts);
+  for (std::size_t i = 0; i < inserts; ++i) {
+    identities.push_back(
         rng.bernoulli(0.2)
             ? PeerId::with_prefix(self.prefix64(),
                                   1 + static_cast<unsigned>(rng.uniform_u64(40)), rng)
-            : PeerId::random(rng);
-    table.add(peer, 0);
+            : PeerId::random(rng));
   }
 
   LookupNumbers numbers;
+  auto start = std::chrono::steady_clock::now();
+  for (const PeerId& peer : identities) table.add(peer, 0);
+  numbers.add_ns = elapsed_ms(start) * 1e6 / static_cast<double>(inserts);
   numbers.table_size = table.size();
   numbers.queries = smoke ? 200 : 20'000;
   std::vector<PeerId> targets;
@@ -199,7 +211,7 @@ LookupNumbers bench_lookup(bool smoke) {
   }
 
   std::size_t checksum = 0;
-  auto start = std::chrono::steady_clock::now();
+  start = std::chrono::steady_clock::now();
   for (const PeerId& target : targets) {
     checksum += table.closest(target, RoutingTable::kBucketSize).size();
   }
@@ -212,6 +224,7 @@ LookupNumbers bench_lookup(bool smoke) {
         sort_everything_closest(table, target, RoutingTable::kBucketSize).size();
   }
   numbers.baseline_ns = elapsed_ms(start) * 1e6 / static_cast<double>(numbers.queries);
+  numbers.speedup = numbers.baseline_ns / numbers.closest_ns;
 
   if (checksum != baseline_checksum) {
     std::cerr << "lookup checksum mismatch: " << checksum << " vs "
@@ -226,9 +239,19 @@ LookupNumbers bench_lookup(bool smoke) {
 struct EventQueueNumbers {
   std::size_t events = 0;
   double ns_per_event = 0.0;       ///< bulk load: schedule all, then drain
+  double events_per_sec = 0.0;     ///< 1e9 / ns_per_event
   double hold_ns_per_event = 0.0;  ///< steady state: each event reschedules
   double heap_ns_per_event = 0.0;  ///< ReferenceHeapSimulation, bulk workload
   double speedup_vs_heap = 0.0;
+};
+
+constexpr Field<EventQueueNumbers> kEventQueueFields[] = {
+    {"events", &EventQueueNumbers::events, kRequired},
+    {"ns_per_event", &EventQueueNumbers::ns_per_event, kRequired},
+    {"events_per_sec", &EventQueueNumbers::events_per_sec, kRequired},
+    {"hold_ns_per_event", &EventQueueNumbers::hold_ns_per_event, kRequired},
+    {"heap_baseline_ns_per_event", &EventQueueNumbers::heap_ns_per_event, kRequired},
+    {"speedup_vs_heap", &EventQueueNumbers::speedup_vs_heap, kRequired},
 };
 
 /// Bulk shape: schedule `events` one-shot events at uniform times, then drain.
@@ -295,6 +318,7 @@ EventQueueNumbers bench_event_queue(std::size_t events) {
   EventQueueNumbers numbers;
   numbers.events = events;
   numbers.ns_per_event = bulk_workload_ns<ipfs::sim::Simulation>(numbers.events);
+  numbers.events_per_sec = 1e9 / numbers.ns_per_event;
   numbers.hold_ns_per_event = hold_workload_ns(numbers.events);
   // Same workload, same process, same host: the retained binary-heap engine
   // (the oracle of tests/sim/scheduler_oracle_test.cpp) as the baseline.
@@ -310,6 +334,12 @@ struct ConditionNumbers {
   std::size_t samples = 0;
   double one_way_ns = 0.0;  ///< per sample, zoned latency (zone lookup + jitter)
   double gate_ns = 0.0;     ///< per sample, composite dial_allowed verdict
+};
+
+constexpr Field<ConditionNumbers> kConditionFields[] = {
+    {"samples", &ConditionNumbers::samples, kRequired},
+    {"one_way_ns_per_sample", &ConditionNumbers::one_way_ns, kRequired},
+    {"dial_gate_ns_per_sample", &ConditionNumbers::gate_ns, kRequired},
 };
 
 ConditionNumbers bench_conditions(bool smoke) {
@@ -387,6 +417,12 @@ struct ChurnModelNumbers {
   double gap_ns = 0.0;      ///< per draw, lognormal gap with diurnal modulation
 };
 
+constexpr Field<ChurnModelNumbers> kChurnModelFields[] = {
+    {"samples", &ChurnModelNumbers::samples, kRequired},
+    {"session_ns_per_draw", &ChurnModelNumbers::session_ns, kRequired},
+    {"gap_ns_per_draw", &ChurnModelNumbers::gap_ns, kRequired},
+};
+
 ChurnModelNumbers bench_churn_model(bool smoke) {
   // A representative churned-campaign spec: heavy-tailed Weibull sessions,
   // lognormal gaps, a category override and diurnal modulation — every
@@ -446,6 +482,12 @@ struct ContentModelNumbers {
   double fetch_ns = 0.0;    ///< per draw, fetch gap + skewed key + serve gate
 };
 
+constexpr Field<ContentModelNumbers> kContentModelFields[] = {
+    {"samples", &ContentModelNumbers::samples, kRequired},
+    {"publish_chain_ns_per_draw", &ContentModelNumbers::publish_ns, kRequired},
+    {"fetch_chain_ns_per_draw", &ContentModelNumbers::fetch_ns, kRequired},
+};
+
 ContentModelNumbers bench_content_model(bool smoke) {
   // A representative content-campaign spec: category overrides on both
   // rates so the per-draw override lookup is live, default keyspace.
@@ -499,12 +541,38 @@ ContentModelNumbers bench_content_model(bool smoke) {
 
 // ---- campaign: sequential loop vs. ParallelTrialRunner ----------------------
 
+/// The `speedup` of a section that writes a `note` in its place on a
+/// single-core host: written only without a note, and optional when read,
+/// as the note is.
+template <class T>
+constexpr Custom<T> kSpeedupUnlessNoted{
+    [](const JsonValue& value, const std::string& path, T& out) {
+      return read(value, path, out.speedup);
+    },
+    [](JsonWriter& writer, std::string_view key, const T& in) {
+      if (in.note.empty()) writer.field(key, in.speedup);
+    }};
+
 struct CampaignNumbers {
   std::size_t trials = 0;
   double scale = 0.0;
   unsigned workers = 0;
+  unsigned hardware_concurrency = 0;
   double sequential_ms = 0.0;
   double parallel_ms = 0.0;
+  double speedup = 0.0;  ///< sequential_ms / parallel_ms, unless noted
+  std::string note;
+};
+
+constexpr Field<CampaignNumbers> kCampaignFields[] = {
+    {"trials", &CampaignNumbers::trials, kRequired},
+    {"scale", &CampaignNumbers::scale, kRequired},
+    {"workers", &CampaignNumbers::workers, kRequired},
+    {"hardware_concurrency", &CampaignNumbers::hardware_concurrency, kRequired},
+    {"sequential_ms", &CampaignNumbers::sequential_ms, kRequired},
+    {"parallel_ms", &CampaignNumbers::parallel_ms, kRequired},
+    {"speedup", kSpeedupUnlessNoted<CampaignNumbers>},
+    {"note", optional_string<&CampaignNumbers::note>()},
 };
 
 CampaignNumbers bench_campaign(bool smoke) {
@@ -544,6 +612,18 @@ CampaignNumbers bench_campaign(bool smoke) {
     std::cerr << "parallel sweep failed: " << outcome.error() << "\n";
     std::exit(1);
   }
+  // On a single-core host a "speedup" number is noise about stream
+  // buffering, not parallelism — keep the explanation, drop the figure.
+  numbers.hardware_concurrency = std::thread::hardware_concurrency();
+  if (numbers.hardware_concurrency > 1) {
+    numbers.speedup = numbers.sequential_ms / numbers.parallel_ms;
+  } else {
+    numbers.note =
+        "single-core host (see hardware_concurrency): the parallel "
+        "path degenerates to the sequential loop plus per-trial "
+        "stream buffering, so a speedup figure would only measure "
+        "buffering overhead and is omitted";
+  }
   return numbers;
 }
 
@@ -553,8 +633,24 @@ struct ShardedCampaignNumbers {
   double scale = 0.0;
   unsigned shards = 0;
   unsigned workers = 0;
+  unsigned hardware_concurrency = 0;
   double sequential_ms = 0.0;
   double sharded_ms = 0.0;
+  bool bytes_identical = false;
+  double speedup = 0.0;  ///< sequential_ms / sharded_ms, unless noted
+  std::string note;
+};
+
+constexpr Field<ShardedCampaignNumbers> kShardedCampaignFields[] = {
+    {"scale", &ShardedCampaignNumbers::scale, kRequired},
+    {"shards", &ShardedCampaignNumbers::shards, kRequired},
+    {"workers", &ShardedCampaignNumbers::workers, kRequired},
+    {"hardware_concurrency", &ShardedCampaignNumbers::hardware_concurrency, kRequired},
+    {"sequential_ms", &ShardedCampaignNumbers::sequential_ms, kRequired},
+    {"sharded_ms", &ShardedCampaignNumbers::sharded_ms, kRequired},
+    {"bytes_identical", &ShardedCampaignNumbers::bytes_identical, kRequired},
+    {"speedup", kSpeedupUnlessNoted<ShardedCampaignNumbers>},
+    {"note", optional_string<&ShardedCampaignNumbers::note>()},
 };
 
 ShardedCampaignNumbers bench_sharded_campaign(bool smoke) {
@@ -605,6 +701,20 @@ ShardedCampaignNumbers bench_sharded_campaign(bool smoke) {
                  "sequential oracle — determinism regression\n";
     std::exit(1);
   }
+  numbers.bytes_identical = true;
+  // Same single-core policy as the campaign section: without a second
+  // core the fan-outs serialize onto the caller and a speedup figure
+  // would only measure pool overhead.
+  numbers.hardware_concurrency = std::thread::hardware_concurrency();
+  if (numbers.hardware_concurrency > 1) {
+    numbers.speedup = numbers.sequential_ms / numbers.sharded_ms;
+  } else {
+    numbers.note =
+        "single-core host (see hardware_concurrency): shard "
+        "fan-outs serialize onto the calling thread, so a speedup "
+        "figure would only measure fork-join overhead and is "
+        "omitted";
+  }
   return numbers;
 }
 
@@ -615,6 +725,15 @@ struct PhaseProgramNumbers {
   double rates_ns = 0.0;   ///< per rates_at lookup, 4-phase mixed program
   double plain_ms = 0.0;   ///< churn+content campaign, no phases
   double phased_ms = 0.0;  ///< same campaign with a modulating program
+  double overhead = 0.0;   ///< phased_ms / plain_ms
+};
+
+constexpr Field<PhaseProgramNumbers> kPhaseProgramFields[] = {
+    {"samples", &PhaseProgramNumbers::samples, kRequired},
+    {"rates_ns_per_lookup", &PhaseProgramNumbers::rates_ns, kRequired},
+    {"plain_campaign_ms", &PhaseProgramNumbers::plain_ms, kRequired},
+    {"phased_campaign_ms", &PhaseProgramNumbers::phased_ms, kRequired},
+    {"overhead", &PhaseProgramNumbers::overhead, kRequired},
 };
 
 PhaseProgramNumbers bench_phase_program(bool smoke) {
@@ -689,6 +808,7 @@ PhaseProgramNumbers bench_phase_program(bool smoke) {
   start = std::chrono::steady_clock::now();
   make_engine(config).run(devnull);
   numbers.phased_ms = elapsed_ms(start);
+  numbers.overhead = numbers.phased_ms / numbers.plain_ms;
   return numbers;
 }
 
@@ -704,6 +824,20 @@ struct ConnTrimNumbers {
   std::size_t trim_reps = 0;
   std::size_t trimmed_per_tick = 0;
   double trim_tick_ns = 0.0;   ///< per trim_now call that trims to low water
+  double idle_share = 0.0;     ///< idle_tick_ns / trim_tick_ns
+};
+
+constexpr Field<ConnTrimNumbers> kConnTrimFields[] = {
+    {"low_water", &ConnTrimNumbers::low_water, kRequired},
+    {"high_water", &ConnTrimNumbers::high_water, kRequired},
+    {"idle_open", &ConnTrimNumbers::idle_open, kRequired},
+    {"idle_ticks", &ConnTrimNumbers::idle_ticks, kRequired},
+    {"idle_tick_ns", &ConnTrimNumbers::idle_tick_ns, kRequired},
+    {"trim_open", &ConnTrimNumbers::trim_open, kRequired},
+    {"trim_reps", &ConnTrimNumbers::trim_reps, kRequired},
+    {"trimmed_per_tick", &ConnTrimNumbers::trimmed_per_tick, kRequired},
+    {"trim_tick_ns", &ConnTrimNumbers::trim_tick_ns, kRequired},
+    {"idle_share", &ConnTrimNumbers::idle_share, kRequired},
 };
 
 /// A go-ipfs vantage swarm at the given watermarks holding `open`
@@ -780,6 +914,7 @@ ConnTrimNumbers bench_conn_trim(bool smoke) {
     }
   }
   numbers.trim_tick_ns = trim_ms * 1e6 / static_cast<double>(numbers.trim_reps);
+  numbers.idle_share = numbers.idle_tick_ns / numbers.trim_tick_ns;
   return numbers;
 }
 
@@ -794,8 +929,23 @@ struct DatasetExportNumbers {
   double mb_per_s = 0.0;
   std::size_t copy_reps = 0;
   double copy_ns = 0.0;  ///< per copy plus destruction of that copy
+  double copy_share = 0.0;             ///< copy_ns / export_ns
   double bytes_per_peer = 0.0;         ///< live heap the built dataset holds
   double known_protocol_allocs = 0.0;  ///< per add_protocol_event of a known name
+};
+
+constexpr Field<DatasetExportNumbers> kDatasetExportFields[] = {
+    {"peers", &DatasetExportNumbers::peers, kRequired},
+    {"connections", &DatasetExportNumbers::connections, kRequired},
+    {"bytes", &DatasetExportNumbers::bytes, kRequired},
+    {"export_reps", &DatasetExportNumbers::export_reps, kRequired},
+    {"export_ns", &DatasetExportNumbers::export_ns, kRequired},
+    {"mb_per_s", &DatasetExportNumbers::mb_per_s, kRequired},
+    {"copy_reps", &DatasetExportNumbers::copy_reps, kRequired},
+    {"copy_ns", &DatasetExportNumbers::copy_ns, kRequired},
+    {"copy_share", &DatasetExportNumbers::copy_share, kRequired},
+    {"bytes_per_peer", &DatasetExportNumbers::bytes_per_peer, kRequired},
+    {"known_protocol_allocs", &DatasetExportNumbers::known_protocol_allocs, kRequired},
 };
 
 /// Bytes the allocator has handed out and not taken back: small blocks from
@@ -929,6 +1079,7 @@ DatasetExportNumbers bench_dataset_export(bool smoke) {
   }
   numbers.copy_ns =
       elapsed_ms(start) * 1e6 / static_cast<double>(numbers.copy_reps);
+  numbers.copy_share = numbers.copy_ns / numbers.export_ns;
   if (seen != numbers.copy_reps * numbers.peers) {
     std::cerr << "dataset_export: a copy lost peers\n";
     std::exit(1);
@@ -949,6 +1100,19 @@ struct PeerstoreNumbers {
   double identify_list_ns = 0.0;   ///< identify_ns, by slot with an interned list
   double reidentify_list_ns = 0.0;  ///< reidentify_ns, by slot with an interned list
   double list_speedup = 0.0;       ///< reidentify_ns / reidentify_list_ns
+};
+
+constexpr Field<PeerstoreNumbers> kPeerstoreFields[] = {
+    {"peers", &PeerstoreNumbers::peers, kRequired},
+    {"protocols_per_identify", &PeerstoreNumbers::protocols_per_identify, kRequired},
+    {"connect_ns", &PeerstoreNumbers::connect_ns, kRequired},
+    {"identify_ns", &PeerstoreNumbers::identify_ns, kRequired},
+    {"reidentify_ns", &PeerstoreNumbers::reidentify_ns, kRequired},
+    {"reconnect_ns", &PeerstoreNumbers::reconnect_ns, kRequired},
+    {"reidentify_allocs", &PeerstoreNumbers::reidentify_allocs, kRequired},
+    {"identify_list_ns", &PeerstoreNumbers::identify_list_ns, kRequired},
+    {"reidentify_list_ns", &PeerstoreNumbers::reidentify_list_ns, kRequired},
+    {"list_speedup", &PeerstoreNumbers::list_speedup, kRequired},
 };
 
 PeerstoreNumbers bench_peerstore(bool smoke) {
@@ -1071,9 +1235,14 @@ struct PopulationNumbers {
   std::size_t distinct_protocol_sets = 0;
 };
 
-/// The population check_baseline bounds: at most this many heap bytes per
-/// peer.  A record is ~120 bytes; per-peer strings would cost ~1 KB.
-constexpr double kPopulationBytesPerPeer = 160.0;
+constexpr Field<PopulationNumbers> kPopulationFields[] = {
+    {"peers", &PopulationNumbers::peers, kRequired},
+    {"builds", &PopulationNumbers::builds, kRequired},
+    {"build_ns_per_peer", &PopulationNumbers::build_ns_per_peer, kRequired},
+    {"bytes_per_peer", &PopulationNumbers::bytes_per_peer, kRequired},
+    {"distinct_agents", &PopulationNumbers::distinct_agents, kRequired},
+    {"distinct_protocol_sets", &PopulationNumbers::distinct_protocol_sets, kRequired},
+};
 
 PopulationNumbers bench_population(bool smoke) {
   // Full size in smoke mode too: the per-peer bound amortises the tables
@@ -1109,9 +1278,13 @@ struct ContentFabricNumbers {
   double allocs_per_fetch = 0.0;  ///< heap allocations of one run per fetch
 };
 
-/// The content_fabric check_baseline bound: at most this factor above the
-/// committed allocs_per_fetch.
-constexpr double kFabricAllocGrowth = 1.10;
+constexpr Field<ContentFabricNumbers> kContentFabricFields[] = {
+    {"scale", &ContentFabricNumbers::scale, kRequired},
+    {"runs", &ContentFabricNumbers::runs, kRequired},
+    {"fetches", &ContentFabricNumbers::fetches, kRequired},
+    {"ns_per_fetch", &ContentFabricNumbers::ns_per_fetch, kRequired},
+    {"allocs_per_fetch", &ContentFabricNumbers::allocs_per_fetch, kRequired},
+};
 
 /// content-baseline at scale 0.05, where the server vantage's Bitswap swarm
 /// passes its 900-connection HighWater, so dials, wants, blocks, trims and
@@ -1152,229 +1325,193 @@ ContentFabricNumbers bench_content_fabric(bool smoke) {
   return numbers;
 }
 
+// ---- the document ------------------------------------------------------------
+
+/// One run of the suite, as BENCH_core.json holds it.
+struct Suite {
+  std::string suite = "core";
+  bool smoke = false;
+  LookupNumbers lookup;
+  EventQueueNumbers event_queue;
+  ConditionNumbers conditions;
+  ChurnModelNumbers churn_model;
+  ContentModelNumbers content_model;
+  CampaignNumbers campaign;
+  ShardedCampaignNumbers sharded_campaign;
+  PhaseProgramNumbers phase_program;
+  ConnTrimNumbers conn_trim;
+  DatasetExportNumbers dataset_export;
+  PeerstoreNumbers peerstore;
+  PopulationNumbers population;
+  ContentFabricNumbers content_fabric;
+};
+
+constexpr Field<Suite> kSuiteFields[] = {
+    {"suite", &Suite::suite, kRequired},
+    {"smoke", &Suite::smoke, kRequired},
+    {"lookup", sub_object<&Suite::lookup, kLookupFields>(), kRequired},
+    {"event_queue", sub_object<&Suite::event_queue, kEventQueueFields>(), kRequired},
+    {"conditions", sub_object<&Suite::conditions, kConditionFields>(), kRequired},
+    {"churn_model", sub_object<&Suite::churn_model, kChurnModelFields>(), kRequired},
+    {"content_model", sub_object<&Suite::content_model, kContentModelFields>(),
+     kRequired},
+    {"campaign", sub_object<&Suite::campaign, kCampaignFields>(), kRequired},
+    {"sharded_campaign",
+     sub_object<&Suite::sharded_campaign, kShardedCampaignFields>(), kRequired},
+    {"phase_program", sub_object<&Suite::phase_program, kPhaseProgramFields>(),
+     kRequired},
+    {"conn_trim", sub_object<&Suite::conn_trim, kConnTrimFields>(), kRequired},
+    {"dataset_export", sub_object<&Suite::dataset_export, kDatasetExportFields>(),
+     kRequired},
+    {"peerstore", sub_object<&Suite::peerstore, kPeerstoreFields>(), kRequired},
+    {"population", sub_object<&Suite::population, kPopulationFields>(), kRequired},
+    {"content_fabric", sub_object<&Suite::content_fabric, kContentFabricFields>(),
+     kRequired},
+};
+
+/// Runs the sections, each into its member of `suite`, and prints each
+/// one's fields as one line of JSON.
+struct SectionRunner {
+  Suite& suite;
+  bool smoke = false;
+  std::size_t done = 0;
+
+  template <auto kMember, const auto& kFields>
+  void run(std::string_view heading, const auto& bench) {
+    // The document's first two fields are "suite" and "smoke".
+    std::cout << "[" << ++done << "/" << std::size(kSuiteFields) - 2 << "] "
+              << heading << " ...\n";
+    suite.*kMember = bench(smoke);
+    std::cout << "      ";
+    JsonWriter line(std::cout);
+    write_schema<kFields>(line, suite.*kMember);
+    std::cout << "\n";
+  }
+};
+
 // ---- baseline guardrail -----------------------------------------------------
 
-/// The committed baseline, or nullopt after printing why it is unusable.
-std::optional<ipfs::common::JsonValue> read_baseline(const std::string& baseline_path) {
-  std::ifstream in(baseline_path);
+/// How a guard's limit follows from its bound.
+enum class Limit {
+  kAtLeastCommittedOver,  ///< this run's value >= committed / bound
+  kAtMostCommittedTimes,  ///< this run's value <= committed * bound
+  kAtMost,                ///< this run's value <= bound
+};
+
+/// One check of this run against the committed baseline.
+struct Guard {
+  std::string_view label;  ///< the section.field it reads
+  double (*field)(const Suite&);
+  Limit kind;
+  double bound;
+  std::string_view reason;  ///< what a failure means, and where DESIGN.md says so
+};
+
+/// What `--check-baseline` checks.  The ratio guards divide two paths
+/// timed in this process on this host, so they hold where absolute times
+/// swing with the host's load; the allocation counts and heap bytes do not
+/// depend on the host at all.  The event-queue ratio is measured at the
+/// committed event count, because the ladder queue's lead over the heap
+/// grows with the queue's depth.
+constexpr Guard kGuards[] = {
+    {"event_queue.speedup_vs_heap",
+     [](const Suite& run) { return run.event_queue.speedup_vs_heap; },
+     Limit::kAtLeastCommittedOver, 1.25,
+     "event_queue's speedup over the binary heap fell more than 25% below the "
+     "committed one (DESIGN.md §12); if the change is intentional, regenerate "
+     "BENCH_core.json (bench/README.md)"},
+    {"conn_trim.idle_share", [](const Suite& run) { return run.conn_trim.idle_share; },
+     Limit::kAtMost, 0.01,
+     "a conn_trim idle tick costs more than 1% of a trimming tick; "
+     "Swarm::trim_now must return before snapshotting the table at or below "
+     "high water (DESIGN.md §7)"},
+    {"dataset_export.copy_share",
+     [](const Suite& run) { return run.dataset_export.copy_share; }, Limit::kAtMost,
+     0.01,
+     "a dataset copy costs more than 1% of its export; copies of a "
+     "measure::Dataset must share its storage (DESIGN.md §4)"},
+    {"dataset_export.known_protocol_allocs",
+     [](const Suite& run) { return run.dataset_export.known_protocol_allocs; },
+     Limit::kAtMost, 0.0,
+     "Dataset::add_protocol_event allocates with a name the dataset already "
+     "interned; a known name must be looked up by string_view and stored as "
+     "an id (DESIGN.md §4)"},
+    {"peerstore.reidentify_allocs",
+     [](const Suite& run) { return run.peerstore.reidentify_allocs; },
+     Limit::kAtMost, 0.0,
+     "an unchanged peerstore set_agent + set_protocols allocates; an unchanged "
+     "identify must compare interned ids without allocating (DESIGN.md §7)"},
+    {"peerstore.list_speedup", [](const Suite& run) { return run.peerstore.list_speedup; },
+     Limit::kAtLeastCommittedOver, 1.25,
+     "re-identifying by slot with a pre-interned protocol list gains more "
+     "than 25% less over the by-name path than committed; the slot path must "
+     "skip the PeerId lookup and the name interning (DESIGN.md §7)"},
+    // A record is ~120 bytes; per-peer strings would cost ~1 KB.
+    {"population.bytes_per_peer",
+     [](const Suite& run) { return run.population.bytes_per_peer; }, Limit::kAtMost,
+     160.0,
+     "a built population holds too many heap bytes per peer; a RemotePeer "
+     "must stay a fixed-size record whose agent and protocol set are ids into "
+     "the population's tables (DESIGN.md §7)"},
+    {"content_fabric.allocs_per_fetch",
+     [](const Suite& run) { return run.content_fabric.allocs_per_fetch; },
+     Limit::kAtMostCommittedTimes, 1.10,
+     "a content campaign allocates more than 10% more per fetch than "
+     "committed; a fetching remote is a bare Bitswap endpoint on the content "
+     "fabric, with no swarm, peerstore or conn manager (DESIGN.md §11); if the "
+     "change is intentional, regenerate BENCH_core.json (bench/README.md)"},
+};
+
+/// The committed baseline, read by the document's own schema, or nullopt
+/// after printing why it is unusable.
+std::optional<Suite> read_baseline(const std::string& path) {
+  std::ifstream in(path);
   if (!in) {
-    std::cerr << "check-baseline: cannot open " << baseline_path << "\n";
+    std::cerr << "check-baseline: cannot open " << path << "\n";
     return std::nullopt;
   }
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  auto parsed = ipfs::common::JsonValue::parse(text);
+  auto parsed = JsonValue::parse(text);
   if (!parsed.has_value()) {
-    std::cerr << "check-baseline: " << baseline_path << ": " << parsed.error()
-              << "\n";
+    std::cerr << "check-baseline: " << path << ": " << parsed.error() << "\n";
     return std::nullopt;
   }
-  return std::move(*parsed);
-}
-
-/// The baseline's event_queue.events, or nullopt after printing why not.
-std::optional<std::size_t> baseline_event_count(const std::string& baseline_path,
-                                                const ipfs::common::JsonValue& baseline) {
-  const ipfs::common::JsonValue* section = baseline.find("event_queue");
-  const ipfs::common::JsonValue* events =
-      section != nullptr ? section->find("events") : nullptr;
-  const auto count = events != nullptr ? events->as_uint64() : std::nullopt;
-  if (!count || *count == 0) {
-    std::cerr << "check-baseline: " << baseline_path
+  Suite baseline;
+  if (auto error = read_document<Suite>(*parsed, "document", kSuiteFields, baseline)) {
+    std::cerr << "check-baseline: " << path << ": " << *error
+              << "; regenerate BENCH_core.json (bench/README.md)\n";
+    return std::nullopt;
+  }
+  if (baseline.event_queue.events == 0) {
+    std::cerr << "check-baseline: " << path
               << " has no positive event_queue.events\n";
     return std::nullopt;
   }
-  return static_cast<std::size_t>(*count);
+  return baseline;
 }
 
-/// Compares a fresh event_queue measurement against the committed
-/// BENCH_core.json and checks this run's conn_trim and dataset_export
-/// ratios, its dataset and peerstore allocation counts and its population's
-/// heap per peer.  Returns false (after printing why) when the scheduler's
-/// speedup over the binary heap fell more than 25% — the CI guardrail for
-/// the ladder-queue engine —
-/// when an idle trim tick costs more than 1% of a trimming one, when a
-/// dataset copy costs more than 1% of an export, when recording a known
-/// protocol or an unchanged re-identify allocates, when re-identifying
-/// by slot with a pre-interned list gains more than 25% less over the
-/// by-name path than committed, when a population holds more than 160
-/// bytes per peer, or when a content campaign allocates more than 10% more
-/// per fetch than the committed run.
-/// The ratio checks compare two figures of the same run, and the
-/// allocation counts and heap bytes do not depend on the host; they fail
-/// if trim_now snapshots the table before its high-water check, if copying
-/// a Dataset duplicates its storage, if the Dataset stores a string per
-/// protocol event again, if Peerstore::set_protocols builds a set per
-/// identify, if the slot path looks peers or names up again, if a
-/// RemotePeer owns strings again, or if a fetching remote
-/// builds per-peer machinery on the content fabric again.
-bool check_baseline(const std::string& baseline_path,
-                    const ipfs::common::JsonValue& baseline,
-                    const EventQueueNumbers& fresh, const ConnTrimNumbers& trim,
-                    const DatasetExportNumbers& dataset,
-                    const PeerstoreNumbers& peerstore,
-                    const PopulationNumbers& population,
-                    const ContentFabricNumbers& fabric) {
-  const ipfs::common::JsonValue* section = baseline.find("event_queue");
-  const ipfs::common::JsonValue* speedup =
-      section != nullptr ? section->find("speedup_vs_heap") : nullptr;
-  if (speedup == nullptr || !speedup->is_number()) {
-    std::cerr << "check-baseline: " << baseline_path
-              << " has no event_queue.speedup_vs_heap\n";
-    return false;
-  }
-  // Field-coverage guard: a committed baseline must carry every section
-  // the suite emits, or a regeneration quietly dropped one.
-  struct RequiredSection {
-    const char* name;
-    std::vector<const char*> fields;
-  };
-  const RequiredSection required_sections[] = {
-      {"sharded_campaign", {"sharded_ms", "sequential_ms", "shards"}},
-      {"phase_program",
-       {"rates_ns_per_lookup", "plain_campaign_ms", "phased_campaign_ms"}},
-      {"conn_trim", {"idle_tick_ns", "trim_tick_ns"}},
-      {"dataset_export",
-       {"export_ns", "copy_ns", "bytes_per_peer", "known_protocol_allocs"}},
-      {"peerstore",
-       {"connect_ns", "identify_ns", "reidentify_ns", "reconnect_ns",
-        "reidentify_allocs", "identify_list_ns", "reidentify_list_ns",
-        "list_speedup"}},
-      {"population",
-       {"bytes_per_peer", "build_ns_per_peer", "distinct_agents",
-        "distinct_protocol_sets"}},
-      {"content_fabric", {"fetches", "ns_per_fetch", "allocs_per_fetch"}},
-  };
-  for (const RequiredSection& required : required_sections) {
-    const ipfs::common::JsonValue* found = baseline.find(required.name);
-    const bool complete =
-        found != nullptr &&
-        std::ranges::all_of(required.fields, [found](const char* field) {
-          return found->find(field) != nullptr;
-        });
-    if (!complete) {
-      std::cerr << "check-baseline: " << baseline_path << " predates the "
-                << required.name << " section — regenerate "
-                << "BENCH_core.json (bench/README.md)\n";
-      return false;
-    }
-  }
-
+/// Prints every guard's value and limit; false after printing why each
+/// failed guard failed.
+bool check_baseline(const Suite& run, const Suite& committed) {
+  std::cout << "\n";
   bool ok = true;
-  // Both engines run in this process on this host, so their ratio holds
-  // where absolute ns/event swing with the host's load.
-  const double committed = speedup->as_double();
-  constexpr double kTolerance = 1.25;
-  std::cout << "\ncheck-baseline: event_queue " << fresh.speedup_vs_heap
-            << "x the binary heap at " << fresh.events << " events vs committed "
-            << committed << "x (limit " << committed / kTolerance << "x)\n";
-  if (fresh.speedup_vs_heap < committed / kTolerance) {
-    std::cerr << "check-baseline: FAIL — event_queue's speedup over the binary "
-              << "heap fell more than 25% (got " << fresh.speedup_vs_heap
-              << "x, committed " << committed << "x); if the change is "
-              << "intentional, regenerate BENCH_core.json (bench/README.md)\n";
-    ok = false;
-  }
-
-  constexpr double kIdleShare = 0.01;
-  std::cout << "check-baseline: conn_trim idle tick " << trim.idle_tick_ns
-            << " ns vs trimming tick " << trim.trim_tick_ns << " ns (limit "
-            << trim.trim_tick_ns * kIdleShare << ")\n";
-  if (trim.idle_tick_ns > trim.trim_tick_ns * kIdleShare) {
-    std::cerr << "check-baseline: FAIL — conn_trim idle tick costs more than 1% "
-              << "of a trimming tick (got " << trim.idle_tick_ns << " vs "
-              << trim.trim_tick_ns << " ns); Swarm::trim_now must return "
-              << "before snapshotting the table at or below high water "
-              << "(DESIGN.md §7)\n";
-    ok = false;
-  }
-
-  constexpr double kCopyShare = 0.01;
-  std::cout << "check-baseline: dataset copy " << dataset.copy_ns
-            << " ns vs export " << dataset.export_ns << " ns (limit "
-            << dataset.export_ns * kCopyShare << ")\n";
-  if (dataset.copy_ns > dataset.export_ns * kCopyShare) {
-    std::cerr << "check-baseline: FAIL — a dataset copy costs more than 1% of "
-              << "its export (got " << dataset.copy_ns << " vs "
-              << dataset.export_ns << " ns); copies of a measure::Dataset "
-              << "must share its storage (DESIGN.md §4)\n";
-    ok = false;
-  }
-
-  std::cout << "check-baseline: dataset records a known protocol with "
-            << dataset.known_protocol_allocs << " allocations per call (limit 0)\n";
-  if (dataset.known_protocol_allocs > 0) {
-    std::cerr << "check-baseline: FAIL — Dataset::add_protocol_event allocates ("
-              << dataset.known_protocol_allocs << " heap allocations per call "
-              << "with a name the dataset already interned); a known name must "
-              << "be looked up by string_view and stored as an id (DESIGN.md "
-              << "§4)\n";
-    ok = false;
-  }
-
-  std::cout << "check-baseline: peerstore re-identify allocates "
-            << peerstore.reidentify_allocs << " times per call (limit 0)\n";
-  if (peerstore.reidentify_allocs > 0) {
-    std::cerr << "check-baseline: FAIL — peerstore re-identify allocates ("
-              << peerstore.reidentify_allocs << " heap allocations per "
-              << "unchanged set_agent + set_protocols); an unchanged identify "
-              << "must compare interned ids without allocating (DESIGN.md §7)\n";
-    ok = false;
-  }
-
-  // Both paths run in this process on this host, so their ratio holds
-  // where absolute ns swing with the host's load.
-  const ipfs::common::JsonValue* list_speedup =
-      baseline.find("peerstore")->find("list_speedup");
-  if (!list_speedup->is_number()) {
-    std::cerr << "check-baseline: " << baseline_path
-              << " has no numeric peerstore.list_speedup\n";
-    return false;
-  }
-  const double committed_list = list_speedup->as_double();
-  std::cout << "check-baseline: peerstore re-identify by slot with an interned list "
-            << peerstore.list_speedup << "x faster than by name vs committed "
-            << committed_list << "x (limit " << committed_list / kTolerance << "x)\n";
-  if (peerstore.list_speedup < committed_list / kTolerance) {
-    std::cerr << "check-baseline: FAIL — re-identifying by slot with a "
-              << "pre-interned protocol list gains more than 25% less over the "
-              << "by-name path than committed (got " << peerstore.list_speedup
-              << "x, committed " << committed_list << "x); the slot path must "
-              << "skip the PeerId lookup and the name interning (DESIGN.md §7)\n";
-    ok = false;
-  }
-
-  std::cout << "check-baseline: population holds " << population.bytes_per_peer
-            << " heap bytes per peer (limit " << kPopulationBytesPerPeer << ")\n";
-  if (population.bytes_per_peer > kPopulationBytesPerPeer) {
-    std::cerr << "check-baseline: FAIL — a built population holds "
-              << population.bytes_per_peer << " heap bytes per peer (limit "
-              << kPopulationBytesPerPeer << "); a RemotePeer must stay a "
-              << "fixed-size record whose agent and protocol set are ids into "
-              << "the population's tables (DESIGN.md §7)\n";
-    ok = false;
-  }
-
-  const ipfs::common::JsonValue* allocs =
-      baseline.find("content_fabric")->find("allocs_per_fetch");
-  if (!allocs->is_number()) {
-    std::cerr << "check-baseline: " << baseline_path
-              << " has no numeric content_fabric.allocs_per_fetch\n";
-    return false;
-  }
-  const double committed_allocs = allocs->as_double();
-  std::cout << "check-baseline: content_fabric allocates " << fabric.allocs_per_fetch
-            << " times per fetch vs committed " << committed_allocs << " (limit "
-            << committed_allocs * kFabricAllocGrowth << ")\n";
-  if (fabric.allocs_per_fetch > committed_allocs * kFabricAllocGrowth) {
-    std::cerr << "check-baseline: FAIL — a content campaign allocates "
-              << fabric.allocs_per_fetch << " times per fetch, more than 10% "
-              << "above the committed " << committed_allocs << "; a fetching "
-              << "remote is a bare Bitswap endpoint on the content fabric, with "
-              << "no swarm, peerstore or conn manager (DESIGN.md §11); if the "
-              << "change is intentional, regenerate BENCH_core.json "
-              << "(bench/README.md)\n";
-    ok = false;
+  for (const Guard& guard : kGuards) {
+    const double value = guard.field(run);
+    const double was = guard.field(committed);
+    const bool at_least = guard.kind == Limit::kAtLeastCommittedOver;
+    const double limit = at_least                                      ? was / guard.bound
+                         : guard.kind == Limit::kAtMostCommittedTimes ? was * guard.bound
+                                                                      : guard.bound;
+    std::cout << "check-baseline: " << guard.label << " " << value
+              << (at_least ? " (at least " : " (at most ") << limit;
+    if (guard.kind != Limit::kAtMost) std::cout << "; committed " << was;
+    std::cout << ")\n";
+    if (!(at_least ? value >= limit : value <= limit)) {
+      std::cerr << "check-baseline: FAIL — " << guard.label << " is " << value
+                << ", limit " << limit << ": " << guard.reason << "\n";
+      ok = false;
+    }
   }
   return ok;
 }
@@ -1383,33 +1520,41 @@ bool check_baseline(const std::string& baseline_path,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string out_path = "BENCH_core.json";
-  std::string baseline_path;
+  std::optional<std::string> out_arg;
+  std::optional<std::string> baseline_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
+    const std::string_view flag = argv[i];
+    bool repeated = false;
+    if (flag == "--smoke") {
+      repeated = std::exchange(smoke, true);
+    } else if ((flag == "--out" || flag == "--check-baseline") && i + 1 < argc) {
+      std::optional<std::string>& value = flag == "--out" ? out_arg : baseline_path;
+      repeated = value.has_value();
+      value = argv[++i];
     } else {
       std::cerr << "usage: perf_suite [--smoke] [--out FILE] "
                    "[--check-baseline FILE]\n";
       return 2;
     }
+    if (repeated) {
+      std::cerr << "perf_suite: " << flag << ": given more than once\n";
+      return 2;
+    }
   }
-  // The baseline is read once, before any section runs: writing --out
-  // first would let a run that overwrites the baseline check itself.
-  std::optional<ipfs::common::JsonValue> baseline;
-  if (!baseline_path.empty()) {
+  const std::string out_path = out_arg.value_or("BENCH_core.json");
+  // The baseline is read, schema and all, before any section runs: writing
+  // --out first would let a run that overwrites the baseline check itself,
+  // and a stale baseline fails before the sections' seconds are spent.
+  std::optional<Suite> committed;
+  if (baseline_path) {
     std::error_code error;
-    if (std::filesystem::equivalent(out_path, baseline_path, error)) {
+    if (std::filesystem::equivalent(out_path, *baseline_path, error)) {
       std::cerr << "perf_suite: --out " << out_path << " is the --check-baseline "
                 << "file; write the run elsewhere (e.g. --out /tmp/BENCH.json)\n";
       return 2;
     }
-    baseline = read_baseline(baseline_path);
-    if (!baseline) return 1;
+    committed = read_baseline(*baseline_path);
+    if (!committed) return 1;
   }
 
   std::cout << "\n" << std::string(78, '#') << "\n"
@@ -1419,274 +1564,49 @@ int main(int argc, char** argv) {
             << " seed=" << kCampaignSeed << "\n"
             << std::string(78, '#') << "\n";
 
-  std::cout << "[1/13] lookup: RoutingTable::closest ...\n";
-  const LookupNumbers lookup = bench_lookup(smoke);
-  std::cout << "      table=" << lookup.table_size << " peers, "
-            << lookup.closest_ns << " ns/query (sort-everything baseline: "
-            << lookup.baseline_ns << " ns/query, "
-            << lookup.baseline_ns / lookup.closest_ns << "x)\n";
-
-  std::cout << "[2/13] event queue: schedule + drain ...\n";
-  // The guard compares speedups at the baseline's own event count: the
-  // ladder queue's lead over the heap grows with the queue's depth.
-  std::size_t event_count = smoke ? 50'000 : 2'000'000;
-  if (baseline) {
-    const auto committed = baseline_event_count(baseline_path, *baseline);
-    if (!committed) return 1;
-    event_count = *committed;
-  }
-  const EventQueueNumbers events = bench_event_queue(event_count);
-  std::cout << "      " << events.events << " events, " << events.ns_per_event
-            << " ns/event bulk (" << 1e9 / events.ns_per_event
-            << " events/s), " << events.hold_ns_per_event
-            << " ns/event hold; binary-heap baseline "
-            << events.heap_ns_per_event << " ns/event ("
-            << events.speedup_vs_heap << "x)\n";
-
-  std::cout << "[3/13] conditions: ConditionModel sampling ...\n";
-  const ConditionNumbers conditions = bench_conditions(smoke);
-  std::cout << "      " << conditions.samples << " samples, "
-            << conditions.one_way_ns << " ns/one_way, " << conditions.gate_ns
-            << " ns/dial_allowed\n";
-
-  std::cout << "[4/13] churn_model: ChurnModel sampling ...\n";
-  const ChurnModelNumbers churn = bench_churn_model(smoke);
-  std::cout << "      " << churn.samples << " samples, " << churn.session_ns
-            << " ns/session, " << churn.gap_ns << " ns/gap\n";
-
-  std::cout << "[5/13] content_model: ContentModel sampling ...\n";
-  const ContentModelNumbers content = bench_content_model(smoke);
-  std::cout << "      " << content.samples << " samples, " << content.publish_ns
-            << " ns/publish-chain, " << content.fetch_ns << " ns/fetch-chain\n";
-
-  std::cout << "[6/13] campaign: sequential vs parallel sweep ...\n";
-  const CampaignNumbers campaign = bench_campaign(smoke);
-  std::cout << "      " << campaign.trials << " trials @ scale "
-            << campaign.scale << ": sequential " << campaign.sequential_ms
-            << " ms, parallel " << campaign.parallel_ms << " ms ("
-            << campaign.workers << " workers, "
-            << campaign.sequential_ms / campaign.parallel_ms << "x)\n";
-
-  std::cout << "[7/13] sharded_campaign: unsharded vs sharded engine ...\n";
-  const ShardedCampaignNumbers sharded = bench_sharded_campaign(smoke);
-  std::cout << "      scale " << sharded.scale << ": sequential "
-            << sharded.sequential_ms << " ms, sharded " << sharded.sharded_ms
-            << " ms (" << sharded.shards << " shards, " << sharded.workers
-            << " workers, exports byte-identical)\n";
-
-  std::cout << "[8/13] phase_program: rates_at lookups + campaign overhead ...\n";
-  const PhaseProgramNumbers phases = bench_phase_program(smoke);
-  std::cout << "      " << phases.samples << " lookups, " << phases.rates_ns
-            << " ns/rates_at; campaign plain " << phases.plain_ms
-            << " ms vs phased " << phases.phased_ms << " ms ("
-            << phases.phased_ms / phases.plain_ms << "x)\n";
-
-  std::cout << "[9/13] conn_trim: Swarm::trim_now at P4 watermarks ...\n";
-  const ConnTrimNumbers trim = bench_conn_trim(smoke);
-  std::cout << "      " << trim.low_water << "/" << trim.high_water
-            << " watermarks: idle tick (" << trim.idle_open << " open) "
-            << trim.idle_tick_ns << " ns, trimming tick (" << trim.trim_open
-            << " open, " << trim.trimmed_per_tick << " closed) "
-            << trim.trim_tick_ns << " ns\n";
-
-  std::cout << "[10/13] dataset_export: Dataset::export_json and a copy ...\n";
-  const DatasetExportNumbers dataset = bench_dataset_export(smoke);
-  std::cout << "      " << dataset.peers << " peers, " << dataset.connections
-            << " connections: export " << dataset.export_ns << " ns ("
-            << dataset.bytes << " bytes, " << dataset.mb_per_s << " MB/s), copy "
-            << dataset.copy_ns << " ns, " << dataset.bytes_per_peer
-            << " heap bytes/peer, " << dataset.known_protocol_allocs
-            << " allocations per known protocol\n";
-
-  std::cout << "[11/13] peerstore: connect, identify, re-identify ...\n";
-  const PeerstoreNumbers peerstore = bench_peerstore(smoke);
-  std::cout << "      " << peerstore.peers << " peers x "
-            << peerstore.protocols_per_identify << " protocols: connect "
-            << peerstore.connect_ns << " ns, identify " << peerstore.identify_ns
-            << " ns, re-identify " << peerstore.reidentify_ns << " ns ("
-            << peerstore.reidentify_allocs << " allocations), reconnect "
-            << peerstore.reconnect_ns << " ns; by slot with interned lists: "
-            << "identify " << peerstore.identify_list_ns << " ns, re-identify "
-            << peerstore.reidentify_list_ns << " ns (" << peerstore.list_speedup
-            << "x)\n";
-
-  std::cout << "[12/13] population: Population build ...\n";
-  const PopulationNumbers population = bench_population(smoke);
-  std::cout << "      " << population.peers << " peers: build "
-            << population.build_ns_per_peer << " ns/peer, "
-            << population.bytes_per_peer << " heap bytes/peer, "
-            << population.distinct_agents << " agents, "
-            << population.distinct_protocol_sets << " protocol sets\n";
-
-  std::cout << "[13/13] content_fabric: a trimming content campaign ...\n";
-  const ContentFabricNumbers fabric = bench_content_fabric(smoke);
-  std::cout << "      scale " << fabric.scale << ": " << fabric.fetches
-            << " fetches, " << fabric.ns_per_fetch << " ns/fetch, "
-            << fabric.allocs_per_fetch << " allocations/fetch\n";
+  Suite suite;
+  suite.smoke = smoke;
+  SectionRunner runner{suite, smoke};
+  runner.run<&Suite::lookup, kLookupFields>("lookup: RoutingTable::add and ::closest",
+                                            bench_lookup);
+  // The event-queue guard compares speedups at the baseline's own count.
+  const std::size_t events =
+      committed ? committed->event_queue.events : smoke ? 50'000 : 2'000'000;
+  runner.run<&Suite::event_queue, kEventQueueFields>(
+      "event queue: schedule + drain", [events](bool) { return bench_event_queue(events); });
+  runner.run<&Suite::conditions, kConditionFields>(
+      "conditions: ConditionModel sampling", bench_conditions);
+  runner.run<&Suite::churn_model, kChurnModelFields>("churn_model: ChurnModel sampling",
+                                                     bench_churn_model);
+  runner.run<&Suite::content_model, kContentModelFields>(
+      "content_model: ContentModel sampling", bench_content_model);
+  runner.run<&Suite::campaign, kCampaignFields>("campaign: sequential vs parallel sweep",
+                                                bench_campaign);
+  runner.run<&Suite::sharded_campaign, kShardedCampaignFields>(
+      "sharded_campaign: unsharded vs sharded engine", bench_sharded_campaign);
+  runner.run<&Suite::phase_program, kPhaseProgramFields>(
+      "phase_program: rates_at lookups + campaign overhead", bench_phase_program);
+  runner.run<&Suite::conn_trim, kConnTrimFields>(
+      "conn_trim: Swarm::trim_now at P4 watermarks", bench_conn_trim);
+  runner.run<&Suite::dataset_export, kDatasetExportFields>(
+      "dataset_export: Dataset::export_json and a copy", bench_dataset_export);
+  runner.run<&Suite::peerstore, kPeerstoreFields>(
+      "peerstore: connect, identify, re-identify", bench_peerstore);
+  runner.run<&Suite::population, kPopulationFields>("population: Population build",
+                                                    bench_population);
+  runner.run<&Suite::content_fabric, kContentFabricFields>(
+      "content_fabric: a trimming content campaign", bench_content_fabric);
 
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot open " << out_path << " for writing\n";
     return 1;
   }
-  ipfs::common::JsonWriter json(out, /*pretty=*/true);
-  json.begin_object();
-  json.field("suite", "core");
-  json.field("smoke", smoke);
-  json.key("lookup");
-  json.begin_object();
-  json.field("table_size", static_cast<std::uint64_t>(lookup.table_size));
-  json.field("queries", static_cast<std::uint64_t>(lookup.queries));
-  json.field("closest_ns_per_query", lookup.closest_ns);
-  json.field("sort_baseline_ns_per_query", lookup.baseline_ns);
-  json.field("speedup", lookup.baseline_ns / lookup.closest_ns);
-  json.end_object();
-  json.key("event_queue");
-  json.begin_object();
-  json.field("events", static_cast<std::uint64_t>(events.events));
-  json.field("ns_per_event", events.ns_per_event);
-  json.field("events_per_sec", 1e9 / events.ns_per_event);
-  json.field("hold_ns_per_event", events.hold_ns_per_event);
-  json.field("heap_baseline_ns_per_event", events.heap_ns_per_event);
-  json.field("speedup_vs_heap", events.speedup_vs_heap);
-  json.end_object();
-  json.key("conditions");
-  json.begin_object();
-  json.field("samples", static_cast<std::uint64_t>(conditions.samples));
-  json.field("one_way_ns_per_sample", conditions.one_way_ns);
-  json.field("dial_gate_ns_per_sample", conditions.gate_ns);
-  json.end_object();
-  json.key("churn_model");
-  json.begin_object();
-  json.field("samples", static_cast<std::uint64_t>(churn.samples));
-  json.field("session_ns_per_draw", churn.session_ns);
-  json.field("gap_ns_per_draw", churn.gap_ns);
-  json.end_object();
-  json.key("content_model");
-  json.begin_object();
-  json.field("samples", static_cast<std::uint64_t>(content.samples));
-  json.field("publish_chain_ns_per_draw", content.publish_ns);
-  json.field("fetch_chain_ns_per_draw", content.fetch_ns);
-  json.end_object();
-  json.key("campaign");
-  json.begin_object();
-  json.field("trials", static_cast<std::uint64_t>(campaign.trials));
-  json.field("scale", campaign.scale);
-  json.field("workers", static_cast<std::uint64_t>(campaign.workers));
-  json.field("hardware_concurrency",
-             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.field("sequential_ms", campaign.sequential_ms);
-  json.field("parallel_ms", campaign.parallel_ms);
-  // On a single-core host a "speedup" number is noise about stream
-  // buffering, not parallelism — keep the explanation, drop the figure.
-  if (std::thread::hardware_concurrency() > 1) {
-    json.field("speedup", campaign.sequential_ms / campaign.parallel_ms);
-  } else {
-    json.field("note",
-               "single-core host (see hardware_concurrency): the parallel "
-               "path degenerates to the sequential loop plus per-trial "
-               "stream buffering, so a speedup figure would only measure "
-               "buffering overhead and is omitted");
-  }
-  json.end_object();
-  json.key("sharded_campaign");
-  json.begin_object();
-  json.field("scale", sharded.scale);
-  json.field("shards", static_cast<std::uint64_t>(sharded.shards));
-  json.field("workers", static_cast<std::uint64_t>(sharded.workers));
-  json.field("hardware_concurrency",
-             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.field("sequential_ms", sharded.sequential_ms);
-  json.field("sharded_ms", sharded.sharded_ms);
-  json.field("bytes_identical", true);  // asserted above, or we exited
-  // Same single-core policy as the campaign section: without a second
-  // core the fan-outs serialize onto the caller and a speedup figure
-  // would only measure pool overhead.
-  if (std::thread::hardware_concurrency() > 1) {
-    json.field("speedup", sharded.sequential_ms / sharded.sharded_ms);
-  } else {
-    json.field("note",
-               "single-core host (see hardware_concurrency): shard "
-               "fan-outs serialize onto the calling thread, so a speedup "
-               "figure would only measure fork-join overhead and is "
-               "omitted");
-  }
-  json.end_object();
-  json.key("phase_program");
-  json.begin_object();
-  json.field("samples", static_cast<std::uint64_t>(phases.samples));
-  json.field("rates_ns_per_lookup", phases.rates_ns);
-  json.field("plain_campaign_ms", phases.plain_ms);
-  json.field("phased_campaign_ms", phases.phased_ms);
-  json.field("overhead", phases.phased_ms / phases.plain_ms);
-  json.end_object();
-  json.key("conn_trim");
-  json.begin_object();
-  json.field("low_water", trim.low_water);
-  json.field("high_water", trim.high_water);
-  json.field("idle_open", static_cast<std::uint64_t>(trim.idle_open));
-  json.field("idle_ticks", static_cast<std::uint64_t>(trim.idle_ticks));
-  json.field("idle_tick_ns", trim.idle_tick_ns);
-  json.field("trim_open", static_cast<std::uint64_t>(trim.trim_open));
-  json.field("trim_reps", static_cast<std::uint64_t>(trim.trim_reps));
-  json.field("trimmed_per_tick", static_cast<std::uint64_t>(trim.trimmed_per_tick));
-  json.field("trim_tick_ns", trim.trim_tick_ns);
-  json.field("idle_share", trim.idle_tick_ns / trim.trim_tick_ns);
-  json.end_object();
-  json.key("dataset_export");
-  json.begin_object();
-  json.field("peers", static_cast<std::uint64_t>(dataset.peers));
-  json.field("connections", static_cast<std::uint64_t>(dataset.connections));
-  json.field("bytes", static_cast<std::uint64_t>(dataset.bytes));
-  json.field("export_reps", static_cast<std::uint64_t>(dataset.export_reps));
-  json.field("export_ns", dataset.export_ns);
-  json.field("mb_per_s", dataset.mb_per_s);
-  json.field("copy_reps", static_cast<std::uint64_t>(dataset.copy_reps));
-  json.field("copy_ns", dataset.copy_ns);
-  json.field("copy_share", dataset.copy_ns / dataset.export_ns);
-  json.field("bytes_per_peer", dataset.bytes_per_peer);
-  json.field("known_protocol_allocs", dataset.known_protocol_allocs);
-  json.end_object();
-  json.key("peerstore");
-  json.begin_object();
-  json.field("peers", static_cast<std::uint64_t>(peerstore.peers));
-  json.field("protocols_per_identify",
-             static_cast<std::uint64_t>(peerstore.protocols_per_identify));
-  json.field("connect_ns", peerstore.connect_ns);
-  json.field("identify_ns", peerstore.identify_ns);
-  json.field("reidentify_ns", peerstore.reidentify_ns);
-  json.field("reconnect_ns", peerstore.reconnect_ns);
-  json.field("reidentify_allocs", peerstore.reidentify_allocs);
-  json.field("identify_list_ns", peerstore.identify_list_ns);
-  json.field("reidentify_list_ns", peerstore.reidentify_list_ns);
-  json.field("list_speedup", peerstore.list_speedup);
-  json.end_object();
-  json.key("population");
-  json.begin_object();
-  json.field("peers", static_cast<std::uint64_t>(population.peers));
-  json.field("builds", static_cast<std::uint64_t>(population.builds));
-  json.field("build_ns_per_peer", population.build_ns_per_peer);
-  json.field("bytes_per_peer", population.bytes_per_peer);
-  json.field("distinct_agents", static_cast<std::uint64_t>(population.distinct_agents));
-  json.field("distinct_protocol_sets",
-             static_cast<std::uint64_t>(population.distinct_protocol_sets));
-  json.end_object();
-  json.key("content_fabric");
-  json.begin_object();
-  json.field("scale", fabric.scale);
-  json.field("runs", static_cast<std::uint64_t>(fabric.runs));
-  json.field("fetches", static_cast<std::uint64_t>(fabric.fetches));
-  json.field("ns_per_fetch", fabric.ns_per_fetch);
-  json.field("allocs_per_fetch", fabric.allocs_per_fetch);
-  json.end_object();
-  json.end_object();
+  JsonWriter json(out, /*pretty=*/true);
+  write_record<Suite>(json, kSuiteFields, suite);
   out << "\n";
-
   std::cout << "\nwrote " << out_path << "\n";
 
-  if (baseline && !check_baseline(baseline_path, *baseline, events, trim, dataset,
-                                  peerstore, population, fabric)) {
-    return 1;
-  }
+  if (committed && !check_baseline(suite, *committed)) return 1;
   return 0;
 }

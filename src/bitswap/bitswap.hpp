@@ -48,7 +48,6 @@ class BitswapEngine {
   /// true when it was present.
   bool remove_block(const Cid& cid) { return store_.erase(cid) > 0; }
   [[nodiscard]] bool has_block(const Cid& cid) const { return store_.contains(cid); }
-  [[nodiscard]] std::size_t store_size() const noexcept { return store_.size(); }
 
   /// Request a block from a connected peer; `on_block` fires when it
   /// arrives (never fires if the peer lacks it or disconnects).

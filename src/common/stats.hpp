@@ -88,7 +88,6 @@ class CountedHistogram {
   void add(const std::string& key, std::uint64_t weight = 1);
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::size_t distinct() const noexcept { return counts_.size(); }
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counts() const noexcept {
     return counts_;
   }

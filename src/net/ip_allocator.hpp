@@ -28,8 +28,6 @@ class IpAllocator {
   /// First use allocates; later uses return the same address.
   [[nodiscard]] p2p::IpAddress shared_v4(const std::string& pool);
 
-  [[nodiscard]] std::size_t allocated_count() const noexcept { return used_.size(); }
-
   /// Room for `count` addresses without growing the used set.
   void reserve(std::size_t count) { used_.reserve(count); }
 

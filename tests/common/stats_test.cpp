@@ -70,7 +70,7 @@ TEST(CountedHistogram, CountsAndTotals) {
   EXPECT_EQ(histogram.counts().at("b"), 5u);
   EXPECT_FALSE(histogram.counts().contains("c"));
   EXPECT_EQ(histogram.total(), 7u);
-  EXPECT_EQ(histogram.distinct(), 2u);
+  EXPECT_EQ(histogram.counts().size(), 2u);
 }
 
 TEST(CountedHistogram, TopWithOtherGroupsSmallCategories) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """List library functions that no shipped binary reaches.
 
-Builds every shipped binary (ipfs_sim, the examples, the benches and the
+Builds every shipped binary (ipfs_sim, the examples, perf_suite and the
 perfbench harness) at -O0 with one section per function, linked with
 --gc-sections, so a binary keeps exactly the functions it can call.  A
 strong (`T`) function of libipfs_core.a that none of them keeps is
